@@ -105,9 +105,6 @@ class UnramChar:
         exp = None if self.exponent is None else -self.exponent
         return UnramChar(self.ring, self.ring.inv(self.value), exp)
 
-    def is_trivial(self):
-        return self.value == 1
-
     def __eq__(self, other):
         if not isinstance(other, UnramChar):
             return NotImplemented

@@ -463,35 +463,44 @@ class _StageEngine:
         self.base_count = len(base)
         self.bi_z0 = base_index[ProjPoint.inf_cell(p, m, 0)]
         self.units = _unit_gens(p, m)
+        self.discs = (None,)
 
     def _rpow(self, e):
         if e >= 0:
             return pow(self.r, e, self.n)
         return pow(self.r_inv, -e, self.n)
 
+    def _discs(self, j):
+        """Stage j's disc key, inbound and outbound weight at each point.
+
+        Only the latest stage's tables are kept: stages run in order.
+        """
+        if self.discs[0] != j:
+            p, n, big_l = self.p, self.n, self.big_l
+            keys = [None] * self.size
+            w_in = [0] * self.size
+            w_out = [0] * self.size
+            for i, mu in enumerate(self.mu):
+                if mu is None:
+                    continue
+                kk = min(2 * mu - j, big_l)
+                keys[i] = "big" if mu <= j else (mu, self.pts[i].res % p ** kk)
+                w_in[i] = self.ring.q_pow(kk - big_l) * self._rpow(mu) % n
+                w_out[i] = self._rpow(-mu)
+            self.discs = (j, keys, w_in, w_out)
+        return self.discs[1:]
+
     def smooth(self, v, j):
         """Average along the depth-j discs; exact on the truncated model."""
-        p, n, big_l = self.p, self.n, self.big_l
-        keys = [None] * self.size
-        fracs = [0] * self.size
-        for i, mu in enumerate(self.mu):
-            if mu is None:
-                continue
-            kk = min(2 * mu - j, big_l)
-            keys[i] = "big" if mu <= j else (mu, self.pts[i].res % p ** kk)
-            fracs[i] = self.ring.q_pow(kk - big_l)
+        n = self.n
+        keys, w_in, w_out = self._discs(j)
         acc = {}
-        for i, c in enumerate(v):
-            if c and keys[i] is not None:
-                bump = c * fracs[i] * self._rpow(self.mu[i]) % n
-                acc[keys[i]] = (acc.get(keys[i], 0) + bump) % n
-        out = [0] * self.size
+        for key, c, w in zip(keys, v, w_in):
+            if c and key is not None:
+                acc[key] = (acc.get(key, 0) + c * w) % n
+        # the only keyless point is the fixed point at infinity
+        out = [acc.get(key, 0) * w % n for key, w in zip(keys, w_out)]
         out[self.i_z0] = v[self.i_z0]
-        for i, key in enumerate(keys):
-            if key is not None:
-                s = acc.get(key, 0)
-                if s:
-                    out[i] = s * self._rpow(-self.mu[i]) % n
         return out
 
     def columns(self, j):
@@ -619,7 +628,9 @@ def jacquet_oracle(sig, j_max=None):
         if j >= 1 and summary == prev and summary[1] is not None:
             rank, mats, mpi2 = summary
             if mpi2 is None:
-                break
+                raise NotStabilized(
+                    f"stages {j - 1} and {j} agreed, but their pi-matrix "
+                    f"{mats[0]} is not invertible mod {ring.n}")
             mpi = mats[0]
             torus = {
                 "pi": LambdaMatrix(ring, mpi),

@@ -165,88 +165,84 @@ def mat_mul(ring, a_rows, b_rows, b_cols):
 # ----------------------------------------------------------- Howell engine
 
 def _unit_scale(a, n):
-    """A unit u with u*a = gcd(a,n) mod n.  Scans; n is machine small."""
-    d = gcd(a, n)
-    for u in range(1, n + 1):
-        if gcd(u, n) == 1 and (u * a) % n == d:
-            return u
-    raise ArithmeticError("no unit normalizer found")  # unreachable
+    """A unit u with u*a = gcd(a, n) mod n, for a not divisible by n.
 
-
-def _howell_engine(rows, n, width):
-    """Howell form with transform.
-
-    Returns (hrows, htrans, krows) where hrows is the canonical form,
-    htrans expresses each canonical row as a combination of the input rows,
-    and krows spans the left kernel of the input.
+    Closed form, the "stab" step of Storjohann & Mulders, *Fast algorithms
+    for linear algebra modulo N* (ESA 1998): with d = gcd(a, n), u0 inverts
+    a/d mod n/d, and u0 + c*(n/d) is a unit mod n when c is the largest
+    divisor of n coprime to u0.  Each prime of n then divides exactly one
+    of u0 and c*(n/d).
     """
-    work = []
+    d = gcd(a, n)
+    u0 = pow(a // d, -1, n // d)
+    c = n
+    while (g := gcd(c, u0)) > 1:
+        c //= g
+    return (u0 + c * (n // d)) % n
+
+
+def _howell_engine(rows, n, width, kernel=False):
+    """Howell form of the row span of rows over Z/n, or its left kernel.
+
+    Returns the Howell rows as tuples.  With kernel set it returns instead
+    rows spanning {x : x * rows = 0}, not in Howell form: only then is the
+    row transform carried, and the above-pivot reduction, which cannot
+    change the kernel, is skipped.  Rows are split into live and zero once;
+    a live row is zero left of the current column, so each step touches
+    only the columns from there on.  Pivots are normalized by _unit_scale
+    and their annihilator multiples stay live, which gives the Howell
+    property.
+    """
+    live, zeros = [], []
     for i, r in enumerate(rows):
-        t = [0] * len(rows)
-        t[i] = 1
-        work.append(([e % n for e in r], t))
+        row = [e % n for e in r]
+        if kernel:
+            row += [0] * len(rows)
+            row[width + i] = 1
+        (live if any(row[:width]) else zeros).append(row)
 
-    def addmul(dst, src, c):
-        row, tr = dst
-        srow, str_ = src
-        for j in range(width):
-            row[j] = (row[j] + c * srow[j]) % n
-        for j in range(len(tr)):
-            tr[j] = (tr[j] + c * str_[j]) % n
-
-    out = []
+    out, pivots = [], []
     for col in range(width):
-        live = [w for w in work if any(w[0])]
-        zeros = [w for w in work if not any(w[0])]
-        hits = [w for w in live if w[0][col] != 0]
-        rest = [w for w in live if w[0][col] == 0]
-        while len(hits) > 1:
-            a, b = hits[0], hits[1]
-            av, bv = a[0][col], b[0][col]
-            g, s, t = _xgcd(av, bv)
-            u, v = -(bv // g), av // g
-            new_a = ([ (s * x + t * y) % n for x, y in zip(a[0], b[0])],
-                     [ (s * x + t * y) % n for x, y in zip(a[1], b[1])])
-            new_b = ([ (u * x + v * y) % n for x, y in zip(a[0], b[0])],
-                     [ (u * x + v * y) % n for x, y in zip(a[1], b[1])])
-            hits = [new_a] + hits[2:]
-            if new_b[0][col] != 0:
-                hits.append(new_b)
-            elif any(new_b[0]):
-                rest.append(new_b)
-            else:
-                zeros.append(new_b)
+        if not live:
+            break
+        hits = [w for w in live if w[col]]
+        rest = [w for w in live if not w[col]]
         if hits:
             piv = hits[0]
-            u = _unit_scale(piv[0][col], n)
-            piv = ([(u * x) % n for x in piv[0]], [(u * x) % n for x in piv[1]])
+            for b in hits[1:]:
+                av, bv = piv[col], b[col]
+                g, s, t = _xgcd(av, bv)
+                u, v = -(bv // g), av // g
+                pairs = list(zip(piv[col:], b[col:]))
+                piv[col:] = [(s * x + t * y) % n for x, y in pairs]
+                b[col:] = [(u * x + v * y) % n for x, y in pairs]
+                if any(b[col + 1:width]):
+                    rest.append(b)
+                elif kernel:
+                    zeros.append(b)
+            u = _unit_scale(piv[col], n)
+            piv[col:] = [(u * x) % n for x in piv[col:]]
             out.append(piv)
-            ann = n // gcd(piv[0][col], n)
-            arow = ([(ann * x) % n for x in piv[0]], [(ann * x) % n for x in piv[1]])
-            if any(arow[0]):
-                rest.append(arow)
-            elif any(arow[1]):
-                zeros.append(arow)
-        work = rest + zeros
+            pivots.append(col)
+            if piv[col] > 1:  # a unit pivot has no annihilator
+                ann = n // piv[col]
+                arow = [0] * col + [(ann * x) % n for x in piv[col:]]
+                if any(arow[col + 1:width]):
+                    rest.append(arow)
+                elif kernel:
+                    zeros.append(arow)
+        live = rest
 
-    # reduce entries above each pivot
-    pivots = []
-    for row, _ in out:
-        c = next(j for j in range(width) if row[j] != 0)
-        pivots.append(c)
-    for i in range(len(out)):
+    if kernel:
+        return [tuple(w[width:]) for w in zeros if any(w[width:])]
+    # reduce entries above each pivot into [0, pivot)
+    for i, row in enumerate(out):
         for k in range(i + 1, len(out)):
             c = pivots[k]
-            d = out[k][0][c]
-            e = out[i][0][c]
-            if e % d != 0 or e >= d:
-                q = e // d
-                addmul(out[i], out[k], -q)
-
-    hrows = [tuple(r) for r, _ in out]
-    htrans = [tuple(t) for _, t in out]
-    krows = [tuple(t) for r, t in work if not any(r) and any(t)]
-    return hrows, htrans, krows
+            q = row[c] // out[k][c]
+            if q:
+                row[c:] = [(x - q * y) % n for x, y in zip(row[c:], out[k][c:])]
+    return [tuple(r) for r in out]
 
 
 def _xgcd(a, b):
@@ -263,14 +259,14 @@ def _xgcd(a, b):
 
 def howell_form(m):
     """Unique Howell canonical representative of the row span of m."""
-    hrows, _, _ = _howell_engine(m.entries, m.ring.n, m.cols)
-    return LambdaMatrix(m.ring, hrows, cols=m.cols)
+    return LambdaMatrix(m.ring, _howell_engine(m.entries, m.ring.n, m.cols),
+                        cols=m.cols)
 
 
 def left_kernel(m):
     """Howell basis of {x : x * m = 0}."""
-    _, _, krows = _howell_engine(m.entries, m.ring.n, m.cols)
-    kh, _, _ = _howell_engine(krows, m.ring.n, m.nrows)
+    krows = _howell_engine(m.entries, m.ring.n, m.cols, kernel=True)
+    kh = _howell_engine(krows, m.ring.n, m.nrows)
     return LambdaMatrix(m.ring, kh, cols=m.nrows)
 
 
@@ -411,8 +407,7 @@ def _submodule_rows(f):
     stacked = list(a.entries) + list(f.target.relations.entries)
     kern = left_kernel(LambdaMatrix(ring, stacked, cols=a.cols))
     rows = [k[: f.source.ambient] for k in kern.entries]
-    h, _, _ = _howell_engine(rows, ring.n, f.source.ambient)
-    return h
+    return _howell_engine(rows, ring.n, f.source.ambient)
 
 
 def _present_subquotient(ring, ambient, gen_rows, mod_rows):

@@ -181,6 +181,13 @@ def test_jacquet_symbolic_matches_averaging_oracle():
     assert [c.values() for c in sym.constituents] == list(res.filtration)
 
 
+def test_jacquet_symbolic_matches_oracle_at_level_3():
+    sym = jacquet_symbolic(R11, "ind(0,1)")
+    res = jacquet_oracle(induced_rep(R11, (1, 4), 3))
+    assert [c.values() for c in sym.constituents] == list(res.filtration)
+    assert sym.split == res.split
+
+
 # --------------------------------------------------------- torus homology
 
 

@@ -126,6 +126,18 @@ def test_sl2coh_json_agrees_with_text(capsys):
     assert blob["H0"] == [] and blob["H1"] == [5]
 
 
+@pytest.mark.parametrize("rep, forms", [("triv", (True, False)),
+                                        ("ind(0,0)", (True, True)),
+                                        ("st", (False, True))])
+def test_sl2coh_closed_forms_near_1e9(capsys, rep, forms):
+    n = 1000000007
+    code, out, _ = run(capsys, "sl2coh", "--format", "json", "--rep", rep,
+                       "--p", "3", "--n", str(n))
+    assert code == 0
+    blob = json.loads(out)
+    assert (blob["H0"], blob["H1"]) == tuple([n] if f else [] for f in forms)
+
+
 # ---------------------------------------------------------------- orbits
 
 

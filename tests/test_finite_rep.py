@@ -18,6 +18,7 @@ from strata_glue.padic_core import (
     laurent_matrix,
     orbits,
 )
+from strata_glue import finite_rep
 from strata_glue.finite_rep import (
     LevelMismatch,
     NonInvertibleOrder,
@@ -246,6 +247,14 @@ def test_jacquet_torus_matrices_commute():
 def test_jacquet_not_stabilized():
     with pytest.raises(NotStabilized):
         jacquet_oracle(induced_rep(R11, (1, 1), 2), j_max=1)
+
+def test_jacquet_singular_pi_is_named(monkeypatch):
+    # agreeing stages with a pi-matrix singular mod n are not "no agreement"
+    monkeypatch.setattr(finite_rep, "_scaled_inverse", lambda *a: None)
+    with pytest.raises(NotStabilized,
+                       match=r"stages 1 and 2 agreed, but their pi-matrix "
+                             r".* is not invertible mod 11"):
+        jacquet_oracle(induced_rep(R11, (1, 1), 2))
 
 def test_jacquet_needs_precision():
     sig = induced_rep(R11, (1, 1), 2, precision=3)

@@ -6,11 +6,13 @@ match the implementation.
 """
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strata_glue.lambda_core import (
+    _unit_scale,
     BadSqrt,
     BanalityViolation,
     CoeffRing,
@@ -25,6 +27,7 @@ from strata_glue.lambda_core import (
     howell_form,
     iso_class,
     kernel,
+    left_kernel,
     make_ring,
     module_isomorphism,
     quotient_module,
@@ -326,3 +329,34 @@ def test_left_kernel_matches_enumeration(m):
     n = m.ring.n
     k = left_kernel(m)
     assert span_of(k.entries, n, m.nrows) == brute_left_kernel(m.entries, n)
+
+
+@pytest.mark.parametrize("n", [27, 64, 121, 143])
+def test_left_kernel_beyond_enumeration(n):
+    # prime powers and a product of two primes: Z/n has zero divisors, so
+    # pivots are proper divisors and annihilator rows carry the kernel
+    rng = random.Random(n)
+    divisors = [d for d in range(1, n) if n % d == 0]
+    for _ in range(12):
+        rows, cols = rng.randint(2, 9), rng.randint(1, 9)
+        entries = [[rng.choice(divisors) * rng.randrange(n) % n
+                    for _ in range(cols)] for _ in range(rows)]
+        ring = CoeffRing(n, 2 if n % 2 else 3)
+        m = LambdaMatrix(ring, entries, cols=cols)
+        k = left_kernel(m)
+        for x in k.entries:
+            assert all(sum(c * r[j] for c, r in zip(x, entries)) % n == 0
+                       for j in range(cols))
+        # |ker| * |row span| = n^rows, sizes from the quotient orders
+        ker = n ** rows // FgModule(ring, rows, k).size()
+        span = n ** cols // FgModule(ring, cols, m).size()
+        assert ker * span == n ** rows
+
+
+# ------------------------------------------------------------ unit normalizer
+
+def test_unit_scale_exhaustive():
+    for n in range(2, 301):
+        for a in range(1, n):
+            u = _unit_scale(a, n)
+            assert gcd(u, n) == 1 and u * a % n == gcd(a, n), (a, n, u)

@@ -68,8 +68,8 @@ exponents a, b, k may be halves, written like 1/2 or -3/2.
 class Config:
     """Validated run parameters; the ring constructor is the gatekeeper."""
 
-    __slots__ = ("p", "n", "sqrt_q", "level", "precision", "k", "window",
-                 "fmt", "ring")
+    __slots__ = ("p", "n", "sqrt_q", "level", "precision", "k", "fmt",
+                 "ring")
 
     def __init__(self, args):
         self.p = args.p
@@ -82,7 +82,6 @@ class Config:
         if self.precision < self.level:
             raise ValueError("precision must be at least the level")
         self.k = args.k
-        self.window = args.window
         self.fmt = args.format
         self.ring = make_ring(self.n, self.p, self.sqrt_q)
 
@@ -102,8 +101,6 @@ def _build_parser():
                         help="uniformizer precision M >= m (default 6)")
     shared.add_argument("--k", type=int, default=1,
                         help="congruence depth for orbit counts (default 1)")
-    shared.add_argument("--window", type=int, default=1,
-                        help="number of central twists kept (default 1)")
     shared.add_argument("--format", choices=("text", "json"), default="text")
 
     ap = argparse.ArgumentParser(

@@ -9,10 +9,13 @@ with PrecisionExhausted instead of guessing.
 
 Points are stored in canonical affine form, [1:t] when the first coordinate
 can lead and [s:1] with v(s) >= 1 otherwise, so equality is plain field
-comparison.  Orbits are computed by a single action sweep at a raised
-internal level, merged by union-find at the working level; generator
-inverses are never applied because the image of each generator in the
-finite quotient has finite order.
+comparison.  Orbits are merged by union-find at the working level m from
+two sweeps: generators in GL2(O) (integral, unit determinant) act on the
+level-m points by plain residue arithmetic mod p^m, and every other
+generator goes through act() at a raised internal level, which certifies
+each image or raises PrecisionExhausted.  Generator inverses are never
+applied because the image of each generator in the finite quotient has
+finite order.
 """
 
 import json
@@ -466,19 +469,48 @@ def _find(parent, i):
     return i
 
 
+def _in_gl2_o(g):
+    # integral with a unit determinant: acts on P^1(O/pi^m) for every m
+    det = g.det()
+    return g.maxneg() == 0 and det.a != 0 and det.w == 0
+
+
+def _integral_images(g, p, m):
+    """Index of x*g for every level-m point x, in enumerate_p1 order.
+
+    [1:t] has index t and [s:1] index p^m + s//p.  g must lie in GL2(O):
+    it maps the primitive lift (1, t) or (s, 1) to a primitive (c1, c2), so
+    one coordinate is a unit and the ratio is exact mod p^m; this is what
+    act(x, g, m) returns.
+    """
+    md = p ** m
+    (a, b), (c, d) = g.int_entries(m)
+    lifts = [(1, t) for t in range(md)] + [(s, 1) for s in range(0, md, p)]
+    out = []
+    for x1, x2 in lifts:
+        c1 = (x1 * a + x2 * c) % md
+        c2 = (x1 * b + x2 * d) % md
+        if c1 % p:
+            out.append(c2 * pow(c1, -1, md) % md)
+        else:
+            out.append(md + c1 * pow(c2, -1, md) % md // p)
+    return out
+
+
 def orbits(spec, m, p):
     """Partition of P^1(O/pi^m) into orbits of the named subgroup.
 
-    A single sweep suffices: every level-L point feeds one union per
-    generator, and union-find closes the relation symmetrically.  L is
-    raised past m by twice the generators' pole depth plus slack, so every
-    act() in the sweep is certified.
+    Every point feeds one union per generator, and union-find closes the
+    relation symmetrically.  Two sweeps share the work.  A generator in
+    GL2(O) acts on the level-m points themselves, by residue arithmetic mod
+    p^m (_integral_images).  Every other generator, one with a pole or with
+    a non-unit determinant, goes through act() on each point of a raised
+    internal level L: L exceeds m by twice the pole depth plus slack, and
+    act() raises PrecisionExhausted where even that cannot certify the
+    image at level m.
     """
     gens = subgroup_generators(spec, p)
-    depth = max((g.maxneg() for g in gens), default=0)
-    internal = m if depth == 0 else m + 2 * depth + 2
     base = enumerate_p1(p, m)
-    index = {x: i for i, x in enumerate(base)}
     parent = list(range(len(base)))
 
     def union(i, j):
@@ -486,11 +518,23 @@ def orbits(spec, m, p):
         if ri != rj:
             parent[rj] = ri
 
-    for x in enumerate_p1(p, internal):
-        src = index[x.project(m)]
-        for g in gens:
-            y, _ = act(x, g, m)
-            union(src, index[y])
+    rest = []
+    for g in gens:
+        # at level 0 no residue is a unit, and act() alone decides
+        if m >= 1 and _in_gl2_o(g):
+            for i, j in enumerate(_integral_images(g, p, m)):
+                union(i, j)
+        else:
+            rest.append(g)
+    if rest:
+        depth = max(g.maxneg() for g in rest)
+        internal = m if depth == 0 else m + 2 * depth + 2
+        index = {x: i for i, x in enumerate(base)}
+        for x in enumerate_p1(p, internal):
+            src = index[x.project(m)]
+            for g in rest:
+                y, _ = act(x, g, m)
+                union(src, index[y])
 
     blocks = {}
     for i, x in enumerate(base):
@@ -514,8 +558,10 @@ def orbit_classification_check(k, p, n):
     [0:1] is the depth-k disc around infinity; the orbit of [1:0] is the
     depth-k disc around zero.  Raises ClassificationMismatch naming the
     first clause that fails.  n tags the report; the partition itself does
-    not depend on it.
+    not depend on it.  Raises ValueError when k < 1.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     parts = {}
     for m in (2 * k - 1, 2 * k):
         parts[m] = orbits(SubgroupSpec("Gamma_k", m=m, k=k), m, p=p)

@@ -1,14 +1,18 @@
-"""Brute-force enumeration oracles for the exact linear algebra layer.
+"""Brute-force enumeration oracles for the exact linear algebra layer and
+the orbit sweep.
 
 Everything here is deliberately naive: closures, full vector enumeration,
-element-order multisets.  Feasible for ambient rank <= 4 and modulus <= 9,
-which is the regime the property tests run in.  The package code must agree
-with these oracles; the oracles never import package internals beyond the
-public API.
+element-order multisets, one act() per generator and point.  The linear
+algebra oracles are feasible for ambient rank <= 4 and modulus <= 9, which
+is the regime the property tests run in.  The package code must agree with
+these oracles; the oracles never import package internals beyond the public
+API.
 """
 
 import itertools
 from math import gcd
+
+from strata_glue.padic_core import act, enumerate_p1, subgroup_generators
 
 
 def all_vectors(length, n):
@@ -88,3 +92,23 @@ def orders_of_factor_sum(factors, n):
         orders.append(k)
     orders.sort()
     return orders
+
+
+def act_sweep_orbits(spec, m, p):
+    """Orbit partition by one act() per generator and point, as orbits()
+    computed it for every generator before its residue sweep: all points of
+    a level raised by twice the pole depth plus slack, merged at level m."""
+    gens = subgroup_generators(spec, p)
+    depth = max((g.maxneg() for g in gens), default=0)
+    internal = m if depth == 0 else m + 2 * depth + 2
+    base = enumerate_p1(p, m)
+    block = {x: {x} for x in base}
+    for x in enumerate_p1(p, internal):
+        for g in gens:
+            a, b = block[x.project(m)], block[act(x, g, m)[0]]
+            if a is not b:
+                a |= b
+                for y in b:
+                    block[y] = a
+    out = {id(b): tuple(sorted(b)) for b in block.values()}
+    return sorted(out.values(), key=lambda b: b[0])

@@ -183,6 +183,13 @@ def test_precision_exhaustion_has_its_own_exit_code(capsys):
     assert "PrecisionExhausted" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_orbits_depth_below_one_is_usage_error(capsys, k):
+    code, _, err = run(capsys, "orbits", "--k", k)
+    assert code == 2
+    assert "ValueError: k must be at least 1" in err
+
+
 def test_help_documents_the_grammar(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

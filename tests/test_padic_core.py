@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import act_sweep_orbits
 from strata_glue.padic_core import (
     ClassificationMismatch,
     PrecisionExhausted,
@@ -22,6 +23,7 @@ from strata_glue.padic_core import (
     orbits,
     subgroup_generators,
 )
+from strata_glue.padic_core import _in_gl2_o, _integral_images
 
 
 # ------------------------------------------------------------ enumerate_p1
@@ -192,6 +194,56 @@ def test_gamma0_refines_U_and_Uprime():
 def test_uprime_transitive():
     part = orbits(SubgroupSpec("Uprime", m=2), 2, p=3)
     assert len(part) == 1
+
+
+GRID = [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)]
+
+
+def _specs(m):
+    # one spec per subgroup kind, every depth k < m for the principal ones
+    for kind in ("U", "Uprime", "Gamma0", "T", "Ts", "eta", "B"):
+        yield SubgroupSpec(kind, m=m)
+    yield SubgroupSpec("N_j", m=m, j=1)
+    for k in range(1, m):
+        yield SubgroupSpec("Gamma_k", m=m, k=k)
+        yield SubgroupSpec("K_m", m=m, k=k)
+
+
+@pytest.mark.parametrize("p,m", GRID)
+def test_integral_images_equal_act(p, m):
+    pts = enumerate_p1(p, m)
+    specs = [SubgroupSpec("U", m=m), SubgroupSpec("Gamma0", m=m)]
+    specs += [SubgroupSpec(kind, m=m, k=k)
+              for kind in ("Gamma_k", "K_m") for k in range(1, m)]
+    for spec in specs:
+        for g in subgroup_generators(spec, p):
+            assert _in_gl2_o(g)
+            imgs = _integral_images(g, p, m)
+            assert [pts[i] for i in imgs] == [act(x, g, m)[0] for x in pts]
+
+
+@pytest.mark.parametrize("p,m", GRID)
+def test_orbits_equal_act_sweep(p, m):
+    for spec in _specs(m):
+        if spec.kind in ("Uprime", "Ts", "N_j") and p ** m > 100:
+            # both sweeps run act() at level m + 4: 93,750 points for
+            # p=5, m=3, several seconds per kind
+            continue
+        try:
+            want = act_sweep_orbits(spec, m, p)
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                orbits(spec, m, p)
+            continue
+        assert orbits(spec, m, p) == want, spec
+
+
+@pytest.mark.parametrize("kind", ["T", "B", "eta"])
+def test_orbits_non_unit_determinant_exhausts_precision(kind):
+    # integral generators with det = pi: a sweep keyed on integrality alone
+    # would return a partition here
+    with pytest.raises(PrecisionExhausted):
+        orbits(SubgroupSpec(kind, m=2), 2, p=3)
 
 
 # ------------------------------------------- orbit_classification_check

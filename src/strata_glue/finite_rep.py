@@ -46,7 +46,15 @@ class NonInvertibleOrder(ValueError):
 
 
 class NotStabilized(RuntimeError):
-    """The smoothing stages kept moving through the whole window."""
+    """The smoothing stages kept moving through the whole window.
+
+    stages holds the (j, rank, mats) summary of every stage that ran, in
+    order; mats is None for a stage whose torus probes left the frame.
+    """
+
+    def __init__(self, message, stages=()):
+        super().__init__(message)
+        self.stages = tuple(stages)
 
 
 class DualNotAvailable(ValueError):
@@ -125,13 +133,12 @@ class FiniteRep:
             for i, x in enumerate(self.labels):
                 y, coc = act(x, g, self.level)
                 rows[i][index[y]] = _chi_val(ring, self.chi, coc.torus_vals)
-            return LambdaMatrix(ring, rows)
+            return LambdaMatrix._reduced(ring, map(tuple, rows), self.rank)
         if self.kind == "steinberg":
             full = self.parent.action_matrix(g).entries
-            rows = [[(full[i][j] - full[0][j]) % n
-                     for j in range(1, len(full))]
-                    for i in range(1, len(full))]
-            return LambdaMatrix(ring, rows)
+            rows = [tuple((x - y) % n for x, y in zip(r[1:], full[0][1:]))
+                    for r in full[1:]]
+            return LambdaMatrix._reduced(ring, rows, self.rank)
         if self.kind == "inflated":
             if g.maxneg() > 0:
                 raise ValueError("inflated models only see integral matrices")
@@ -223,9 +230,11 @@ def steinberg(ring, m, precision=None):
 
 
 def inflate(ring, p, table, rank):
-    """Depth-zero model given by residue matrices mod p."""
+    """Depth-zero model given by rank x rank residue matrices mod p."""
     norm = {}
     for key, mat in table.items():
+        if len(mat) != rank or any(len(row) != rank for row in mat):
+            raise ValueError(f"matrix for {key} is not {rank}x{rank}")
         norm[key] = tuple(tuple(v % ring.n for v in row) for row in mat)
     return FiniteRep(ring, p, 1, 6, "inflated", table=norm, rank=rank)
 
@@ -310,14 +319,11 @@ def fixed_points(sig, spec):
     ring, k = sig.ring, sig.rank
     rows = []
     for g in gens:
-        a = sig.action_matrix(g).entries
-        for i in range(k):
-            row = list(a[i])
-            row[i] = (row[i] - 1) % ring.n
-            rows.append(row)
+        for i, r in enumerate(sig.action_matrix(g).entries):
+            rows.append(r[:i] + ((r[i] - 1) % ring.n,) + r[i + 1:])
     f = ModuleMap(free_module(ring, k),
                   free_module(ring, len(rows)),
-                  LambdaMatrix(ring, rows, cols=k))
+                  LambdaMatrix._reduced(ring, rows, k))
     return kernel(f)
 
 
@@ -462,7 +468,11 @@ class _StageEngine:
         self.fiber_of = [base_index[x.project(m)] for x in self.pts]
         self.base_count = len(base)
         self.bi_z0 = base_index[ProjPoint.inf_cell(p, m, 0)]
-        self.units = _unit_gens(p, m)
+        # torus probes: diag(pi, 1), then diag(u, 1) and diag(1, u) per unit
+        self.ops = [(p, 1)]
+        for u in _unit_gens(p, m):
+            self.ops += [(u, 1), (1, u)]
+        self.pulls = {op: self._pull_table(*op) for op in self.ops}
         self.discs = (None,)
 
     def _rpow(self, e):
@@ -509,13 +519,16 @@ class _StageEngine:
             vecs[b][i] = 1
         return [self.smooth(v, j) for v in vecs]
 
-    def pull(self, v, d1, d2):
-        """Pullback along right translation by diag(d1, d2), exact integers."""
-        n, p, big_l = self.n, self.p, self.big_l
+    def _pull_table(self, d1, d2):
+        """Source index and weight of each point under the pullback along
+        right translation by diag(d1, d2); neither depends on the vector or
+        the stage, so each engine builds them once per (d1, d2)."""
+        p, big_l = self.p, self.big_l
         md = p ** big_l
         vdet = _vp(d1, p) + _vp(d2, p)
-        out = [0] * self.size
-        for i, x in enumerate(self.pts):
+        chi = (self.c1, self.c2)
+        table = []
+        for x in self.pts:
             if x.branch == "b":
                 a, b = d1, x.res * d2
             else:
@@ -535,11 +548,13 @@ class _StageEngine:
                 else:
                     s = p ** (va - vb) * ua * pow(ub, -1, md) % md
                     tgt = self.index[ProjPoint.inf_cell(p, big_l, s)]
-            val = v[tgt]
-            if val:
-                w = _chi_val(self.ring, (self.c1, self.c2), (vdet - vl, vl))
-                out[i] = w * val % n
-        return out
+            table.append((tgt, _chi_val(self.ring, chi, (vdet - vl, vl))))
+        return table
+
+    def pull(self, v, d1, d2):
+        """Pullback along right translation by diag(d1, d2), exact integers."""
+        n = self.n
+        return [w * v[t] % n for t, w in self.pulls[(d1, d2)]]
 
     def solve(self, v, cb, ci):
         # frame coordinates: ci owns the infinity coefficient, cb the base one
@@ -557,19 +572,16 @@ class _StageEngine:
     def stage(self, j, fold):
         cols = self.columns(j)
         cb, ci = cols[0], cols[self.bi_z0]
-        stack = [list(c) for c in cols]
+        # smooth() returns reduced entries
+        stack = [tuple(c) for c in cols]
         if fold:
-            stack.append([1] * self.size)
+            stack.append((1,) * self.size)
         rank = howell_form(
-            LambdaMatrix(self.ring, stack, cols=self.size)).nrows
+            LambdaMatrix._reduced(self.ring, stack, self.size)).nrows
         if fold:
             rank -= 1
-        ops = [(self.p, 1)]
-        for u in self.units:
-            ops.append((u, 1))
-            ops.append((1, u))
         mats = []
-        for d1, d2 in ops:
+        for d1, d2 in self.ops:
             sa = self.solve(self.smooth(self.pull(cb, d1, d2), j), cb, ci)
             sb = self.solve(self.smooth(self.pull(ci, d1, d2), j), cb, ci)
             if sa is None or sb is None:
@@ -607,8 +619,9 @@ def _scaled_inverse(ring, mtx, scale):
 def jacquet_oracle(sig, j_max=None):
     """Run the smoothing tower until two consecutive stages agree.
 
-    Raises NotStabilized when the window closes first and PrecisionExhausted
-    when the model budget cannot hold the internal level.
+    Raises NotStabilized, carrying the stage summaries, when the window
+    closes first or the agreeing stages' pi-matrix is singular, and
+    PrecisionExhausted when the model budget cannot hold the internal level.
     """
     if sig.kind not in ("induced", "steinberg"):
         raise ValueError(f"no smoothing stages for kind {sig.kind!r}")
@@ -623,14 +636,16 @@ def jacquet_oracle(sig, j_max=None):
             f"stage window needs level {big_l}, budget is {sig.precision}")
     eng = _StageEngine(ring, sig.p, m, big_l, chi)
     prev = None
+    seen = []
     for j in range(j_max + 1):
         summary = eng.stage(j, fold)
+        seen.append((j,) + summary[:2])
         if j >= 1 and summary == prev and summary[1] is not None:
             rank, mats, mpi2 = summary
             if mpi2 is None:
                 raise NotStabilized(
                     f"stages {j - 1} and {j} agreed, but their pi-matrix "
-                    f"{mats[0]} is not invertible mod {ring.n}")
+                    f"{mats[0]} is not invertible mod {ring.n}", seen)
             mpi = mats[0]
             torus = {
                 "pi": LambdaMatrix(ring, mpi),
@@ -646,7 +661,7 @@ def jacquet_oracle(sig, j_max=None):
             return JacquetResult(rank, torus, filtration, split, j)
         prev = summary
     raise NotStabilized(
-        f"no two consecutive stages agreed up to j_max={j_max}")
+        f"no two consecutive stages agreed up to j_max={j_max}", seen)
 
 
 # ----------------------------------------------------------------- grammar

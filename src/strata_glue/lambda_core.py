@@ -9,6 +9,7 @@ kernel solves.  All values are immutable after construction and every
 operation is a pure function, so instances can be shared freely.
 """
 
+from itertools import compress
 from math import gcd
 
 
@@ -121,24 +122,35 @@ class LambdaMatrix:
         n = ring.n
         rows = tuple(tuple(int(e) % n for e in row) for row in entries)
         if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise ValueError("ragged matrix")
+            if cols is not None and cols != width:
+                raise ValueError(f"rows have {width} columns, not {cols}")
+            cols = width
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         self.ring = ring
         self.entries = rows
         self.cols = cols
 
+    @classmethod
+    def _reduced(cls, ring, rows, cols):
+        """Wrap rows that are already tuples of entries in [0, n), each of
+        length cols, without checking or reducing them again."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.entries = tuple(rows)
+        m.cols = cols
+        return m
+
     @property
     def nrows(self):
         return len(self.entries)
 
     def transpose(self):
-        return LambdaMatrix(self.ring,
-                            [[self.entries[i][j] for i in range(self.nrows)]
-                             for j in range(self.cols)],
-                            cols=self.nrows)
+        rows = tuple(zip(*self.entries)) if self.entries else ((),) * self.cols
+        return LambdaMatrix._reduced(self.ring, rows, self.nrows)
 
     def __repr__(self):
         return f"LambdaMatrix({self.nrows}x{self.cols} mod {self.ring.n})"
@@ -189,9 +201,19 @@ def _howell_engine(rows, n, width, kernel=False):
     row transform carried, and the above-pivot reduction, which cannot
     change the kernel, is skipped.  Rows are split into live and zero once;
     a live row is zero left of the current column, so each step touches
-    only the columns from there on.  Pivots are normalized by _unit_scale
-    and their annihilator multiples stay live, which gives the Howell
-    property.
+    only the columns from there on.
+
+    Each column takes one of two paths.  Unit path: when some row has a
+    unit in the column, the first such row is the pivot, scaled to 1, and
+    each other row with an entry there is cleared by one subtraction that
+    touches only the pivot's nonzero columns, listed once per pivot.  A
+    unit pivot has no annihilator.  Over a prime n every nonzero entry is a
+    unit, so only this path runs.  Fallback path, reached only for
+    composite n when no entry in the column is a unit: the first row is
+    combined with each other one by an extended-gcd step over the full
+    width, normalized by _unit_scale, and its annihilator multiple stays
+    live, which gives the Howell property.  The above-pivot reduction
+    subtracts each pivot row over its nonzero columns only.
     """
     live, zeros = [], []
     for i, r in enumerate(rows):
@@ -206,42 +228,75 @@ def _howell_engine(rows, n, width, kernel=False):
         if not live:
             break
         hits = [w for w in live if w[col]]
-        rest = [w for w in live if not w[col]]
-        if hits:
-            piv = hits[0]
-            for b in hits[1:]:
-                av, bv = piv[col], b[col]
-                g, s, t = _xgcd(av, bv)
-                u, v = -(bv // g), av // g
-                pairs = list(zip(piv[col:], b[col:]))
-                piv[col:] = [(s * x + t * y) % n for x, y in pairs]
-                b[col:] = [(u * x + v * y) % n for x, y in pairs]
+        if not hits:
+            continue
+        live = [w for w in live if not w[col]]
+        piv = next((w for w in hits if gcd(w[col], n) == 1), None)
+        if piv is not None:
+            nonzero = list(compress(range(col + 1, len(piv)), piv[col + 1:]))
+            if piv[col] != 1:
+                inv = pow(piv[col], -1, n)
+                piv[col] = 1
+                for k in nonzero:
+                    piv[k] = inv * piv[k] % n
+            support = [(k, piv[k]) for k in nonzero]
+            for b in hits:
+                if b is piv:
+                    continue
+                c = b[col]
+                b[col] = 0
+                for k, x in support:
+                    b[k] = (b[k] - c * x) % n
                 if any(b[col + 1:width]):
-                    rest.append(b)
+                    live.append(b)
                 elif kernel:
                     zeros.append(b)
-            u = _unit_scale(piv[col], n)
-            piv[col:] = [(u * x) % n for x in piv[col:]]
             out.append(piv)
             pivots.append(col)
-            if piv[col] > 1:  # a unit pivot has no annihilator
-                ann = n // piv[col]
-                arow = [0] * col + [(ann * x) % n for x in piv[col:]]
-                if any(arow[col + 1:width]):
-                    rest.append(arow)
-                elif kernel:
-                    zeros.append(arow)
-        live = rest
+            continue
+        piv = hits[0]
+        for b in hits[1:]:
+            av, bv = piv[col], b[col]
+            g, s, t = _xgcd(av, bv)
+            u, v = -(bv // g), av // g
+            pairs = list(zip(piv[col:], b[col:]))
+            piv[col:] = [(s * x + t * y) % n for x, y in pairs]
+            b[col:] = [(u * x + v * y) % n for x, y in pairs]
+            if any(b[col + 1:width]):
+                live.append(b)
+            elif kernel:
+                zeros.append(b)
+        u = _unit_scale(piv[col], n)
+        piv[col:] = [(u * x) % n for x in piv[col:]]
+        out.append(piv)
+        pivots.append(col)
+        if piv[col] > 1:  # non-units can combine to a unit: 2, 3 mod 6
+            ann = n // piv[col]
+            arow = [0] * col + [(ann * x) % n for x in piv[col:]]
+            if any(arow[col + 1:width]):
+                live.append(arow)
+            elif kernel:
+                zeros.append(arow)
 
     if kernel:
         return [tuple(w[width:]) for w in zeros if any(w[width:])]
-    # reduce entries above each pivot into [0, pivot)
+    # reduce entries above each pivot into [0, pivot); a pivot row is used
+    # only on the rows above it, before it is itself reduced, so its nonzero
+    # columns are listed once, when it is first needed
+    supports = [None] * len(out)
     for i, row in enumerate(out):
         for k in range(i + 1, len(out)):
             c = pivots[k]
-            q = row[c] // out[k][c]
+            d = out[k][c]
+            q = row[c] // d
             if q:
-                row[c:] = [(x - q * y) % n for x, y in zip(row[c:], out[k][c:])]
+                if supports[k] is None:
+                    r = out[k]
+                    supports[k] = [(j, r[j]) for j in
+                                   compress(range(c + 1, width), r[c + 1:])]
+                row[c] -= q * d
+                for j, y in supports[k]:
+                    row[j] = (row[j] - q * y) % n
     return [tuple(r) for r in out]
 
 
@@ -259,15 +314,15 @@ def _xgcd(a, b):
 
 def howell_form(m):
     """Unique Howell canonical representative of the row span of m."""
-    return LambdaMatrix(m.ring, _howell_engine(m.entries, m.ring.n, m.cols),
-                        cols=m.cols)
+    return LambdaMatrix._reduced(
+        m.ring, _howell_engine(m.entries, m.ring.n, m.cols), m.cols)
 
 
 def left_kernel(m):
     """Howell basis of {x : x * m = 0}."""
     krows = _howell_engine(m.entries, m.ring.n, m.cols, kernel=True)
     kh = _howell_engine(krows, m.ring.n, m.nrows)
-    return LambdaMatrix(m.ring, kh, cols=m.nrows)
+    return LambdaMatrix._reduced(m.ring, kh, m.nrows)
 
 
 def in_span(v, hmat):
@@ -405,7 +460,7 @@ def _submodule_rows(f):
     ring = f.source.ring
     a = f.matrix.transpose()          # x * a = apply(x)
     stacked = list(a.entries) + list(f.target.relations.entries)
-    kern = left_kernel(LambdaMatrix(ring, stacked, cols=a.cols))
+    kern = left_kernel(LambdaMatrix._reduced(ring, stacked, a.cols))
     rows = [k[: f.source.ambient] for k in kern.entries]
     return _howell_engine(rows, ring.n, f.source.ambient)
 
@@ -415,10 +470,10 @@ def _present_subquotient(ring, ambient, gen_rows, mod_rows):
     if not gen_rows:
         return FgModule(ring, 0, witness_rows=())
     stacked = list(gen_rows) + list(mod_rows)
-    kern = left_kernel(LambdaMatrix(ring, stacked, cols=ambient))
+    kern = left_kernel(LambdaMatrix._reduced(ring, stacked, ambient))
     rel = [k[: len(gen_rows)] for k in kern.entries]
     return FgModule(ring, len(gen_rows),
-                    LambdaMatrix(ring, rel, cols=len(gen_rows)) if rel
+                    LambdaMatrix._reduced(ring, rel, len(gen_rows)) if rel
                     else None,
                     witness_rows=tuple(tuple(g) for g in gen_rows))
 

@@ -1,18 +1,21 @@
 """Brute-force enumeration oracles for the exact linear algebra layer and
-the orbit sweep.
+the orbit sweep, plus reference copies of replaced fast paths.
 
 Everything here is deliberately naive: closures, full vector enumeration,
-element-order multisets, one act() per generator and point.  The linear
-algebra oracles are feasible for ambient rank <= 4 and modulus <= 9, which
-is the regime the property tests run in.  The package code must agree with
-these oracles; the oracles never import package internals beyond the public
+element-order multisets, one act() per generator and point, an
+extended-gcd combine for every row of a Howell column, a pullback that
+solves for each point's source point afresh.  The linear algebra oracles
+are feasible for ambient rank <= 4 and modulus <= 9, which is the regime
+the property tests run in.  The package code must agree with these
+oracles; the oracles never import package internals beyond the public
 API.
 """
 
 import itertools
 from math import gcd
 
-from strata_glue.padic_core import act, enumerate_p1, subgroup_generators
+from strata_glue.padic_core import (ProjPoint, act, enumerate_p1,
+                                   subgroup_generators)
 
 
 def all_vectors(length, n):
@@ -112,3 +115,127 @@ def act_sweep_orbits(spec, m, p):
                     block[y] = a
     out = {id(b): tuple(sorted(b)) for b in block.values()}
     return sorted(out.values(), key=lambda b: b[0])
+
+
+def _xgcd(a, b):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def _unit_scale(a, n):
+    # the closed-form normalizer: a unit u with u*a = gcd(a, n) mod n
+    d = gcd(a, n)
+    u0 = pow(a // d, -1, n // d)
+    c = n
+    while (g := gcd(c, u0)) > 1:
+        c //= g
+    return (u0 + c * (n // d)) % n
+
+
+def xgcd_howell(rows, n, width, kernel=False):
+    """Howell rows of the span of rows over Z/n, or rows spanning its left
+    kernel, as the engine computed them before its unit-pivot path: the
+    first row of each column is combined with every other one by an
+    extended-gcd step over the full width, whatever the entries are."""
+    live, zeros = [], []
+    for i, r in enumerate(rows):
+        row = [e % n for e in r]
+        if kernel:
+            row += [0] * len(rows)
+            row[width + i] = 1
+        (live if any(row[:width]) else zeros).append(row)
+    out, pivots = [], []
+    for col in range(width):
+        if not live:
+            break
+        hits = [w for w in live if w[col]]
+        rest = [w for w in live if not w[col]]
+        if hits:
+            piv = hits[0]
+            for b in hits[1:]:
+                av, bv = piv[col], b[col]
+                g, s, t = _xgcd(av, bv)
+                u, v = -(bv // g), av // g
+                pairs = list(zip(piv[col:], b[col:]))
+                piv[col:] = [(s * x + t * y) % n for x, y in pairs]
+                b[col:] = [(u * x + v * y) % n for x, y in pairs]
+                if any(b[col + 1:width]):
+                    rest.append(b)
+                elif kernel:
+                    zeros.append(b)
+            u = _unit_scale(piv[col], n)
+            piv[col:] = [(u * x) % n for x in piv[col:]]
+            out.append(piv)
+            pivots.append(col)
+            if piv[col] > 1:
+                ann = n // piv[col]
+                arow = [0] * col + [(ann * x) % n for x in piv[col:]]
+                if any(arow[col + 1:width]):
+                    rest.append(arow)
+                elif kernel:
+                    zeros.append(arow)
+        live = rest
+    if kernel:
+        return [tuple(w[width:]) for w in zeros if any(w[width:])]
+    for i, row in enumerate(out):
+        for k in range(i + 1, len(out)):
+            c = pivots[k]
+            q = row[c] // out[k][c]
+            if q:
+                row[c:] = [(x - q * y) % n for x, y in zip(row[c:], out[k][c:])]
+    return [tuple(r) for r in out]
+
+
+def xgcd_left_kernel(rows, n, width):
+    """Howell rows of {x : x * rows = 0}, by xgcd_howell in both passes."""
+    return xgcd_howell(xgcd_howell(rows, n, width, kernel=True), n, len(rows))
+
+
+def _vp(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def per_point_pull(eng, v, d1, d2):
+    """Pullback of v along right translation by diag(d1, d2) on a Jacquet
+    stage engine's level-L line, as the engine computed it before it kept
+    per-(d1, d2) tables: each point's source point and weight afresh."""
+    n, p, big_l = eng.n, eng.p, eng.big_l
+    md = p ** big_l
+    vdet = _vp(d1, p) + _vp(d2, p)
+    out = [0] * eng.size
+    for i, x in enumerate(eng.pts):
+        if x.branch == "b":
+            a, b = d1, x.res * d2
+        else:
+            a, b = x.res * d1, d2
+        if a == 0:
+            tgt, vl = eng.i_z0, _vp(b, p)
+        elif b == 0:
+            tgt, vl = eng.i_b0, _vp(a, p)
+        else:
+            va, vb = _vp(a, p), _vp(b, p)
+            vl = min(va, vb)
+            ua = a // p ** va
+            ub = b // p ** vb
+            if va <= vb:
+                t = p ** (vb - va) * ub * pow(ua, -1, md) % md
+                tgt = eng.index[ProjPoint.big_cell(p, big_l, t)]
+            else:
+                s = p ** (va - vb) * ua * pow(ub, -1, md) % md
+                tgt = eng.index[ProjPoint.inf_cell(p, big_l, s)]
+        val = v[tgt]
+        if val:
+            w = pow(eng.c1, vdet - vl, n) * pow(eng.c2, vl, n) % n
+            out[i] = w * val % n
+    return out

@@ -1,5 +1,7 @@
 """Finite-level models: induced/Steinberg reps, fixed points, Jacquet oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from strata_glue.padic_core import (
     orbits,
 )
 from strata_glue import finite_rep
+from bruteforce import per_point_pull
 from strata_glue.finite_rep import (
     LevelMismatch,
     NonInvertibleOrder,
@@ -248,6 +251,16 @@ def test_jacquet_not_stabilized():
     with pytest.raises(NotStabilized):
         jacquet_oracle(induced_rep(R11, (1, 1), 2), j_max=1)
 
+def test_not_stabilized_carries_stage_summaries():
+    with pytest.raises(NotStabilized,
+                       match="no two consecutive stages agreed up to "
+                             "j_max=1") as info:
+        jacquet_oracle(induced_rep(R11, (1, 1), 2), j_max=1)
+    eng = finite_rep._StageEngine(R11, 3, 2, 3, (1, 1))
+    assert info.value.stages == tuple(
+        (j, *eng.stage(j, False)[:2]) for j in (0, 1))
+    assert info.value.stages[0][1:] != info.value.stages[1][1:]
+
 def test_jacquet_singular_pi_is_named(monkeypatch):
     # agreeing stages with a pi-matrix singular mod n are not "no agreement"
     monkeypatch.setattr(finite_rep, "_scaled_inverse", lambda *a: None)
@@ -255,6 +268,29 @@ def test_jacquet_singular_pi_is_named(monkeypatch):
                        match=r"stages 1 and 2 agreed, but their pi-matrix "
                              r".* is not invertible mod 11"):
         jacquet_oracle(induced_rep(R11, (1, 1), 2))
+
+def test_singular_pi_carries_stage_summaries(monkeypatch):
+    monkeypatch.setattr(finite_rep, "_scaled_inverse", lambda *a: None)
+    with pytest.raises(NotStabilized, match="stages 1 and 2 agreed") as info:
+        jacquet_oracle(induced_rep(R11, (1, 1), 2))
+    stages = info.value.stages
+    assert [s[0] for s in stages] == [0, 1, 2]
+    assert stages[1][1:] == stages[2][1:] and stages[2][2] is not None
+
+@pytest.mark.parametrize("ring, p, m, chi", [
+    (R7, 2, 4, (1, 2)),    # the deep tier's level-4 oracle over Z/7
+    (R11, 3, 2, (0, 1)),   # verify-all's level-2 oracle over Z/11
+])
+def test_pull_table_matches_per_point_pullback(ring, p, m, chi):
+    eng = finite_rep._StageEngine(ring, p, m, 2 * m + 2,
+                                  unram_pair(ring, *chi))
+    rng = random.Random(f"pull:{ring.n}:{m}")
+    vecs = [[rng.randrange(1, ring.n) for _ in range(eng.size)],
+            [rng.randrange(ring.n) if rng.random() < 0.2 else 0
+             for _ in range(eng.size)]]
+    for d1, d2 in eng.ops:
+        for v in vecs:
+            assert eng.pull(v, d1, d2) == per_point_pull(eng, v, d1, d2)
 
 def test_jacquet_needs_precision():
     sig = induced_rep(R11, (1, 1), 2, precision=3)
@@ -293,6 +329,12 @@ def test_sign_inflation_witnesses():
     assert fx.size() == 1
     coin = (a[0][0] - 1) % 7
     assert R7.is_unit(coin)  # coinvariants V/(gv - v) = 0
+
+@pytest.mark.parametrize("mat", [((1, 0),), ((1,), (0,)), ((1, 0), (0,))])
+def test_inflate_rejects_mis_sized_matrices(mat):
+    table = {((1, 1), (0, 1)): ((1, 0), (0, 1)), ((1, 0), (1, 1)): mat}
+    with pytest.raises(ValueError, match="is not 2x2"):
+        inflate(R7, 2, table, rank=2)
 
 
 # ------------------------------------------------------------------- dual

@@ -39,6 +39,8 @@ from bruteforce import (
     element_order_multiset,
     orders_of_factor_sum,
     span_of,
+    xgcd_howell,
+    xgcd_left_kernel,
 )
 
 
@@ -90,6 +92,24 @@ def test_howell_frozen_mod4():
     h = howell_form(m)
     assert h.entries == ((2, 0), (0, 2))
     assert span_of(h.entries, 4) == span_of(m.entries, 4)
+
+def test_explicit_width_must_match_rows():
+    r = carrier(5)
+    with pytest.raises(ValueError, match="rows have 2 columns, not 3"):
+        LambdaMatrix(r, [[1, 2]], cols=3)
+    assert LambdaMatrix(r, [[1, 2]], cols=2).cols == 2
+    assert LambdaMatrix(r, [], cols=3).cols == 3
+
+def test_transpose_edges():
+    r = carrier(6)
+    t = LambdaMatrix(r, [], cols=3).transpose()          # 0x3 -> 3x0
+    assert (t.nrows, t.cols, t.entries) == (3, 0, ((), (), ()))
+    tt = t.transpose()                                   # 3x0 -> 0x3
+    assert (tt.nrows, tt.cols, tt.entries) == (0, 3, ())
+    m = LambdaMatrix(r, [[1, 2, 3], [4, 5, 7]])
+    assert m.transpose().entries == ((1, 4), (2, 5), (3, 1))
+    back = m.transpose().transpose()
+    assert (back.nrows, back.cols, back.entries) == (2, 3, m.entries)
 
 def test_howell_zero_matrix():
     r = carrier(4)
@@ -351,6 +371,57 @@ def test_left_kernel_beyond_enumeration(n):
         ker = n ** rows // FgModule(ring, rows, k).size()
         span = n ** cols // FgModule(ring, cols, m).size()
         assert ker * span == n ** rows
+
+
+# ---------------------------------------------- engine against its reference
+
+def _random_entries(rng, n, rows, cols):
+    # dense, sparse, or mostly non-units (multiples of proper divisors)
+    style = rng.randrange(3)
+    divisors = [d for d in range(2, n) if n % d == 0] if n < 10 ** 4 else []
+
+    def entry():
+        if style == 0:
+            return rng.randrange(n)
+        if style == 2 and divisors and rng.random() < 0.7:
+            return rng.choice(divisors) * rng.randrange(n) % n
+        return rng.randrange(n) if rng.random() < 0.3 else 0
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _assert_engine_matches_reference(n, entries, cols):
+    m = LambdaMatrix(carrier(n), entries, cols=cols)
+    assert list(howell_form(m).entries) == xgcd_howell(entries, n, cols)
+    assert (list(left_kernel(m).entries)
+            == xgcd_left_kernel(entries, n, cols))
+
+
+@pytest.mark.parametrize("n", [7, 11, 6, 143, 27, 64, 121, 1000003])
+def test_engine_matches_xgcd_reference(n):
+    # bit for bit, not just equal spans: both outputs are canonical
+    rng = random.Random(f"engine:{n}")
+    shapes = [(rng.randint(0, 12), rng.randint(1, 12)) for _ in range(60)]
+    shapes += [(30, 3), (24, 6), (3, 30), (5, 24), (16, 16)]
+    for rows, cols in shapes:
+        _assert_engine_matches_reference(
+            n, _random_entries(rng, n, rows, cols), cols)
+
+
+@pytest.mark.parametrize("n, column", [
+    (6, [2, 3, 1]), (6, [3, 4, 5]), (27, [3, 9, 2]), (64, [4, 2, 8, 3]),
+    (143, [11, 13, 2]), (6, [2, 3]), (143, [13, 11]),
+])
+def test_engine_late_unit_pivot(n, column):
+    # the first hit is a non-unit and a later one a unit, or (the last two
+    # cases) no hit is a unit but the gcd step reaches one
+    rng = random.Random(f"late-unit:{n}:{column}")
+    for cols in (1, 2, 5, 9):
+        entries = [[c] + [rng.randrange(n) for _ in range(cols - 1)]
+                   for c in column]
+        _assert_engine_matches_reference(n, entries, cols)
+        # the same column after a cleared one, below a zero-led block
+        shifted = [[0] + r for r in entries] + [[1] * (cols + 1)]
+        _assert_engine_matches_reference(n, shifted, cols + 1)
 
 
 # ------------------------------------------------------------ unit normalizer

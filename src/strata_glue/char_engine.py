@@ -31,14 +31,13 @@ from .padic_core import SubgroupSpec, elem_upper, orbit_count_formula
 from .finite_rep import (
     fixed_points,
     gl2_f2_sign,
+    induced_exponents,
     inflate,
     parse_rep_spec,
     steinberg,
     trivial_rep,
 )
 from .sl2_coh import sl2_homology
-
-_HALF = Fraction(1, 2)
 
 
 class UnsupportedSpec(ValueError):
@@ -87,11 +86,7 @@ class UnramChar:
     @classmethod
     def abs_power(cls, ring, s):
         """|.|^s with value q^(-s) at pi; s must be half-integral."""
-        s = Fraction(s)
-        twice = -2 * s
-        if twice.denominator != 1:
-            raise ValueError(f"exponent {s} is not half-integral")
-        return cls(ring, ring.half_q_pow(int(twice)), s)
+        return cls(ring, ring.abs_value(s), s)
 
     def __mul__(self, other):
         if self.ring.n != other.ring.n:
@@ -284,7 +279,7 @@ INTEGRAL_TABLE = InputCohomologyTable(
     "integral",
     {2: "st", 3: "ind(1,0)", 4: "absdet^1"},
     # central characters of the rows, as modulus exponents
-    {2: 0, 3: _HALF, 4: 1})
+    {2: 0, 3: Fraction(1, 2), 4: 1})
 
 HALF_TABLE = InputCohomologyTable(
     "half",
@@ -340,10 +335,7 @@ def jacquet_symbolic(ring, spec):
         cs = (TorusChar.from_exponents(ring, tag[1], tag[1]),)
         return JacquetSymbol(cs, split=False, unit_witness=_witness(cs, ring))
     if tag[0] in ("ind", "ps"):
-        a, b = tag[1], tag[2]
-        if tag[0] == "ps":
-            a, b = a + _HALF, b - _HALF
-        chi = TorusChar.from_exponents(ring, a, b)
+        chi = TorusChar.from_exponents(ring, *induced_exponents(tag))
         sub = chi.weyl() * TorusChar.delta_power(ring, -1)
         cs = (sub, chi)
         return JacquetSymbol(cs, split=sub.values() != chi.values(),
@@ -431,9 +423,7 @@ def hc_tilde(ring, slope, spec):
                 UnramChar.abs_power(ring, table.det_exponents[4]), rules)
             return GradedCharModule(ring, {1: (lo,), 4: (hi,)}, prov)
         if tag[0] in ("ind", "ps"):
-            a, b = tag[1], tag[2]
-            if tag[0] == "ps":
-                a, b = a + _HALF, b - _HALF
+            a, b = induced_exponents(tag)
             chi = TorusChar.from_exponents(ring, a, b)
             twist = chi * TorusChar.delta_power(ring, 1)
             center = (a + b) / 2

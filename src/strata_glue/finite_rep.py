@@ -71,16 +71,10 @@ def _vp(x, p):
     return v
 
 
-def _upow(ring, c, e):
-    if e >= 0:
-        return pow(c, e, ring.n)
-    return pow(ring.inv(c), -e, ring.n)
-
-
 def _chi_val(ring, chi, torus_vals):
     c1, c2 = chi
     t1, t2 = torus_vals
-    return _upow(ring, c1, t1) * _upow(ring, c2, t2) % ring.n
+    return pow(c1, t1, ring.n) * pow(c2, t2, ring.n) % ring.n
 
 
 def unram_pair(ring, a, b):
@@ -89,14 +83,7 @@ def unram_pair(ring, a, b):
     Exponents may be ints, Fractions, or strings like "1/2"; half-integral
     ones need the ring to carry sqrt_q.
     """
-    out = []
-    for e in (a, b):
-        e2 = 2 * Fraction(e)
-        if e2.denominator != 1:
-            raise ValueError(f"exponent {e!r} is not half-integral")
-        # |pi| = q^{-1}, so |.|^e evaluates to q^{-e}
-        out.append(ring.half_q_pow(-int(e2)))
-    return tuple(out)
+    return (ring.abs_value(a), ring.abs_value(b))
 
 
 # ----------------------------------------------------------------- the model
@@ -168,7 +155,7 @@ class FiniteRep:
             det = g.det()
             if det.a == 0:
                 raise ValueError("matrix is singular to working precision")
-            c = _upow(ring, self.scale, det.w)
+            c = pow(self.scale, det.w, n)
             inner = self.parent.action_matrix(g).entries
             return LambdaMatrix(
                 ring, [[c * v % n for v in row] for row in inner])
@@ -204,6 +191,8 @@ class FiniteRep:
 
 
 def trivial_rep(ring, m, precision=None):
+    if m < 1:
+        raise ValueError("level must be at least 1")
     return FiniteRep(ring, ring.p, m, precision or 2 * m + 4, "trivial",
                      chi=(1, 1), rank=1)
 
@@ -448,7 +437,6 @@ class _StageEngine:
         self.n = ring.n
         self.c1, self.c2 = chi
         self.r = self.c1 * ring.inv(self.c2) % ring.n
-        self.r_inv = ring.inv(self.r)
         self.pts = enumerate_p1(p, big_l)
         self.index = {x: i for i, x in enumerate(self.pts)}
         self.size = len(self.pts)
@@ -475,11 +463,6 @@ class _StageEngine:
         self.pulls = {op: self._pull_table(*op) for op in self.ops}
         self.discs = (None,)
 
-    def _rpow(self, e):
-        if e >= 0:
-            return pow(self.r, e, self.n)
-        return pow(self.r_inv, -e, self.n)
-
     def _discs(self, j):
         """Stage j's disc key, inbound and outbound weight at each point.
 
@@ -495,8 +478,8 @@ class _StageEngine:
                     continue
                 kk = min(2 * mu - j, big_l)
                 keys[i] = "big" if mu <= j else (mu, self.pts[i].res % p ** kk)
-                w_in[i] = self.ring.q_pow(kk - big_l) * self._rpow(mu) % n
-                w_out[i] = self._rpow(-mu)
+                w_in[i] = self.ring.q_pow(kk - big_l) * pow(self.r, mu, n) % n
+                w_out[i] = pow(self.r, -mu, n)
             self.discs = (j, keys, w_in, w_out)
         return self.discs[1:]
 
@@ -690,3 +673,27 @@ def parse_rep_spec(text):
     if text.startswith("cusp:"):
         return ("cusp", text[5:])
     raise ValueError(f"unrecognized rep spec {text!r}")
+
+
+def induced_exponents(tag):
+    """Exponents (a, b) of |.|^a x |.|^b behind a parsed ind or ps tag.
+
+    ps(a,b) is the half-shifted variant ind(a+1/2, b-1/2).
+    """
+    kind, a, b = tag
+    if kind == "ps":
+        return a + Fraction(1, 2), b - Fraction(1, 2)
+    return a, b
+
+
+def rep_model(ring, spec, level, precision=None):
+    """Level model of a rep spec that has one: triv, st, ind or ps."""
+    tag = parse_rep_spec(spec)
+    if tag[0] == "triv":
+        return trivial_rep(ring, level, precision)
+    if tag[0] == "st":
+        return steinberg(ring, level, precision)
+    if tag[0] in ("ind", "ps"):
+        chi = unram_pair(ring, *induced_exponents(tag))
+        return induced_rep(ring, chi, level, precision)
+    raise ValueError(f"no finite-level model for {spec!r}")

@@ -9,6 +9,7 @@ kernel solves.  All values are immutable after construction and every
 operation is a pure function, so instances can be shared freely.
 """
 
+from fractions import Fraction
 from itertools import compress
 from math import gcd
 
@@ -65,18 +66,22 @@ class CoeffRing:
 
     def q_pow(self, e):
         """q^e mod n for any integer e; q is a unit by banality."""
-        if e >= 0:
-            return pow(self.q, e, self.n)
-        return pow(self.inv(self.q), -e, self.n)
+        return pow(self.q, e, self.n)
 
-    def half_q_pow(self, e2):
-        """q^(e2/2) mod n, e2 counted in half units.  Needs sqrt_q when odd."""
-        if e2 % 2 == 0:
-            return self.q_pow(e2 // 2)
+    def abs_value(self, e):
+        """Value q^(-e) at pi of the unramified character |.|^e.
+
+        e may be an int, a Fraction or a string like "1/2"; it must be
+        half-integral, and an odd number of halves needs sqrt_q.
+        """
+        e = Fraction(e)
+        if e.denominator == 1:
+            return pow(self.q, -e.numerator, self.n)
+        if e.denominator != 2:
+            raise ValueError(f"exponent {e} is not half-integral")
         if self.sqrt_q is None:
             raise MissingSqrtQ("half-integral twist requires sqrt_q")
-        s = self.sqrt_q if e2 > 0 else self.inv(self.sqrt_q)
-        return pow(s, abs(e2), self.n)
+        return pow(self.sqrt_q, -e.numerator, self.n)
 
     def __repr__(self):
         if self.sqrt_q is None:

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from strata_glue import cli
 from strata_glue.cli import main
 
 
@@ -176,6 +177,21 @@ def test_unparseable_spec_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_trivial_model_below_level_one_is_usage_error(capsys, level):
+    code, out, err = run(capsys, "sl2coh", "--rep", "triv", "--level", level)
+    assert code == 2
+    assert out == ""
+    assert "ValueError: level must be at least 1" in err
+
+
+def test_non_half_integral_exponent_prints_a_fraction(capsys):
+    code, _, err = run(capsys, "sl2coh", "--rep", "ps(1/3,0)")
+    assert code == 2
+    assert "exponent 5/6 is not half-integral" in err
+    assert "Fraction(" not in err
+
+
 def test_precision_exhaustion_has_its_own_exit_code(capsys):
     code, _, err = run(capsys, "sl2coh", "--rep", "st",
                        "--level", "2", "--precision", "2")
@@ -211,3 +227,52 @@ def test_verify_all_passes_under_budget(capsys, monkeypatch):
     assert len(blob["criteria"]) == 9
     assert all(c["status"] == "pass" for c in blob["criteria"])
     assert blob["seconds"] < 60
+    details = [{k: v for k, v in c.items() if k != "seconds"}
+               for c in blob["criteria"]]
+    assert details == [
+        {"criterion": "orbit-classification", "status": "pass",
+         "configs": 4},
+        {"criterion": "sl2-cohomology", "status": "pass", "cases": 12},
+        {"criterion": "ps1-acyclicity", "status": "pass", "rings": 2},
+        {"criterion": "jacquet-cross-oracle", "status": "pass", "specs": 5},
+        {"criterion": "gluing-tables", "status": "pass", "tables": 12,
+         "generic_controls": 5},
+        {"criterion": "cuspidal-vanishing", "status": "pass",
+         "witnesses": 2},
+        {"criterion": "compact-generators", "status": "pass",
+         "orbit_count": 4},
+        {"criterion": "tree-balls", "status": "pass", "balls": 6},
+        {"criterion": "linear-algebra", "status": "pass", "cases": 200},
+    ]
+
+
+def test_verify_all_lists_a_failing_criterion_and_runs_the_rest(
+        capsys, monkeypatch):
+    ran = []
+
+    def broken():
+        raise RuntimeError("table moved")
+
+    def after():
+        ran.append("after")
+        return {"cases": 1}
+
+    monkeypatch.setattr(cli, "_CRITERIA",
+                        (("broken", broken), ("after", after)))
+    code, out, _ = run(capsys, "verify-all", "--format", "json")
+    assert code == 3
+    blob = json.loads(out)
+    assert blob["failed"] == ["broken"]
+    assert blob["criteria"][0] == {"criterion": "broken", "status": "fail",
+                                   "error": "RuntimeError: table moved"}
+    assert blob["criteria"][1]["status"] == "pass"
+    assert blob["criteria"][1]["cases"] == 1
+    assert ran == ["after"]
+
+    code, out, _ = run(capsys, "verify-all")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == "broken: FAIL (RuntimeError: table moved)"
+    assert lines[1] == "after: PASS"
+    assert lines[-1] == "FAILED: broken"
+    assert ran == ["after", "after"]

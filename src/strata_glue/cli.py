@@ -65,9 +65,9 @@ def _build_parser():
                         help="square root of q mod n (default 5 on the "
                              "default ring, else unset)")
     shared.add_argument("--level", type=int, default=2,
-                        help="working congruence level m >= 1 (default 2)")
+                        help="sl2coh's congruence level m >= 1 (default 2)")
     shared.add_argument("--precision", type=int, default=6,
-                        help="uniformizer precision M >= level (default 6)")
+                        help="sl2coh's precision M >= level (default 6)")
     shared.add_argument("--k", type=int, default=1,
                         help="congruence depth for orbit counts (default 1)")
     shared.add_argument("--format", choices=("text", "json"), default="text")
@@ -116,6 +116,8 @@ def _iso_text(factors):
 
 
 def cmd_sl2coh(args, ring):
+    if args.precision < args.level:
+        raise ValueError("precision must be at least the level")
     rep = cohomology_report(rep_model(ring, args.rep, args.level,
                                       args.precision))
     if args.format == "json":
@@ -388,14 +390,22 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        if args.precision < args.level:
-            raise ValueError("precision must be at least the level")
         sqrt_q = args.sqrt_q
         if sqrt_q is None and (args.p, args.n) == (3, 11):
             sqrt_q = 5
         ring = make_ring(args.n, args.p, sqrt_q)
+        if args.command == "verify-all":
+            # it runs on fixed rings and reads no shared flag but --format
+            default = vars(parser.parse_args(["verify-all"]))
+            ignored = [f"--{k.replace('_', '-')}"
+                       for k, v in vars(args).items()
+                       if k != "format" and v != default[k]]
+            if ignored:
+                raise ValueError("verify-all runs on its fixed rings and "
+                                 f"ignores {', '.join(ignored)}")
         return _COMMANDS[args.command](args, ring)
     except PrecisionExhausted as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -7,6 +7,10 @@ models the module offers fixed points under the named compact subgroups, an
 averaging projector when the group order is invertible, and a staged
 unipotent-smoothing oracle that reads off the torus action on the stable
 quotient together with its two-step filtration.
+
+The oracle's smoothed vectors live on P^1(O/pi^L), L = m + j_max, but are
+held in disc coordinates: one sum per smoothing disc plus the value at the
+point at infinity, a few hundred slots at most against up to 10^5 points.
 """
 
 from fractions import Fraction
@@ -26,7 +30,6 @@ from .lambda_core import (
 )
 from .padic_core import (
     PrecisionExhausted,
-    ProjPoint,
     SubgroupSpec,
     UnsupportedSubgroup,
     _unit_gens,
@@ -427,161 +430,155 @@ class JacquetResult:
 
 class _StageEngine:
     # working model: functions on the level-L line; stage j smooths along
-    # the depth-j unipotent discs and probes the torus in a two-vector frame
+    # the depth-j unipotent discs and probes the torus in a two-vector frame.
+    # Smoothing leaves the disc sum times a unit w_out fixed by the point, so
+    # a vector is held in disc coordinates: slots ordered by their first point
+    # (the big disc, holding [1:0], is slot 0), infinity being slot 1.
+    # Points are indices: [1:t] -> t and [s:1] -> p^L + s/p.
 
     def __init__(self, ring, p, m, big_l, chi):
         self.ring = ring
         self.p = p
-        self.m = m
         self.big_l = big_l
-        self.n = ring.n
+        self.n = n = ring.n
         self.c1, self.c2 = chi
-        self.r = self.c1 * ring.inv(self.c2) % ring.n
-        self.pts = enumerate_p1(p, big_l)
-        self.index = {x: i for i, x in enumerate(self.pts)}
-        self.size = len(self.pts)
-        self.i_b0 = self.index[ProjPoint.big_cell(p, big_l, 0)]
-        self.i_z0 = self.index[ProjPoint.inf_cell(p, big_l, 0)]
-        # depth of each point; None marks the fixed point at infinity
-        self.mu = []
-        for x in self.pts:
-            if x.branch == "b":
-                self.mu.append(0)
-            elif x.res == 0:
-                self.mu.append(None)
-            else:
-                self.mu.append(_vp(x.res, p))
-        base = enumerate_p1(p, m)
-        base_index = {x: i for i, x in enumerate(base)}
-        self.fiber_of = [base_index[x.project(m)] for x in self.pts]
-        self.base_count = len(base)
-        self.bi_z0 = base_index[ProjPoint.inf_cell(p, m, 0)]
+        self.r = self.c1 * ring.inv(self.c2) % n
+        md, pm = p ** big_l, p ** m
+        self.size = md + md // p
+        # depth of each [s:1] with s != 0, in order of s
+        self.mu = [_vp(s, p) for s in range(p, md, p)]
+        self.fiber_of = ([t % pm for t in range(md)]
+                         + [pm + s % pm // p for s in range(0, md, p)])
+        self.pm = pm
+        # value of w_out at each point; 1 on the big cell and at infinity
+        self.w_out = [1] * (md + 1) + [pow(self.r, -mu, n) for mu in self.mu]
         # torus probes: diag(pi, 1), then diag(u, 1) and diag(1, u) per unit
         self.ops = [(p, 1)]
         for u in _unit_gens(p, m):
             self.ops += [(u, 1), (1, u)]
         self.pulls = {op: self._pull_table(*op) for op in self.ops}
-        self.discs = (None,)
+        self.slots = (None,)
 
-    def _discs(self, j):
-        """Stage j's disc key, inbound and outbound weight at each point.
-
-        Only the latest stage's tables are kept: stages run in order.
+    def _slots(self, j):
+        """Stage j's slot and inbound weight at each point, and the slot
+        count.  Only the latest stage's tables are kept: stages run in order.
         """
-        if self.discs[0] != j:
-            p, n, big_l = self.p, self.n, self.big_l
-            keys = [None] * self.size
-            w_in = [0] * self.size
-            w_out = [0] * self.size
-            for i, mu in enumerate(self.mu):
-                if mu is None:
-                    continue
-                kk = min(2 * mu - j, big_l)
-                keys[i] = "big" if mu <= j else (mu, self.pts[i].res % p ** kk)
-                w_in[i] = self.ring.q_pow(kk - big_l) * pow(self.r, mu, n) % n
-                w_out[i] = pow(self.r, -mu, n)
-            self.discs = (j, keys, w_in, w_out)
-        return self.discs[1:]
-
-    def smooth(self, v, j):
-        """Average along the depth-j discs; exact on the truncated model."""
-        n = self.n
-        keys, w_in, w_out = self._discs(j)
-        acc = {}
-        for key, c, w in zip(keys, v, w_in):
-            if c and key is not None:
-                acc[key] = (acc.get(key, 0) + c * w) % n
-        # the only keyless point is the fixed point at infinity
-        out = [acc.get(key, 0) * w % n for key, w in zip(keys, w_out)]
-        out[self.i_z0] = v[self.i_z0]
-        return out
-
-    def columns(self, j):
-        vecs = [[0] * self.size for _ in range(self.base_count)]
-        for i, b in enumerate(self.fiber_of):
-            vecs[b][i] = 1
-        return [self.smooth(v, j) for v in vecs]
+        if self.slots[0] != j:
+            p, big_l, md, n = self.p, self.big_l, self.p ** self.big_l, self.n
+            # a point [s:1] of depth mu > j lies in the disc s mod p^kk
+            kk = [min(2 * mu - j, big_l) for mu in range(big_l)]
+            w_mu = [self.ring.q_pow(kk[mu] - big_l) * pow(self.r, mu, n) % n
+                    for mu in range(big_l)]
+            first = {}
+            slot = [0] * md + [1]
+            for s, mu in zip(range(p, md, p), self.mu):
+                slot.append(0 if mu <= j else first.setdefault(
+                    (mu, s % p ** kk[mu]), len(first) + 2))
+            w_in = [w_mu[0]] * md + [1] + [w_mu[mu] for mu in self.mu]
+            self.slots = (j, slot, w_in, len(first) + 2)
+        return self.slots[1:]
 
     def _pull_table(self, d1, d2):
-        """Source index and weight of each point under the pullback along
-        right translation by diag(d1, d2); neither depends on the vector or
-        the stage, so each engine builds them once per (d1, d2)."""
-        p, big_l = self.p, self.big_l
-        md = p ** big_l
+        """Source index of each point under the pullback along right
+        translation by diag(d1, d2), and the weight times w_out at the
+        source; neither depends on the vector or the stage."""
+        p, md = self.p, self.p ** self.big_l
         vdet = _vp(d1, p) + _vp(d2, p)
-        chi = (self.c1, self.c2)
-        table = []
-        for x in self.pts:
-            if x.branch == "b":
-                a, b = d1, x.res * d2
+        weight = [_chi_val(self.ring, (self.c1, self.c2), (vdet - v, v))
+                  for v in range(vdet + 1)]
+        src, wts = [], []
+        for i in range(self.size):
+            if i < md:
+                a, b = d1, i * d2
             else:
-                a, b = x.res * d1, d2
+                a, b = (i - md) * p * d1, d2
             if a == 0:
-                tgt, vl = self.i_z0, _vp(b, p)
+                tgt, vl = md, _vp(b, p)
             elif b == 0:
-                tgt, vl = self.i_b0, _vp(a, p)
+                tgt, vl = 0, _vp(a, p)
             else:
                 va, vb = _vp(a, p), _vp(b, p)
                 vl = min(va, vb)
                 ua = a // p ** va
                 ub = b // p ** vb
                 if va <= vb:
-                    t = p ** (vb - va) * ub * pow(ua, -1, md) % md
-                    tgt = self.index[ProjPoint.big_cell(p, big_l, t)]
+                    tgt = p ** (vb - va) * ub * pow(ua, -1, md) % md
                 else:
-                    s = p ** (va - vb) * ua * pow(ub, -1, md) % md
-                    tgt = self.index[ProjPoint.inf_cell(p, big_l, s)]
-            table.append((tgt, _chi_val(self.ring, chi, (vdet - vl, vl))))
-        return table
+                    tgt = md + p ** (va - vb) * ua * pow(ub, -1, md) % md // p
+            src.append(tgt)
+            wts.append(weight[vl] * self.w_out[tgt] % self.n)
+        return src, wts
 
-    def pull(self, v, d1, d2):
-        """Pullback along right translation by diag(d1, d2), exact integers."""
-        n = self.n
-        return [w * v[t] % n for t, w in self.pulls[(d1, d2)]]
+    def transfer(self, j, d1, d2):
+        """Pull along diag(d1, d2), then smooth at stage j, as a sparse
+        table {(slot, source slot): coefficient} on disc coordinates."""
+        slot, w_in, _ = self._slots(j)
+        src, wts = self.pulls[(d1, d2)]
+        table = {}
+        for k, w, t, c in zip(slot, w_in, src, wts):
+            key = (k, slot[t])
+            table[key] = table.get(key, 0) + w * c
+        return {key: c % self.n for key, c in table.items()}
+
+    def _apply(self, table, v):
+        out = [0] * len(v)
+        for (k, k2), c in table.items():
+            out[k] += c * v[k2]
+        return [x % self.n for x in out]
 
     def solve(self, v, cb, ci):
         # frame coordinates: ci owns the infinity coefficient, cb the base one
         n = self.n
-        den = cb[self.i_b0]
+        den = cb[0]
         if gcd(den, n) != 1:
             return None
-        b = v[self.i_z0]
-        a = (v[self.i_b0] - b * ci[self.i_b0]) * self.ring.inv(den) % n
-        for i in range(self.size):
-            if (a * cb[i] + b * ci[i]) % n != v[i]:
+        b = v[1]
+        a = (v[0] - b * ci[0]) * self.ring.inv(den) % n
+        for x, y, z in zip(v, cb, ci):
+            if (a * y + b * z) % n != x:
                 return None
         return a, b % n
 
     def stage(self, j, fold):
-        cols = self.columns(j)
-        cb, ci = cols[0], cols[self.bi_z0]
-        # smooth() returns reduced entries
-        stack = [tuple(c) for c in cols]
+        n = self.n
+        slot, w_in, width = self._slots(j)
+        # every column's disc sums: the indicator of a level-m fibre, smoothed
+        cols = [[0] * width for _ in range(self.pm + self.pm // self.p)]
+        for f, k, w in zip(self.fiber_of, slot, w_in):
+            cols[f][k] += w
+        stack = [tuple(x % n for x in c) for c in cols]
+        cb, ci = stack[0], stack[self.pm]
+        # fold adds the constants, all ones in disc coordinates since w_out
+        # is 1 under the trivial character that folding runs with
         if fold:
-            stack.append((1,) * self.size)
+            stack.append((1,) * width)
+        # the Howell row count equals that over point coordinates, also for
+        # composite n: with slots in first-point order, a pivot can only sit
+        # on the first point of its slot
         rank = howell_form(
-            LambdaMatrix._reduced(self.ring, stack, self.size)).nrows
+            LambdaMatrix._reduced(self.ring, stack, width)).nrows
         if fold:
             rank -= 1
         mats = []
         for d1, d2 in self.ops:
-            sa = self.solve(self.smooth(self.pull(cb, d1, d2), j), cb, ci)
-            sb = self.solve(self.smooth(self.pull(ci, d1, d2), j), cb, ci)
+            table = self.transfer(j, d1, d2)
+            sa = self.solve(self._apply(table, cb), cb, ci)
+            sb = self.solve(self._apply(table, ci), cb, ci)
             if sa is None or sb is None:
                 mats = None
                 break
             mats.append(((sa[0], sb[0]), (sa[1], sb[1])))
         if mats is not None and fold:
-            base = self.solve([1] * self.size, cb, ci)
+            base = self.solve((1,) * width, cb, ci)
             if base is None:
                 mats = None
             else:
                 a0 = base[0]
-                mats = [(((mtx[0][0] - a0 * mtx[1][0]) % self.n,),)
+                mats = [(((mtx[0][0] - a0 * mtx[1][0]) % n,),)
                         for mtx in mats]
         if mats is None:
             return (rank, None, None)
-        central = self.c1 * self.c2 % self.n
+        central = self.c1 * self.c2 % n
         mpi2 = _scaled_inverse(self.ring, mats[0], central)
         return (rank, tuple(mats), mpi2)
 

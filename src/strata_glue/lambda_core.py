@@ -52,9 +52,6 @@ class CoeffRing:
         self.q = p
         self.sqrt_q = sqrt_q
 
-    def norm(self, x):
-        return x % self.n
-
     def is_unit(self, x):
         return gcd(x % self.n, self.n) == 1
 
@@ -433,7 +430,8 @@ class ModuleMap:
 
     def apply(self, v):
         n = self.source.ring.n
-        return [sum(row[j] * v[j] for j in range(len(v))) % n
+        support = [(j, c) for j, c in enumerate(v) if c]
+        return [sum(row[j] * c for j, c in support) % n
                 for row in self.matrix.entries]
 
     def image_rows(self):

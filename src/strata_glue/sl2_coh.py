@@ -151,8 +151,11 @@ class TreeBall:
         c1 = free_module(ring, ne)
         c0 = free_module(ring, nv)
         aug = free_module(ring, 1)
-        boundary = ModuleMap(c1, c0, LambdaMatrix(ring, rows, cols=ne))
-        degree = ModuleMap(c0, aug, LambdaMatrix(ring, [[1] * nv], cols=nv))
+        # entries are already 0, 1 and n - 1
+        boundary = ModuleMap(c1, c0, LambdaMatrix._reduced(
+            ring, map(tuple, rows), ne))
+        degree = ModuleMap(c0, aug, LambdaMatrix._reduced(
+            ring, [(1,) * nv], nv))
         return BoundedComplex({0: c1, 1: c0, 2: aug},
                               {0: boundary, 1: degree})
 

@@ -4,17 +4,21 @@ the orbit sweep, plus reference copies of replaced fast paths.
 Everything here is deliberately naive: closures, full vector enumeration,
 element-order multisets, one act() per generator and point, an
 extended-gcd combine for every row of a Howell column, a pullback that
-solves for each point's source point afresh.  The linear algebra oracles
+solves for each point's source point afresh, a Jacquet stage engine that
+smooths vectors on every point of the line.  The linear algebra oracles
 are feasible for ambient rank <= 4 and modulus <= 9, which is the regime
 the property tests run in.  The package code must agree with these
-oracles; the oracles never import package internals beyond the public
-API.
+oracles.  Beyond the public API they import only helpers that they do not
+restate: the unit generators, the 2x2 scaled inverse and the unchecked
+matrix wrapper.
 """
 
 import itertools
 from math import gcd
 
-from strata_glue.padic_core import (ProjPoint, act, enumerate_p1,
+from strata_glue.finite_rep import _scaled_inverse
+from strata_glue.lambda_core import LambdaMatrix, howell_form
+from strata_glue.padic_core import (ProjPoint, _unit_gens, act, enumerate_p1,
                                    subgroup_generators)
 
 
@@ -239,3 +243,173 @@ def per_point_pull(eng, v, d1, d2):
             w = pow(eng.c1, vdet - vl, n) * pow(eng.c2, vl, n) % n
             out[i] = w * val % n
     return out
+
+
+def _chi_val(ring, chi, torus_vals):
+    c1, c2 = chi
+    t1, t2 = torus_vals
+    return pow(c1, t1, ring.n) * pow(c2, t2, ring.n) % ring.n
+
+
+# The Jacquet stage engine as it ran before it kept stage vectors in disc
+# coordinates: every smoothed vector lives on all points of the level-L
+# line, and the stage rank is taken over point coordinates.
+class PointStageEngine:
+    # working model: functions on the level-L line; stage j smooths along
+    # the depth-j unipotent discs and probes the torus in a two-vector frame
+
+    def __init__(self, ring, p, m, big_l, chi):
+        self.ring = ring
+        self.p = p
+        self.m = m
+        self.big_l = big_l
+        self.n = ring.n
+        self.c1, self.c2 = chi
+        self.r = self.c1 * ring.inv(self.c2) % ring.n
+        self.pts = enumerate_p1(p, big_l)
+        self.index = {x: i for i, x in enumerate(self.pts)}
+        self.size = len(self.pts)
+        self.i_b0 = self.index[ProjPoint.big_cell(p, big_l, 0)]
+        self.i_z0 = self.index[ProjPoint.inf_cell(p, big_l, 0)]
+        # depth of each point; None marks the fixed point at infinity
+        self.mu = []
+        for x in self.pts:
+            if x.branch == "b":
+                self.mu.append(0)
+            elif x.res == 0:
+                self.mu.append(None)
+            else:
+                self.mu.append(_vp(x.res, p))
+        base = enumerate_p1(p, m)
+        base_index = {x: i for i, x in enumerate(base)}
+        self.fiber_of = [base_index[x.project(m)] for x in self.pts]
+        self.base_count = len(base)
+        self.bi_z0 = base_index[ProjPoint.inf_cell(p, m, 0)]
+        # torus probes: diag(pi, 1), then diag(u, 1) and diag(1, u) per unit
+        self.ops = [(p, 1)]
+        for u in _unit_gens(p, m):
+            self.ops += [(u, 1), (1, u)]
+        self.pulls = {op: self._pull_table(*op) for op in self.ops}
+        self.discs = (None,)
+
+    def _discs(self, j):
+        """Stage j's disc key, inbound and outbound weight at each point.
+
+        Only the latest stage's tables are kept: stages run in order.
+        """
+        if self.discs[0] != j:
+            p, n, big_l = self.p, self.n, self.big_l
+            keys = [None] * self.size
+            w_in = [0] * self.size
+            w_out = [0] * self.size
+            for i, mu in enumerate(self.mu):
+                if mu is None:
+                    continue
+                kk = min(2 * mu - j, big_l)
+                keys[i] = "big" if mu <= j else (mu, self.pts[i].res % p ** kk)
+                w_in[i] = self.ring.q_pow(kk - big_l) * pow(self.r, mu, n) % n
+                w_out[i] = pow(self.r, -mu, n)
+            self.discs = (j, keys, w_in, w_out)
+        return self.discs[1:]
+
+    def smooth(self, v, j):
+        """Average along the depth-j discs; exact on the truncated model."""
+        n = self.n
+        keys, w_in, w_out = self._discs(j)
+        acc = {}
+        for key, c, w in zip(keys, v, w_in):
+            if c and key is not None:
+                acc[key] = (acc.get(key, 0) + c * w) % n
+        # the only keyless point is the fixed point at infinity
+        out = [acc.get(key, 0) * w % n for key, w in zip(keys, w_out)]
+        out[self.i_z0] = v[self.i_z0]
+        return out
+
+    def columns(self, j):
+        vecs = [[0] * self.size for _ in range(self.base_count)]
+        for i, b in enumerate(self.fiber_of):
+            vecs[b][i] = 1
+        return [self.smooth(v, j) for v in vecs]
+
+    def _pull_table(self, d1, d2):
+        """Source index and weight of each point under the pullback along
+        right translation by diag(d1, d2); neither depends on the vector or
+        the stage, so each engine builds them once per (d1, d2)."""
+        p, big_l = self.p, self.big_l
+        md = p ** big_l
+        vdet = _vp(d1, p) + _vp(d2, p)
+        chi = (self.c1, self.c2)
+        table = []
+        for x in self.pts:
+            if x.branch == "b":
+                a, b = d1, x.res * d2
+            else:
+                a, b = x.res * d1, d2
+            if a == 0:
+                tgt, vl = self.i_z0, _vp(b, p)
+            elif b == 0:
+                tgt, vl = self.i_b0, _vp(a, p)
+            else:
+                va, vb = _vp(a, p), _vp(b, p)
+                vl = min(va, vb)
+                ua = a // p ** va
+                ub = b // p ** vb
+                if va <= vb:
+                    t = p ** (vb - va) * ub * pow(ua, -1, md) % md
+                    tgt = self.index[ProjPoint.big_cell(p, big_l, t)]
+                else:
+                    s = p ** (va - vb) * ua * pow(ub, -1, md) % md
+                    tgt = self.index[ProjPoint.inf_cell(p, big_l, s)]
+            table.append((tgt, _chi_val(self.ring, chi, (vdet - vl, vl))))
+        return table
+
+    def pull(self, v, d1, d2):
+        """Pullback along right translation by diag(d1, d2), exact integers."""
+        n = self.n
+        return [w * v[t] % n for t, w in self.pulls[(d1, d2)]]
+
+    def solve(self, v, cb, ci):
+        # frame coordinates: ci owns the infinity coefficient, cb the base one
+        n = self.n
+        den = cb[self.i_b0]
+        if gcd(den, n) != 1:
+            return None
+        b = v[self.i_z0]
+        a = (v[self.i_b0] - b * ci[self.i_b0]) * self.ring.inv(den) % n
+        for i in range(self.size):
+            if (a * cb[i] + b * ci[i]) % n != v[i]:
+                return None
+        return a, b % n
+
+    def stage(self, j, fold):
+        cols = self.columns(j)
+        cb, ci = cols[0], cols[self.bi_z0]
+        # smooth() returns reduced entries
+        stack = [tuple(c) for c in cols]
+        if fold:
+            stack.append((1,) * self.size)
+        rank = howell_form(
+            LambdaMatrix._reduced(self.ring, stack, self.size)).nrows
+        if fold:
+            rank -= 1
+        mats = []
+        for d1, d2 in self.ops:
+            sa = self.solve(self.smooth(self.pull(cb, d1, d2), j), cb, ci)
+            sb = self.solve(self.smooth(self.pull(ci, d1, d2), j), cb, ci)
+            if sa is None or sb is None:
+                mats = None
+                break
+            mats.append(((sa[0], sb[0]), (sa[1], sb[1])))
+        if mats is not None and fold:
+            base = self.solve([1] * self.size, cb, ci)
+            if base is None:
+                mats = None
+            else:
+                a0 = base[0]
+                mats = [(((mtx[0][0] - a0 * mtx[1][0]) % self.n,),)
+                        for mtx in mats]
+        if mats is None:
+            return (rank, None, None)
+        central = self.c1 * self.c2 % self.n
+        mpi2 = _scaled_inverse(self.ring, mats[0], central)
+        return (rank, tuple(mats), mpi2)

@@ -188,6 +188,15 @@ def test_jacquet_symbolic_matches_oracle_at_level_3():
     assert sym.split == res.split
 
 
+def test_jacquet_symbolic_matches_oracle_at_level_4():
+    # the level-L line has 78,732 points here; the oracle works on at most
+    # a few hundred disc slots per stage
+    sym = jacquet_symbolic(R11, "ind(0,1)")
+    res = jacquet_oracle(induced_rep(R11, (1, 4), 4))
+    assert [c.values() for c in sym.constituents] == list(res.filtration)
+    assert sym.split == res.split
+
+
 # --------------------------------------------------------- torus homology
 
 

@@ -199,6 +199,35 @@ def test_precision_exhaustion_has_its_own_exit_code(capsys):
     assert "PrecisionExhausted" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_glue_accepts_level_and_precision_it_does_not_read(capsys, fmt):
+    argv = ("glue", "--slope", "int", "--rep", "triv", "--format", fmt)
+    code, out, err = run(capsys, *argv, "--level", "5", "--precision", "3")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sl2coh_checks_precision_against_level(capsys, fmt):
+    code, out, err = run(capsys, "sl2coh", "--rep", "triv", "--format", fmt,
+                         "--level", "5", "--precision", "3")
+    assert (code, out) == (2, "")
+    assert "ValueError: precision must be at least the level" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_all_rejects_the_flags_it_ignores(capsys, fmt):
+    code, out, err = run(capsys, "verify-all", "--format", fmt,
+                         "--n", "13", "--p", "5", "--level", "2")
+    assert (code, out) == (2, "")
+    assert err.strip().endswith(
+        "verify-all runs on its fixed rings and ignores --p, --n")
+    # a banality violation is still named first
+    code, _, err = run(capsys, "verify-all", "--format", fmt,
+                       "--n", "3", "--p", "2", "--k", "2")
+    assert code == 2 and "BanalityViolation" in err
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_orbits_depth_below_one_is_usage_error(capsys, k):
     code, _, err = run(capsys, "orbits", "--k", k)

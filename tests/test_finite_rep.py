@@ -21,7 +21,7 @@ from strata_glue.padic_core import (
     orbits,
 )
 from strata_glue import finite_rep
-from bruteforce import per_point_pull
+from bruteforce import PointStageEngine, per_point_pull
 from strata_glue.finite_rep import (
     LevelMismatch,
     NonInvertibleOrder,
@@ -33,6 +33,7 @@ from strata_glue.finite_rep import (
     inflate,
     jacquet_oracle,
     parse_rep_spec,
+    rep_model,
     steinberg,
     tensor,
     trivial_rep,
@@ -277,20 +278,82 @@ def test_singular_pi_carries_stage_summaries(monkeypatch):
     assert [s[0] for s in stages] == [0, 1, 2]
     assert stages[1][1:] == stages[2][1:] and stages[2][2] is not None
 
+def _disc_coords(ref, slot, v, j):
+    """Disc coordinates of a smoothed point vector: per slot, the value at
+    each of its points over the reference's w_out, which must agree."""
+    n = ref.n
+    keys, _, w_out = ref._discs(j)
+    coords = {}
+    for k, key, w, x in zip(slot, keys, w_out, v):
+        val = x if key is None else x * pow(w, -1, n) % n
+        assert coords.setdefault(k, val) == val
+    return [coords[k] for k in range(len(coords))]
+
+
 @pytest.mark.parametrize("ring, p, m, chi", [
     (R7, 2, 4, (1, 2)),    # the deep tier's level-4 oracle over Z/7
     (R11, 3, 2, (0, 1)),   # verify-all's level-2 oracle over Z/11
 ])
 def test_pull_table_matches_per_point_pullback(ring, p, m, chi):
-    eng = finite_rep._StageEngine(ring, p, m, 2 * m + 2,
-                                  unram_pair(ring, *chi))
+    # each transfer table is the reference's per-point pullback followed by
+    # its smoothing, read in disc coordinates
+    chi = unram_pair(ring, *chi)
+    eng = finite_rep._StageEngine(ring, p, m, 2 * m + 2, chi)
+    ref = PointStageEngine(ring, p, m, 2 * m + 2, chi)
     rng = random.Random(f"pull:{ring.n}:{m}")
-    vecs = [[rng.randrange(1, ring.n) for _ in range(eng.size)],
-            [rng.randrange(ring.n) if rng.random() < 0.2 else 0
-             for _ in range(eng.size)]]
-    for d1, d2 in eng.ops:
-        for v in vecs:
-            assert eng.pull(v, d1, d2) == per_point_pull(eng, v, d1, d2)
+    for j in range(m + 3):
+        slot, _, width = eng._slots(j)
+        keys = ref._discs(j)[0]
+        assert len(set(zip(slot, keys))) == len(set(keys)) == width
+        for d1, d2 in eng.ops:
+            v = ref.smooth([rng.randrange(ring.n) for _ in range(ref.size)], j)
+            want = ref.smooth(per_point_pull(ref, v, d1, d2), j)
+            coords = _disc_coords(ref, slot, v, j)
+            got = [0] * width
+            for (k, k2), c in eng.transfer(j, d1, d2).items():
+                got[k] += c * coords[k2]
+            assert [x % ring.n for x in got] == _disc_coords(ref, slot,
+                                                             want, j)
+
+
+R143 = make_ring(143, 3, 82)
+R121 = make_ring(121, 3, 27)
+_PINNED = (
+    [(R11, 2, s) for s in ("ind(0,0)", "ind(0,1)", "ind(1,0)",
+                           "ind(1/2,-1/2)", "st")]
+    + [(R7, 4, f"ind({a},{b})")
+       for a, b in ((0, 0), (0, 1), (1, 0), (2, 5), (3, 3), (5, 2))]
+    + [(R143, 2, "ind(0,1)"), (R143, 2, "st"), (R121, 2, "ind(0,0)"),
+       (R121, 2, "ind(1/2,-1/2)"), (R11, 3, "ind(0,1)")]
+    + [(R7, 2, f"ind({a},{b})") for a in range(6) for b in range(6)])
+
+
+def _oracle_outcome(sig, j_max=None):
+    try:
+        res = jacquet_oracle(sig, j_max)
+    except NotStabilized as exc:
+        return ("not stabilized", str(exc), exc.stages)
+    torus = {k: (tuple(x.entries for x in v) if k == "units" else v.entries)
+             for k, v in res.torus_action.items()}
+    return (res.stabilized_rank, torus, res.filtration, res.split,
+            res.stabilization_level)
+
+
+@pytest.mark.parametrize("ring, m, spec", _PINNED,
+                         ids=[f"n{r.n}-m{m}-{s.replace('/', '_')}"
+                              for r, m, s in _PINNED])
+def test_disc_engine_matches_point_engine(ring, m, spec, monkeypatch):
+    sig = rep_model(ring, spec, m)
+    fold = spec == "st"
+    chi = (1, 1) if fold else sig.chi
+    eng = finite_rep._StageEngine(ring, ring.p, m, 2 * m + 2, chi)
+    ref = PointStageEngine(ring, ring.p, m, 2 * m + 2, chi)
+    for j in range(m + 3):
+        assert eng.stage(j, fold) == ref.stage(j, fold)
+    got = [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
+    monkeypatch.setattr(finite_rep, "_StageEngine", PointStageEngine)
+    assert got == [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
+
 
 def test_jacquet_needs_precision():
     sig = induced_rep(R11, (1, 1), 2, precision=3)

@@ -232,6 +232,16 @@ def test_homology_exact_identity_complex():
     assert iso_class(homology(c, 0)) == []
     assert iso_class(homology(c, 1)) == []
 
+def test_complex_rejects_differentials_that_do_not_compose_to_zero():
+    r = make_ring(5, 2)
+    c0, c1, c2 = (free_module(r, 1) for _ in range(3))
+    d0 = ModuleMap(c0, c1, LambdaMatrix(r, [[1]]))
+    d1 = ModuleMap(c1, c2, LambdaMatrix(r, [[2]]))
+    with pytest.raises(ValueError, match=r"d_1 d_0 != 0"):
+        BoundedComplex({0: c0, 1: c1, 2: c2}, {0: d0, 1: d1})
+    zero = ModuleMap(c1, c2, LambdaMatrix(r, [[0]]))
+    BoundedComplex({0: c0, 1: c1, 2: c2}, {0: d0, 1: zero})
+
 def test_homology_degree_out_of_range():
     r = make_ring(5, 2)
     c = two_term(r, [[1]], ranks=(1, 1))

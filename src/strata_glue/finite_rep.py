@@ -11,6 +11,12 @@ quotient together with its two-step filtration.
 The oracle's smoothed vectors live on P^1(O/pi^L), L = m + j_max, but are
 held in disc coordinates: one sum per smoothing disc plus the value at the
 point at infinity, a few hundred slots at most against up to 10^5 points.
+
+Fixed points of trivial, induced, Steinberg, twist and sum models come
+from orbits, with no action matrix: those of padic_core.orbits for U,
+Gamma0, Gamma_k and K_m, whose generators lie in GL2(O), and for Uprime
+the U-orbits one level up.  Inflated and tensor models, and generators
+outside GL2(O) (T, B, eta), keep the dense kernel of the action matrices.
 """
 
 from fractions import Fraction
@@ -18,24 +24,26 @@ from math import gcd
 import re
 
 from .lambda_core import (
-    FgModule,
     LambdaMatrix,
     ModuleMap,
     free_module,
     howell_form,
     identity_matrix,
-    mat_mul,
-    quotient_module,
     kernel,
+    left_kernel,
+    mat_mul,
+    span_module,
 )
 from .padic_core import (
     PrecisionExhausted,
     SubgroupSpec,
     UnsupportedSubgroup,
+    _in_gl2_o,
     _unit_gens,
     act,
     diag_matrix,
     enumerate_p1,
+    orbits,
     subgroup_generators,
 )
 
@@ -297,8 +305,24 @@ def dual_rep(sig):
 def fixed_points(sig, spec):
     """Submodule of vectors fixed by every generator of the named subgroup.
 
-    The result is presented on the model basis; witness_rows span the fixed
-    space inside the coordinate module.
+    The result is presented on its Howell generators, kept as witness_rows:
+    they span the fixed space inside the coordinate module.  Howell form is
+    canonical per row span, so the two paths below give the same result.
+
+    Orbit path, for a subgroup whose generators all lie in GL2(O) (U,
+    Gamma0, Gamma_k, K_m): such a generator permutes the level-m points
+    with weight 1 whatever chi is, so the fixed space of an induced model
+    is spanned by the indicators of the orbits padic_core.orbits returns.
+    By banality and Maschke, that of the Steinberg model is their image
+    modulo the constants.  A twist acts there as its parent, and a sum's
+    fixed rows are its parts' rows stacked.  Uprime has a pole; it is read
+    through the monomial eta-inverse table against the U-orbits one level
+    up, for trivial, induced, Steinberg and sum models only.
+
+    Dense path, the kernel of the stacked g - 1 action matrices: inflated
+    and tensor models, and generators outside GL2(O), through which T, B
+    and eta raise PrecisionExhausted from act().  Subgroups with a pole
+    other than Uprime raise UnsupportedSubgroup.
     """
     if spec.m != sig.level:
         raise LevelMismatch(
@@ -308,6 +332,8 @@ def fixed_points(sig, spec):
     gens = subgroup_generators(spec, sig.p)
     if any(g.maxneg() > 0 for g in gens):
         raise UnsupportedSubgroup(spec.kind)
+    if sig.kind not in ("inflated", "tensor") and all(map(_in_gl2_o, gens)):
+        return span_module(sig.ring, sig.rank, _orbit_rows(sig, spec))
     ring, k = sig.ring, sig.rank
     rows = []
     for g in gens:
@@ -319,34 +345,43 @@ def fixed_points(sig, spec):
     return kernel(f)
 
 
-def _eta_inv_rows(sig, raised):
-    # matrix of the eta-inverse translation from the level-m model into the
-    # level-(m+1) model; every act() here is certified by the extra digit
-    ring = sig.ring
-    m = sig.level
+def _point_index(x):
+    # position in enumerate_p1 order: [1:t] -> t, [s:1] -> p^m + s/p
+    return x.res if x.branch == "b" else x.p ** x.level + x.res // x.p
+
+
+def _block_rows(top, bottom, w1, w2):
+    # rows of the two summands of a direct sum, padded to its width
+    return ([tuple(r) + (0,) * w2 for r in top]
+            + [(0,) * w1 + tuple(r) for r in bottom])
+
+
+def _mod_constants(rows, n):
+    # induced-model rows to Steinberg coordinates: v[i] - v[0], i >= 1
+    return [tuple((x - r[0]) % n for x in r[1:]) for r in rows]
+
+
+def _orbit_rows(sig, spec):
+    # rows spanning the fixed space of a subgroup inside GL2(O)
     if sig.kind == "trivial":
-        return [[1]]
+        return [(1,)]
+    if sig.kind == "twist":
+        return _orbit_rows(sig.parent, spec)
     if sig.kind == "sum":
-        b1 = _eta_inv_rows(sig.factors[0], raised.factors[0])
-        b2 = _eta_inv_rows(sig.factors[1], raised.factors[1])
-        w1 = sig.factors[0].rank
-        w2 = sig.factors[1].rank
-        return ([list(r) + [0] * w2 for r in b1]
-                + [[0] * w1 + list(r) for r in b2])
-    eta_inv = diag_matrix(sig.p, 0, -1)
-    base = sig.parent if sig.kind == "steinberg" else sig
-    top = raised.parent if raised.kind == "steinberg" else raised
-    index = {x: i for i, x in enumerate(base.labels)}
+        f1, f2 = sig.factors
+        return _block_rows(_orbit_rows(f1, spec), _orbit_rows(f2, spec),
+                           f1.rank, f2.rank)
+    if sig.kind not in ("induced", "steinberg"):
+        return fixed_points(sig, spec).witness_rows
+    size = len(sig.parent.labels if sig.kind == "steinberg" else sig.labels)
     rows = []
-    for x2 in top.labels:
-        y, coc = act(x2, eta_inv, m)
-        row = [0] * base.rank
-        row[index[y]] = _chi_val(ring, base.chi, coc.torus_vals)
+    for block in orbits(spec, sig.level, sig.p):
+        row = [0] * size
+        for x in block:
+            row[_point_index(x)] = 1
         rows.append(row)
     if sig.kind == "steinberg":
-        rows = [[(rows[i][j] - rows[0][j]) % ring.n
-                 for j in range(1, base.rank)]
-                for i in range(1, top.rank)]
+        return _mod_constants(rows, sig.ring.n)
     return rows
 
 
@@ -355,15 +390,60 @@ def _uprime_fixed(sig):
     # computed at one level up, is fixed by U there
     if sig.kind not in ("trivial", "induced", "steinberg", "sum"):
         raise UnsupportedSubgroup("Uprime")
-    ring, m = sig.ring, sig.level
-    raised = sig.at_level(m + 1)
-    fix2 = fixed_points(raised, SubgroupSpec("U", m=m + 1))
-    rows = _eta_inv_rows(sig, raised)
-    target = quotient_module(free_module(ring, raised.rank),
-                             [list(r) for r in fix2.witness_rows])
-    f = ModuleMap(free_module(ring, sig.rank), target,
-                  LambdaMatrix(ring, rows, cols=sig.rank))
-    return kernel(f)
+    raised = sig.at_level(sig.level + 1)
+    return span_module(sig.ring, sig.rank, _uprime_rows(sig, raised))
+
+
+def _uprime_rows(sig, raised):
+    """Rows spanning the Uprime-fixed space, solved on U-orbit constants.
+
+    eta^-1 has a pole: it sends each level-(m+1) point x2 to a level-m
+    point y with a unit weight w, one act() per x2, which the extra digit
+    certifies.  The translate of v is U-fixed iff w * v[y] is one constant
+    c_O over each U-orbit O of level m+1.  So v[y] = c_O / w, two points
+    over the same y constrain c, and the system is as wide as the orbit
+    count.  Steinberg solves on its parent, whose constants are fixed, and
+    drops them.
+    """
+    if sig.kind == "trivial":
+        return [(1,)]
+    if sig.kind == "sum":
+        (f1, f2), (r1, r2) = sig.factors, raised.factors
+        return _block_rows(_uprime_rows(f1, r1), _uprime_rows(f2, r2),
+                           f1.rank, f2.rank)
+    if sig.kind not in ("induced", "steinberg"):
+        raise UnsupportedSubgroup("Uprime")
+    ring, n, p, m = sig.ring, sig.ring.n, sig.p, sig.level
+    base, top = sig, raised
+    if sig.kind == "steinberg":
+        base, top = sig.parent, raised.parent
+    orbit_of = {}
+    blocks = orbits(SubgroupSpec("U", m=m + 1), m + 1, p)
+    for o, block in enumerate(blocks):
+        for x in block:
+            orbit_of[x] = o
+    eta_inv = diag_matrix(p, 0, -1)
+    over = [None] * base.rank
+    cons = set()
+    for x2 in top.labels:
+        y, coc = act(x2, eta_inv, m)
+        term = (orbit_of[x2],
+                ring.inv(_chi_val(ring, base.chi, coc.torus_vals)))
+        i = _point_index(y)
+        if over[i] is None:
+            over[i] = term
+        elif over[i] != term:
+            row = [0] * len(blocks)
+            row[term[0]] = -term[1]
+            row[over[i][0]] += over[i][1]
+            cons.add(tuple(x % n for x in row))
+    # eta^-1 maps the level-(m+1) line onto the level-m one: no y is missed
+    cmat = LambdaMatrix._reduced(ring, sorted(cons), len(blocks))
+    rows = [[c[o] * w % n for o, w in over]
+            for c in left_kernel(cmat.transpose()).entries]
+    if sig.kind == "steinberg":
+        return _mod_constants(rows, n)
+    return rows
 
 
 # ------------------------------------------------------- averaging projector

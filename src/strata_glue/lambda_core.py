@@ -401,10 +401,30 @@ def free_module(ring, k):
 
 
 def quotient_module(module, rows):
-    """Quotient of an FgModule by extra ambient relation rows."""
-    allrows = list(module.relations.entries) + [list(r) for r in rows]
-    return FgModule(module.ring, module.ambient,
-                    LambdaMatrix(module.ring, allrows, cols=module.ambient))
+    """Quotient of an FgModule by extra ambient relation rows.
+
+    Rows that are already tuples of entries in [0, n), as image_rows()
+    gives them, are stacked on the relations without a second check; any
+    other rows go through the checking constructor, which reduces them.
+    """
+    ring, k = module.ring, module.ambient
+    rows = list(rows)
+    if all(type(r) is tuple and len(r) == k
+           and (not r or 0 <= min(r) and max(r) < ring.n) for r in rows):
+        stack = LambdaMatrix._reduced(
+            ring, module.relations.entries + tuple(rows), k)
+    else:
+        stack = LambdaMatrix(
+            ring, list(module.relations.entries) + rows, cols=k)
+    return FgModule(ring, k, stack)
+
+
+def span_module(ring, ambient, rows):
+    """Submodule of Lambda^ambient spanned by rows, presented on its Howell
+    generators, which it keeps as witness rows.  For the same span this is
+    exactly what kernel() returns, Howell form being canonical."""
+    return _present_subquotient(
+        ring, ambient, _howell_engine(rows, ring.n, ambient), ())
 
 
 class ModuleMap:

@@ -5,7 +5,8 @@ Everything here is deliberately naive: closures, full vector enumeration,
 element-order multisets, one act() per generator and point, an
 extended-gcd combine for every row of a Howell column, a pullback that
 solves for each point's source point afresh, a Jacquet stage engine that
-smooths vectors on every point of the line.  The linear algebra oracles
+smooths vectors on every point of the line, fixed points as the kernel of
+dense action matrices.  The linear algebra oracles
 are feasible for ambient rank <= 4 and modulus <= 9, which is the regime
 the property tests run in.  The package code must agree with these
 oracles.  Beyond the public API they import only helpers that they do not
@@ -16,9 +17,12 @@ matrix wrapper.
 import itertools
 from math import gcd
 
-from strata_glue.finite_rep import _scaled_inverse
-from strata_glue.lambda_core import LambdaMatrix, howell_form
-from strata_glue.padic_core import (ProjPoint, _unit_gens, act, enumerate_p1,
+from strata_glue.finite_rep import LevelMismatch, _scaled_inverse
+from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
+                                     howell_form, kernel, quotient_module)
+from strata_glue.padic_core import (ProjPoint, SubgroupSpec,
+                                   UnsupportedSubgroup, _unit_gens, act,
+                                   diag_matrix, enumerate_p1,
                                    subgroup_generators)
 
 
@@ -413,3 +417,81 @@ class PointStageEngine:
         central = self.c1 * self.c2 % self.n
         mpi2 = _scaled_inverse(self.ring, mats[0], central)
         return (rank, tuple(mats), mpi2)
+
+
+# fixed_points, _eta_inv_rows and _uprime_fixed as they ran before the orbit
+# path: every fixed module is the kernel of stacked dense g - 1 action
+# matrices, and Uprime goes through the dense eta-inverse matrix against the
+# U-fixed rows one level up.  Copied verbatim; the recursive calls resolve
+# to these copies.
+
+def fixed_points(sig, spec):
+    """Submodule of vectors fixed by every generator of the named subgroup.
+
+    The result is presented on the model basis; witness_rows span the fixed
+    space inside the coordinate module.
+    """
+    if spec.m != sig.level:
+        raise LevelMismatch(
+            f"subgroup at level {spec.m}, model at level {sig.level}")
+    if spec.kind == "Uprime":
+        return _uprime_fixed(sig)
+    gens = subgroup_generators(spec, sig.p)
+    if any(g.maxneg() > 0 for g in gens):
+        raise UnsupportedSubgroup(spec.kind)
+    ring, k = sig.ring, sig.rank
+    rows = []
+    for g in gens:
+        for i, r in enumerate(sig.action_matrix(g).entries):
+            rows.append(r[:i] + ((r[i] - 1) % ring.n,) + r[i + 1:])
+    f = ModuleMap(free_module(ring, k),
+                  free_module(ring, len(rows)),
+                  LambdaMatrix._reduced(ring, rows, k))
+    return kernel(f)
+
+
+def _eta_inv_rows(sig, raised):
+    # matrix of the eta-inverse translation from the level-m model into the
+    # level-(m+1) model; every act() here is certified by the extra digit
+    ring = sig.ring
+    m = sig.level
+    if sig.kind == "trivial":
+        return [[1]]
+    if sig.kind == "sum":
+        b1 = _eta_inv_rows(sig.factors[0], raised.factors[0])
+        b2 = _eta_inv_rows(sig.factors[1], raised.factors[1])
+        w1 = sig.factors[0].rank
+        w2 = sig.factors[1].rank
+        return ([list(r) + [0] * w2 for r in b1]
+                + [[0] * w1 + list(r) for r in b2])
+    eta_inv = diag_matrix(sig.p, 0, -1)
+    base = sig.parent if sig.kind == "steinberg" else sig
+    top = raised.parent if raised.kind == "steinberg" else raised
+    index = {x: i for i, x in enumerate(base.labels)}
+    rows = []
+    for x2 in top.labels:
+        y, coc = act(x2, eta_inv, m)
+        row = [0] * base.rank
+        row[index[y]] = _chi_val(ring, base.chi, coc.torus_vals)
+        rows.append(row)
+    if sig.kind == "steinberg":
+        rows = [[(rows[i][j] - rows[0][j]) % ring.n
+                 for j in range(1, base.rank)]
+                for i in range(1, top.rank)]
+    return rows
+
+
+def _uprime_fixed(sig):
+    # v is fixed by the eta-conjugate of U iff its eta-inverse translate,
+    # computed at one level up, is fixed by U there
+    if sig.kind not in ("trivial", "induced", "steinberg", "sum"):
+        raise UnsupportedSubgroup("Uprime")
+    ring, m = sig.ring, sig.level
+    raised = sig.at_level(m + 1)
+    fix2 = fixed_points(raised, SubgroupSpec("U", m=m + 1))
+    rows = _eta_inv_rows(sig, raised)
+    target = quotient_module(free_module(ring, raised.rank),
+                             [list(r) for r in fix2.witness_rows])
+    f = ModuleMap(free_module(ring, sig.rank), target,
+                  LambdaMatrix(ring, rows, cols=sig.rank))
+    return kernel(f)

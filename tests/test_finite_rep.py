@@ -15,6 +15,7 @@ from strata_glue.lambda_core import (
 from strata_glue.padic_core import (
     PrecisionExhausted,
     SubgroupSpec,
+    UnsupportedSubgroup,
     elem_lower,
     elem_upper,
     laurent_matrix,
@@ -22,13 +23,16 @@ from strata_glue.padic_core import (
 )
 from strata_glue import finite_rep
 from bruteforce import PointStageEngine, per_point_pull
+from bruteforce import fixed_points as dense_fixed_points
 from strata_glue.finite_rep import (
     LevelMismatch,
     NonInvertibleOrder,
     NotStabilized,
     averaging_projector,
+    direct_sum,
     dual_rep,
     fixed_points,
+    gl2_f2_sign,
     induced_rep,
     inflate,
     jacquet_oracle,
@@ -156,6 +160,86 @@ def test_fixed_uprime_matches_U_rank():
             img = tuple(sum(low[i][j] * row[j] for j in range(sig.rank)) % 11
                         for i in range(sig.rank))
             assert img == row
+
+
+# ------------------------------------- orbit path against the dense path
+
+def _fixed_outcome(fn, sig, spec):
+    # the presentation, or the exception's class and message
+    try:
+        fx = fn(sig, spec)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+    return fx.ambient, fx.witness_rows, fx.relations.entries
+
+
+def _congruence_models(ring, m):
+    ind = rep_model(ring, "ind(0,1)", m)
+    return [ind, steinberg(ring, m), twist(ind, ring.inv(ring.p)),
+            direct_sum(trivial_rep(ring, m), steinberg(ring, m))]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("ring", [R7, R11], ids=["p2", "p3"])
+def test_congruence_fixed_points_match_dense(ring, m):
+    # every depth k <= m, also k = 0, where p = 2 has no unit 1 + p^k
+    for kind in ("Gamma_k", "K_m"):
+        for k in range(m + 1):
+            spec = SubgroupSpec(kind, m=m, k=k)
+            for sig in _congruence_models(ring, m):
+                assert (_fixed_outcome(fixed_points, sig, spec)
+                        == _fixed_outcome(dense_fixed_points, sig, spec))
+
+
+def test_orbit_path_builds_no_action_matrix(monkeypatch):
+    def refuse(self, g):
+        raise AssertionError("dense action matrix built")
+
+    models = _congruence_models(R11, 2)
+    want = {}
+    for kind in ("U", "Gamma0", "Gamma_k", "K_m"):
+        spec = SubgroupSpec(kind, m=2, k=1)
+        for i, sig in enumerate(models):
+            want[kind, i] = _fixed_outcome(dense_fixed_points, sig, spec)
+    monkeypatch.setattr(finite_rep.FiniteRep, "action_matrix", refuse)
+    for (kind, i), out in want.items():
+        spec = SubgroupSpec(kind, m=2, k=1)
+        assert _fixed_outcome(fixed_points, models[i], spec) == out
+    for sig in (models[0], models[1], models[3]):
+        fixed_points(sig, SubgroupSpec("Uprime", m=2))
+
+
+@pytest.mark.parametrize("kind", ["T", "B", "eta"])
+def test_non_gl2o_subgroups_raise_as_dense(kind):
+    spec = SubgroupSpec(kind, m=2)
+    for sig in (rep_model(R11, "ind(0,1)", 2), steinberg(R11, 2)):
+        with pytest.raises(PrecisionExhausted,
+                           match=r"residue known mod 3\^1, level 2"):
+            fixed_points(sig, spec)
+        assert (_fixed_outcome(fixed_points, sig, spec)
+                == _fixed_outcome(dense_fixed_points, sig, spec))
+    # the trivial model ignores every generator, on both paths
+    assert fixed_points(trivial_rep(R11, 2), spec).witness_rows == ((1,),)
+
+
+def test_uprime_unsupported_kinds():
+    ind = induced_rep(R11, (1, 1), 2)
+    for sig in (twist(ind, 3), tensor(ind, trivial_rep(R11, 2)),
+                gl2_f2_sign(R7)):
+        with pytest.raises(UnsupportedSubgroup, match="Uprime"):
+            fixed_points(sig, SubgroupSpec("Uprime", m=sig.level))
+    # a sum reduces to its parts, so an unsupported part names itself
+    with pytest.raises(UnsupportedSubgroup, match="Uprime"):
+        fixed_points(direct_sum(trivial_rep(R11, 2), twist(ind, 3)),
+                     SubgroupSpec("Uprime", m=2))
+
+
+def test_fixed_points_level_mismatch():
+    for sig in (induced_rep(R11, (1, 1), 2), steinberg(R11, 2)):
+        for kind in ("U", "Uprime", "Gamma0"):
+            with pytest.raises(LevelMismatch,
+                               match="subgroup at level 3, model at level 2"):
+                fixed_points(sig, SubgroupSpec(kind, m=3))
 
 
 # ----------------------------------------------------- averaging projector

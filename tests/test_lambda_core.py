@@ -31,6 +31,7 @@ from strata_glue.lambda_core import (
     make_ring,
     module_isomorphism,
     quotient_module,
+    span_module,
 )
 
 from bruteforce import (
@@ -181,6 +182,30 @@ def test_kernel_ill_defined_rejected():
     src = quotient_module(free_module(r, 1), [[1]])
     with pytest.raises(IllDefinedMap):
         ModuleMap(src, tgt, LambdaMatrix(r, [[1]]))
+
+def test_quotient_reduces_raw_rows():
+    r = make_ring(11, 3)
+    want = quotient_module(free_module(r, 1), [[2]])
+    for rows in ([[13]], [(13,)], [[-9]], [(2,)]):
+        got = quotient_module(free_module(r, 1), rows)
+        assert got.relations.entries == want.relations.entries
+
+def test_quotient_checks_row_width():
+    r = carrier(4)
+    with pytest.raises(ValueError, match="rows have 1 columns, not 2"):
+        quotient_module(free_module(r, 2), [(1,)])
+
+@pytest.mark.parametrize("n", [4, 6, 9, 11])
+def test_span_module_presents_the_row_span(n):
+    rnd = random.Random(n)
+    r = carrier(n)
+    for _ in range(20):
+        rows = [[rnd.randrange(n) for _ in range(3)]
+                for _ in range(rnd.randint(0, 3))]
+        mod = span_module(r, 3, rows)
+        span = span_of(rows, n, 3)
+        assert span_of(list(mod.witness_rows), n, 3) == span
+        assert mod.size() == len(span)
 
 @st.composite
 def small_map(draw):

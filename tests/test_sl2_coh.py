@@ -20,10 +20,14 @@ from strata_glue.finite_rep import (
     fixed_points,
     gl2_f2_sign,
     induced_rep,
+    rep_model,
     steinberg,
     trivial_rep,
+    twist,
     unram_pair,
 )
+from strata_glue import sl2_coh
+from bruteforce import fixed_points as dense_fixed_points
 from strata_glue.sl2_coh import (
     AcyclicityFailed,
     bt_ball,
@@ -330,3 +334,38 @@ def test_uprime_fixed_of_trivial_summand():
     sig = direct_sum(trivial_rep(R11, 2), steinberg(R11, 2))
     f = fixed_points(sig, SubgroupSpec("Uprime", 2))
     assert iso_class(f) == [11]
+
+
+# ------------------------------------- the complex against the dense path
+
+R143 = make_ring(143, 3, sqrt_q=82)
+R121 = make_ring(121, 3, sqrt_q=27)
+
+
+def _ss_pins(ss):
+    blocks = (ss.u_fixed, ss.uprime_fixed, ss.gamma0_fixed)
+    return ([(f.witness_rows, f.relations.entries) for f in blocks],
+            ss.delta.matrix.entries, ss.delta.matrix.cols)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("ring", [R11, R7, R143, R121],
+                         ids=["n11", "n7", "n143", "n121"])
+def test_ss_complex_matches_dense_reference(ring, level, monkeypatch):
+    specs = ("triv", "ind(0,0)", "ind(0,1)", "ind(1/2,-1/2)", "st")
+    models = [rep_model(ring, s, level) for s in specs]
+    models.append(direct_sum(steinberg(ring, level),
+                             rep_model(ring, "ind(0,1)", level)))
+    tw = twist(rep_model(ring, "ind(0,1)", level), ring.inv(ring.p))
+    tw_fixed = [fixed_points(tw, SubgroupSpec(k, level))
+                for k in ("U", "Gamma0")]
+    got = [_ss_pins(ss_complex(sig)) for sig in models]
+    monkeypatch.setattr(sl2_coh, "fixed_points", dense_fixed_points)
+    assert got == [_ss_pins(ss_complex(sig)) for sig in models]
+    for fx, kind in zip(tw_fixed, ("U", "Gamma0")):
+        ref = dense_fixed_points(tw, SubgroupSpec(kind, level))
+        assert fx.witness_rows == ref.witness_rows
+        assert fx.relations.entries == ref.relations.entries
+    # Uprime has no twist rule: the complex of a twist is refused
+    with pytest.raises(UnsupportedSubgroup):
+        ss_complex(tw)

@@ -728,7 +728,6 @@ def jacquet_oracle(sig, j_max=None):
 
 _CALL = re.compile(r"(ind|ps)\(([^,()\s]+),([^,()\s]+)\)\Z")
 _POW = re.compile(r"(absdet|nrd)\^([^\s^]+)\Z")
-_CHAR = re.compile(r"char\((\d+),(\d+)\)\Z")
 
 
 def parse_rep_spec(text):
@@ -744,9 +743,6 @@ def parse_rep_spec(text):
     m = _POW.match(text)
     if m:
         return (m.group(1), Fraction(m.group(2)))
-    m = _CHAR.match(text)
-    if m:
-        return ("char", int(m.group(1)), int(m.group(2)))
     if text.startswith("cusp:"):
         return ("cusp", text[5:])
     raise ValueError(f"unrecognized rep spec {text!r}")

@@ -5,13 +5,17 @@ complete kernels.  The canonical representative used throughout is the Howell
 form: unique per row span, closed under the annihilator rows that a composite
 modulus introduces.  Modules are finitely generated quotients of free modules,
 maps are matrices on ambient generators, and homology is computed by stacked
-kernel solves.  All values are immutable after construction and every
-operation is a pure function, so instances can be shared freely.
+kernel solves.  Iso classes come from a Smith form mod n that starts from
+the Howell relations: rows with a unit pivot drop out with their pivot
+column, and only the rest is eliminated, per prime power of n, with the
+local results joined by CRT.  All values are immutable after construction
+and every operation is a pure function, so instances can be shared freely.
 """
 
 from fractions import Fraction
-from itertools import compress
-from math import gcd
+from functools import lru_cache
+from itertools import compress, zip_longest
+from math import gcd, prod
 
 
 class BanalityViolation(ValueError):
@@ -30,15 +34,22 @@ class DegreeOutOfRange(ValueError):
     """Complex has no module at the requested degree."""
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+@lru_cache(maxsize=None)
+def _factor(n):
+    """Pairs (l, l^e) over the primes l dividing n exactly e times, l
+    ascending, by trial division; cached, so each modulus is factored once."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            q = 1
+            while n % d == 0:
+                n //= d
+                q *= d
+            out.append((d, q))
         d += 1
-    return True
+    if n > 1:
+        out.append((n, n))
+    return tuple(out)
 
 
 class CoeffRing:
@@ -101,7 +112,7 @@ def make_ring(n, p, sqrt_q=None):
     """Validate and build the coefficient ring Z/n for residue prime p."""
     if n < 2:
         raise BanalityViolation(f"modulus {n} too small")
-    if not _is_prime(p):
+    if _factor(p) != ((p, p),):
         raise BanalityViolation(f"residue characteristic {p} is not prime")
     if gcd(n, p) != 1:
         raise BanalityViolation(f"gcd(n={n}, p={p}) != 1")
@@ -198,12 +209,13 @@ def _unit_scale(a, n):
 def _howell_engine(rows, n, width, kernel=False):
     """Howell form of the row span of rows over Z/n, or its left kernel.
 
-    Returns the Howell rows as tuples.  With kernel set it returns instead
-    rows spanning {x : x * rows = 0}, not in Howell form: only then is the
-    row transform carried, and the above-pivot reduction, which cannot
-    change the kernel, is skipped.  Rows are split into live and zero once;
-    a live row is zero left of the current column, so each step touches
-    only the columns from there on.
+    Entries of rows must already lie in [0, n); rows are copied, not
+    reduced again.  Returns the Howell rows as tuples.  With kernel set it
+    returns instead rows spanning {x : x * rows = 0}, not in Howell form:
+    only then is the row transform carried, and the above-pivot reduction,
+    which cannot change the kernel, is skipped.  Rows are split into live
+    and zero once; a live row is zero left of the current column, so each
+    step touches only the columns from there on.
 
     Each column takes one of two paths.  Unit path: when some row has a
     unit in the column, the first such row is the pivot, scaled to 1, and
@@ -219,7 +231,7 @@ def _howell_engine(rows, n, width, kernel=False):
     """
     live, zeros = [], []
     for i, r in enumerate(rows):
-        row = [e % n for e in r]
+        row = list(r)
         if kernel:
             row += [0] * len(rows)
             row[width + i] = 1
@@ -422,7 +434,8 @@ def quotient_module(module, rows):
 def span_module(ring, ambient, rows):
     """Submodule of Lambda^ambient spanned by rows, presented on its Howell
     generators, which it keeps as witness rows.  For the same span this is
-    exactly what kernel() returns, Howell form being canonical."""
+    exactly what kernel() returns, Howell form being canonical.  Entries of
+    rows must already lie in [0, n)."""
     return _present_subquotient(
         ring, ambient, _howell_engine(rows, ring.n, ambient), ())
 
@@ -526,135 +539,112 @@ def homology(c, k):
 
 # --------------------------------------------------- Smith form, iso classes
 
-def _snf_with_colbasis(rows, cols):
-    """Integer Smith normal form tracking only the column transform.
+def _local_smith(rows, width, q, transform):
+    """Smith form over Z/q, for q a prime power, of rows over Z/n.
 
-    Returns (factors, v, vinv) with U*M*V diagonal; factors has length cols,
-    padded with zeros when the matrix has lower column rank.
+    Returns the order of each column's cyclic summand (q where no pivot
+    lands) and, with transform set, a column transform w and its inverse:
+    x -> x*w carries the quotient onto the sum of those summands.  An
+    entry of least valuation, that is of least gcd g with q, divides every
+    entry of its block over Z/q, so it clears its column by row steps and
+    its row by column steps, with no divisibility sweep.  The column steps
+    change only the pivot row, which is then dropped, so they are carried
+    out on w alone.  The pivot is left as g times a unit, which spans the
+    same ideal as g.
     """
-    m = [list(r) for r in rows]
-    nr, nc = len(m), cols
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    vinv = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def colswap(a, b):
-        for r in m:
-            r[a], r[b] = r[b], r[a]
-        for r in v:
-            r[a], r[b] = r[b], r[a]
-        vinv[a], vinv[b] = vinv[b], vinv[a]
-
-    def coladd(dst, src, q):
-        # col_dst += q * col_src ; inverse op on vinv rows
-        for r in m:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-        for j in range(nc):
-            vinv[src][j] -= q * vinv[dst][j]
-
-    def colneg(a):
-        for r in m:
-            r[a] = -r[a]
-        for r in v:
-            r[a] = -r[a]
-        for j in range(nc):
-            vinv[a][j] = -vinv[a][j]
-
-    def rowswap(a, b):
-        m[a], m[b] = m[b], m[a]
-
-    def rowadd(dst, src, q):
-        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-
-    t = 0
-    while t < nr and t < nc:
-        # locate a minimal nonzero entry in the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+    a = [[x % q for x in r] for r in rows]
+    orders = [q] * width
+    w = winv = None
+    if transform:
+        w = [[int(i == j) for j in range(width)] for i in range(width)]
+        winv = [list(r) for r in w]
+    while True:
+        best = min(((gcd(x, q), i, j) for i, r in enumerate(a)
+                    for j, x in enumerate(r) if x), default=None)
         if best is None:
-            break
-        i, j = best
-        if i != t:
-            rowswap(i, t)
-        if j != t:
-            colswap(j, t)
-        dirty = False
-        for i in range(t + 1, nr):
-            if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                rowadd(i, t, -q)
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, nc):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                coladd(j, t, -q)
-                if m[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # divisibility sweep
-        piv = m[t][t]
-        culprit = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if m[i][j] % piv != 0:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            rowadd(t, culprit, 1)
-            continue
-        if m[t][t] < 0:
-            colneg(t)
-        t += 1
-
-    factors = [m[i][i] if i < nr else 0 for i in range(nc)]
-    return factors, v, vinv
+            return orders, w, winv
+        g, i, j = best
+        piv = a.pop(i)
+        inv = pow(piv[j] // g, -1, q)
+        # x = s * piv[j] mod q for each other entry x of the pivot row
+        steps = [(c, x // g * inv % q) for c, x in enumerate(piv)
+                 if x and c != j]
+        for r in a:
+            if r[j]:
+                for c, s in steps:
+                    r[c] = (r[c] - r[j] * s) % q
+                r[j] = 0
+        orders[j] = g
+        if transform:
+            for r in w:
+                if r[j]:
+                    for c, s in steps:
+                        r[c] = (r[c] - r[j] * s) % q
+            for c, s in steps:
+                winv[j] = [(y + s * z) % q for y, z in zip(winv[j], winv[c])]
 
 
-def _presentation_stack(module):
-    rows = [list(r) for r in module.relations.entries]
-    n = module.ring.n
-    for i in range(module.ambient):
-        row = [0] * module.ambient
-        row[i] = n
-        rows.append(row)
-    return rows
+def _smith(module, transform=False):
+    """Invariant factors (> 1) of a module, largest first, from its Howell
+    relations.  With transform set it returns also fwd and back, which map
+    the module onto the sum of Z/d over those factors d and back again:
+    x -> x*fwd and y -> y*back.
+
+    A Howell row whose pivot is 1 has its pivot column zero in every other
+    row, so the row and that column drop out together: the row rewrites
+    its pivot generator in terms of the others.  Over a prime n every pivot
+    is 1, so the answer is [n] * (ambient - rows), with no elimination and
+    no factoring.  Rows with other pivots are eliminated per prime power q
+    of n.  The local orders, sorted largest first, multiply column by
+    column into the invariant factors, and the local transforms add up
+    with the CRT idempotents, 1 mod q and 0 mod n/q.
+    """
+    n, k = module.ring.n, module.ambient
+    unit, rest, c = [], [], -1
+    for r in module.relations.entries:   # pivots strictly increase
+        c = next(j for j in range(c + 1, k) if r[j])
+        (unit if r[c] == 1 else rest).append((c, r))
+    cut = {c for c, _ in unit}
+    cols = [j for j in range(k) if j not in cut]
+    rest = [[r[j] for j in cols] for _, r in rest]
+    parts = []
+    for _, q in _factor(n) if rest else ((n, n),):
+        orders, w, winv = _local_smith(rest, len(cols), q, transform)
+        keep = sorted((j for j, o in enumerate(orders) if o > 1),
+                      key=lambda j: -orders[j])
+        parts.append((q, [orders[j] for j in keep], keep, w, winv))
+    factors = [prod(f) for f in
+               zip_longest(*(o for _, o, _, _, _ in parts), fillvalue=1)]
+    if not transform:
+        return factors
+    t = len(factors)
+    fwd = [[0] * t for _ in range(k)]
+    back = [[0] * k for _ in range(t)]
+    for q, _, keep, w, winv in parts:
+        e = n // q * pow(n // q, -1, q)
+        for i, j in enumerate(keep):
+            for jj, c in enumerate(cols):
+                fwd[c][i] = (fwd[c][i] + e * w[jj][j]) % n
+                back[i][c] = (back[i][c] + e * winv[j][jj]) % n
+    for c, r in unit:
+        fwd[c] = [-sum(r[cj] * fwd[cj][i] for cj in cols) % n
+                  for i in range(t)]
+    return factors, fwd, back
 
 
 def iso_class(module):
     """Invariant factors (> 1) of the module, largest first."""
-    if module.ambient == 0:
-        return []
-    factors, _, _ = _snf_with_colbasis(_presentation_stack(module), module.ambient)
-    return sorted((f for f in factors if f > 1), reverse=True)
+    return _smith(module)
 
 
 def module_isomorphism(m1, m2):
     """Explicit isomorphism between modules of equal iso_class, else None."""
-    if m1.ring != m2.ring or iso_class(m1) != iso_class(m2):
+    if m1.ring != m2.ring:
         return None
-    n = m1.ring.n
-    f1, v1, _ = _snf_with_colbasis(_presentation_stack(m1), m1.ambient)
-    f2, _, v2inv = _snf_with_colbasis(_presentation_stack(m2), m2.ambient)
-    # pair coordinates carrying equal invariant factors > 1
-    pos1 = sorted(range(m1.ambient), key=lambda i: -f1[i])
-    pos2 = sorted(range(m2.ambient), key=lambda i: -f2[i])
-    pairing = [[0] * m2.ambient for _ in range(m1.ambient)]
-    for a, b in zip(pos1, pos2):
-        if f1[a] > 1:
-            pairing[a][b] = 1
-    # x |-> ((x * v1) * pairing) * v2inv, assembled as one ambient matrix
-    comp = mat_mul(m1.ring, v1, pairing, m2.ambient)
-    comp = mat_mul(m1.ring, comp, v2inv, m2.ambient)
-    mat = LambdaMatrix(m1.ring, comp, cols=m2.ambient).transpose()
-    try:
-        return ModuleMap(m1, m2, mat)
-    except IllDefinedMap:
+    f1, fwd, _ = _smith(m1, transform=True)
+    f2, _, back = _smith(m2, transform=True)
+    if f1 != f2:
         return None
+    comp = mat_mul(m1.ring, fwd, back, m2.ambient)
+    return ModuleMap(m1, m2,
+                     LambdaMatrix(m1.ring, comp, cols=m2.ambient).transpose())

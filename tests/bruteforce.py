@@ -6,7 +6,8 @@ element-order multisets, one act() per generator and point, an
 extended-gcd combine for every row of a Howell column, a pullback that
 solves for each point's source point afresh, a Jacquet stage engine that
 smooths vectors on every point of the line, fixed points as the kernel of
-dense action matrices.  The linear algebra oracles
+dense action matrices, and iso classes from the integer Smith form of the
+relations stacked on n * I.  The linear algebra oracles
 are feasible for ambient rank <= 4 and modulus <= 9, which is the regime
 the property tests run in.  The package code must agree with these
 oracles.  Beyond the public API they import only helpers that they do not
@@ -495,3 +496,117 @@ def _uprime_fixed(sig):
     f = ModuleMap(free_module(ring, sig.rank), target,
                   LambdaMatrix(ring, rows, cols=sig.rank))
     return kernel(f)
+
+
+# The integer Smith form that iso_class ran before the Smith form mod n,
+# kept as the reference for it.
+
+def _snf_with_colbasis(rows, cols):
+    """Integer Smith normal form tracking only the column transform.
+
+    Returns (factors, v, vinv) with U*M*V diagonal; factors has length cols,
+    padded with zeros when the matrix has lower column rank.
+    """
+    m = [list(r) for r in rows]
+    nr, nc = len(m), cols
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    vinv = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def colswap(a, b):
+        for r in m:
+            r[a], r[b] = r[b], r[a]
+        for r in v:
+            r[a], r[b] = r[b], r[a]
+        vinv[a], vinv[b] = vinv[b], vinv[a]
+
+    def coladd(dst, src, q):
+        # col_dst += q * col_src ; inverse op on vinv rows
+        for r in m:
+            r[dst] += q * r[src]
+        for r in v:
+            r[dst] += q * r[src]
+        for j in range(nc):
+            vinv[src][j] -= q * vinv[dst][j]
+
+    def colneg(a):
+        for r in m:
+            r[a] = -r[a]
+        for r in v:
+            r[a] = -r[a]
+        for j in range(nc):
+            vinv[a][j] = -vinv[a][j]
+
+    def rowswap(a, b):
+        m[a], m[b] = m[b], m[a]
+
+    def rowadd(dst, src, q):
+        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+
+    t = 0
+    while t < nr and t < nc:
+        # locate a minimal nonzero entry in the trailing block
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i, j = best
+        if i != t:
+            rowswap(i, t)
+        if j != t:
+            colswap(j, t)
+        dirty = False
+        for i in range(t + 1, nr):
+            if m[i][t] != 0:
+                q = m[i][t] // m[t][t]
+                rowadd(i, t, -q)
+                if m[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, nc):
+            if m[t][j] != 0:
+                q = m[t][j] // m[t][t]
+                coladd(j, t, -q)
+                if m[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # divisibility sweep
+        piv = m[t][t]
+        culprit = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if m[i][j] % piv != 0:
+                    culprit = i
+                    break
+            if culprit is not None:
+                break
+        if culprit is not None:
+            rowadd(t, culprit, 1)
+            continue
+        if m[t][t] < 0:
+            colneg(t)
+        t += 1
+
+    factors = [m[i][i] if i < nr else 0 for i in range(nc)]
+    return factors, v, vinv
+
+
+def _presentation_stack(module):
+    rows = [list(r) for r in module.relations.entries]
+    n = module.ring.n
+    for i in range(module.ambient):
+        row = [0] * module.ambient
+        row[i] = n
+        rows.append(row)
+    return rows
+
+
+def integer_iso_class(module):
+    """Invariant factors (> 1) of the module, largest first, by the integer
+    Smith form of its Howell relations stacked on n * I."""
+    if module.ambient == 0:
+        return []
+    factors, _, _ = _snf_with_colbasis(_presentation_stack(module), module.ambient)
+    return sorted((f for f in factors if f > 1), reverse=True)

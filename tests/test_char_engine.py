@@ -163,6 +163,8 @@ def test_jacquet_symbolic_rejects_foreign_specs():
     with pytest.raises(UnsupportedSpec):
         jacquet_symbolic(R11, "cusp:gl2f2-sign")
     with pytest.raises(UnsupportedSpec):
+        jacquet_symbolic(R11, "nrd^2")
+    with pytest.raises(ValueError):
         jacquet_symbolic(R11, "char(3,4)")
 
 
@@ -337,6 +339,8 @@ def test_hc_tilde_half_slope():
 
 def test_hc_tilde_rejects_unsupported_sheaves():
     with pytest.raises(UnsupportedSpec):
+        hc_tilde(R11, "int", "nrd^2")
+    with pytest.raises(ValueError):
         hc_tilde(R11, "int", "char(3,4)")
     with pytest.raises(UnsupportedSpec):
         hc_tilde(R11, "half", "ps(0,0)")

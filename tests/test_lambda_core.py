@@ -38,6 +38,7 @@ from bruteforce import (
     all_vectors,
     brute_left_kernel,
     element_order_multiset,
+    integer_iso_class,
     orders_of_factor_sum,
     span_of,
     xgcd_howell,
@@ -73,6 +74,11 @@ def test_make_ring_rejects_bad_sqrt():
 def test_make_ring_rejects_nonprime():
     with pytest.raises(BanalityViolation):
         make_ring(11, 6)
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 25, 49])
+def test_make_ring_rejects_prime_powers_and_small_p(p):
+    with pytest.raises(BanalityViolation):
+        make_ring(13, p)
 
 
 # -------------------------------------------------------------- howell_form
@@ -373,6 +379,77 @@ def _coset_key(v, m, n):
 def _quotient_size(m, n):
     sp = span_of(m.relations.entries, n) if m.relations.entries else {tuple([0] * m.ambient)}
     return n ** m.ambient // len(sp)
+
+
+def _presentations(n, rnd):
+    # tall, wide, zero-row and all-unit-pivot relations, plus rows scaled
+    # by divisors of n so that pivots of every valuation occur
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    for ambient, count in [(3, 6), (5, 2), (4, 0), (0, 0), (6, 4)]:
+        yield ambient, [[rnd.randrange(n) for _ in range(ambient)]
+                        for _ in range(count)]
+    for _ in range(3):
+        yield 5, [[rnd.randrange(n) * d % n for _ in range(5)]
+                  for d in rnd.sample(divs, min(4, len(divs)))]
+    yield 4, [[0] * i + [1] + [rnd.randrange(n) for _ in range(3 - i)]
+              for i in range(3)]
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 36, 64, 121, 143, 210, 1000])
+def test_iso_class_matches_integer_smith_form(n):
+    rnd = random.Random(n)
+    r = carrier(n)
+    for _ in range(6):
+        for ambient, rows in _presentations(n, rnd):
+            m = quotient_module(free_module(r, ambient), rows)
+            assert iso_class(m) == integer_iso_class(m), (ambient, rows)
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 36])
+def test_iso_class_matches_sympy_smith_form(n):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rnd = random.Random(100 + n)
+    r = carrier(n)
+    for _ in range(10):
+        ambient = rnd.randint(1, 4)
+        rows = [[rnd.randrange(n) for _ in range(ambient)]
+                for _ in range(rnd.randint(0, 4))]
+        m = quotient_module(free_module(r, ambient), rows)
+        stack = list(m.relations.entries) + [
+            [n * (i == j) for j in range(ambient)] for i in range(ambient)]
+        want = invariant_factors(sympy.Matrix(stack), domain=sympy.ZZ)
+        assert iso_class(m) == sorted(
+            (abs(int(d)) for d in want if abs(int(d)) > 1), reverse=True)
+
+@pytest.mark.parametrize("n", [12, 36])
+def test_module_isomorphism_bijective_over_two_primes(n):
+    # the second presentation mixes the generators by an invertible matrix
+    # and adds a generator that a unit relation kills, so the map passes
+    # through the unit-pivot step and the CRT assembly on both sides
+    rnd = random.Random(n)
+    r = carrier(n)
+    for _ in range(20):
+        rows = [[rnd.randrange(n) * rnd.choice([1, 2, 3, 6]) % n
+                 for _ in range(2)] for _ in range(rnd.randint(1, 2))]
+        a, b = rnd.randrange(n), rnd.randrange(n)
+        mix = [[1 + a * b, a], [b, 1]]    # determinant 1
+        mixed = [[0] + [sum(x * mix[i][j] for i, x in enumerate(row)) % n
+                        for j in range(2)] for row in rows]
+        mixed.append([1, rnd.randrange(n), rnd.randrange(n)])
+        m1 = quotient_module(free_module(r, 2), rows)
+        m2 = quotient_module(free_module(r, 3), mixed)
+        iso = module_isomorphism(m1, m2)
+        assert iso is not None
+        span1 = span_of(m1.relations.entries, n, 2)
+        span2 = span_of(m2.relations.entries, n, 3)
+        for v in all_vectors(2, n):
+            assert (tuple(iso.apply(v)) in span2) == (v in span1)
+        assert n ** 2 // len(span1) == n ** 3 // len(span2)
+
+def test_module_isomorphism_refuses_other_classes():
+    r = carrier(12)
+    m1 = quotient_module(free_module(r, 2), [[2, 0]])
+    m2 = quotient_module(free_module(r, 2), [[4, 0]])
+    assert module_isomorphism(m1, m2) is None
 
 
 # --------------------------------------------------------------- left kernel

@@ -27,7 +27,7 @@ from strata_glue.finite_rep import (
     unram_pair,
 )
 from strata_glue import sl2_coh
-from bruteforce import fixed_points as dense_fixed_points
+from bruteforce import fixed_points as dense_fixed_points, integer_iso_class
 from strata_glue.sl2_coh import (
     AcyclicityFailed,
     bt_ball,
@@ -103,6 +103,14 @@ def test_ball_chain_homology_is_a_point():
             h = ball.homology(ring)
             assert iso_class(h[0]) == [ring.n]
             assert h[1].is_zero()
+
+
+def test_ball_iso_class_at_radius_five_and_composite_n():
+    h = bt_ball(3, 5).homology(make_ring(11, 3))
+    assert iso_class(h[0]) == [11]
+    for n in (121, 143):
+        for mod in bt_ball(3, 3).homology(make_ring(n, 3)).values():
+            assert iso_class(mod) == integer_iso_class(mod)
 
 
 def test_ball_chain_complex_degrees():

@@ -38,10 +38,10 @@ from .padic_core import (
     PrecisionExhausted,
     SubgroupSpec,
     UnsupportedSubgroup,
+    _eta_inv_images,
     _in_gl2_o,
     _unit_gens,
     act,
-    diag_matrix,
     enumerate_p1,
     orbits,
     subgroup_generators,
@@ -398,12 +398,12 @@ def _uprime_rows(sig, raised):
     """Rows spanning the Uprime-fixed space, solved on U-orbit constants.
 
     eta^-1 has a pole: it sends each level-(m+1) point x2 to a level-m
-    point y with a unit weight w, one act() per x2, which the extra digit
-    certifies.  The translate of v is U-fixed iff w * v[y] is one constant
-    c_O over each U-orbit O of level m+1.  So v[y] = c_O / w, two points
-    over the same y constrain c, and the system is as wide as the orbit
-    count.  Steinberg solves on its parent, whose constants are fixed, and
-    drops them.
+    point y with a unit weight w.  The closed-form images of
+    padic_core._eta_inv_images replace one act() per x2.  The translate of
+    v is U-fixed iff w * v[y] is one constant c_O over each U-orbit O of
+    level m+1.  So v[y] = c_O / w, two points over the same y constrain c,
+    and the system is as wide as the orbit count.  Steinberg solves on its
+    parent, whose constants are fixed, and drops them.
     """
     if sig.kind == "trivial":
         return [(1,)]
@@ -417,19 +417,17 @@ def _uprime_rows(sig, raised):
     base, top = sig, raised
     if sig.kind == "steinberg":
         base, top = sig.parent, raised.parent
-    orbit_of = {}
+    orbit_of = [None] * top.rank
     blocks = orbits(SubgroupSpec("U", m=m + 1), m + 1, p)
     for o, block in enumerate(blocks):
         for x in block:
-            orbit_of[x] = o
-    eta_inv = diag_matrix(p, 0, -1)
+            orbit_of[_point_index(x)] = o
+    weight = {tv: ring.inv(_chi_val(ring, base.chi, tv))
+              for tv in ((-1, 0), (0, -1))}
     over = [None] * base.rank
     cons = set()
-    for x2 in top.labels:
-        y, coc = act(x2, eta_inv, m)
-        term = (orbit_of[x2],
-                ring.inv(_chi_val(ring, base.chi, coc.torus_vals)))
-        i = _point_index(y)
+    for o, (i, tv) in zip(orbit_of, _eta_inv_images(p, m)):
+        term = (o, weight[tv])
         if over[i] is None:
             over[i] = term
         elif over[i] != term:

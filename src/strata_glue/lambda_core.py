@@ -349,14 +349,15 @@ def express_in_span(v, hmat):
     n = hmat.ring.n
     v = [e % n for e in v]
     coeffs = [0] * hmat.nrows
-    for i, row in enumerate(hmat.entries):
-        c = next(j for j in range(hmat.cols) if row[j] != 0)
+    c = -1
+    for i, row in enumerate(hmat.entries):   # pivots strictly increase
+        c = next(j for j in range(c + 1, hmat.cols) if row[j])
         d = row[c]
         if v[c] % d != 0:
             return None
         q = v[c] // d
         coeffs[i] = q % n
-        for j in range(hmat.cols):
+        for j in range(c, hmat.cols):
             v[j] = (v[j] - q * row[j]) % n
     if any(v):
         return None
@@ -391,9 +392,9 @@ class FgModule:
         return in_span(v, self.relations)
 
     def size(self):
-        span = 1
-        for row in self.relations.entries:
-            c = next(j for j in range(self.relations.cols) if row[j] != 0)
+        span, c = 1, -1
+        for row in self.relations.entries:   # pivots strictly increase
+            c = next(j for j in range(c + 1, self.ambient) if row[j])
             span *= self.ring.n // row[c]
         return self.ring.n ** self.ambient // span
 

@@ -9,16 +9,18 @@ with PrecisionExhausted instead of guessing.
 
 Points are stored in canonical affine form, [1:t] when the first coordinate
 can lead and [s:1] with v(s) >= 1 otherwise, so equality is plain field
-comparison.  Orbits are merged by union-find at the working level m from
-two sweeps: generators in GL2(O) (integral, unit determinant) act on the
-level-m points by plain residue arithmetic mod p^m, and every other
-generator goes through act() at a raised internal level, which certifies
-each image or raises PrecisionExhausted.  Generator inverses are never
-applied because the image of each generator in the finite quotient has
-finite order.
+comparison.  Orbits are merged at the working level m by a union-find with
+path halving, run inline over one generator's images at a time, from two
+sweeps: generators in GL2(O) (integral, unit determinant) act on the
+level-m points by plain residue arithmetic mod p^m, reading one table of
+unit inverses built per orbits() call, and every other generator goes
+through act() at a raised internal level, which certifies each image or
+raises PrecisionExhausted.  Generator inverses are never applied because
+the image of each generator in the finite quotient has finite order.
 """
 
 import json
+from itertools import count, islice
 
 INF = 10 ** 9  # absolute-precision sentinel for exactly known values
 
@@ -462,39 +464,64 @@ def closure_size(gens, p, m):
 
 # ------------------------------------------------------------------ orbits
 
-def _find(parent, i):
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
 def _in_gl2_o(g):
     # integral with a unit determinant: acts on P^1(O/pi^m) for every m
     det = g.det()
     return g.maxneg() == 0 and det.a != 0 and det.w == 0
 
 
-def _integral_images(g, p, m):
+def _unit_inverses(p, m):
+    """inv[u] = u^-1 mod p^m for every unit u < p^m; 0 at the non-units."""
+    md = p ** m
+    inv = [0] * md
+    for u in range(1, md):
+        if u % p:
+            inv[u] = pow(u, -1, md)
+    return inv
+
+
+def _integral_images(g, p, m, inv):
     """Index of x*g for every level-m point x, in enumerate_p1 order.
 
     [1:t] has index t and [s:1] index p^m + s//p.  g must lie in GL2(O):
     it maps the primitive lift (1, t) or (s, 1) to a primitive (c1, c2), so
     one coordinate is a unit and the ratio is exact mod p^m; this is what
-    act(x, g, m) returns.
+    act(x, g, m) returns.  inv is _unit_inverses(p, m).  Along each cell
+    the lifts step by (0, 1) or (p, 0), so their images step by (c, d) or
+    (p*a, p*b).
     """
     md = p ** m
     (a, b), (c, d) = g.int_entries(m)
-    lifts = [(1, t) for t in range(md)] + [(s, 1) for s in range(0, md, p)]
     out = []
-    for x1, x2 in lifts:
-        c1 = (x1 * a + x2 * c) % md
-        c2 = (x1 * b + x2 * d) % md
-        if c1 % p:
-            out.append(c2 * pow(c1, -1, md) % md)
-        else:
-            out.append(md + c1 * pow(c2, -1, md) % md // p)
+    for c1, dc1, c2, dc2, size in ((a, c, b, d, md),
+                                   (c, p * a, d, p * b, md // p)):
+        for c1, c2 in zip(islice(count(c1, dc1), size), count(c2, dc2)):
+            c1 %= md
+            if c1 % p:
+                out.append(c2 * inv[c1] % md)
+            else:
+                out.append(md + c1 * inv[c2 % md] % md // p)
     return out
+
+
+def _eta_inv_images(p, m):
+    """Yield the index at level m and the torus_vals of x * diag(1, pi^-1),
+    as act() gives them, for every level-(m+1) point x in enumerate_p1
+    order.
+
+    [1:t] goes to [1:t/p] with torus_vals (-1, 0) when p | t, and to
+    [p/t:1] with (0, -1) when t is a unit; [s:1] goes to [p*s:1] with
+    (0, -1).
+    """
+    md = p ** m
+    inv = _unit_inverses(p, m)
+    for t in range(p * md):
+        if t % p == 0:
+            yield t // p, (-1, 0)
+        else:
+            yield md + p * inv[t % md] % md // p, (0, -1)
+    for s in range(0, p * md, p):
+        yield md + p * s % md // p, (0, -1)
 
 
 def orbits(spec, m, p):
@@ -503,45 +530,55 @@ def orbits(spec, m, p):
     Every point feeds one union per generator, and union-find closes the
     relation symmetrically.  Two sweeps share the work.  A generator in
     GL2(O) acts on the level-m points themselves, by residue arithmetic mod
-    p^m (_integral_images).  Every other generator, one with a pole or with
-    a non-unit determinant, goes through act() on each point of a raised
-    internal level L: L exceeds m by twice the pole depth plus slack, and
-    act() raises PrecisionExhausted where even that cannot certify the
-    image at level m.
+    p^m (_integral_images).  One table of unit inverses mod p^m, built per
+    call, serves every such generator, and the images of one generator are
+    merged before the next one's are made.  Every other generator, one with
+    a pole or with a non-unit determinant, goes through act() on each point
+    of a raised internal level L: L exceeds m by twice the pole depth plus
+    slack, and act() raises PrecisionExhausted where even that cannot
+    certify the image at level m.  Blocks list their points in enumerate_p1
+    order and come in the order of their first points.
     """
     gens = subgroup_generators(spec, p)
     base = enumerate_p1(p, m)
     parent = list(range(len(base)))
 
-    def union(i, j):
-        ri, rj = _find(parent, i), _find(parent, j)
-        if ri != rj:
-            parent[rj] = ri
+    def merge(pairs):
+        # union-find with path halving, inlined in one loop per sweep (the
+        # chained assignment sets parent[i] before i moves); the root of
+        # each class is its least index
+        for i, j in pairs:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i < j:
+                parent[j] = i
+            elif j < i:
+                parent[i] = j
 
+    inv = _unit_inverses(p, m)
     rest = []
     for g in gens:
         # at level 0 no residue is a unit, and act() alone decides
         if m >= 1 and _in_gl2_o(g):
-            for i, j in enumerate(_integral_images(g, p, m)):
-                union(i, j)
+            merge(enumerate(_integral_images(g, p, m, inv)))
         else:
             rest.append(g)
     if rest:
         depth = max(g.maxneg() for g in rest)
         internal = m if depth == 0 else m + 2 * depth + 2
         index = {x: i for i, x in enumerate(base)}
-        for x in enumerate_p1(p, internal):
-            src = index[x.project(m)]
-            for g in rest:
-                y, _ = act(x, g, m)
-                union(src, index[y])
+        merge((index[x.project(m)], index[act(x, g, m)[0]])
+              for x in enumerate_p1(p, internal) for g in rest)
 
+    # parents point to lesser indices, so in index order the parent's
+    # parent is already the root
     blocks = {}
     for i, x in enumerate(base):
-        blocks.setdefault(_find(parent, i), []).append(x)
-    out = [tuple(sorted(b)) for b in blocks.values()]
-    out.sort(key=lambda b: b[0])
-    return out
+        parent[i] = r = parent[parent[i]]
+        blocks.setdefault(r, []).append(x)
+    return [tuple(b) for b in blocks.values()]
 
 
 def orbit_count_formula(p, k):

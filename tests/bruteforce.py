@@ -2,8 +2,8 @@
 the orbit sweep, plus reference copies of replaced fast paths.
 
 Everything here is deliberately naive: closures, full vector enumeration,
-element-order multisets, one act() per generator and point, an
-extended-gcd combine for every row of a Howell column, a pullback that
+element-order multisets, one act() per generator and point, one pow()
+and one union-find call per point and generator, an extended-gcd combine for every row of a Howell column, a pullback that
 solves for each point's source point afresh, a Jacquet stage engine that
 smooths vectors on every point of the line, fixed points as the kernel of
 dense action matrices, and iso classes from the integer Smith form of the
@@ -11,8 +11,8 @@ relations stacked on n * I.  The linear algebra oracles
 are feasible for ambient rank <= 4 and modulus <= 9, which is the regime
 the property tests run in.  The package code must agree with these
 oracles.  Beyond the public API they import only helpers that they do not
-restate: the unit generators, the 2x2 scaled inverse and the unchecked
-matrix wrapper.
+restate: the unit generators, the GL2(O) test, the 2x2 scaled inverse and
+the unchecked matrix wrapper.
 """
 
 import itertools
@@ -22,9 +22,9 @@ from strata_glue.finite_rep import LevelMismatch, _scaled_inverse
 from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
                                      howell_form, kernel, quotient_module)
 from strata_glue.padic_core import (ProjPoint, SubgroupSpec,
-                                   UnsupportedSubgroup, _unit_gens, act,
-                                   diag_matrix, enumerate_p1,
-                                   subgroup_generators)
+                                   UnsupportedSubgroup, _in_gl2_o,
+                                   _unit_gens, act, diag_matrix,
+                                   enumerate_p1, subgroup_generators)
 
 
 def all_vectors(length, n):
@@ -124,6 +124,87 @@ def act_sweep_orbits(spec, m, p):
                     block[y] = a
     out = {id(b): tuple(sorted(b)) for b in block.values()}
     return sorted(out.values(), key=lambda b: b[0])
+
+
+# The GL2(O) residue sweep that orbits() ran before it shared one table of
+# unit inverses per call and inlined its union-find: one pow() per point
+# and generator, and one union() call per point and generator.  Copied
+# verbatim, kept as the reference for the new sweep.
+
+def _find(parent, i):
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _integral_images(g, p, m):
+    """Index of x*g for every level-m point x, in enumerate_p1 order.
+
+    [1:t] has index t and [s:1] index p^m + s//p.  g must lie in GL2(O):
+    it maps the primitive lift (1, t) or (s, 1) to a primitive (c1, c2), so
+    one coordinate is a unit and the ratio is exact mod p^m; this is what
+    act(x, g, m) returns.
+    """
+    md = p ** m
+    (a, b), (c, d) = g.int_entries(m)
+    lifts = [(1, t) for t in range(md)] + [(s, 1) for s in range(0, md, p)]
+    out = []
+    for x1, x2 in lifts:
+        c1 = (x1 * a + x2 * c) % md
+        c2 = (x1 * b + x2 * d) % md
+        if c1 % p:
+            out.append(c2 * pow(c1, -1, md) % md)
+        else:
+            out.append(md + c1 * pow(c2, -1, md) % md // p)
+    return out
+
+
+def residue_sweep_orbits(spec, m, p):
+    """Partition of P^1(O/pi^m) into orbits of the named subgroup.
+
+    Every point feeds one union per generator, and union-find closes the
+    relation symmetrically.  Two sweeps share the work.  A generator in
+    GL2(O) acts on the level-m points themselves, by residue arithmetic mod
+    p^m (_integral_images).  Every other generator, one with a pole or with
+    a non-unit determinant, goes through act() on each point of a raised
+    internal level L: L exceeds m by twice the pole depth plus slack, and
+    act() raises PrecisionExhausted where even that cannot certify the
+    image at level m.
+    """
+    gens = subgroup_generators(spec, p)
+    base = enumerate_p1(p, m)
+    parent = list(range(len(base)))
+
+    def union(i, j):
+        ri, rj = _find(parent, i), _find(parent, j)
+        if ri != rj:
+            parent[rj] = ri
+
+    rest = []
+    for g in gens:
+        # at level 0 no residue is a unit, and act() alone decides
+        if m >= 1 and _in_gl2_o(g):
+            for i, j in enumerate(_integral_images(g, p, m)):
+                union(i, j)
+        else:
+            rest.append(g)
+    if rest:
+        depth = max(g.maxneg() for g in rest)
+        internal = m if depth == 0 else m + 2 * depth + 2
+        index = {x: i for i, x in enumerate(base)}
+        for x in enumerate_p1(p, internal):
+            src = index[x.project(m)]
+            for g in rest:
+                y, _ = act(x, g, m)
+                union(src, index[y])
+
+    blocks = {}
+    for i, x in enumerate(base):
+        blocks.setdefault(_find(parent, i), []).append(x)
+    out = [tuple(sorted(b)) for b in blocks.values()]
+    out.sort(key=lambda b: b[0])
+    return out
 
 
 def _xgcd(a, b):

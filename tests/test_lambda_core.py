@@ -6,7 +6,7 @@ match the implementation.
 """
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +22,7 @@ from strata_glue.lambda_core import (
     IllDefinedMap,
     LambdaMatrix,
     ModuleMap,
+    express_in_span,
     free_module,
     homology,
     howell_form,
@@ -419,6 +420,34 @@ def test_iso_class_matches_sympy_smith_form(n):
         want = invariant_factors(sympy.Matrix(stack), domain=sympy.ZZ)
         assert iso_class(m) == sorted(
             (abs(int(d)) for d in want if abs(int(d)) > 1), reverse=True)
+
+@pytest.mark.parametrize("n", [11, 12, 121, 143])
+def test_size_is_product_of_iso_class(n):
+    rnd = random.Random(f"size:{n}")
+    r = carrier(n)
+    for _ in range(6):
+        for ambient, rows in _presentations(n, rnd):
+            m = quotient_module(free_module(r, ambient), rows)
+            assert m.size() == prod(iso_class(m)), (ambient, rows)
+
+@pytest.mark.parametrize("n", [4, 6, 9, 12])
+def test_express_in_span_against_enumeration(n):
+    rnd = random.Random(f"express:{n}")
+    r = carrier(n)
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    for _ in range(10):
+        rows = [[rnd.randrange(n) * rnd.choice(divs) % n for _ in range(3)]
+                for _ in range(rnd.randint(0, 3))]
+        h = howell_form(LambdaMatrix(r, rows, cols=3))
+        span = span_of(rows, n, 3)
+        for v in all_vectors(3, n):
+            c = express_in_span(list(v), h)
+            if v not in span:
+                assert c is None, (rows, v)
+                continue
+            got = [sum(ci * row[j] for ci, row in zip(c, h.entries)) % n
+                   for j in range(3)]
+            assert tuple(got) == v, (rows, v)
 
 @pytest.mark.parametrize("n", [12, 36])
 def test_module_isomorphism_bijective_over_two_primes(n):

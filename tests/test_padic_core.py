@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import act_sweep_orbits
+from bruteforce import act_sweep_orbits, residue_sweep_orbits
 from strata_glue.padic_core import (
     ClassificationMismatch,
     PrecisionExhausted,
@@ -23,7 +23,8 @@ from strata_glue.padic_core import (
     orbits,
     subgroup_generators,
 )
-from strata_glue.padic_core import _in_gl2_o, _integral_images
+from strata_glue.padic_core import (_eta_inv_images, _in_gl2_o,
+                                   _integral_images, _unit_inverses)
 
 
 # ------------------------------------------------------------ enumerate_p1
@@ -218,7 +219,7 @@ def test_integral_images_equal_act(p, m):
     for spec in specs:
         for g in subgroup_generators(spec, p):
             assert _in_gl2_o(g)
-            imgs = _integral_images(g, p, m)
+            imgs = _integral_images(g, p, m, _unit_inverses(p, m))
             assert [pts[i] for i in imgs] == [act(x, g, m)[0] for x in pts]
 
 
@@ -236,6 +237,39 @@ def test_orbits_equal_act_sweep(p, m):
                 orbits(spec, m, p)
             continue
         assert orbits(spec, m, p) == want, spec
+
+
+# the orbits workload's shapes, (p, k) at levels 2k-1 and 2k, and depth 1
+# at p = 2, where the unit generators 3 and 5 generate different groups
+@pytest.mark.parametrize("kind,p,k,m", [
+    *(("Gamma_k", p, k, m)
+      for p, k in ((3, 4), (2, 6), (7, 2)) for m in (2 * k - 1, 2 * k)),
+    *((kind, 2, 1, m) for kind in ("Gamma_k", "K_m") for m in (2, 3, 4, 5)),
+])
+def test_orbits_equal_residue_sweep(kind, p, k, m):
+    spec = SubgroupSpec(kind, m=m, k=k)
+    assert orbits(spec, m, p) == residue_sweep_orbits(spec, m, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_unit_inverses(p, m):
+    md = p ** m
+    inv = _unit_inverses(p, m)
+    assert len(inv) == md
+    assert all(u * inv[u] % md == 1 for u in range(md) if u % p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", range(5))
+def test_eta_inv_images_equal_act(p, m):
+    index = {x: i for i, x in enumerate(enumerate_p1(p, m))}
+    eta_inv = diag_matrix(p, 0, -1)
+    want = []
+    for x in enumerate_p1(p, m + 1):
+        y, coc = act(x, eta_inv, m)
+        want.append((index[y], coc.torus_vals))
+    assert list(_eta_inv_images(p, m)) == want
 
 
 @pytest.mark.parametrize("kind", ["T", "B", "eta"])

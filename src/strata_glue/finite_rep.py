@@ -559,11 +559,22 @@ class _StageEngine:
     def _pull_table(self, d1, d2):
         """Source index of each point under the pullback along right
         translation by diag(d1, d2), and the weight times w_out at the
-        source; neither depends on the vector or the stage."""
+        source; neither depends on the vector or the stage.
+
+        For units d1, d2 the weight is constant and the sources are closed
+        forms: [1:t] pulls from [1:t*d2/d1], [s:1] from [s*d1/d2:1].
+        """
         p, md = self.p, self.p ** self.big_l
         vdet = _vp(d1, p) + _vp(d2, p)
         weight = [_chi_val(self.ring, (self.c1, self.c2), (vdet - v, v))
                   for v in range(vdet + 1)]
+        if vdet == 0:
+            r = d2 * pow(d1, -1, md) % md
+            src = [t * r % md for t in range(md)]
+            r = d1 * pow(d2, -1, md) % md
+            src.extend(md + s * r % md // p for s in range(0, md, p))
+            w = weight[0]
+            return src, [w * self.w_out[t] % self.n for t in src]
         src, wts = [], []
         for i in range(self.size):
             if i < md:

@@ -377,10 +377,17 @@ def _unit_gens(p, m):
 
 
 def subgroup_generators(spec, p):
-    """Generator matrices, all with exact entries.
+    """A generating set of the named subgroup, as matrices with exact
+    entries.
 
     Unit parameters are taken mod p^spec.m, so the generated image is only
-    meaningful at levels up to m.
+    meaningful at levels up to m.  Gamma_k and K_m get one generating set
+    each, not one set per depth lev in [k, m): the unipotent at depth lev
+    is the p^(lev-k)-th power of the one at depth k, and 1 + p^k generates
+    1 + p^k Z_p when p is odd or k >= 2, so for k >= 1 the depth-k
+    generators suffice, with those at depth 2 added when p = 2 and k = 1
+    (1 + 2 Z_2 needs 5 as well as 3).  At k = 0 the unit 1 + p^0 = 2 need
+    not generate, and every depth is kept.
     """
     m, k, j = spec.m, spec.k, spec.j
     kind = spec.kind
@@ -395,23 +402,25 @@ def subgroup_generators(spec, p):
             gens.append(laurent_matrix(p, [[u, 0], [0, 1]]))
             gens.append(laurent_matrix(p, [[1, 0], [0, u]]))
         return gens
-    if kind == "Gamma_k":
-        md = p ** m
+    if kind in ("Gamma_k", "K_m"):
+        # the depths whose generators are kept; see above
+        if k == 0:
+            depths = range(m)
+        elif p == 2 and k == 1:
+            depths = range(1, min(m, 3))
+        else:
+            depths = range(k, min(m, k + 1))
         gens = []
-        for lev in range(k, m):
+        for lev in depths:
             u = 1 + p ** lev
             gens.append(elem_upper(p, 1, lev))
             gens.append(elem_lower(p, 1, lev))
-            gens.append(laurent_matrix(p, [[u, 0], [0, pow(u, -1, md)]]))
-        return gens
-    if kind == "K_m":
-        gens = []
-        for lev in range(k, m):
-            u = 1 + p ** lev
-            gens.append(elem_upper(p, 1, lev))
-            gens.append(elem_lower(p, 1, lev))
-            gens.append(laurent_matrix(p, [[u, 0], [0, 1]]))
-            gens.append(laurent_matrix(p, [[1, 0], [0, u]]))
+            if kind == "Gamma_k":
+                gens.append(laurent_matrix(
+                    p, [[u, 0], [0, pow(u, -1, p ** m)]]))
+            else:
+                gens.append(laurent_matrix(p, [[u, 0], [0, 1]]))
+                gens.append(laurent_matrix(p, [[1, 0], [0, u]]))
         return gens
     if kind == "N_j":
         return [elem_upper(p, 1, -j)]
@@ -611,13 +620,15 @@ def orbit_classification_check(k, p, n):
     if len(part) != expected:
         raise ClassificationMismatch("orbit count disagrees with closed form")
     step = p ** k
-    inf_block = next(b for b in part
-                     if ProjPoint.inf_cell(p, m, 0) in b)
+    # blocks list their points in enumerate_p1 order and each disc's centre
+    # is its least point, so a block equal to a disc starts with its centre
+    inf = ProjPoint.inf_cell(p, m, 0)
+    inf_block = next((b for b in part if b[0] == inf), ())
     if set(inf_block) != {ProjPoint.inf_cell(p, m, s)
                           for s in range(0, p ** m, step)}:
         raise ClassificationMismatch("infinity orbit is not the depth-k disc")
-    zero_block = next(b for b in part
-                      if ProjPoint.big_cell(p, m, 0) in b)
+    zero = ProjPoint.big_cell(p, m, 0)
+    zero_block = next((b for b in part if b[0] == zero), ())
     if set(zero_block) != {ProjPoint.big_cell(p, m, t)
                            for t in range(0, p ** m, step)}:
         raise ClassificationMismatch("zero orbit is not the depth-k disc")

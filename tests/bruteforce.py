@@ -2,7 +2,8 @@
 the orbit sweep, plus reference copies of replaced fast paths.
 
 Everything here is deliberately naive: closures, full vector enumeration,
-element-order multisets, one act() per generator and point, one pow()
+element-order multisets, congruence subgroups generated at every depth,
+one act() per generator and point, one pow()
 and one union-find call per point and generator, an extended-gcd combine for every row of a Howell column, a pullback that
 solves for each point's source point afresh, a Jacquet stage engine that
 smooths vectors on every point of the line, fixed points as the kernel of
@@ -23,8 +24,8 @@ from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
                                      howell_form, kernel, quotient_module)
 from strata_glue.padic_core import (ProjPoint, SubgroupSpec,
                                    UnsupportedSubgroup, _in_gl2_o,
-                                   _unit_gens, act, diag_matrix,
-                                   enumerate_p1, subgroup_generators)
+                                   _unit_gens, act, diag_matrix, elem_lower,
+                                   elem_upper, enumerate_p1, laurent_matrix)
 
 
 def all_vectors(length, n):
@@ -106,11 +107,74 @@ def orders_of_factor_sum(factors, n):
     return orders
 
 
+# subgroup_generators as it ran before it returned one generating set per
+# group: Gamma_k and K_m list their generators at every depth in [k, m).
+# Copied verbatim; the orbit and fixed-point references below sweep these,
+# so they do not follow a trim of the live generating sets.
+
+def level_generators(spec, p):
+    """Generator matrices, all with exact entries.
+
+    Unit parameters are taken mod p^spec.m, so the generated image is only
+    meaningful at levels up to m.
+    """
+    m, k, j = spec.m, spec.k, spec.j
+    kind = spec.kind
+    if kind == "U":
+        return [elem_upper(p, 1), elem_lower(p, 1)]
+    if kind == "Uprime":
+        # conjugate of U by diag(1, pi)
+        return [elem_upper(p, 1, -1), elem_lower(p, 1, 1)]
+    if kind == "Gamma0":
+        gens = [elem_upper(p, 1), elem_lower(p, 1, 1)]
+        for u in _unit_gens(p, m):
+            gens.append(laurent_matrix(p, [[u, 0], [0, 1]]))
+            gens.append(laurent_matrix(p, [[1, 0], [0, u]]))
+        return gens
+    if kind == "Gamma_k":
+        md = p ** m
+        gens = []
+        for lev in range(k, m):
+            u = 1 + p ** lev
+            gens.append(elem_upper(p, 1, lev))
+            gens.append(elem_lower(p, 1, lev))
+            gens.append(laurent_matrix(p, [[u, 0], [0, pow(u, -1, md)]]))
+        return gens
+    if kind == "K_m":
+        gens = []
+        for lev in range(k, m):
+            u = 1 + p ** lev
+            gens.append(elem_upper(p, 1, lev))
+            gens.append(elem_lower(p, 1, lev))
+            gens.append(laurent_matrix(p, [[u, 0], [0, 1]]))
+            gens.append(laurent_matrix(p, [[1, 0], [0, u]]))
+        return gens
+    if kind == "N_j":
+        return [elem_upper(p, 1, -j)]
+    if kind == "T":
+        gens = [diag_matrix(p, 1, 0), diag_matrix(p, 0, 1)]
+        for u in _unit_gens(p, m):
+            gens.append(laurent_matrix(p, [[u, 0], [0, 1]]))
+            gens.append(laurent_matrix(p, [[1, 0], [0, u]]))
+        return gens
+    if kind == "Ts":
+        md = p ** m
+        gens = [diag_matrix(p, 1, -1)]
+        for u in _unit_gens(p, m):
+            gens.append(laurent_matrix(p, [[u, 0], [0, pow(u, -1, md)]]))
+        return gens
+    if kind == "eta":
+        return [diag_matrix(p, 0, 1)]
+    if kind == "B":
+        return level_generators(SubgroupSpec("T", m=m), p) + [elem_upper(p, 1)]
+    raise UnsupportedSubgroup(kind)
+
+
 def act_sweep_orbits(spec, m, p):
     """Orbit partition by one act() per generator and point, as orbits()
     computed it for every generator before its residue sweep: all points of
     a level raised by twice the pole depth plus slack, merged at level m."""
-    gens = subgroup_generators(spec, p)
+    gens = level_generators(spec, p)
     depth = max((g.maxneg() for g in gens), default=0)
     internal = m if depth == 0 else m + 2 * depth + 2
     base = enumerate_p1(p, m)
@@ -172,7 +236,7 @@ def residue_sweep_orbits(spec, m, p):
     act() raises PrecisionExhausted where even that cannot certify the
     image at level m.
     """
-    gens = subgroup_generators(spec, p)
+    gens = level_generators(spec, p)
     base = enumerate_p1(p, m)
     parent = list(range(len(base)))
 
@@ -329,6 +393,42 @@ def per_point_pull(eng, v, d1, d2):
             w = pow(eng.c1, vdet - vl, n) * pow(eng.c2, vl, n) % n
             out[i] = w * val % n
     return out
+
+
+# _StageEngine._pull_table as it ran before the unit probes read their
+# sources from a closed form: one valuation pair and one modular inverse
+# per point, for every probe.  Copied verbatim as a function of the engine.
+
+def loop_pull_table(eng, d1, d2):
+    """Source index of each point under the pullback along right
+    translation by diag(d1, d2), and the weight times w_out at the
+    source; neither depends on the vector or the stage."""
+    p, md = eng.p, eng.p ** eng.big_l
+    vdet = _vp(d1, p) + _vp(d2, p)
+    weight = [_chi_val(eng.ring, (eng.c1, eng.c2), (vdet - v, v))
+              for v in range(vdet + 1)]
+    src, wts = [], []
+    for i in range(eng.size):
+        if i < md:
+            a, b = d1, i * d2
+        else:
+            a, b = (i - md) * p * d1, d2
+        if a == 0:
+            tgt, vl = md, _vp(b, p)
+        elif b == 0:
+            tgt, vl = 0, _vp(a, p)
+        else:
+            va, vb = _vp(a, p), _vp(b, p)
+            vl = min(va, vb)
+            ua = a // p ** va
+            ub = b // p ** vb
+            if va <= vb:
+                tgt = p ** (vb - va) * ub * pow(ua, -1, md) % md
+            else:
+                tgt = md + p ** (va - vb) * ua * pow(ub, -1, md) % md // p
+        src.append(tgt)
+        wts.append(weight[vl] * eng.w_out[tgt] % eng.n)
+    return src, wts
 
 
 def _chi_val(ring, chi, torus_vals):
@@ -518,7 +618,7 @@ def fixed_points(sig, spec):
             f"subgroup at level {spec.m}, model at level {sig.level}")
     if spec.kind == "Uprime":
         return _uprime_fixed(sig)
-    gens = subgroup_generators(spec, sig.p)
+    gens = level_generators(spec, sig.p)
     if any(g.maxneg() > 0 for g in gens):
         raise UnsupportedSubgroup(spec.kind)
     ring, k = sig.ring, sig.rank

@@ -22,7 +22,7 @@ from strata_glue.padic_core import (
     orbits,
 )
 from strata_glue import finite_rep
-from bruteforce import PointStageEngine, per_point_pull
+from bruteforce import PointStageEngine, loop_pull_table, per_point_pull
 from bruteforce import fixed_points as dense_fixed_points
 from strata_glue.finite_rep import (
     LevelMismatch,
@@ -437,6 +437,31 @@ def test_disc_engine_matches_point_engine(ring, m, spec, monkeypatch):
     got = [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
     monkeypatch.setattr(finite_rep, "_StageEngine", PointStageEngine)
     assert got == [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
+
+
+R13 = make_ring(13, 5)
+
+
+@pytest.mark.parametrize("ring", [R11, R7, R143, R121, R13],
+                         ids=lambda r: f"n{r.n}-p{r.p}")
+def test_unit_pull_tables_equal_loop(ring):
+    # the closed-form tables of the unit probes against the per-point loop:
+    # the engine's own probes, then unit pairs off its list
+    p, n = ring.p, ring.n
+    rng = random.Random(f"unit-pull:{n}")
+    units = [c for c in range(1, n) if ring.is_unit(c)]
+    for big_l in range(1, 6):
+        md = p ** big_l
+        for m in range(1, big_l + 1):
+            chi = (rng.choice(units), rng.choice(units))
+            eng = finite_rep._StageEngine(ring, p, m, big_l, chi)
+            probes = [op for op in eng.ops if op != (p, 1)]
+            md_units = [x for x in range(1, md) if x % p]
+            u, v = rng.choice(md_units), rng.choice(md_units)
+            probes += [(u, 1), (1, u), (u, v)]
+            for d1, d2 in probes:
+                assert eng._pull_table(d1, d2) == loop_pull_table(eng, d1,
+                                                                  d2)
 
 
 def test_jacquet_needs_precision():

@@ -5,7 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import act_sweep_orbits, residue_sweep_orbits
+from bruteforce import (act_sweep_orbits, level_generators,
+                        residue_sweep_orbits)
+from strata_glue import padic_core
 from strata_glue.padic_core import (
     ClassificationMismatch,
     PrecisionExhausted,
@@ -152,6 +154,27 @@ def test_closure_K_m():
         gens = subgroup_generators(SubgroupSpec("K_m", m=m, k=k), p=p)
         assert closure_size(gens, p, m) == p ** (4 * (m - k))
 
+def _closure_cases():
+    # every (kind, p, m, k) with 1 <= k <= m <= 8 and group order <= 4096
+    for kind, e in (("Gamma_k", 3), ("K_m", 4)):
+        for p in (2, 3, 5, 7):
+            for m in range(1, 9):
+                for k in range(1, m + 1):
+                    if p ** (e * (m - k)) <= 4096:
+                        yield kind, p, m, k, p ** (e * (m - k))
+
+
+@pytest.mark.parametrize("kind,p,m,k,order", list(_closure_cases()))
+def test_generating_set_closure(kind, p, m, k, order):
+    # one generating set per group: a prefix of the generators at every
+    # depth in [k, m), generating the same group, of the closed-form order
+    spec = SubgroupSpec(kind, m=m, k=k)
+    gens = subgroup_generators(spec, p)
+    every = level_generators(spec, p)
+    assert ([g.int_entries(m) for g in gens]
+            == [g.int_entries(m) for g in every[:len(gens)]])
+    assert closure_size(gens, p, m) == closure_size(every, p, m) == order
+
 def test_unsupported_subgroup():
     with pytest.raises(UnsupportedSubgroup):
         subgroup_generators(SubgroupSpec("Weyl", m=1), p=3)
@@ -251,6 +274,31 @@ def test_orbits_equal_residue_sweep(kind, p, k, m):
     assert orbits(spec, m, p) == residue_sweep_orbits(spec, m, p)
 
 
+# Gamma_k and K_m at every (p, m, k) up to |P^1| <= 400, p in {2, 3, 5, 7},
+# against the sweep of the generators at every depth in [k, m)
+@pytest.mark.parametrize("kind", ["Gamma_k", "K_m"])
+@pytest.mark.parametrize("p,m", [(p, m) for p, top in ((2, 8), (3, 5),
+                                                       (5, 3), (7, 3))
+                                 for m in range(1, top + 1)])
+def test_orbits_equal_level_generator_sweep(kind, p, m):
+    for k in range(1, m):
+        spec = SubgroupSpec(kind, m=m, k=k)
+        assert orbits(spec, m, p) == residue_sweep_orbits(spec, m, p), spec
+
+
+@pytest.mark.parametrize("p,m", GRID + [(2, 4), (3, 4)])
+def test_integral_images_equal_act_every_depth(p, m):
+    # the generators at depth lev > k, which subgroup_generators leaves out
+    pts = enumerate_p1(p, m)
+    inv = _unit_inverses(p, m)
+    for kind in ("Gamma_k", "K_m"):
+        for k in range(1, m):
+            for g in level_generators(SubgroupSpec(kind, m=m, k=k), p):
+                imgs = _integral_images(g, p, m, inv)
+                assert [pts[i] for i in imgs] == [act(x, g, m)[0]
+                                                  for x in pts]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("m", range(1, 7))
 def test_unit_inverses(p, m):
@@ -309,3 +357,63 @@ def test_classification_report_json():
     assert blob["orbit_count"] == 3
     assert all(set(o) == {"rep", "size"} for o in blob["orbits"])
     assert sum(o["size"] for o in blob["orbits"]) == len(enumerate_p1(2, blob["m"]))
+
+
+# The disc clauses, driven by partitions corrupted at level 2k so that the
+# orbit count, and with it the two count clauses, still passes.
+
+def _inf(p, m):
+    return ProjPoint.inf_cell(p, m, 0)
+
+
+def _move_inf_out(blocks, p, m):
+    # [0:1] leaves its disc for the zero block
+    inf = _inf(p, m)
+    for b in blocks:
+        b.discard(inf)
+    blocks[0].add(inf)
+
+
+def _split_zero(blocks, p, m):
+    # [1:0] alone, the rest of its disc apart, and two other blocks merged
+    zero = ProjPoint.big_cell(p, m, 0)
+    blocks.append(blocks[0] - {zero})
+    blocks[0] = {zero}
+    inf = _inf(p, m)
+    a, b = [blk for blk in blocks[1:] if inf not in blk][:2]
+    blocks.remove(b)
+    a |= b
+
+
+def _inf_not_first(blocks, p, m):
+    # a big-cell point, less than [0:1], joins the infinity block
+    inf = _inf(p, m)
+    donor = next(b for b in blocks[1:]
+                 if len(b) > 1 and min(b).branch == "b")
+    x = min(donor)
+    donor.discard(x)
+    next(b for b in blocks if inf in b).add(x)
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("corrupt,clause", [
+    (_move_inf_out, "infinity orbit is not the depth-k disc"),
+    (_split_zero, "zero orbit is not the depth-k disc"),
+    (_inf_not_first, "infinity orbit is not the depth-k disc"),
+])
+def test_classification_disc_clauses(monkeypatch, k, p, corrupt, clause):
+    real = orbits
+
+    def corrupted(spec, m, p):
+        part = real(spec, m, p)
+        if m != 2 * spec.k:
+            return part
+        blocks = [set(b) for b in part]
+        corrupt(blocks, p, m)
+        out = sorted(tuple(sorted(b)) for b in blocks)
+        assert len(out) == len(part)
+        return out
+
+    monkeypatch.setattr(padic_core, "orbits", corrupted)
+    with pytest.raises(ClassificationMismatch, match=clause):
+        orbit_classification_check(k, p, 11)

@@ -386,8 +386,9 @@ def subgroup_generators(spec, p):
     is the p^(lev-k)-th power of the one at depth k, and 1 + p^k generates
     1 + p^k Z_p when p is odd or k >= 2, so for k >= 1 the depth-k
     generators suffice, with those at depth 2 added when p = 2 and k = 1
-    (1 + 2 Z_2 needs 5 as well as 3).  At k = 0 the unit 1 + p^0 = 2 need
-    not generate, and every depth is kept.
+    (1 + 2 Z_2 needs 5 as well as 3).  At k = 0 the groups are SL2(O),
+    generated by the two elementary unipotents, and GL2(O), which adds
+    diag(u, 1) for each generator u of the units mod p^m.
     """
     m, k, j = spec.m, spec.k, spec.j
     kind = spec.kind
@@ -403,10 +404,14 @@ def subgroup_generators(spec, p):
             gens.append(laurent_matrix(p, [[1, 0], [0, u]]))
         return gens
     if kind in ("Gamma_k", "K_m"):
-        # the depths whose generators are kept; see above
         if k == 0:
-            depths = range(m)
-        elif p == 2 and k == 1:
+            gens = [elem_upper(p, 1), elem_lower(p, 1)]
+            if kind == "K_m":
+                gens += [laurent_matrix(p, [[u, 0], [0, 1]])
+                         for u in _unit_gens(p, m)]
+            return gens
+        # the depths whose generators are kept; see above
+        if p == 2 and k == 1:
             depths = range(1, min(m, 3))
         else:
             depths = range(k, min(m, k + 1))
@@ -441,34 +446,6 @@ def subgroup_generators(spec, p):
     if kind == "B":
         return subgroup_generators(SubgroupSpec("T", m=m), p) + [elem_upper(p, 1)]
     raise UnsupportedSubgroup(kind)
-
-
-def _mul2(a, b, md):
-    return tuple(
-        tuple((a[i][0] * b[0][j] + a[i][1] * b[1][j]) % md for j in range(2))
-        for i in range(2))
-
-
-def closure_size(gens, p, m):
-    """Order of the group the generator images generate mod p^m.
-
-    Forward closure only: the image monoid is finite, hence already a group.
-    """
-    md = p ** m
-    imgs = [g.int_entries(m) for g in gens]
-    ident = ((1 % md, 0), (0, 1 % md))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        grown = []
-        for a in frontier:
-            for b in imgs:
-                c = _mul2(a, b, md)
-                if c not in seen:
-                    seen.add(c)
-                    grown.append(c)
-        frontier = grown
-    return len(seen)
 
 
 # ------------------------------------------------------------------ orbits

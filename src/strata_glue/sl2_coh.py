@@ -29,7 +29,6 @@ from .padic_core import (
     PrecisionExhausted,
     ProjPoint,
     SubgroupSpec,
-    act,
     enumerate_p1,
 )
 from .finite_rep import dual_rep, fixed_points, induced_rep, unram_pair
@@ -130,16 +129,6 @@ class TreeBall:
         t = pow(s1, -1, self.p ** (d - 1))
         return (d - 1, ProjPoint.big_cell(self.p, d - 1, t))
 
-    def vertex_image(self, label, g):
-        """Image of a vertex under an integral matrix; shells are preserved."""
-        if g.maxneg() > 0:
-            raise ValueError("the ball only carries the integral action")
-        d, pt = label
-        if d == 0:
-            return label
-        y, _ = act(pt, g, d)
-        return (d, y)
-
     def chain_complex(self, ring):
         """Cellular chains, edges -> vertices -> Lambda, as one complex."""
         nv, ne = len(self.vertices), len(self.edges)
@@ -166,21 +155,6 @@ class TreeBall:
         h0 = quotient_module(c.modules[1], boundary.image_rows())
         h1 = kernel(boundary)
         return {0: h0, 1: h1}
-
-    def to_dot(self):
-        ids = {v: f"v{i}" for i, v in enumerate(self.vertices)}
-        names = {v: "base" if v[0] == 0 else f"{v[1]}@{v[0]}"
-                 for v in self.vertices}
-        lines = [f"graph ball_p{self.p}_r{self.radius} {{"]
-        for v in self.vertices:
-            fill = "white" if self.colors[v] == "U" else "gray80"
-            lines.append(f'  {ids[v]} [label="{names[v]}", '
-                         f'tooltip="{self.colors[v]}", '
-                         f'style=filled, fillcolor={fill}];')
-        for child, parent in self.edges:
-            lines.append(f"  {ids[child]} -- {ids[parent]};")
-        lines.append("}")
-        return "\n".join(lines)
 
     def __repr__(self):
         return (f"TreeBall(p={self.p}, r={self.radius}, "

@@ -1,31 +1,37 @@
-"""Brute-force enumeration oracles for the exact linear algebra layer and
-the orbit sweep, plus reference copies of replaced fast paths.
+"""Brute-force enumeration oracles for the exact linear algebra layer, the
+subgroup images and the orbit sweep, plus reference copies of replaced fast
+paths.
 
-Everything here is deliberately naive: closures, full vector enumeration,
-element-order multisets, congruence subgroups generated at every depth,
-one act() per generator and point, one pow()
-and one union-find call per point and generator, an extended-gcd combine for every row of a Howell column, a pullback that
-solves for each point's source point afresh, a Jacquet stage engine that
-smooths vectors on every point of the line, fixed points as the kernel of
-dense action matrices, and iso classes from the integer Smith form of the
-relations stacked on n * I.  The linear algebra oracles
-are feasible for ambient rank <= 4 and modulus <= 9, which is the regime
-the property tests run in.  The package code must agree with these
-oracles.  Beyond the public API they import only helpers that they do not
-restate: the unit generators, the GL2(O) test, the 2x2 scaled inverse and
-the unchecked matrix wrapper.
+Everything here is deliberately naive: closures of vectors, of 2x2 matrix
+images and of action matrices (the averaging projector), full vector
+enumeration, element-order multisets, congruence subgroups generated at
+every depth, one act() per generator and point, one pow() and one
+union-find call per point and generator, an extended-gcd combine for every
+row of a Howell column, a pullback that solves for each point's source
+point afresh, a Jacquet stage engine that smooths vectors on every point
+of the line, fixed points as the kernel of dense action matrices against a
+model rebuilt one level up, iso classes from the integer Smith form of the
+relations stacked on n * I, and tree-ball vertices moved by act().  The
+linear algebra oracles are feasible for ambient rank <= 4 and modulus <= 9,
+which is the regime the property tests run in.  The package code must
+agree with these oracles.  Beyond the public API they import only helpers
+that they do not restate: the unit generators, the GL2(O) test, the 2x2
+scaled inverse and the unchecked matrix wrapper.
 """
 
 import itertools
 from math import gcd
 
-from strata_glue.finite_rep import LevelMismatch, _scaled_inverse
+from strata_glue.finite_rep import (LevelMismatch, _scaled_inverse,
+                                    induced_rep, steinberg, trivial_rep)
 from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
-                                     howell_form, kernel, quotient_module)
-from strata_glue.padic_core import (ProjPoint, SubgroupSpec,
-                                   UnsupportedSubgroup, _in_gl2_o,
-                                   _unit_gens, act, diag_matrix, elem_lower,
-                                   elem_upper, enumerate_p1, laurent_matrix)
+                                     howell_form, identity_matrix, kernel,
+                                     mat_mul, quotient_module)
+from strata_glue.padic_core import (PrecisionExhausted, ProjPoint,
+                                   SubgroupSpec, UnsupportedSubgroup,
+                                   _in_gl2_o, _unit_gens, act, diag_matrix,
+                                   elem_lower, elem_upper, enumerate_p1,
+                                   laurent_matrix)
 
 
 def all_vectors(length, n):
@@ -109,8 +115,10 @@ def orders_of_factor_sum(factors, n):
 
 # subgroup_generators as it ran before it returned one generating set per
 # group: Gamma_k and K_m list their generators at every depth in [k, m).
-# Copied verbatim; the orbit and fixed-point references below sweep these,
-# so they do not follow a trim of the live generating sets.
+# The orbit and fixed-point references below sweep these, so they do not
+# follow a trim of the live generating sets.  At k = 0 they are SL2(O) and
+# GL2(O) on their standard generators, since 1 + p^0 = 2 is no unit at
+# p = 2 and does not generate the units mod 7^m.
 
 def level_generators(spec, p):
     """Generator matrices, all with exact entries.
@@ -130,6 +138,12 @@ def level_generators(spec, p):
         for u in _unit_gens(p, m):
             gens.append(laurent_matrix(p, [[u, 0], [0, 1]]))
             gens.append(laurent_matrix(p, [[1, 0], [0, u]]))
+        return gens
+    if kind in ("Gamma_k", "K_m") and k == 0:
+        gens = [elem_upper(p, 1), elem_lower(p, 1)]
+        if kind == "K_m":
+            gens += [laurent_matrix(p, [[u, 0], [0, 1]])
+                     for u in _unit_gens(p, m)]
         return gens
     if kind == "Gamma_k":
         md = p ** m
@@ -168,6 +182,34 @@ def level_generators(spec, p):
     if kind == "B":
         return level_generators(SubgroupSpec("T", m=m), p) + [elem_upper(p, 1)]
     raise UnsupportedSubgroup(kind)
+
+
+def _mul2(a, b, md):
+    return tuple(
+        tuple((a[i][0] * b[0][j] + a[i][1] * b[1][j]) % md for j in range(2))
+        for i in range(2))
+
+
+def closure_size(gens, p, m):
+    """Order of the group the generator images generate mod p^m.
+
+    Forward closure only: the image monoid is finite, hence already a group.
+    """
+    md = p ** m
+    imgs = [g.int_entries(m) for g in gens]
+    ident = ((1 % md, 0), (0, 1 % md))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        grown = []
+        for a in frontier:
+            for b in imgs:
+                c = _mul2(a, b, md)
+                if c not in seen:
+                    seen.add(c)
+                    grown.append(c)
+        frontier = grown
+    return len(seen)
 
 
 def act_sweep_orbits(spec, m, p):
@@ -604,8 +646,20 @@ class PointStageEngine:
 # fixed_points, _eta_inv_rows and _uprime_fixed as they ran before the orbit
 # path: every fixed module is the kernel of stacked dense g - 1 action
 # matrices, and Uprime goes through the dense eta-inverse matrix against the
-# U-fixed rows one level up.  Copied verbatim; the recursive calls resolve
-# to these copies.
+# U-fixed rows one level up.  Copied verbatim, less the model kinds that
+# are gone; the recursive calls resolve to these copies.
+
+def at_level(sig, m2):
+    """The same trivial, induced or Steinberg model realized at level m2."""
+    if m2 > sig.precision:
+        raise PrecisionExhausted(
+            f"level {m2} exceeds the model budget {sig.precision}")
+    if sig.kind == "trivial":
+        return trivial_rep(sig.ring, m2, precision=sig.precision)
+    if sig.kind == "induced":
+        return induced_rep(sig.ring, sig.chi, m2, precision=sig.precision)
+    return steinberg(sig.ring, m2, precision=sig.precision)
+
 
 def fixed_points(sig, spec):
     """Submodule of vectors fixed by every generator of the named subgroup.
@@ -639,13 +693,6 @@ def _eta_inv_rows(sig, raised):
     m = sig.level
     if sig.kind == "trivial":
         return [[1]]
-    if sig.kind == "sum":
-        b1 = _eta_inv_rows(sig.factors[0], raised.factors[0])
-        b2 = _eta_inv_rows(sig.factors[1], raised.factors[1])
-        w1 = sig.factors[0].rank
-        w2 = sig.factors[1].rank
-        return ([list(r) + [0] * w2 for r in b1]
-                + [[0] * w1 + list(r) for r in b2])
     eta_inv = diag_matrix(sig.p, 0, -1)
     base = sig.parent if sig.kind == "steinberg" else sig
     top = raised.parent if raised.kind == "steinberg" else raised
@@ -666,10 +713,10 @@ def _eta_inv_rows(sig, raised):
 def _uprime_fixed(sig):
     # v is fixed by the eta-conjugate of U iff its eta-inverse translate,
     # computed at one level up, is fixed by U there
-    if sig.kind not in ("trivial", "induced", "steinberg", "sum"):
+    if sig.kind not in ("trivial", "induced", "steinberg"):
         raise UnsupportedSubgroup("Uprime")
     ring, m = sig.ring, sig.level
-    raised = sig.at_level(m + 1)
+    raised = at_level(sig, m + 1)
     fix2 = fixed_points(raised, SubgroupSpec("U", m=m + 1))
     rows = _eta_inv_rows(sig, raised)
     target = quotient_module(free_module(ring, raised.rank),
@@ -791,3 +838,62 @@ def integer_iso_class(module):
         return []
     factors, _, _ = _snf_with_colbasis(_presentation_stack(module), module.ambient)
     return sorted((f for f in factors if f > 1), reverse=True)
+
+
+# Oracles that only the tests call: the averaging projector over the finite
+# image of a subgroup, and the integral action on the vertices of a tree ball.
+
+class NonInvertibleOrder(ValueError):
+    """Averaging needs the group order to be a unit in the coefficient ring."""
+
+
+def averaging_projector(sig, subgroup):
+    """Idempotent (1/N) sum over the finite image of the subgroup.
+
+    subgroup is a SubgroupSpec, generated as level_generators lists it, or
+    an explicit list of generator matrices.
+    """
+    ring, k = sig.ring, sig.rank
+    if isinstance(subgroup, SubgroupSpec):
+        if subgroup.m != sig.level:
+            raise LevelMismatch(
+                f"subgroup at level {subgroup.m}, model at level {sig.level}")
+        gens = level_generators(subgroup, sig.p)
+    else:
+        gens = list(subgroup)
+    imgs = [sig.action_matrix(g).entries for g in gens]
+    ident = identity_matrix(ring, k).entries
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        grown = []
+        for a in frontier:
+            for b in imgs:
+                c = tuple(map(tuple, mat_mul(ring, a, b, k)))
+                if c not in seen:
+                    seen.add(c)
+                    grown.append(c)
+        frontier = grown
+    order = len(seen)
+    if gcd(order, ring.n) != 1:
+        raise NonInvertibleOrder(
+            f"group image has order {order}, not invertible mod {ring.n}")
+    scale = ring.inv(order % ring.n)
+    rows = [[scale * sum(mtx[i][j] for mtx in seen) % ring.n
+             for j in range(k)] for i in range(k)]
+    e = LambdaMatrix(ring, rows)
+    if tuple(map(tuple, mat_mul(ring, rows, rows, k))) != e.entries:
+        raise RuntimeError("averaging produced a non-idempotent")
+    return ModuleMap(free_module(ring, k), free_module(ring, k), e)
+
+
+def vertex_image(label, g):
+    """Image of a tree-ball vertex under an integral matrix; shells are
+    preserved."""
+    if g.maxneg() > 0:
+        raise ValueError("the ball only carries the integral action")
+    d, pt = label
+    if d == 0:
+        return label
+    y, _ = act(pt, g, d)
+    return (d, y)

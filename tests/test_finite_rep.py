@@ -22,14 +22,12 @@ from strata_glue.padic_core import (
     orbits,
 )
 from strata_glue import finite_rep
-from bruteforce import PointStageEngine, loop_pull_table, per_point_pull
+from bruteforce import (NonInvertibleOrder, PointStageEngine,
+                        averaging_projector, loop_pull_table, per_point_pull)
 from bruteforce import fixed_points as dense_fixed_points
 from strata_glue.finite_rep import (
     LevelMismatch,
-    NonInvertibleOrder,
     NotStabilized,
-    averaging_projector,
-    direct_sum,
     dual_rep,
     fixed_points,
     gl2_f2_sign,
@@ -39,9 +37,7 @@ from strata_glue.finite_rep import (
     parse_rep_spec,
     rep_model,
     steinberg,
-    tensor,
     trivial_rep,
-    twist,
     unram_pair,
 )
 
@@ -174,21 +170,24 @@ def _fixed_outcome(fn, sig, spec):
 
 
 def _congruence_models(ring, m):
-    ind = rep_model(ring, "ind(0,1)", m)
-    return [ind, steinberg(ring, m), twist(ind, ring.inv(ring.p)),
-            direct_sum(trivial_rep(ring, m), steinberg(ring, m))]
+    return [rep_model(ring, "ind(0,1)", m), steinberg(ring, m),
+            trivial_rep(ring, m)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("ring", [R7, R11], ids=["p2", "p3"])
 def test_congruence_fixed_points_match_dense(ring, m):
-    # every depth k <= m, also k = 0, where p = 2 has no unit 1 + p^k
+    # every depth k <= m; at k = 0 both sides run SL2(O) and GL2(O)
     for kind in ("Gamma_k", "K_m"):
         for k in range(m + 1):
             spec = SubgroupSpec(kind, m=m, k=k)
             for sig in _congruence_models(ring, m):
                 assert (_fixed_outcome(fixed_points, sig, spec)
                         == _fixed_outcome(dense_fixed_points, sig, spec))
+        # both are transitive on the line: the constants alone are fixed
+        ind = _congruence_models(ring, m)[0]
+        fx = fixed_points(ind, SubgroupSpec(kind, m=m, k=0))
+        assert fx.witness_rows == ((1,) * ind.rank,)
 
 
 def test_orbit_path_builds_no_action_matrix(monkeypatch):
@@ -205,7 +204,7 @@ def test_orbit_path_builds_no_action_matrix(monkeypatch):
     for (kind, i), out in want.items():
         spec = SubgroupSpec(kind, m=2, k=1)
         assert _fixed_outcome(fixed_points, models[i], spec) == out
-    for sig in (models[0], models[1], models[3]):
+    for sig in models:
         fixed_points(sig, SubgroupSpec("Uprime", m=2))
 
 
@@ -223,15 +222,23 @@ def test_non_gl2o_subgroups_raise_as_dense(kind):
 
 
 def test_uprime_unsupported_kinds():
-    ind = induced_rep(R11, (1, 1), 2)
-    for sig in (twist(ind, 3), tensor(ind, trivial_rep(R11, 2)),
-                gl2_f2_sign(R7)):
-        with pytest.raises(UnsupportedSubgroup, match="Uprime"):
-            fixed_points(sig, SubgroupSpec("Uprime", m=sig.level))
-    # a sum reduces to its parts, so an unsupported part names itself
+    sig = gl2_f2_sign(R7)
     with pytest.raises(UnsupportedSubgroup, match="Uprime"):
-        fixed_points(direct_sum(trivial_rep(R11, 2), twist(ind, 3)),
-                     SubgroupSpec("Uprime", m=2))
+        fixed_points(sig, SubgroupSpec("Uprime", m=sig.level))
+
+
+def test_uprime_needs_one_level_of_precision():
+    # Uprime is read one level up, so a model at its precision refuses it
+    spec = SubgroupSpec("Uprime", 2)
+    for sig in (steinberg(R11, 2, precision=2),
+                induced_rep(R11, (1, 1), 2, precision=2),
+                trivial_rep(R11, 2, precision=2)):
+        with pytest.raises(PrecisionExhausted,
+                           match=r"^level 3 exceeds the model budget 2$"):
+            fixed_points(sig, spec)
+        assert (_fixed_outcome(fixed_points, sig, spec)
+                == _fixed_outcome(dense_fixed_points, sig, spec))
+    fixed_points(steinberg(R11, 2, precision=3), spec)
 
 
 def test_fixed_points_level_mismatch():
@@ -262,13 +269,18 @@ def test_averaging_regular_rep():
     assert img.nrows == 1
 
 def test_averaging_gamma0_image():
+    # the projector's image is the fixed space, Howell row for Howell row,
+    # under Gamma0 and U alike
     from strata_glue.lambda_core import LambdaMatrix, howell_form
-    sig = induced_rep(R11, (1, 1), 2)
-    e = averaging_projector(sig, SubgroupSpec("Gamma0", m=2))
-    ee = mat_mul(R11, e.matrix.entries, e.matrix.entries, sig.rank)
-    assert tuple(map(tuple, ee)) == e.matrix.entries
-    img = howell_form(LambdaMatrix(R11, e.image_rows(), cols=sig.rank))
-    assert img.nrows == 2
+    for m in (1, 2):
+        for spec in ("ind(0,1)", "st"):
+            sig = rep_model(R11, spec, m)
+            for kind in ("Gamma0", "U"):
+                e = averaging_projector(sig, SubgroupSpec(kind, m=m))
+                img = howell_form(
+                    LambdaMatrix(R11, e.image_rows(), cols=sig.rank))
+                fx = fixed_points(sig, SubgroupSpec(kind, m=m))
+                assert img.entries == fx.witness_rows
 
 def test_averaging_noninvertible_order():
     ring = CoeffRing(6, 997)
@@ -470,26 +482,7 @@ def test_jacquet_needs_precision():
         jacquet_oracle(sig)
 
 
-# ------------------------------------------------- tensor, twist, inflate
-
-def test_tensor_with_trivial():
-    sig = induced_rep(R11, (1, 1), 2)
-    both = tensor(sig, trivial_rep(R11, 2))
-    g = elem_upper(3, 2)
-    assert both.rank == sig.rank
-    assert both.action_matrix(g).entries == sig.action_matrix(g).entries
-
-def test_tensor_level_mismatch():
-    with pytest.raises(LevelMismatch):
-        tensor(induced_rep(R11, (1, 1), 2), induced_rep(R11, (1, 1), 1))
-
-def test_twist_by_absdet_on_sl2():
-    # det = 1 on SL2 subgroups, so fixed ranks cannot move
-    sig = steinberg(R11, 2)
-    tw = twist(sig, R11.inv(3))
-    for kind in ("U", "Gamma_k"):
-        spec = SubgroupSpec(kind, m=2, k=1)
-        assert fixed_points(sig, spec).size() == fixed_points(tw, spec).size()
+# ---------------------------------------------------------------- inflate
 
 def test_sign_inflation_witnesses():
     # sign of GL2(F2) ~ S3: both depth-zero witnesses vanish over Z/7

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import (act_sweep_orbits, level_generators,
+from bruteforce import (act_sweep_orbits, closure_size, level_generators,
                         residue_sweep_orbits)
 from strata_glue import padic_core
 from strata_glue.padic_core import (
@@ -15,7 +15,6 @@ from strata_glue.padic_core import (
     SubgroupSpec,
     UnsupportedSubgroup,
     act,
-    closure_size,
     diag_matrix,
     elem_lower,
     elem_upper,
@@ -174,6 +173,39 @@ def test_generating_set_closure(kind, p, m, k, order):
     assert ([g.int_entries(m) for g in gens]
             == [g.int_entries(m) for g in every[:len(gens)]])
     assert closure_size(gens, p, m) == closure_size(every, p, m) == order
+
+def _depth_zero_cases():
+    # every p^m <= 50 with p in {2, 3, 5, 7}
+    return [(p, m) for p in (2, 3, 5, 7) for m in range(1, 6) if p ** m <= 50]
+
+
+@pytest.mark.parametrize("p,m", _depth_zero_cases())
+def test_depth_zero_generates_sl2_and_gl2(p, m):
+    # at k = 0, Gamma_k is SL2(O) and K_m is GL2(O): no unit 1 + p^0 = 2,
+    # which is singular at p = 2 and no primitive root mod 7^m
+    md = p ** m
+    units = p ** (m - 1) * (p - 1)
+    sl2 = p ** (3 * m - 2) * (p * p - 1)
+    gamma = subgroup_generators(SubgroupSpec("Gamma_k", m=m, k=0), p)
+    km = subgroup_generators(SubgroupSpec("K_m", m=m, k=0), p)
+    assert closure_size(gamma, p, m) == sl2
+    if sl2 * units <= 10 ** 5:
+        assert closure_size(km, p, m) == sl2 * units
+    # the rest by SL2 inside K_m and det onto the units: a full closure of
+    # GL2(Z/49) holds 4.8M matrices
+    assert ([g.int_entries(m) for g in km[:len(gamma)]]
+            == [g.int_entries(m) for g in gamma])
+    dets = []
+    for g in km:
+        (a, b), (c, d) = g.int_entries(m)
+        dets.append((a * d - b * c) % md)
+    seen, frontier = {1 % md}, [1 % md]
+    while frontier:
+        grown = {x * d % md for x in frontier for d in dets} - seen
+        seen |= grown
+        frontier = list(grown)
+    assert all(x % p for x in seen) and len(seen) == units
+
 
 def test_unsupported_subgroup():
     with pytest.raises(UnsupportedSubgroup):

@@ -27,7 +27,7 @@ from .lambda_core import (
     make_ring,
     quotient_module,
 )
-from .padic_core import SubgroupSpec, elem_upper, orbit_count_formula
+from .padic_core import SubgroupSpec, orbit_count_formula
 from .finite_rep import (
     fixed_points,
     gl2_f2_sign,
@@ -519,7 +519,7 @@ def _check_cuspidal(ring, source):
     if not fixed_points(sig, SubgroupSpec("Gamma0", 1)).is_zero():
         raise CuspidalWitnessFailed("Iwahori-fixed vectors survive")
     # N-coinvariants: cokernel of (action of the unit transvection) - 1
-    a = sig.action_matrix(elem_upper(sig.p, 1)).entries
+    a = sig.action_matrix(((1, 1), (0, 1))).entries
     rows = [[(a[i][j] - (i == j)) % ring.n for j in range(sig.rank)]
             for i in range(sig.rank)]
     f = ModuleMap(free_module(ring, sig.rank), free_module(ring, sig.rank),

@@ -1,12 +1,12 @@
 """Finite-level smooth models and their invariant-theoretic probes.
 
-A representation is stored as a weighted permutation action on the level-m
-projective line: an unramified character pair (c1, c2) turns the torus part
-of each canonicalization cocycle into a unit scalar.  The model kinds are
-trivial, induced, Steinberg and inflated (depth-zero residue tables).  On
-top of them the module offers fixed points under the named compact
-subgroups and a staged unipotent-smoothing oracle that reads off the torus
-action on the stable quotient together with its two-step filtration.
+A representation is a function space on the level-m projective line,
+twisted by an unramified character pair (c1, c2) that turns torus
+valuations into unit scalars.  The model kinds are trivial, induced,
+Steinberg and inflated (depth-zero residue tables).  On top of them the
+module offers fixed points under the named compact subgroups and a staged
+unipotent-smoothing oracle that reads off the torus action on the stable
+quotient together with its two-step filtration.
 
 The oracle's smoothed vectors live on P^1(O/pi^L), L = m + j_max, which has
 p^L + p^(L-1) points, but are held in disc coordinates: one sum per
@@ -15,9 +15,9 @@ at p = 3 runs on 708,588 points, and its stages have 972 slots at most.
 
 Fixed points of trivial, induced and Steinberg models come from orbits,
 with no action matrix: those of padic_core.orbits for U, Gamma0, Gamma_k
-and K_m, whose generators lie in GL2(O), and for Uprime the U-orbits one
-level up.  Inflated models, and generators outside GL2(O) (T, B, eta), keep
-the dense kernel of the action matrices.
+and K_m, and for Uprime the U-orbits one level up through the closed-form
+eta-inverse images.  Only inflated models, whose action is a table of
+residue matrices mod p, take the dense kernel of their action matrices.
 """
 
 from fractions import Fraction
@@ -39,9 +39,8 @@ from .padic_core import (
     SubgroupSpec,
     UnsupportedSubgroup,
     _eta_inv_images,
-    _in_gl2_o,
     _unit_gens,
-    act,
+    _unit_inverses,
     enumerate_p1,
     orbits,
     subgroup_generators,
@@ -96,10 +95,15 @@ def unram_pair(ring, a, b):
 # ----------------------------------------------------------------- the model
 
 class FiniteRep:
-    """Level-m model with explicit action matrices.
+    """Level-m model of one of four kinds.
 
-    kind is one of trivial, induced, steinberg (whose parent is the
-    untwisted induced model) and inflated (a depth-zero residue table).
+    trivial has rank 1; induced holds the functions on the level-m line,
+    one coordinate per point of labels, twisted by the unit pair chi;
+    steinberg is the quotient of its parent, the untwisted induced model,
+    by the constants; inflated is a depth-zero model given by a table of
+    rank x rank matrices keyed by 2x2 residue matrices mod p.  Only the
+    inflated kind has an action matrix: the other kinds are read through
+    orbits and closed forms.
     """
 
     __slots__ = ("ring", "p", "level", "precision", "kind", "chi",
@@ -119,32 +123,16 @@ class FiniteRep:
         self.table = table
 
     def action_matrix(self, g):
-        """Matrix of g acting on coordinate columns; rows follow the labels."""
-        ring, n = self.ring, self.ring.n
-        if self.kind == "trivial":
-            return LambdaMatrix(ring, ((1,),))
-        if self.kind == "induced":
-            index = {x: i for i, x in enumerate(self.labels)}
-            rows = [[0] * self.rank for _ in range(self.rank)]
-            for i, x in enumerate(self.labels):
-                y, coc = act(x, g, self.level)
-                rows[i][index[y]] = _chi_val(ring, self.chi, coc.torus_vals)
-            return LambdaMatrix._reduced(ring, map(tuple, rows), self.rank)
-        if self.kind == "steinberg":
-            full = self.parent.action_matrix(g).entries
-            rows = [tuple((x - y) % n for x, y in zip(r[1:], full[0][1:]))
-                    for r in full[1:]]
-            return LambdaMatrix._reduced(ring, rows, self.rank)
-        if self.kind == "inflated":
-            if g.maxneg() > 0:
-                raise ValueError("inflated models only see integral matrices")
-            e = g.int_entries(1)
-            if e == ((1 % self.p, 0), (0, 1 % self.p)):
-                return identity_matrix(ring, self.rank)
-            if e in self.table:
-                return LambdaMatrix(ring, self.table[e])
-            raise ValueError(f"no table entry for residue {e}")
-        raise ValueError(f"unknown model kind {self.kind!r}")
+        """Matrix of the integer 2x2 matrix g on an inflated model: the
+        identity or the table entry of g's residue mod p."""
+        if self.kind != "inflated":
+            raise ValueError(f"no action matrix for kind {self.kind!r}")
+        e = tuple(tuple(x % self.p for x in row) for row in g)
+        if e == ((1, 0), (0, 1)):
+            return identity_matrix(self.ring, self.rank)
+        if e in self.table:
+            return LambdaMatrix(self.ring, self.table[e])
+        raise ValueError(f"no table entry for residue {e}")
 
     def __repr__(self):
         return (f"FiniteRep({self.kind}, level={self.level}, "
@@ -217,32 +205,31 @@ def fixed_points(sig, spec):
 
     The result is presented on its Howell generators, kept as witness_rows:
     they span the fixed space inside the coordinate module.  Howell form is
-    canonical per row span, so the two paths below give the same result.
+    canonical per row span, so the result does not depend on which
+    spanning rows a path produces.
 
-    Orbit path, for a subgroup whose generators all lie in GL2(O) (U,
-    Gamma0, Gamma_k, K_m): such a generator permutes the level-m points
-    with weight 1 whatever chi is, so the fixed space of an induced model
-    is spanned by the indicators of the orbits padic_core.orbits returns.
-    By banality and Maschke, that of the Steinberg model is their image
-    modulo the constants.  Uprime has a pole; it is read through the
-    monomial eta-inverse table against the U-orbits one level up, for
-    trivial, induced and Steinberg models only, and needs that level within
-    the model's precision.
+    Orbit path, for trivial, induced and Steinberg models under U, Gamma0,
+    Gamma_k and K_m: each generator lies in GL2(O) and permutes the
+    level-m points with weight 1 whatever chi is, so the fixed space of an
+    induced model is spanned by the indicators of the orbits
+    padic_core.orbits returns.  By banality and Maschke, that of the
+    Steinberg model is their image modulo the constants.  Uprime, the
+    conjugate of U by eta = diag(1, pi), is read through the closed-form
+    eta-inverse images against the U-orbits one level up, and needs that
+    level within the model's precision.
 
-    Dense path, the kernel of the stacked g - 1 action matrices: inflated
-    models, and generators outside GL2(O), through which T, B and eta raise
-    PrecisionExhausted from act().  Subgroups with a pole other than Uprime
-    raise UnsupportedSubgroup.
+    Dense path, for inflated models only: the kernel of the stacked g - 1
+    action matrices.  Inflated models have no Uprime, and every kind
+    outside U, Uprime, Gamma0, Gamma_k and K_m raises UnsupportedSubgroup.
     """
     if spec.m != sig.level:
         raise LevelMismatch(
             f"subgroup at level {spec.m}, model at level {sig.level}")
     if spec.kind == "Uprime":
         return _uprime_fixed(sig)
+    # raises UnsupportedSubgroup for an unknown kind, on every model kind
     gens = subgroup_generators(spec, sig.p)
-    if any(g.maxneg() > 0 for g in gens):
-        raise UnsupportedSubgroup(spec.kind)
-    if sig.kind != "inflated" and all(map(_in_gl2_o, gens)):
+    if sig.kind != "inflated":
         return span_module(sig.ring, sig.rank, _orbit_rows(sig, spec))
     ring, k = sig.ring, sig.rank
     rows = []
@@ -266,7 +253,7 @@ def _mod_constants(rows, n):
 
 
 def _orbit_rows(sig, spec):
-    # rows spanning the fixed space of a subgroup inside GL2(O)
+    # rows spanning the fixed space of a subgroup of GL2(O)
     if sig.kind == "trivial":
         return [(1,)]
     size = len(sig.parent.labels if sig.kind == "steinberg" else sig.labels)
@@ -296,12 +283,12 @@ def _uprime_rows(sig):
     """Rows spanning the Uprime-fixed space, solved on U-orbit constants.
 
     eta^-1 has a pole: it sends each level-(m+1) point x2 to a level-m
-    point y with a unit weight w.  The closed-form images of
-    padic_core._eta_inv_images replace one act() per x2.  The translate of
-    v is U-fixed iff w * v[y] is one constant c_O over each U-orbit O of
-    level m+1.  So v[y] = c_O / w, two points over the same y constrain c,
-    and the system is as wide as the orbit count.  Steinberg solves on its
-    parent, whose constants are fixed, and drops them.
+    point y with a unit weight w, both read off the closed-form images of
+    padic_core._eta_inv_images.  The translate of v is U-fixed iff
+    w * v[y] is one constant c_O over each U-orbit O of level m+1.  So
+    v[y] = c_O / w, two points over the same y constrain c, and the system
+    is as wide as the orbit count.  Steinberg solves on its parent, whose
+    constants are fixed, and drops them.
     """
     if sig.kind == "trivial":
         return [(1,)]
@@ -372,7 +359,6 @@ class _StageEngine:
         self.c1, self.c2 = chi
         self.r = self.c1 * ring.inv(self.c2) % n
         md, pm = p ** big_l, p ** m
-        self.size = md + md // p
         # depth of each [s:1] with s != 0, in order of s
         self.mu = [_vp(s, p) for s in range(p, md, p)]
         self.fiber_of = ([t % pm for t in range(md)]
@@ -411,41 +397,30 @@ class _StageEngine:
         translation by diag(d1, d2), and the weight times w_out at the
         source; neither depends on the vector or the stage.
 
-        For units d1, d2 the weight is constant and the sources are closed
-        forms: [1:t] pulls from [1:t*d2/d1], [s:1] from [s*d1/d2:1].
+        The probes have closed forms.  For units d1, d2 the weight is 1,
+        [1:t] pulls from [1:t*d2/d1] and [s:1] from [s*d1/d2:1].  For
+        diag(p, 1), [1:t] pulls from [1:t/p] with weight c2 when p | t and
+        from [p/t:1] with weight c1 when t is a unit, and [s:1] pulls from
+        [p*s:1] with weight c1.
         """
-        p, md = self.p, self.p ** self.big_l
-        vdet = _vp(d1, p) + _vp(d2, p)
-        weight = [_chi_val(self.ring, (self.c1, self.c2), (vdet - v, v))
-                  for v in range(vdet + 1)]
-        if vdet == 0:
+        p, md, n = self.p, self.p ** self.big_l, self.n
+        if d1 % p and d2 % p:
             r = d2 * pow(d1, -1, md) % md
             src = [t * r % md for t in range(md)]
             r = d1 * pow(d2, -1, md) % md
             src.extend(md + s * r % md // p for s in range(0, md, p))
-            w = weight[0]
-            return src, [w * self.w_out[t] % self.n for t in src]
-        src, wts = [], []
-        for i in range(self.size):
-            if i < md:
-                a, b = d1, i * d2
-            else:
-                a, b = (i - md) * p * d1, d2
-            if a == 0:
-                tgt, vl = md, _vp(b, p)
-            elif b == 0:
-                tgt, vl = 0, _vp(a, p)
-            else:
-                va, vb = _vp(a, p), _vp(b, p)
-                vl = min(va, vb)
-                ua = a // p ** va
-                ub = b // p ** vb
-                if va <= vb:
-                    tgt = p ** (vb - va) * ub * pow(ua, -1, md) % md
-                else:
-                    tgt = md + p ** (va - vb) * ua * pow(ub, -1, md) % md // p
-            src.append(tgt)
-            wts.append(weight[vl] * self.w_out[tgt] % self.n)
+            return src, [self.w_out[t] for t in src]
+        if (d1, d2) != (p, 1):
+            raise ValueError(f"no pull table for diag({d1}, {d2})")
+        # p/t for a unit t has index md + (t^-1 mod md/p), and p*s has
+        # index md + s mod md/p
+        low = md // p
+        inv = _unit_inverses(p, self.big_l - 1)
+        src = [md + inv[t % low] if t % p else t // p for t in range(md)]
+        src.extend(md + s % low for s in range(0, md, p))
+        c1, c2 = self.c1 % n, self.c2 % n
+        wts = [(c1 if i >= md or i % p else c2) * self.w_out[t] % n
+               for i, t in enumerate(src)]
         return src, wts
 
     def transfer(self, j, d1, d2):

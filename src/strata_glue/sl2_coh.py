@@ -25,12 +25,7 @@ from .lambda_core import (
     make_ring,
     quotient_module,
 )
-from .padic_core import (
-    PrecisionExhausted,
-    ProjPoint,
-    SubgroupSpec,
-    enumerate_p1,
-)
+from .padic_core import ProjPoint, SubgroupSpec, enumerate_p1
 from .finite_rep import dual_rep, fixed_points, induced_rep, unram_pair
 
 
@@ -57,13 +52,12 @@ class TreeBall:
     of each facet up to conjugacy.
     """
 
-    __slots__ = ("p", "radius", "precision", "vertices", "edges", "colors",
+    __slots__ = ("p", "radius", "vertices", "edges", "colors",
                  "stabilizers", "_children")
 
-    def __init__(self, p, radius, precision):
+    def __init__(self, p, radius):
         self.p = p
         self.radius = radius
-        self.precision = precision
         verts = [_ROOT]
         edges = []
         for d in range(1, radius + 1):
@@ -161,16 +155,11 @@ class TreeBall:
                 f"{len(self.vertices)} vertices)")
 
 
-def bt_ball(p, r, precision=None):
-    """Ball of radius r; labels need residues through level r."""
+def bt_ball(p, r):
+    """Ball of radius r; its labels are exact residues through level r."""
     if r < 1:
         raise ValueError("a ball needs radius at least 1")
-    if precision is None:
-        precision = r + 2
-    if precision < r + 1:
-        raise PrecisionExhausted(
-            f"radius-{r} labels need {r + 1} digits, have {precision}")
-    return TreeBall(p, r, precision)
+    return TreeBall(p, r)
 
 
 # ------------------------------------------------- the two-term complex

@@ -1,6 +1,6 @@
 """Brute-force enumeration oracles for the exact linear algebra layer, the
 subgroup images and the orbit sweep, plus reference copies of replaced fast
-paths.
+paths and of the group action itself.
 
 Everything here is deliberately naive: closures of vectors, of 2x2 matrix
 images and of action matrices (the averaging projector), full vector
@@ -11,12 +11,21 @@ row of a Howell column, a pullback that solves for each point's source
 point afresh, a Jacquet stage engine that smooths vectors on every point
 of the line, fixed points as the kernel of dense action matrices against a
 model rebuilt one level up, iso classes from the integer Smith form of the
-relations stacked on n * I, and tree-ball vertices moved by act().  The
-linear algebra oracles are feasible for ambient rank <= 4 and modulus <= 9,
-which is the regime the property tests run in.  The package code must
-agree with these oracles.  Beyond the public API they import only helpers
-that they do not restate: the unit generators, the GL2(O) test, the 2x2
-scaled inverse and the unchecked matrix wrapper.
+relations stacked on n * I, and tree-ball vertices moved by act().
+
+act() is the truncated p-adic layer the package ran before its sweeps
+became residue arithmetic: point coordinates are Laurent numbers known
+modulo a power of p, group elements are matrices with exact Laurent
+entries, poles allowed, and act() canonicalizes x*g or raises
+PrecisionExhausted where the point's precision cannot certify the image.
+The package's residue sweeps, its closed forms for the eta-inverse images
+and its orbit-based fixed points are pinned against it.
+
+The linear algebra oracles are feasible for ambient rank <= 4 and modulus
+<= 9, which is the regime the property tests run in.  The package code
+must agree with these oracles.  Beyond the public API they import only
+helpers that they do not restate: the unit generators, the 2x2 scaled
+inverse and the unchecked matrix wrapper.
 """
 
 import itertools
@@ -29,9 +38,7 @@ from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
                                      mat_mul, quotient_module)
 from strata_glue.padic_core import (PrecisionExhausted, ProjPoint,
                                    SubgroupSpec, UnsupportedSubgroup,
-                                   _in_gl2_o, _unit_gens, act, diag_matrix,
-                                   elem_lower, elem_upper, enumerate_p1,
-                                   laurent_matrix)
+                                   _unit_gens, enumerate_p1)
 
 
 def all_vectors(length, n):
@@ -113,6 +120,275 @@ def orders_of_factor_sum(factors, n):
     return orders
 
 
+# The truncated Laurent layer and act() as padic_core ran them, before
+# every subgroup it serves had integer generators in GL2(O).  Copied
+# verbatim.
+
+INF = 10 ** 9  # absolute-precision sentinel for exactly known values
+
+
+def _sat(x, y):
+    # precision addition, saturating at INF
+    if x >= INF or y >= INF:
+        return INF
+    return x + y
+
+
+class Laur:
+    """p-normalized value a*p^w known modulo p^prec (prec=INF means exact).
+
+    a is an exact integer prime to p, or 0; an inexact zero keeps a=0 with a
+    finite prec, meaning only "divisible by p^prec".  Addition floors the
+    precision, multiplication shifts it by the other factor's valuation.
+    No general inversion is offered: residues of ratios are produced by
+    act(), which knows the pivot is certified first.
+    """
+
+    __slots__ = ("p", "a", "w", "prec")
+
+    def __init__(self, p, a, w, prec):
+        self.p = p
+        self.a = a
+        self.w = w
+        self.prec = prec
+
+    @classmethod
+    def make(cls, p, a, w, prec):
+        if a == 0:
+            return cls(p, 0, 0, prec)
+        while a % p == 0:
+            a //= p
+            w += 1
+        if prec < INF:
+            rel = prec - w
+            if rel <= 0:
+                return cls(p, 0, 0, prec)
+            a %= p ** rel
+        return cls(p, a, w, prec)
+
+    def vbound(self):
+        # exact valuation when a != 0, else the lower bound carried by prec
+        return self.w if self.a else self.prec
+
+    def add(self, other):
+        p = self.p
+        prec = min(self.prec, other.prec)
+        if self.a == 0 and other.a == 0:
+            return Laur(p, 0, 0, prec)
+        if self.a == 0:
+            return Laur.make(p, other.a, other.w, prec)
+        if other.a == 0:
+            return Laur.make(p, self.a, self.w, prec)
+        w0 = min(self.w, other.w)
+        tot = self.a * p ** (self.w - w0) + other.a * p ** (other.w - w0)
+        return Laur.make(p, tot, w0, prec)
+
+    def neg(self):
+        return Laur.make(self.p, -self.a, self.w, self.prec)
+
+    def mul(self, other):
+        prec = min(_sat(self.prec, other.vbound()),
+                   _sat(other.prec, self.vbound()))
+        if self.a == 0 or other.a == 0:
+            return Laur(self.p, 0, 0, prec)
+        return Laur.make(self.p, self.a * other.a, self.w + other.w, prec)
+
+    def __repr__(self):
+        if self.a == 0:
+            return "0" if self.prec >= INF else f"O({self.p}^{self.prec})"
+        tail = "" if self.prec >= INF else f"+O({self.p}^{self.prec})"
+        return f"{self.a}*{self.p}^{self.w}{tail}"
+
+
+class LaurentMatrix:
+    """2x2 matrix with exact Laurent entries: the group side of the action."""
+
+    __slots__ = ("p", "e")
+
+    def __init__(self, p, e):
+        self.p = p
+        self.e = e
+
+    def mul(self, other):
+        a, b = self.e, other.e
+        rows = tuple(
+            tuple(a[i][0].mul(b[0][j]).add(a[i][1].mul(b[1][j]))
+                  for j in range(2))
+            for i in range(2))
+        return LaurentMatrix(self.p, rows)
+
+    def det(self):
+        e = self.e
+        return e[0][0].mul(e[1][1]).add(e[0][1].mul(e[1][0]).neg())
+
+    def maxneg(self):
+        """Deepest pole among the entries; 0 for an integral matrix."""
+        d = 0
+        for row in self.e:
+            for x in row:
+                if x.a and -x.w > d:
+                    d = -x.w
+        return d
+
+    def int_entries(self, level):
+        """Plain integer matrix mod p^level; the matrix must be integral."""
+        md = self.p ** level
+        out = []
+        for row in self.e:
+            vals = []
+            for x in row:
+                if x.a == 0:
+                    vals.append(0)
+                    continue
+                if x.w < 0:
+                    raise ValueError("matrix has a pole, no integer image")
+                vals.append(x.a * self.p ** x.w % md)
+            out.append(tuple(vals))
+        return tuple(out)
+
+    def __repr__(self):
+        return f"LaurentMatrix({self.p}, {self.e!r})"
+
+
+def laurent_matrix(p, entries):
+    """Matrix with exact integer entries."""
+    return LaurentMatrix(p, tuple(
+        tuple(Laur.make(p, v, 0, INF) for v in row) for row in entries))
+
+
+def diag_matrix(p, w1, w2):
+    """diag(pi^w1, pi^w2); either exponent may be negative."""
+    z = Laur(p, 0, 0, INF)
+    return LaurentMatrix(p, ((Laur.make(p, 1, w1, INF), z),
+                             (z, Laur.make(p, 1, w2, INF))))
+
+
+def elem_upper(p, c, w=0):
+    """[[1, c*pi^w], [0, 1]]"""
+    z = Laur(p, 0, 0, INF)
+    one = Laur.make(p, 1, 0, INF)
+    return LaurentMatrix(p, ((one, Laur.make(p, c, w, INF)), (z, one)))
+
+
+def elem_lower(p, c, w=0):
+    """[[1, 0], [c*pi^w, 1]]"""
+    z = Laur(p, 0, 0, INF)
+    one = Laur.make(p, 1, 0, INF)
+    return LaurentMatrix(p, ((one, z), (Laur.make(p, c, w, INF), one)))
+
+
+class Cocycle:
+    """Valuation data of the scalar pinned down by canonicalization.
+
+    scalar_val is v(lambda) for the pivot scalar; torus_vals is the pair
+    (v(det g) - v(lambda), v(lambda)), the diagonal part of the lift's
+    triangular factorization.  Both add along composition.
+    """
+
+    __slots__ = ("scalar_val", "torus_vals")
+
+    def __init__(self, scalar_val, torus_vals):
+        self.scalar_val = scalar_val
+        self.torus_vals = torus_vals
+
+    def __repr__(self):
+        return f"Cocycle({self.scalar_val}, {self.torus_vals})"
+
+
+def _lift(x):
+    # canonical lift: the leading coordinate is exact, the other is known
+    # only to the point's own level
+    one = Laur.make(x.p, 1, 0, INF)
+    fuzzy = Laur.make(x.p, x.res, 0, x.level)
+    if x.branch == "b":
+        return one, fuzzy
+    return fuzzy, one
+
+
+def _ratio_residue(num, den, level, p):
+    # num/den as an integer residue mod p^level; den is the certified pivot
+    wd = den.w
+    prec = min(_sat(num.prec, -wd),
+               _sat(_sat(den.prec, -2 * wd), num.vbound()))
+    if prec < level:
+        raise PrecisionExhausted(
+            f"residue known mod {p}^{prec}, level {level} requested")
+    if num.a == 0:
+        return 0
+    shift = num.w - wd
+    if shift >= level:
+        return 0
+    md = p ** (level - shift)
+    r = num.a * pow(den.a % md, -1, md) % md
+    return r * p ** shift
+
+
+def act(x, g, level):
+    """Right action: the canonical form of x*g at the requested level.
+
+    Returns (point, Cocycle).  The pivot is the surviving coordinate of
+    smallest valuation; choosing it needs that valuation to be decidable,
+    and the ratio residue must survive to the requested level, otherwise
+    PrecisionExhausted.
+    """
+    p = x.p
+    if g.p != p:
+        raise ValueError("mixed residue characteristics")
+    x1, x2 = _lift(x)
+    e = g.e
+    c1 = x1.mul(e[0][0]).add(x2.mul(e[1][0]))
+    c2 = x1.mul(e[0][1]).add(x2.mul(e[1][1]))
+    if c1.a and c1.w <= c2.vbound():
+        piv, other, branch = c1, c2, "b"
+    elif c2.a and c2.w < c1.vbound():
+        # strict: the second branch requires v(ratio) >= 1
+        piv, other, branch = c2, c1, "i"
+    else:
+        raise PrecisionExhausted("pivot valuation is not determined")
+    res = _ratio_residue(other, piv, level, p)
+    det = g.det()
+    if det.a == 0:
+        raise ValueError("matrix is singular to working precision")
+    coc = Cocycle(piv.w, (det.w - piv.w, piv.w))
+    if branch == "b":
+        return ProjPoint.big_cell(p, level, res), coc
+    return ProjPoint.inf_cell(p, level, res), coc
+
+
+def _in_gl2_o(g):
+    # integral with a unit determinant: acts on P^1(O/pi^m) for every m
+    det = g.det()
+    return g.maxneg() == 0 and det.a != 0 and det.w == 0
+
+
+# FiniteRep.action_matrix as it ran for the trivial, induced and Steinberg
+# models, one act() per label; an inflated model reads g's residues mod p
+# through its own table.
+
+def action_matrix(sig, g):
+    """Matrix of g acting on coordinate columns; rows follow the labels."""
+    ring, n = sig.ring, sig.ring.n
+    if sig.kind == "trivial":
+        return LambdaMatrix(ring, ((1,),))
+    if sig.kind == "induced":
+        index = {x: i for i, x in enumerate(sig.labels)}
+        rows = [[0] * sig.rank for _ in range(sig.rank)]
+        for i, x in enumerate(sig.labels):
+            y, coc = act(x, g, sig.level)
+            rows[i][index[y]] = _chi_val(ring, sig.chi, coc.torus_vals)
+        return LambdaMatrix._reduced(ring, map(tuple, rows), sig.rank)
+    if sig.kind == "steinberg":
+        full = action_matrix(sig.parent, g).entries
+        rows = [tuple((x - y) % n for x, y in zip(r[1:], full[0][1:]))
+                for r in full[1:]]
+        return LambdaMatrix._reduced(ring, rows, sig.rank)
+    if sig.kind == "inflated":
+        if g.maxneg() > 0:
+            raise ValueError("inflated models only see integral matrices")
+        return sig.action_matrix(g.int_entries(1))
+    raise ValueError(f"unknown model kind {sig.kind!r}")
+
+
 # subgroup_generators as it ran before it returned one generating set per
 # group: Gamma_k and K_m list their generators at every depth in [k, m).
 # The orbit and fixed-point references below sweep these, so they do not
@@ -124,9 +400,10 @@ def level_generators(spec, p):
     """Generator matrices, all with exact entries.
 
     Unit parameters are taken mod p^spec.m, so the generated image is only
-    meaningful at levels up to m.
+    meaningful at levels up to m.  Uprime has a pole, so only act() sweeps
+    it.
     """
-    m, k, j = spec.m, spec.k, spec.j
+    m, k = spec.m, spec.k
     kind = spec.kind
     if kind == "U":
         return [elem_upper(p, 1), elem_lower(p, 1)]
@@ -163,24 +440,6 @@ def level_generators(spec, p):
             gens.append(laurent_matrix(p, [[u, 0], [0, 1]]))
             gens.append(laurent_matrix(p, [[1, 0], [0, u]]))
         return gens
-    if kind == "N_j":
-        return [elem_upper(p, 1, -j)]
-    if kind == "T":
-        gens = [diag_matrix(p, 1, 0), diag_matrix(p, 0, 1)]
-        for u in _unit_gens(p, m):
-            gens.append(laurent_matrix(p, [[u, 0], [0, 1]]))
-            gens.append(laurent_matrix(p, [[1, 0], [0, u]]))
-        return gens
-    if kind == "Ts":
-        md = p ** m
-        gens = [diag_matrix(p, 1, -1)]
-        for u in _unit_gens(p, m):
-            gens.append(laurent_matrix(p, [[u, 0], [0, pow(u, -1, md)]]))
-        return gens
-    if kind == "eta":
-        return [diag_matrix(p, 0, 1)]
-    if kind == "B":
-        return level_generators(SubgroupSpec("T", m=m), p) + [elem_upper(p, 1)]
     raise UnsupportedSubgroup(kind)
 
 
@@ -191,12 +450,13 @@ def _mul2(a, b, md):
 
 
 def closure_size(gens, p, m):
-    """Order of the group the generator images generate mod p^m.
+    """Order of the group the images of integer 2x2 matrices generate mod
+    p^m.
 
     Forward closure only: the image monoid is finite, hence already a group.
     """
     md = p ** m
-    imgs = [g.int_entries(m) for g in gens]
+    imgs = [tuple(tuple(x % md for x in row) for row in g) for g in gens]
     ident = ((1 % md, 0), (0, 1 % md))
     seen = {ident}
     frontier = [ident]
@@ -437,9 +697,10 @@ def per_point_pull(eng, v, d1, d2):
     return out
 
 
-# _StageEngine._pull_table as it ran before the unit probes read their
-# sources from a closed form: one valuation pair and one modular inverse
-# per point, for every probe.  Copied verbatim as a function of the engine.
+# _StageEngine._pull_table as it ran before the probes read their sources
+# from closed forms: one valuation pair and one modular inverse per point,
+# for every probe.  Copied verbatim as a function of the engine, with the
+# point count p^L + p^(L-1) written out.
 
 def loop_pull_table(eng, d1, d2):
     """Source index of each point under the pullback along right
@@ -450,7 +711,7 @@ def loop_pull_table(eng, d1, d2):
     weight = [_chi_val(eng.ring, (eng.c1, eng.c2), (vdet - v, v))
               for v in range(vdet + 1)]
     src, wts = [], []
-    for i in range(eng.size):
+    for i in range(md + md // p):
         if i < md:
             a, b = d1, i * d2
         else:
@@ -646,8 +907,9 @@ class PointStageEngine:
 # fixed_points, _eta_inv_rows and _uprime_fixed as they ran before the orbit
 # path: every fixed module is the kernel of stacked dense g - 1 action
 # matrices, and Uprime goes through the dense eta-inverse matrix against the
-# U-fixed rows one level up.  Copied verbatim, less the model kinds that
-# are gone; the recursive calls resolve to these copies.
+# U-fixed rows one level up.  Copied verbatim, less the model and subgroup
+# kinds that are gone; the action matrices are action_matrix above, and the
+# recursive calls resolve to these copies.
 
 def at_level(sig, m2):
     """The same trivial, induced or Steinberg model realized at level m2."""
@@ -673,12 +935,10 @@ def fixed_points(sig, spec):
     if spec.kind == "Uprime":
         return _uprime_fixed(sig)
     gens = level_generators(spec, sig.p)
-    if any(g.maxneg() > 0 for g in gens):
-        raise UnsupportedSubgroup(spec.kind)
     ring, k = sig.ring, sig.rank
     rows = []
     for g in gens:
-        for i, r in enumerate(sig.action_matrix(g).entries):
+        for i, r in enumerate(action_matrix(sig, g).entries):
             rows.append(r[:i] + ((r[i] - 1) % ring.n,) + r[i + 1:])
     f = ModuleMap(free_module(ring, k),
                   free_module(ring, len(rows)),
@@ -861,7 +1121,7 @@ def averaging_projector(sig, subgroup):
         gens = level_generators(subgroup, sig.p)
     else:
         gens = list(subgroup)
-    imgs = [sig.action_matrix(g).entries for g in gens]
+    imgs = [action_matrix(sig, g).entries for g in gens]
     ident = identity_matrix(ring, k).entries
     seen = {ident}
     frontier = [ident]
@@ -888,12 +1148,10 @@ def averaging_projector(sig, subgroup):
 
 
 def vertex_image(label, g):
-    """Image of a tree-ball vertex under an integral matrix; shells are
-    preserved."""
-    if g.maxneg() > 0:
-        raise ValueError("the ball only carries the integral action")
+    """Image of a tree-ball vertex under an integer matrix in GL2(O);
+    shells are preserved."""
     d, pt = label
     if d == 0:
         return label
-    y, _ = act(pt, g, d)
+    y, _ = act(pt, laurent_matrix(pt.p, g), d)
     return (d, y)

@@ -16,14 +16,12 @@ from strata_glue.padic_core import (
     PrecisionExhausted,
     SubgroupSpec,
     UnsupportedSubgroup,
-    elem_lower,
-    elem_upper,
-    laurent_matrix,
     orbits,
 )
 from strata_glue import finite_rep
-from bruteforce import (NonInvertibleOrder, PointStageEngine,
-                        averaging_projector, loop_pull_table, per_point_pull)
+from bruteforce import (NonInvertibleOrder, PointStageEngine, action_matrix,
+                        averaging_projector, elem_lower, elem_upper,
+                        laurent_matrix, loop_pull_table, per_point_pull)
 from bruteforce import fixed_points as dense_fixed_points
 from strata_glue.finite_rep import (
     LevelMismatch,
@@ -58,7 +56,7 @@ def test_trivial_rep_shape():
     sig = trivial_rep(R11, 2)
     assert sig.rank == 1
     g = elem_upper(3, 1)
-    assert sig.action_matrix(g).entries == ((1,),)
+    assert action_matrix(sig, g).entries == ((1,),)
 
 def test_induced_ranks():
     assert induced_rep(R5, (1, 1), 1).rank == 3
@@ -70,7 +68,7 @@ def test_steinberg_rank():
 
 def test_induced_trivial_chi_is_permutation():
     sig = induced_rep(R11, (1, 1), 2)
-    a = sig.action_matrix(elem_upper(3, 1))
+    a = action_matrix(sig, elem_upper(3, 1))
     for row in a.entries:
         assert sorted(row) == [0] * 11 + [1]
 
@@ -83,9 +81,9 @@ def test_action_composes(a, b, c, d):
     h = laurent_matrix(3, [[1, 2], [3, 1]])
     for chi in ((1, 1), unram_pair(R11, 1, 0)):
         sig = induced_rep(R11, chi, 2)
-        lhs = mat_mul(R11, sig.action_matrix(g).entries,
-                      sig.action_matrix(h).entries, sig.rank)
-        assert tuple(map(tuple, lhs)) == sig.action_matrix(g.mul(h)).entries
+        lhs = mat_mul(R11, action_matrix(sig, g).entries,
+                      action_matrix(sig, h).entries, sig.rank)
+        assert tuple(map(tuple, lhs)) == action_matrix(sig, g.mul(h)).entries
 
 
 # ----------------------------------------------------------- fixed points
@@ -114,7 +112,7 @@ def test_fixed_rank_equals_orbit_count():
 def test_fixed_brute_force_small():
     # enumerate all of (Z/5)^3 against the two SL2(O) generators
     sig = induced_rep(R5, (1, 1), 1)
-    mats = [sig.action_matrix(g).entries
+    mats = [action_matrix(sig, g).entries
             for g in (elem_upper(2, 1), elem_lower(2, 1))]
 
     def hits(v):
@@ -151,7 +149,7 @@ def test_fixed_uprime_matches_U_rank():
         b = fixed_points(sig, SubgroupSpec("Uprime", m=2))
         assert len(iso_class(a)) == len(iso_class(b))
         # the integral Uprime generator really fixes the witnesses
-        low = sig.action_matrix(elem_lower(3, 1, 1)).entries
+        low = action_matrix(sig, elem_lower(3, 1, 1)).entries
         for row in b.witness_rows:
             img = tuple(sum(low[i][j] * row[j] for j in range(sig.rank)) % 11
                         for i in range(sig.rank))
@@ -194,9 +192,10 @@ def test_orbit_path_builds_no_action_matrix(monkeypatch):
     def refuse(self, g):
         raise AssertionError("dense action matrix built")
 
+    # Uprime against act() and the dense eta-inverse matrix one level up
     models = _congruence_models(R11, 2)
     want = {}
-    for kind in ("U", "Gamma0", "Gamma_k", "K_m"):
+    for kind in ("U", "Uprime", "Gamma0", "Gamma_k", "K_m"):
         spec = SubgroupSpec(kind, m=2, k=1)
         for i, sig in enumerate(models):
             want[kind, i] = _fixed_outcome(dense_fixed_points, sig, spec)
@@ -204,21 +203,16 @@ def test_orbit_path_builds_no_action_matrix(monkeypatch):
     for (kind, i), out in want.items():
         spec = SubgroupSpec(kind, m=2, k=1)
         assert _fixed_outcome(fixed_points, models[i], spec) == out
-    for sig in models:
-        fixed_points(sig, SubgroupSpec("Uprime", m=2))
 
 
 @pytest.mark.parametrize("kind", ["T", "B", "eta"])
-def test_non_gl2o_subgroups_raise_as_dense(kind):
-    spec = SubgroupSpec(kind, m=2)
-    for sig in (rep_model(R11, "ind(0,1)", 2), steinberg(R11, 2)):
-        with pytest.raises(PrecisionExhausted,
-                           match=r"residue known mod 3\^1, level 2"):
-            fixed_points(sig, spec)
-        assert (_fixed_outcome(fixed_points, sig, spec)
-                == _fixed_outcome(dense_fixed_points, sig, spec))
-    # the trivial model ignores every generator, on both paths
-    assert fixed_points(trivial_rep(R11, 2), spec).witness_rows == ((1,),)
+def test_fixed_points_refuse_kinds_outside_gl2_o(kind):
+    # no integer generators in GL2(O): every model kind refuses, the
+    # trivial one included
+    models = _congruence_models(R11, 1) + [gl2_f2_sign(R7)]
+    for sig in models:
+        with pytest.raises(UnsupportedSubgroup, match=f"^{kind}$"):
+            fixed_points(sig, SubgroupSpec(kind, m=1))
 
 
 def test_uprime_unsupported_kinds():
@@ -457,8 +451,9 @@ R13 = make_ring(13, 5)
 @pytest.mark.parametrize("ring", [R11, R7, R143, R121, R13],
                          ids=lambda r: f"n{r.n}-p{r.p}")
 def test_unit_pull_tables_equal_loop(ring):
-    # the closed-form tables of the unit probes against the per-point loop:
-    # the engine's own probes, then unit pairs off its list
+    # the closed-form tables of the probes against the per-point loop: the
+    # engine's own probes, diag(p, 1) among them, then unit pairs off its
+    # list
     p, n = ring.p, ring.n
     rng = random.Random(f"unit-pull:{n}")
     units = [c for c in range(1, n) if ring.is_unit(c)]
@@ -467,7 +462,7 @@ def test_unit_pull_tables_equal_loop(ring):
         for m in range(1, big_l + 1):
             chi = (rng.choice(units), rng.choice(units))
             eng = finite_rep._StageEngine(ring, p, m, big_l, chi)
-            probes = [op for op in eng.ops if op != (p, 1)]
+            probes = list(eng.ops)
             md_units = [x for x in range(1, md) if x % p]
             u, v = rng.choice(md_units), rng.choice(md_units)
             probes += [(u, 1), (1, u), (u, v)]
@@ -488,7 +483,7 @@ def test_sign_inflation_witnesses():
     # sign of GL2(F2) ~ S3: both depth-zero witnesses vanish over Z/7
     from strata_glue.finite_rep import gl2_f2_sign
     sig = gl2_f2_sign(R7)
-    a = sig.action_matrix(elem_upper(2, 1)).entries
+    a = sig.action_matrix(((1, 1), (0, 1))).entries
     assert a == ((-1 % 7,),)
     fx = fixed_points(sig, SubgroupSpec("Gamma0", m=1))
     assert fx.size() == 1
@@ -511,8 +506,8 @@ def test_dual_pairing_invariance():
     ident = identity_matrix(R11, sig.rank).entries
     for g in (elem_upper(3, 1), elem_lower(3, 1),
               laurent_matrix(3, [[2, 0], [0, 1]])):
-        prod = mat_mul(R11, dl.action_matrix(g).transpose().entries,
-                       sig.action_matrix(g).entries, sig.rank)
+        prod = mat_mul(R11, action_matrix(dl, g).transpose().entries,
+                       action_matrix(sig, g).entries, sig.rank)
         assert tuple(map(tuple, prod)) == ident
 
 def test_dual_trivial_chi():

@@ -1,11 +1,13 @@
-"""Finite-level projective line, cocycles, subgroup images, orbits."""
+"""Finite-level projective line, subgroup images, orbits, and the
+reference act() they are pinned against."""
 
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import (act_sweep_orbits, closure_size, level_generators,
+from bruteforce import (_in_gl2_o, act, act_sweep_orbits, closure_size,
+                        diag_matrix, laurent_matrix, level_generators,
                         residue_sweep_orbits)
 from strata_glue import padic_core
 from strata_glue.padic_core import (
@@ -14,18 +16,14 @@ from strata_glue.padic_core import (
     ProjPoint,
     SubgroupSpec,
     UnsupportedSubgroup,
-    act,
-    diag_matrix,
-    elem_lower,
-    elem_upper,
     enumerate_p1,
     orbit_classification_check,
     orbit_report_json,
     orbits,
     subgroup_generators,
 )
-from strata_glue.padic_core import (_eta_inv_images, _in_gl2_o,
-                                   _integral_images, _unit_inverses)
+from strata_glue.padic_core import (_eta_inv_images, _integral_images,
+                                   _unit_inverses)
 
 
 # ------------------------------------------------------------ enumerate_p1
@@ -45,11 +43,10 @@ def test_p1_distinct():
     assert len(set(pts)) == len(pts) == 3 ** 2 * 4
 
 
-# --------------------------------------------------------------------- act
+# ---------------------------------------------------- act (the reference)
 
 def test_act_weyl_fixed():
     # (1,1) * [[0,-1],[1,0]] = (1,-1)
-    from strata_glue.padic_core import laurent_matrix
     g = laurent_matrix(5, [[0, -1], [1, 0]])
     x = ProjPoint.big_cell(5, 2, 1)
     y, coc = act(x, g, 2)
@@ -59,7 +56,6 @@ def test_act_weyl_fixed():
 
 def test_act_shrink_infinity_branch():
     # (s,1) * diag(1,pi) = (s,pi); for v(s)=2 the canonical point is [s/pi : 1]
-    from strata_glue.padic_core import laurent_matrix
     g = diag_matrix(3, 0, 1)  # diag(1, pi)
     x = ProjPoint.inf_cell(3, 4, 9)
     y, coc = act(x, g, 3)
@@ -75,7 +71,6 @@ def test_act_shrink_unit_ratio():
     assert coc.scalar_val == 1
 
 def test_act_identity():
-    from strata_glue.padic_core import laurent_matrix
     g = laurent_matrix(7, [[1, 0], [0, 1]])
     for x in enumerate_p1(7, 2):
         y, coc = act(x, g, 2)
@@ -90,7 +85,6 @@ def test_act_precision_exhausted():
 
 def test_act_cocycle_additive_across_branches():
     # frozen by hand: x=[1:3] at level 4 under w then diag(1,pi)
-    from strata_glue.padic_core import laurent_matrix
     p = 3
     w = laurent_matrix(p, [[0, -1], [1, 0]])
     eta = diag_matrix(p, 0, 1)
@@ -111,7 +105,6 @@ def test_act_cocycle_additive_across_branches():
        st.integers(0, 11))
 def test_act_is_right_action(a, b, c, d, ti):
     # random integral 3-adic matrices with unit determinant, level 2
-    from strata_glue.padic_core import laurent_matrix
     p, m = 3, 2
     g = laurent_matrix(p, [[a, b], [c, d]])
     if (a * d - b * c) % p == 0:
@@ -169,9 +162,9 @@ def test_generating_set_closure(kind, p, m, k, order):
     # depth in [k, m), generating the same group, of the closed-form order
     spec = SubgroupSpec(kind, m=m, k=k)
     gens = subgroup_generators(spec, p)
-    every = level_generators(spec, p)
-    assert ([g.int_entries(m) for g in gens]
-            == [g.int_entries(m) for g in every[:len(gens)]])
+    every = [g.int_entries(m) for g in level_generators(spec, p)]
+    assert ([tuple(tuple(x % p ** m for x in row) for row in g)
+             for g in gens] == every[:len(gens)])
     assert closure_size(gens, p, m) == closure_size(every, p, m) == order
 
 def _depth_zero_cases():
@@ -193,11 +186,9 @@ def test_depth_zero_generates_sl2_and_gl2(p, m):
         assert closure_size(km, p, m) == sl2 * units
     # the rest by SL2 inside K_m and det onto the units: a full closure of
     # GL2(Z/49) holds 4.8M matrices
-    assert ([g.int_entries(m) for g in km[:len(gamma)]]
-            == [g.int_entries(m) for g in gamma])
+    assert km[:len(gamma)] == gamma
     dets = []
-    for g in km:
-        (a, b), (c, d) = g.int_entries(m)
+    for (a, b), (c, d) in km:
         dets.append((a * d - b * c) % md)
     seen, frontier = {1 % md}, [1 % md]
     while frontier:
@@ -210,6 +201,17 @@ def test_depth_zero_generates_sl2_and_gl2(p, m):
 def test_unsupported_subgroup():
     with pytest.raises(UnsupportedSubgroup):
         subgroup_generators(SubgroupSpec("Weyl", m=1), p=3)
+
+
+# the kinds outside GL2(O)'s integer generators, which no command reaches:
+# Uprime has a pole, T, B and eta a non-unit determinant, Ts and N_j both
+@pytest.mark.parametrize("kind", ["Uprime", "T", "Ts", "B", "eta", "N_j"])
+def test_kinds_outside_gl2_o_are_unsupported(kind):
+    spec = SubgroupSpec(kind, m=2)
+    with pytest.raises(UnsupportedSubgroup, match=f"^{kind}$"):
+        subgroup_generators(spec, p=3)
+    with pytest.raises(UnsupportedSubgroup, match=f"^{kind}$"):
+        orbits(spec, 2, p=3)
 
 
 # ------------------------------------------------------------------ orbits
@@ -236,10 +238,11 @@ def test_orbits_blocks_sorted():
     assert str(reps[0]) == "[1:0]"
 
 def test_gamma0_refines_U_and_Uprime():
+    # Uprime, the eta-conjugate of U, has a pole: only act() sweeps it
     p, m = 3, 2
     blocks0 = orbits(SubgroupSpec("Gamma0", m=m), m, p=p)
-    for name in ("U", "Uprime"):
-        big = orbits(SubgroupSpec(name, m=m), m, p=p)
+    for big in (orbits(SubgroupSpec("U", m=m), m, p=p),
+                act_sweep_orbits(SubgroupSpec("Uprime", m=m), m, p=p)):
         lookup = {}
         for i, b in enumerate(big):
             for x in b:
@@ -248,8 +251,14 @@ def test_gamma0_refines_U_and_Uprime():
             assert len({lookup[x] for x in blk}) == 1
 
 def test_uprime_transitive():
-    part = orbits(SubgroupSpec("Uprime", m=2), 2, p=3)
+    part = act_sweep_orbits(SubgroupSpec("Uprime", m=2), 2, p=3)
     assert len(part) == 1
+
+
+def test_orbits_need_level_one():
+    # at level 0 no residue is a unit
+    with pytest.raises(ValueError, match="^orbits need level at least 1$"):
+        orbits(SubgroupSpec("U", m=0), 0, p=3)
 
 
 GRID = [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)]
@@ -257,9 +266,8 @@ GRID = [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)]
 
 def _specs(m):
     # one spec per subgroup kind, every depth k < m for the principal ones
-    for kind in ("U", "Uprime", "Gamma0", "T", "Ts", "eta", "B"):
+    for kind in ("U", "Gamma0"):
         yield SubgroupSpec(kind, m=m)
-    yield SubgroupSpec("N_j", m=m, j=1)
     for k in range(1, m):
         yield SubgroupSpec("Gamma_k", m=m, k=k)
         yield SubgroupSpec("K_m", m=m, k=k)
@@ -273,25 +281,16 @@ def test_integral_images_equal_act(p, m):
               for kind in ("Gamma_k", "K_m") for k in range(1, m)]
     for spec in specs:
         for g in subgroup_generators(spec, p):
-            assert _in_gl2_o(g)
+            lg = laurent_matrix(p, g)
+            assert _in_gl2_o(lg)
             imgs = _integral_images(g, p, m, _unit_inverses(p, m))
-            assert [pts[i] for i in imgs] == [act(x, g, m)[0] for x in pts]
+            assert [pts[i] for i in imgs] == [act(x, lg, m)[0] for x in pts]
 
 
 @pytest.mark.parametrize("p,m", GRID)
 def test_orbits_equal_act_sweep(p, m):
     for spec in _specs(m):
-        if spec.kind in ("Uprime", "Ts", "N_j") and p ** m > 100:
-            # both sweeps run act() at level m + 4: 93,750 points for
-            # p=5, m=3, several seconds per kind
-            continue
-        try:
-            want = act_sweep_orbits(spec, m, p)
-        except PrecisionExhausted:
-            with pytest.raises(PrecisionExhausted):
-                orbits(spec, m, p)
-            continue
-        assert orbits(spec, m, p) == want, spec
+        assert orbits(spec, m, p) == act_sweep_orbits(spec, m, p), spec
 
 
 # the orbits workload's shapes, (p, k) at levels 2k-1 and 2k, and depth 1
@@ -326,7 +325,7 @@ def test_integral_images_equal_act_every_depth(p, m):
     for kind in ("Gamma_k", "K_m"):
         for k in range(1, m):
             for g in level_generators(SubgroupSpec(kind, m=m, k=k), p):
-                imgs = _integral_images(g, p, m, inv)
+                imgs = _integral_images(g.int_entries(m), p, m, inv)
                 assert [pts[i] for i in imgs] == [act(x, g, m)[0]
                                                   for x in pts]
 
@@ -351,13 +350,6 @@ def test_eta_inv_images_equal_act(p, m):
         want.append((index[y], coc.torus_vals))
     assert list(_eta_inv_images(p, m)) == want
 
-
-@pytest.mark.parametrize("kind", ["T", "B", "eta"])
-def test_orbits_non_unit_determinant_exhausts_precision(kind):
-    # integral generators with det = pi: a sweep keyed on integrality alone
-    # would return a partition here
-    with pytest.raises(PrecisionExhausted):
-        orbits(SubgroupSpec(kind, m=2), 2, p=3)
 
 
 # ------------------------------------------- orbit_classification_check

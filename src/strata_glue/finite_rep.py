@@ -359,6 +359,8 @@ class _StageEngine:
         self.c1, self.c2 = chi
         self.r = self.c1 * ring.inv(self.c2) % n
         md, pm = p ** big_l, p ** m
+        # point count, read by the stage sizer in perfbench/spans.py
+        self.size = md + md // p
         # depth of each [s:1] with s != 0, in order of s
         self.mu = [_vp(s, p) for s in range(p, md, p)]
         self.fiber_of = ([t % pm for t in range(md)]

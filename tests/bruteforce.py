@@ -711,7 +711,7 @@ def loop_pull_table(eng, d1, d2):
     weight = [_chi_val(eng.ring, (eng.c1, eng.c2), (vdet - v, v))
               for v in range(vdet + 1)]
     src, wts = [], []
-    for i in range(md + md // p):
+    for i in range(eng.size):
         if i < md:
             a, b = d1, i * d2
         else:

@@ -7,20 +7,17 @@ from .lambda_core import (  # noqa: F401
     BanalityViolation,
     BoundedComplex,
     CoeffRing,
-    DegreeOutOfRange,
     FgModule,
     IllDefinedMap,
     LambdaMatrix,
     MissingSqrtQ,
     ModuleMap,
     free_module,
-    homology,
     howell_form,
     iso_class,
     kernel,
     left_kernel,
     make_ring,
-    module_isomorphism,
     quotient_module,
 )
 
@@ -32,7 +29,6 @@ from .char_engine import (  # noqa: F401
     compact_generator_ranks,
     glue,
     hc_tilde,
-    is_generic,
     jacquet_symbolic,
     verdier_dualize,
 )

@@ -303,12 +303,6 @@ def _slope(slope):
 # ------------------------------------------------- coinvariant arithmetic
 
 
-def is_generic(chi):
-    """chi1/chi2 avoids 1, q, 1/q, so every counting rule returns zero."""
-    ring = chi.ring
-    return chi.ts_value() not in (1, ring.q_pow(1), ring.q_pow(-1))
-
-
 def _witness(constituents, ring):
     w = 1
     for c in constituents:
@@ -488,25 +482,49 @@ def verdier_dualize(graded, d, rules):
 
 # -------------------------------------------------------------- cuspidal
 
-_GROUP_RE = re.compile(r"GL2\(F(\d+)\)\Z")
+# F0 and F1 are no fields, and p = 0 would not reduce residues
+_GROUP_RE = re.compile(r"GL2\(F([2-9]|[1-9]\d+)\)\Z")
 _CUSP_BUILTINS = {"gl2f2-sign": gl2_f2_sign}
 
 
+def _int_matrix(mat, field, shape=None):
+    # a non-empty list of equally long lists of ints; bool is an int
+    # subclass, and a float or a string would pass through % p silently
+    if (type(mat) is not list or not mat
+            or any(type(r) is not list or len(r) != len(mat[0])
+                   for r in mat)):
+        raise ValueError(f"{field} is not a list of equally long rows")
+    if shape is not None and (len(mat), len(mat[0])) != shape:
+        raise ValueError(f"{field} is not {shape[0]}x{shape[1]}")
+    if any(type(x) is not int for r in mat for x in r):
+        raise ValueError(f"{field} has an entry that is not an integer")
+    return mat
+
+
 def _load_cusp_table(ring, source):
+    """Depth-zero model of a built-in name or of a JSON file; raises
+    ValueError naming the field that does not have the documented shape."""
     if source in _CUSP_BUILTINS:
         return _CUSP_BUILTINS[source](ring)
     with open(source) as fh:
         blob = json.load(fh)
-    m = _GROUP_RE.match(blob["group"])
+    if type(blob) is not dict:
+        raise ValueError("cusp table is not a JSON object")
+    group = blob.get("group")
+    m = _GROUP_RE.match(group) if type(group) is str else None
     if not m:
-        raise ValueError(f"unrecognized group {blob['group']!r}")
+        raise ValueError(f"unrecognized group {group!r}")
     p = int(m.group(1))
-    gens = blob["generators"]
-    mats = blob["matrices"]
+    gens, mats = blob.get("generators"), blob.get("matrices")
+    if type(gens) is not list or type(mats) is not list:
+        raise ValueError("generators and matrices must be lists")
     if len(gens) != len(mats) or not mats:
         raise ValueError("generators and matrices must pair up")
-    table = {tuple(tuple(int(v) % p for v in row) for row in g): mat
-             for g, mat in zip(gens, mats)}
+    table = {}
+    for i, (g, mat) in enumerate(zip(gens, mats)):
+        g = _int_matrix(g, f"generators[{i}]", (2, 2))
+        key = tuple(tuple(v % p for v in row) for row in g)
+        table[key] = _int_matrix(mat, f"matrices[{i}]")
     return inflate(ring, p, table, rank=len(mats[0]))
 
 
@@ -516,7 +534,7 @@ def _check_cuspidal(ring, source):
     if sig.p != ring.p:
         raise ValueError(
             f"table residue characteristic {sig.p} is not p={ring.p}")
-    if not fixed_points(sig, SubgroupSpec("Gamma0", 1)).is_zero():
+    if not fixed_points(sig, SubgroupSpec("Gamma0")).is_zero():
         raise CuspidalWitnessFailed("Iwahori-fixed vectors survive")
     # N-coinvariants: cokernel of (action of the unit transvection) - 1
     a = sig.action_matrix(((1, 1), (0, 1))).entries

@@ -27,11 +27,7 @@ from .lambda_core import (
     make_ring,
     quotient_module,
 )
-from .padic_core import (
-    PrecisionExhausted,
-    orbit_classification_check,
-    orbit_report_json,
-)
+from .padic_core import PrecisionExhausted, orbit_classification_check
 from .finite_rep import jacquet_oracle, rep_model
 from .sl2_coh import bt_ball, cohomology_report, ps1_acyclicity_check
 from .char_engine import (
@@ -99,8 +95,8 @@ def _build_parser():
 def cmd_orbits(args, ring):
     rep = orbit_classification_check(args.k, ring.p, ring.n)
     if args.format == "json":
-        out = {"command": "orbits", "status": "pass"}
-        out.update(json.loads(orbit_report_json(rep)))
+        out = {f: rep[f] for f in ("k", "m", "orbit_count", "orbits")}
+        out.update(command="orbits", status="pass")
         print(json.dumps(out, sort_keys=True))
     else:
         print(f"orbits p={ring.p} k={args.k}: count {rep['orbit_count']} "

@@ -47,10 +47,6 @@ from .padic_core import (
 )
 
 
-class LevelMismatch(ValueError):
-    """Two finite models disagree about the working level."""
-
-
 class NotStabilized(RuntimeError):
     """The smoothing stages kept moving through the whole window.
 
@@ -203,10 +199,11 @@ def dual_rep(sig):
 def fixed_points(sig, spec):
     """Submodule of vectors fixed by every generator of the named subgroup.
 
-    The result is presented on its Howell generators, kept as witness_rows:
-    they span the fixed space inside the coordinate module.  Howell form is
-    canonical per row span, so the result does not depend on which
-    spanning rows a path produces.
+    The working level is the model's own, sig.level.  The result is
+    presented on its Howell generators, kept as witness_rows: they span the
+    fixed space inside the coordinate module.  Howell form is canonical per
+    row span, so the result does not depend on which spanning rows a path
+    produces.
 
     Orbit path, for trivial, induced and Steinberg models under U, Gamma0,
     Gamma_k and K_m: each generator lies in GL2(O) and permutes the
@@ -222,13 +219,10 @@ def fixed_points(sig, spec):
     action matrices.  Inflated models have no Uprime, and every kind
     outside U, Uprime, Gamma0, Gamma_k and K_m raises UnsupportedSubgroup.
     """
-    if spec.m != sig.level:
-        raise LevelMismatch(
-            f"subgroup at level {spec.m}, model at level {sig.level}")
     if spec.kind == "Uprime":
         return _uprime_fixed(sig)
     # raises UnsupportedSubgroup for an unknown kind, on every model kind
-    gens = subgroup_generators(spec, sig.p)
+    gens = subgroup_generators(spec, sig.p, sig.level)
     if sig.kind != "inflated":
         return span_module(sig.ring, sig.rank, _orbit_rows(sig, spec))
     ring, k = sig.ring, sig.rank
@@ -296,7 +290,7 @@ def _uprime_rows(sig):
     base = sig.parent if sig.kind == "steinberg" else sig
     # one entry per point of the level-(m+1) line
     orbit_of = [None] * (p ** (m + 1) + p ** m)
-    blocks = orbits(SubgroupSpec("U", m=m + 1), m + 1, p)
+    blocks = orbits(SubgroupSpec("U"), m + 1, p)
     for o, block in enumerate(blocks):
         for x in block:
             orbit_of[_point_index(x)] = o

@@ -4,12 +4,13 @@ Z/n is not a domain, so row reduction alone does not give canonical forms or
 complete kernels.  The canonical representative used throughout is the Howell
 form: unique per row span, closed under the annihilator rows that a composite
 modulus introduces.  Modules are finitely generated quotients of free modules,
-maps are matrices on ambient generators, and homology is computed by stacked
-kernel solves.  Iso classes come from a Smith form mod n that starts from
-the Howell relations: rows with a unit pivot drop out with their pivot
-column, and only the rest is eliminated, per prime power of n, with the
-local results joined by CRT.  All values are immutable after construction
-and every operation is a pure function, so instances can be shared freely.
+maps are matrices on ambient generators, and kernels and quotients are
+computed by stacked Howell solves.  Iso classes come from a Smith form mod n
+that starts from the Howell relations: rows with a unit pivot drop out with
+their pivot column, and only the rest is eliminated, per prime power of n,
+with the local orders joined by CRT.  All values are immutable after
+construction and every operation is a pure function, so instances can be
+shared freely.
 """
 
 from fractions import Fraction
@@ -28,10 +29,6 @@ class BadSqrt(ValueError):
 
 class IllDefinedMap(ValueError):
     """Matrix does not carry source relations into target relations."""
-
-
-class DegreeOutOfRange(ValueError):
-    """Complex has no module at the requested degree."""
 
 
 @lru_cache(maxsize=None)
@@ -172,19 +169,6 @@ class LambdaMatrix:
 def identity_matrix(ring, k):
     return LambdaMatrix(ring, [[1 if i == j else 0 for j in range(k)]
                                for i in range(k)], cols=k)
-
-
-def mat_mul(ring, a_rows, b_rows, b_cols):
-    n = ring.n
-    out = []
-    for ar in a_rows:
-        row = [0] * b_cols
-        for c, br in zip(ar, b_rows):
-            if c:
-                for j in range(b_cols):
-                    row[j] = (row[j] + c * br[j]) % n
-        out.append(row)
-    return out
 
 
 # ----------------------------------------------------------- Howell engine
@@ -339,11 +323,6 @@ def left_kernel(m):
     return LambdaMatrix._reduced(m.ring, kh, m.nrows)
 
 
-def in_span(v, hmat):
-    """Membership of a vector in the row span of a Howell-form matrix."""
-    return express_in_span(v, hmat) is not None
-
-
 def express_in_span(v, hmat):
     """Coefficients c with c * hmat = v, or None.  hmat must be Howell form."""
     n = hmat.ring.n
@@ -370,8 +349,8 @@ class FgModule:
     """Quotient of a free module Lambda^ambient by a Howell-form row span.
 
     witness_rows, when present, are ambient vectors of an enclosing module
-    that the generators of this abstract presentation came from (kernels and
-    homology keep them so callers can point at actual cycles).
+    that the generators of this abstract presentation came from (kernels
+    keep them so callers can point at actual cycles).
     """
 
     __slots__ = ("ring", "ambient", "relations", "witness_rows")
@@ -389,7 +368,7 @@ class FgModule:
         self.witness_rows = witness_rows
 
     def contains_rel(self, v):
-        return in_span(v, self.relations)
+        return express_in_span(v, self.relations) is not None
 
     def size(self):
         span, c = 1, -1
@@ -400,10 +379,6 @@ class FgModule:
 
     def is_zero(self):
         return self.size() == 1
-
-    def to_json(self):
-        return {"ambient": self.ambient,
-                "relations": [list(r) for r in self.relations.entries]}
 
     def __repr__(self):
         return f"FgModule(ambient={self.ambient}, iso={iso_class(self)})"
@@ -492,16 +467,6 @@ class BoundedComplex:
                         raise ValueError(f"d_{k+1} d_{k} != 0")
 
 
-def _submodule_rows(f):
-    """Rows spanning {x : f(x) = 0 in target}, inside the source ambient."""
-    ring = f.source.ring
-    a = f.matrix.transpose()          # x * a = apply(x)
-    stacked = list(a.entries) + list(f.target.relations.entries)
-    kern = left_kernel(LambdaMatrix._reduced(ring, stacked, a.cols))
-    rows = [k[: f.source.ambient] for k in kern.entries]
-    return _howell_engine(rows, ring.n, f.source.ambient)
-
-
 def _present_subquotient(ring, ambient, gen_rows, mod_rows):
     """span(gen_rows)/span(mod_rows) presented on the given generators."""
     if not gen_rows:
@@ -516,54 +481,36 @@ def _present_subquotient(ring, ambient, gen_rows, mod_rows):
 
 
 def kernel(f):
-    """Kernel of a ModuleMap as an abstract FgModule with witness rows."""
-    rows = _submodule_rows(f)
-    return _present_subquotient(f.source.ring, f.source.ambient, rows,
-                                f.source.relations.entries)
-
-
-def homology(c, k):
-    """ker(d_k)/im(d_{k-1}) at degree k of a BoundedComplex."""
-    if k not in c.modules:
-        raise DegreeOutOfRange(f"no module in degree {k}")
-    mod = c.modules[k]
-    ring = mod.ring
-    if k in c.differentials:
-        cycles = _submodule_rows(c.differentials[k])
-    else:
-        cycles = identity_matrix(ring, mod.ambient).entries
-    boundaries = list(mod.relations.entries)
-    if k - 1 in c.differentials:
-        boundaries += c.differentials[k - 1].image_rows()
-    return _present_subquotient(ring, mod.ambient, list(cycles), boundaries)
+    """Kernel of a ModuleMap as an abstract FgModule with witness rows:
+    the Howell rows of {x : f(x) = 0 in target}."""
+    ring, k = f.source.ring, f.source.ambient
+    a = f.matrix.transpose()          # x * a = apply(x)
+    stacked = list(a.entries) + list(f.target.relations.entries)
+    kern = left_kernel(LambdaMatrix._reduced(ring, stacked, a.cols))
+    rows = _howell_engine([r[:k] for r in kern.entries], ring.n, k)
+    return _present_subquotient(ring, k, rows, f.source.relations.entries)
 
 
 # --------------------------------------------------- Smith form, iso classes
 
-def _local_smith(rows, width, q, transform):
-    """Smith form over Z/q, for q a prime power, of rows over Z/n.
+def _local_smith(rows, width, q):
+    """Smith form over Z/q, for q a prime power, of rows over Z/n: the
+    order of each column's cyclic summand, q where no pivot lands.
 
-    Returns the order of each column's cyclic summand (q where no pivot
-    lands) and, with transform set, a column transform w and its inverse:
-    x -> x*w carries the quotient onto the sum of those summands.  An
-    entry of least valuation, that is of least gcd g with q, divides every
-    entry of its block over Z/q, so it clears its column by row steps and
-    its row by column steps, with no divisibility sweep.  The column steps
-    change only the pivot row, which is then dropped, so they are carried
-    out on w alone.  The pivot is left as g times a unit, which spans the
-    same ideal as g.
+    An entry of least valuation, that is of least gcd g with q, divides
+    every entry of its block over Z/q, so it clears its column by row steps
+    and its row by column steps, with no divisibility sweep.  The column
+    steps change only the pivot row, which is then dropped, so they need
+    not be carried out.  The pivot is left as g times a unit, which spans
+    the same ideal as g.
     """
     a = [[x % q for x in r] for r in rows]
     orders = [q] * width
-    w = winv = None
-    if transform:
-        w = [[int(i == j) for j in range(width)] for i in range(width)]
-        winv = [list(r) for r in w]
     while True:
         best = min(((gcd(x, q), i, j) for i, r in enumerate(a)
                     for j, x in enumerate(r) if x), default=None)
         if best is None:
-            return orders, w, winv
+            return orders
         g, i, j = best
         piv = a.pop(i)
         inv = pow(piv[j] // g, -1, q)
@@ -576,20 +523,11 @@ def _local_smith(rows, width, q, transform):
                     r[c] = (r[c] - r[j] * s) % q
                 r[j] = 0
         orders[j] = g
-        if transform:
-            for r in w:
-                if r[j]:
-                    for c, s in steps:
-                        r[c] = (r[c] - r[j] * s) % q
-            for c, s in steps:
-                winv[j] = [(y + s * z) % q for y, z in zip(winv[j], winv[c])]
 
 
-def _smith(module, transform=False):
-    """Invariant factors (> 1) of a module, largest first, from its Howell
-    relations.  With transform set it returns also fwd and back, which map
-    the module onto the sum of Z/d over those factors d and back again:
-    x -> x*fwd and y -> y*back.
+def iso_class(module):
+    """Invariant factors (> 1) of the module, largest first, from its
+    Howell relations.
 
     A Howell row whose pivot is 1 has its pivot column zero in every other
     row, so the row and that column drop out together: the row rewrites
@@ -597,8 +535,7 @@ def _smith(module, transform=False):
     is 1, so the answer is [n] * (ambient - rows), with no elimination and
     no factoring.  Rows with other pivots are eliminated per prime power q
     of n.  The local orders, sorted largest first, multiply column by
-    column into the invariant factors, and the local transforms add up
-    with the CRT idempotents, 1 mod q and 0 mod n/q.
+    column into the invariant factors.
     """
     n, k = module.ring.n, module.ambient
     unit, rest, c = [], [], -1
@@ -608,44 +545,8 @@ def _smith(module, transform=False):
     cut = {c for c, _ in unit}
     cols = [j for j in range(k) if j not in cut]
     rest = [[r[j] for j in cols] for _, r in rest]
-    parts = []
+    local = []
     for _, q in _factor(n) if rest else ((n, n),):
-        orders, w, winv = _local_smith(rest, len(cols), q, transform)
-        keep = sorted((j for j, o in enumerate(orders) if o > 1),
-                      key=lambda j: -orders[j])
-        parts.append((q, [orders[j] for j in keep], keep, w, winv))
-    factors = [prod(f) for f in
-               zip_longest(*(o for _, o, _, _, _ in parts), fillvalue=1)]
-    if not transform:
-        return factors
-    t = len(factors)
-    fwd = [[0] * t for _ in range(k)]
-    back = [[0] * k for _ in range(t)]
-    for q, _, keep, w, winv in parts:
-        e = n // q * pow(n // q, -1, q)
-        for i, j in enumerate(keep):
-            for jj, c in enumerate(cols):
-                fwd[c][i] = (fwd[c][i] + e * w[jj][j]) % n
-                back[i][c] = (back[i][c] + e * winv[j][jj]) % n
-    for c, r in unit:
-        fwd[c] = [-sum(r[cj] * fwd[cj][i] for cj in cols) % n
-                  for i in range(t)]
-    return factors, fwd, back
-
-
-def iso_class(module):
-    """Invariant factors (> 1) of the module, largest first."""
-    return _smith(module)
-
-
-def module_isomorphism(m1, m2):
-    """Explicit isomorphism between modules of equal iso_class, else None."""
-    if m1.ring != m2.ring:
-        return None
-    f1, fwd, _ = _smith(m1, transform=True)
-    f2, _, back = _smith(m2, transform=True)
-    if f1 != f2:
-        return None
-    comp = mat_mul(m1.ring, fwd, back, m2.ambient)
-    return ModuleMap(m1, m2,
-                     LambdaMatrix(m1.ring, comp, cols=m2.ambient).transpose())
+        orders = _local_smith(rest, len(cols), q)
+        local.append(sorted((o for o in orders if o > 1), reverse=True))
+    return [prod(f) for f in zip_longest(*local, fillvalue=1)]

@@ -12,7 +12,6 @@ serves every generator.  Generator inverses are never applied because
 the image of each generator in the finite quotient has finite order.
 """
 
-import json
 from itertools import count, islice
 
 
@@ -87,21 +86,20 @@ def enumerate_p1(p, m):
 # --------------------------------------------------------------- subgroups
 
 class SubgroupSpec:
-    """Names one of the supported subgroups at a working level m.
+    """Names one of the supported subgroups; k is the congruence depth for
+    the principal families.  It carries no level: subgroup_generators and
+    orbits take the working level m from their caller, and
+    finite_rep.fixed_points takes it from the model."""
 
-    k is the congruence depth for the principal families.
-    """
+    __slots__ = ("kind", "k")
 
-    __slots__ = ("kind", "m", "k")
-
-    def __init__(self, kind, m, k=None):
+    def __init__(self, kind, k=None):
         self.kind = kind
-        self.m = m
         self.k = k
 
     def __repr__(self):
         extra = "" if self.k is None else f", k={self.k}"
-        return f"SubgroupSpec({self.kind!r}, m={self.m}{extra})"
+        return f"SubgroupSpec({self.kind!r}{extra})"
 
 
 def _prime_factors(x):
@@ -136,24 +134,24 @@ def _unit_gens(p, m):
         g += 1
 
 
-def subgroup_generators(spec, p):
+def subgroup_generators(spec, p, m):
     """A generating set of the named subgroup of GL2(O), as plain 2x2
-    integer matrices ((a, b), (c, d)).
+    integer matrices ((a, b), (c, d)), for its image at level m.
 
     The kinds are U = SL2(O), Gamma0 (c = 0 mod pi), and the principal
     congruence families Gamma_k and K_m; any other kind raises
-    UnsupportedSubgroup.  Unit parameters are taken mod p^spec.m, so the
-    generated image is only meaningful at levels up to m.  Gamma_k and K_m
-    get one generating set each, not one set per depth lev in [k, m): the
-    unipotent at depth lev is the p^(lev-k)-th power of the one at depth k,
-    and 1 + p^k generates 1 + p^k Z_p when p is odd or k >= 2, so for
-    k >= 1 the depth-k generators suffice, with those at depth 2 added when
-    p = 2 and k = 1 (1 + 2 Z_2 needs 5 as well as 3).  At k = 0 the groups
+    UnsupportedSubgroup.  The caller passes the working level m: unit
+    parameters are taken mod p^m, so the generated image is only
+    meaningful at levels up to m.  Gamma_k and K_m get one generating set
+    each, not one set per depth lev in [k, m): the unipotent at depth lev
+    is the p^(lev-k)-th power of the one at depth k, and 1 + p^k generates
+    1 + p^k Z_p when p is odd or k >= 2, so for k >= 1 the depth-k
+    generators suffice, with those at depth 2 added when p = 2 and k = 1
+    (1 + 2 Z_2 needs 5 as well as 3).  At k = 0 the groups
     are SL2(O), generated by the two elementary unipotents, and GL2(O),
     which adds diag(u, 1) for each generator u of the units mod p^m.
     """
-    m, k = spec.m, spec.k
-    kind = spec.kind
+    kind, k = spec.kind, spec.k
     if kind == "U":
         return [((1, 1), (0, 1)), ((1, 0), (1, 1))]
     if kind == "Gamma0":
@@ -244,19 +242,21 @@ def _eta_inv_images(p, m):
 def orbits(spec, m, p):
     """Partition of P^1(O/pi^m) into orbits of the named subgroup.
 
-    Every generator lies in GL2(O) and acts on the level-m points by
-    residue arithmetic mod p^m (_integral_images); every point feeds one
-    union per generator, and union-find closes the relation symmetrically.
-    One table of unit inverses mod p^m, built per call, serves every
-    generator, and the images of one generator are merged before the next
-    one's are made.  Blocks list their points in enumerate_p1 order and
+    The caller's m is the one working level: the generators are those of
+    subgroup_generators(spec, p, m).  Every generator lies in GL2(O) and
+    acts on the level-m points by residue arithmetic mod p^m
+    (_integral_images); every point feeds one union per generator, and
+    union-find closes the relation symmetrically.  One table of unit
+    inverses mod p^m, built per call, serves every generator, and the
+    images of one generator are merged before the next one's are made.
+    Blocks list their points in enumerate_p1 order and
     come in the order of their first points.  Raises ValueError when
     m < 1, where no residue is a unit, and UnsupportedSubgroup for a kind
     that subgroup_generators does not know.
     """
     if m < 1:
         raise ValueError("orbits need level at least 1")
-    gens = subgroup_generators(spec, p)
+    gens = subgroup_generators(spec, p, m)
     base = enumerate_p1(p, m)
     parent = list(range(len(base)))
     inv = _unit_inverses(p, m)
@@ -303,7 +303,7 @@ def orbit_classification_check(k, p, n):
         raise ValueError("k must be at least 1")
     parts = {}
     for m in (2 * k - 1, 2 * k):
-        parts[m] = orbits(SubgroupSpec("Gamma_k", m=m, k=k), m, p=p)
+        parts[m] = orbits(SubgroupSpec("Gamma_k", k=k), m, p=p)
     if len(parts[2 * k - 1]) != len(parts[2 * k]):
         raise ClassificationMismatch(
             "orbit count changes between levels 2k-1 and 2k")
@@ -335,8 +335,3 @@ def orbit_classification_check(k, p, n):
         "orbits": [{"rep": str(b[0]), "size": len(b)} for b in part],
     }
 
-
-def orbit_report_json(rep):
-    """Serialize the stable subset of a classification report."""
-    keep = {f: rep[f] for f in ("k", "m", "orbit_count", "orbits")}
-    return json.dumps(keep, sort_keys=True)

@@ -68,9 +68,9 @@ class TreeBall:
         self.vertices = tuple(verts)
         self.edges = tuple(edges)
         self.colors = {v: "U" if v[0] % 2 == 0 else "Uprime" for v in verts}
-        stabs = {v: SubgroupSpec(self.colors[v], 1) for v in verts}
+        stabs = {v: SubgroupSpec(self.colors[v]) for v in verts}
         for e in edges:
-            stabs[e] = SubgroupSpec("Gamma0", 1)
+            stabs[e] = SubgroupSpec("Gamma0")
         self.stabilizers = stabs
         self._children = {v: [] for v in verts}
         for child, parent in edges:
@@ -189,10 +189,9 @@ class SSComplex:
 def ss_complex(sigma):
     """Two-term fixed-point complex of a level model."""
     ring = sigma.ring
-    lvl = sigma.level
-    u_fixed = fixed_points(sigma, SubgroupSpec("U", lvl))
-    uprime_fixed = fixed_points(sigma, SubgroupSpec("Uprime", lvl))
-    gamma0_fixed = fixed_points(sigma, SubgroupSpec("Gamma0", lvl))
+    u_fixed = fixed_points(sigma, SubgroupSpec("U"))
+    uprime_fixed = fixed_points(sigma, SubgroupSpec("Uprime"))
+    gamma0_fixed = fixed_points(sigma, SubgroupSpec("Gamma0"))
     gmat = LambdaMatrix(ring, gamma0_fixed.witness_rows, cols=sigma.rank)
     cols = []
     for w in u_fixed.witness_rows:

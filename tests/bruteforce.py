@@ -31,14 +31,28 @@ inverse and the unchecked matrix wrapper.
 import itertools
 from math import gcd
 
-from strata_glue.finite_rep import (LevelMismatch, _scaled_inverse,
-                                    induced_rep, steinberg, trivial_rep)
+from strata_glue.finite_rep import (_scaled_inverse, induced_rep, steinberg,
+                                    trivial_rep)
 from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
                                      howell_form, identity_matrix, kernel,
-                                     mat_mul, quotient_module)
+                                     quotient_module)
 from strata_glue.padic_core import (PrecisionExhausted, ProjPoint,
                                    SubgroupSpec, UnsupportedSubgroup,
                                    _unit_gens, enumerate_p1)
+
+
+def mat_mul(ring, a_rows, b_rows, b_cols):
+    """Product of two matrices over Z/n, as lists of rows."""
+    n = ring.n
+    out = []
+    for ar in a_rows:
+        row = [0] * b_cols
+        for c, br in zip(ar, b_rows):
+            if c:
+                for j in range(b_cols):
+                    row[j] = (row[j] + c * br[j]) % n
+        out.append(row)
+    return out
 
 
 def all_vectors(length, n):
@@ -396,15 +410,14 @@ def action_matrix(sig, g):
 # GL2(O) on their standard generators, since 1 + p^0 = 2 is no unit at
 # p = 2 and does not generate the units mod 7^m.
 
-def level_generators(spec, p):
-    """Generator matrices, all with exact entries.
+def level_generators(spec, p, m):
+    """Generator matrices, all with exact entries, for the image at level m.
 
-    Unit parameters are taken mod p^spec.m, so the generated image is only
+    Unit parameters are taken mod p^m, so the generated image is only
     meaningful at levels up to m.  Uprime has a pole, so only act() sweeps
     it.
     """
-    m, k = spec.m, spec.k
-    kind = spec.kind
+    kind, k = spec.kind, spec.k
     if kind == "U":
         return [elem_upper(p, 1), elem_lower(p, 1)]
     if kind == "Uprime":
@@ -476,7 +489,7 @@ def act_sweep_orbits(spec, m, p):
     """Orbit partition by one act() per generator and point, as orbits()
     computed it for every generator before its residue sweep: all points of
     a level raised by twice the pole depth plus slack, merged at level m."""
-    gens = level_generators(spec, p)
+    gens = level_generators(spec, p, m)
     depth = max((g.maxneg() for g in gens), default=0)
     internal = m if depth == 0 else m + 2 * depth + 2
     base = enumerate_p1(p, m)
@@ -538,7 +551,7 @@ def residue_sweep_orbits(spec, m, p):
     act() raises PrecisionExhausted where even that cannot certify the
     image at level m.
     """
-    gens = level_generators(spec, p)
+    gens = level_generators(spec, p, m)
     base = enumerate_p1(p, m)
     parent = list(range(len(base)))
 
@@ -924,17 +937,15 @@ def at_level(sig, m2):
 
 
 def fixed_points(sig, spec):
-    """Submodule of vectors fixed by every generator of the named subgroup.
+    """Submodule of vectors fixed by every generator of the named subgroup,
+    at the model's level.
 
     The result is presented on the model basis; witness_rows span the fixed
     space inside the coordinate module.
     """
-    if spec.m != sig.level:
-        raise LevelMismatch(
-            f"subgroup at level {spec.m}, model at level {sig.level}")
     if spec.kind == "Uprime":
         return _uprime_fixed(sig)
-    gens = level_generators(spec, sig.p)
+    gens = level_generators(spec, sig.p, sig.level)
     ring, k = sig.ring, sig.rank
     rows = []
     for g in gens:
@@ -977,7 +988,7 @@ def _uprime_fixed(sig):
         raise UnsupportedSubgroup("Uprime")
     ring, m = sig.ring, sig.level
     raised = at_level(sig, m + 1)
-    fix2 = fixed_points(raised, SubgroupSpec("U", m=m + 1))
+    fix2 = fixed_points(raised, SubgroupSpec("U"))
     rows = _eta_inv_rows(sig, raised)
     target = quotient_module(free_module(ring, raised.rank),
                              [list(r) for r in fix2.witness_rows])
@@ -1110,15 +1121,12 @@ class NonInvertibleOrder(ValueError):
 def averaging_projector(sig, subgroup):
     """Idempotent (1/N) sum over the finite image of the subgroup.
 
-    subgroup is a SubgroupSpec, generated as level_generators lists it, or
-    an explicit list of generator matrices.
+    subgroup is a SubgroupSpec, generated as level_generators lists it at
+    the model's level, or an explicit list of generator matrices.
     """
     ring, k = sig.ring, sig.rank
     if isinstance(subgroup, SubgroupSpec):
-        if subgroup.m != sig.level:
-            raise LevelMismatch(
-                f"subgroup at level {subgroup.m}, model at level {sig.level}")
-        gens = level_generators(subgroup, sig.p)
+        gens = level_generators(subgroup, sig.p, sig.level)
     else:
         gens = list(subgroup)
     imgs = [action_matrix(sig, g).entries for g in gens]

@@ -37,7 +37,7 @@ def test_criterion_1_orbit_formula():
     for p, k in ((2, 1), (2, 2), (3, 1), (3, 2)):
         want = closed_form(p, k)
         for m in (2 * k - 1, 2 * k):
-            part = orbits(SubgroupSpec("Gamma_k", m=m, k=k), m, p=p)
+            part = orbits(SubgroupSpec("Gamma_k", k=k), m, p=p)
             assert len(part) == want, (p, k, m)
         # infinity orbit is the valuation <= -k disc; the classification
         # checker verifies that clause and the zero disc symmetrically
@@ -106,7 +106,7 @@ def test_criterion_5_gluing_tables():
 
 def test_criterion_6_cuspidal_vanishing(tmp_path):
     sig = gl2_f2_sign(R7)
-    assert fixed_points(sig, SubgroupSpec("Gamma0", 1)).is_zero()
+    assert fixed_points(sig, SubgroupSpec("Gamma0")).is_zero()
     out = glue(R7, "int", "cusp:gl2f2-sign")
     assert out.is_zero()
     table = tmp_path / "trivial.json"

@@ -11,6 +11,7 @@ import pytest
 
 from strata_glue import cli
 from strata_glue.cli import main
+from strata_glue.padic_core import enumerate_p1
 
 
 def run(capsys, *argv):
@@ -98,6 +99,50 @@ def test_glue_missing_cusp_file_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+_T = [[1, 1], [0, 1]]
+
+
+# each blob is malformed in one field; unchecked, these crashed with a
+# TypeError (exit 1), or, for bool and float entries, reached the
+# witnesses and failed as mathematics (exit 3)
+@pytest.mark.parametrize("blob,field", [
+    ([1, 2], "cusp table is not a JSON object"),
+    ({"group": 5, "generators": [_T], "matrices": [[[1]]]},
+     "unrecognized group 5"),
+    ({"group": "GL2(F0)", "generators": [_T], "matrices": [[[1]]]},
+     "unrecognized group 'GL2(F0)'"),
+    ({"group": "GL2(F2)", "generators": [_T]},
+     "generators and matrices must be lists"),
+    ({"group": "GL2(F2)", "generators": [1, 2], "matrices": [[[1]], [[1]]]},
+     "generators[0] is not a list of equally long rows"),
+    ({"group": "GL2(F2)", "generators": [[[1, 1], [0, 1], [0, 0]]],
+      "matrices": [[[1]]]}, "generators[0] is not 2x2"),
+    ({"group": "GL2(F2)", "generators": [_T], "matrices": [1]},
+     "matrices[0] is not a list of equally long rows"),
+    ({"group": "GL2(F2)", "generators": [[["1", 1], [0, 1]]],
+      "matrices": [[[1]]]}, "generators[0] has an entry that is not"),
+    ({"group": "GL2(F2)", "generators": [[[1.5, 1], [0, 1]]],
+      "matrices": [[[1]]]}, "generators[0] has an entry that is not"),
+    ({"group": "GL2(F2)", "generators": [_T, [[True, 0], [1, 1]]],
+      "matrices": [[[1]], [[1]]]}, "generators[1] has an entry that is not"),
+    ({"group": "GL2(F2)", "generators": [_T], "matrices": [[["x"]]]},
+     "matrices[0] has an entry that is not"),
+    ({"group": "GL2(F2)", "generators": [_T], "matrices": [[[1.5]]]},
+     "matrices[0] has an entry that is not"),
+], ids=["top-level-list", "int-group", "group-F0", "no-matrices",
+        "1-d-generators", "3x2-generator", "1-d-matrices",
+        "string-entry", "float-entry", "bool-entry", "string-matrix-entry",
+        "float-matrix-entry"])
+def test_glue_malformed_cusp_table_is_usage_error(capsys, tmp_path, blob,
+                                                   field):
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "glue", "--slope", "int",
+                         "--rep", f"cusp:{table}", "--p", "2", "--n", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: ValueError: {field}"), err
+
+
 # ---------------------------------------------------------------- sl2coh
 
 
@@ -154,6 +199,12 @@ def test_orbits_json(capsys):
     blob = json.loads(out)
     assert code == 0
     assert blob["status"] == "pass" and blob["orbit_count"] == 6
+    assert set(blob) == {"command", "status", "k", "m", "orbit_count",
+                         "orbits"}
+    assert blob["command"] == "orbits" and blob["k"] == 2
+    assert all(set(o) == {"rep", "size"} for o in blob["orbits"])
+    assert (sum(o["size"] for o in blob["orbits"])
+            == len(enumerate_p1(2, blob["m"])))
 
 
 def test_orbits_nonprime_p_is_usage_error(capsys):

@@ -10,7 +10,6 @@ from strata_glue.lambda_core import (
     identity_matrix,
     iso_class,
     make_ring,
-    mat_mul,
 )
 from strata_glue.padic_core import (
     PrecisionExhausted,
@@ -21,10 +20,10 @@ from strata_glue.padic_core import (
 from strata_glue import finite_rep
 from bruteforce import (NonInvertibleOrder, PointStageEngine, action_matrix,
                         averaging_projector, elem_lower, elem_upper,
-                        laurent_matrix, loop_pull_table, per_point_pull)
+                        laurent_matrix, loop_pull_table, mat_mul,
+                        per_point_pull)
 from bruteforce import fixed_points as dense_fixed_points
 from strata_glue.finite_rep import (
-    LevelMismatch,
     NotStabilized,
     dual_rep,
     fixed_points,
@@ -92,12 +91,12 @@ def test_fixed_ind_trivial_U():
     # transitive action: constants only
     for ring, p, m in ((R5, 2, 1), (R11, 3, 2)):
         sig = induced_rep(ring, (1, 1), m)
-        fx = fixed_points(sig, SubgroupSpec("U", m=m))
+        fx = fixed_points(sig, SubgroupSpec("U"))
         assert free_rank(fx, ring.n) == 1
 
 def test_fixed_ind_trivial_gamma0():
     sig = induced_rep(R11, (1, 1), 2)
-    fx = fixed_points(sig, SubgroupSpec("Gamma0", m=2))
+    fx = fixed_points(sig, SubgroupSpec("Gamma0"))
     assert free_rank(fx, 11) == 2
 
 def test_fixed_rank_equals_orbit_count():
@@ -105,7 +104,7 @@ def test_fixed_rank_equals_orbit_count():
     p, m = 3, 2
     sig = induced_rep(R11, (1, 1), m)
     for kind, kw in (("U", {}), ("Gamma0", {}), ("Gamma_k", {"k": 1})):
-        spec = SubgroupSpec(kind, m=m, **kw)
+        spec = SubgroupSpec(kind, **kw)
         fx = fixed_points(sig, spec)
         assert free_rank(fx, 11) == len(orbits(spec, m, p=p))
 
@@ -125,19 +124,19 @@ def test_fixed_brute_force_small():
     brute = {v for v in
              ((x, y, z) for x in range(5) for y in range(5) for z in range(5))
              if hits(v)}
-    fx = fixed_points(sig, SubgroupSpec("U", m=1))
+    fx = fixed_points(sig, SubgroupSpec("U"))
     assert len(brute) == fx.size() == 5
     for row in fx.witness_rows:
         assert row in brute
 
 def test_fixed_steinberg():
     sig = steinberg(R11, 2)
-    assert fixed_points(sig, SubgroupSpec("U", m=2)).size() == 1
-    assert free_rank(fixed_points(sig, SubgroupSpec("Gamma0", m=2)), 11) == 1
+    assert fixed_points(sig, SubgroupSpec("U")).size() == 1
+    assert free_rank(fixed_points(sig, SubgroupSpec("Gamma0")), 11) == 1
 
 def test_fixed_uprime_transitive():
     sig = induced_rep(R11, (1, 1), 2)
-    fx = fixed_points(sig, SubgroupSpec("Uprime", m=2))
+    fx = fixed_points(sig, SubgroupSpec("Uprime"))
     assert free_rank(fx, 11) == 1
 
 def test_fixed_uprime_matches_U_rank():
@@ -145,8 +144,8 @@ def test_fixed_uprime_matches_U_rank():
     for sig in (induced_rep(R11, (1, 1), 2),
                 steinberg(R11, 2),
                 induced_rep(R11, unram_pair(R11, "1/2", "-1/2"), 2)):
-        a = fixed_points(sig, SubgroupSpec("U", m=2))
-        b = fixed_points(sig, SubgroupSpec("Uprime", m=2))
+        a = fixed_points(sig, SubgroupSpec("U"))
+        b = fixed_points(sig, SubgroupSpec("Uprime"))
         assert len(iso_class(a)) == len(iso_class(b))
         # the integral Uprime generator really fixes the witnesses
         low = action_matrix(sig, elem_lower(3, 1, 1)).entries
@@ -178,13 +177,13 @@ def test_congruence_fixed_points_match_dense(ring, m):
     # every depth k <= m; at k = 0 both sides run SL2(O) and GL2(O)
     for kind in ("Gamma_k", "K_m"):
         for k in range(m + 1):
-            spec = SubgroupSpec(kind, m=m, k=k)
+            spec = SubgroupSpec(kind, k=k)
             for sig in _congruence_models(ring, m):
                 assert (_fixed_outcome(fixed_points, sig, spec)
                         == _fixed_outcome(dense_fixed_points, sig, spec))
         # both are transitive on the line: the constants alone are fixed
         ind = _congruence_models(ring, m)[0]
-        fx = fixed_points(ind, SubgroupSpec(kind, m=m, k=0))
+        fx = fixed_points(ind, SubgroupSpec(kind, k=0))
         assert fx.witness_rows == ((1,) * ind.rank,)
 
 
@@ -196,12 +195,12 @@ def test_orbit_path_builds_no_action_matrix(monkeypatch):
     models = _congruence_models(R11, 2)
     want = {}
     for kind in ("U", "Uprime", "Gamma0", "Gamma_k", "K_m"):
-        spec = SubgroupSpec(kind, m=2, k=1)
+        spec = SubgroupSpec(kind, k=1)
         for i, sig in enumerate(models):
             want[kind, i] = _fixed_outcome(dense_fixed_points, sig, spec)
     monkeypatch.setattr(finite_rep.FiniteRep, "action_matrix", refuse)
     for (kind, i), out in want.items():
-        spec = SubgroupSpec(kind, m=2, k=1)
+        spec = SubgroupSpec(kind, k=1)
         assert _fixed_outcome(fixed_points, models[i], spec) == out
 
 
@@ -212,18 +211,18 @@ def test_fixed_points_refuse_kinds_outside_gl2_o(kind):
     models = _congruence_models(R11, 1) + [gl2_f2_sign(R7)]
     for sig in models:
         with pytest.raises(UnsupportedSubgroup, match=f"^{kind}$"):
-            fixed_points(sig, SubgroupSpec(kind, m=1))
+            fixed_points(sig, SubgroupSpec(kind))
 
 
 def test_uprime_unsupported_kinds():
     sig = gl2_f2_sign(R7)
     with pytest.raises(UnsupportedSubgroup, match="Uprime"):
-        fixed_points(sig, SubgroupSpec("Uprime", m=sig.level))
+        fixed_points(sig, SubgroupSpec("Uprime"))
 
 
 def test_uprime_needs_one_level_of_precision():
     # Uprime is read one level up, so a model at its precision refuses it
-    spec = SubgroupSpec("Uprime", 2)
+    spec = SubgroupSpec("Uprime")
     for sig in (steinberg(R11, 2, precision=2),
                 induced_rep(R11, (1, 1), 2, precision=2),
                 trivial_rep(R11, 2, precision=2)):
@@ -235,19 +234,11 @@ def test_uprime_needs_one_level_of_precision():
     fixed_points(steinberg(R11, 2, precision=3), spec)
 
 
-def test_fixed_points_level_mismatch():
-    for sig in (induced_rep(R11, (1, 1), 2), steinberg(R11, 2)):
-        for kind in ("U", "Uprime", "Gamma0"):
-            with pytest.raises(LevelMismatch,
-                               match="subgroup at level 3, model at level 2"):
-                fixed_points(sig, SubgroupSpec(kind, m=3))
-
-
 # ----------------------------------------------------- averaging projector
 
 def test_averaging_trivial_is_identity():
     sig = trivial_rep(R11, 1)
-    e = averaging_projector(sig, SubgroupSpec("U", m=1))
+    e = averaging_projector(sig, SubgroupSpec("U"))
     assert e.matrix.entries == ((1,),)
 
 def test_averaging_regular_rep():
@@ -270,10 +261,10 @@ def test_averaging_gamma0_image():
         for spec in ("ind(0,1)", "st"):
             sig = rep_model(R11, spec, m)
             for kind in ("Gamma0", "U"):
-                e = averaging_projector(sig, SubgroupSpec(kind, m=m))
+                e = averaging_projector(sig, SubgroupSpec(kind))
                 img = howell_form(
                     LambdaMatrix(R11, e.image_rows(), cols=sig.rank))
-                fx = fixed_points(sig, SubgroupSpec(kind, m=m))
+                fx = fixed_points(sig, SubgroupSpec(kind))
                 assert img.entries == fx.witness_rows
 
 def test_averaging_noninvertible_order():
@@ -485,7 +476,7 @@ def test_sign_inflation_witnesses():
     sig = gl2_f2_sign(R7)
     a = sig.action_matrix(((1, 1), (0, 1))).entries
     assert a == ((-1 % 7,),)
-    fx = fixed_points(sig, SubgroupSpec("Gamma0", m=1))
+    fx = fixed_points(sig, SubgroupSpec("Gamma0"))
     assert fx.size() == 1
     coin = (a[0][0] - 1) % 7
     assert R7.is_unit(coin)  # coinvariants V/(gv - v) = 0

@@ -1,8 +1,6 @@
 """Finite-level projective line, subgroup images, orbits, and the
 reference act() they are pinned against."""
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +16,6 @@ from strata_glue.padic_core import (
     UnsupportedSubgroup,
     enumerate_p1,
     orbit_classification_check,
-    orbit_report_json,
     orbits,
     subgroup_generators,
 )
@@ -124,26 +121,26 @@ def test_act_is_right_action(a, b, c, d, ti):
 # --------------------------------------------------- subgroup_generators
 
 def test_closure_U_level3():
-    gens = subgroup_generators(SubgroupSpec("U", m=3), p=2)
+    gens = subgroup_generators(SubgroupSpec("U"), p=2, m=3)
     assert closure_size(gens, 2, 3) == 384  # |SL2(Z/8)|
 
 def test_closure_gamma1_at_level1():
-    gens = subgroup_generators(SubgroupSpec("Gamma_k", m=1, k=1), p=3)
+    gens = subgroup_generators(SubgroupSpec("Gamma_k", k=1), p=3, m=1)
     assert closure_size(gens, 3, 1) == 1
 
 def test_closure_gamma0_level1():
-    gens = subgroup_generators(SubgroupSpec("Gamma0", m=1), p=3)
+    gens = subgroup_generators(SubgroupSpec("Gamma0"), p=3, m=1)
     assert closure_size(gens, 3, 1) == 12  # Borel of GL2(F3)
 
 def test_closure_gamma_k_sizes():
     # principal congruence image has size p^(3(m-k))
     for p, m, k in [(2, 3, 1), (3, 2, 1), (2, 3, 2)]:
-        gens = subgroup_generators(SubgroupSpec("Gamma_k", m=m, k=k), p=p)
+        gens = subgroup_generators(SubgroupSpec("Gamma_k", k=k), p=p, m=m)
         assert closure_size(gens, p, m) == p ** (3 * (m - k))
 
 def test_closure_K_m():
     for p, m, k in [(3, 2, 1), (2, 3, 1)]:
-        gens = subgroup_generators(SubgroupSpec("K_m", m=m, k=k), p=p)
+        gens = subgroup_generators(SubgroupSpec("K_m", k=k), p=p, m=m)
         assert closure_size(gens, p, m) == p ** (4 * (m - k))
 
 def _closure_cases():
@@ -160,9 +157,9 @@ def _closure_cases():
 def test_generating_set_closure(kind, p, m, k, order):
     # one generating set per group: a prefix of the generators at every
     # depth in [k, m), generating the same group, of the closed-form order
-    spec = SubgroupSpec(kind, m=m, k=k)
-    gens = subgroup_generators(spec, p)
-    every = [g.int_entries(m) for g in level_generators(spec, p)]
+    spec = SubgroupSpec(kind, k=k)
+    gens = subgroup_generators(spec, p, m)
+    every = [g.int_entries(m) for g in level_generators(spec, p, m)]
     assert ([tuple(tuple(x % p ** m for x in row) for row in g)
              for g in gens] == every[:len(gens)])
     assert closure_size(gens, p, m) == closure_size(every, p, m) == order
@@ -179,8 +176,8 @@ def test_depth_zero_generates_sl2_and_gl2(p, m):
     md = p ** m
     units = p ** (m - 1) * (p - 1)
     sl2 = p ** (3 * m - 2) * (p * p - 1)
-    gamma = subgroup_generators(SubgroupSpec("Gamma_k", m=m, k=0), p)
-    km = subgroup_generators(SubgroupSpec("K_m", m=m, k=0), p)
+    gamma = subgroup_generators(SubgroupSpec("Gamma_k", k=0), p, m)
+    km = subgroup_generators(SubgroupSpec("K_m", k=0), p, m)
     assert closure_size(gamma, p, m) == sl2
     if sl2 * units <= 10 ** 5:
         assert closure_size(km, p, m) == sl2 * units
@@ -200,16 +197,16 @@ def test_depth_zero_generates_sl2_and_gl2(p, m):
 
 def test_unsupported_subgroup():
     with pytest.raises(UnsupportedSubgroup):
-        subgroup_generators(SubgroupSpec("Weyl", m=1), p=3)
+        subgroup_generators(SubgroupSpec("Weyl"), p=3, m=1)
 
 
 # the kinds outside GL2(O)'s integer generators, which no command reaches:
 # Uprime has a pole, T, B and eta a non-unit determinant, Ts and N_j both
 @pytest.mark.parametrize("kind", ["Uprime", "T", "Ts", "B", "eta", "N_j"])
 def test_kinds_outside_gl2_o_are_unsupported(kind):
-    spec = SubgroupSpec(kind, m=2)
+    spec = SubgroupSpec(kind)
     with pytest.raises(UnsupportedSubgroup, match=f"^{kind}$"):
-        subgroup_generators(spec, p=3)
+        subgroup_generators(spec, p=3, m=2)
     with pytest.raises(UnsupportedSubgroup, match=f"^{kind}$"):
         orbits(spec, 2, p=3)
 
@@ -217,22 +214,22 @@ def test_kinds_outside_gl2_o_are_unsupported(kind):
 # ------------------------------------------------------------------ orbits
 
 def test_orbits_gamma1_p3_m2():
-    part = orbits(SubgroupSpec("Gamma_k", m=2, k=1), 2, p=3)
+    part = orbits(SubgroupSpec("Gamma_k", k=1), 2, p=3)
     assert len(part) == 4
 
 def test_orbits_gamma0_p3_m2():
-    part = orbits(SubgroupSpec("Gamma0", m=2), 2, p=3)
+    part = orbits(SubgroupSpec("Gamma0"), 2, p=3)
     sizes = sorted(len(b) for b in part)
     assert len(part) == 2
     assert sizes == [3, 9]
 
 def test_orbits_U_transitive():
     for p in (2, 3):
-        part = orbits(SubgroupSpec("U", m=2), 2, p=p)
+        part = orbits(SubgroupSpec("U"), 2, p=p)
         assert len(part) == 1
 
 def test_orbits_blocks_sorted():
-    part = orbits(SubgroupSpec("Gamma_k", m=2, k=1), 2, p=3)
+    part = orbits(SubgroupSpec("Gamma_k", k=1), 2, p=3)
     reps = [b[0] for b in part]
     assert reps == sorted(reps)
     assert str(reps[0]) == "[1:0]"
@@ -240,9 +237,9 @@ def test_orbits_blocks_sorted():
 def test_gamma0_refines_U_and_Uprime():
     # Uprime, the eta-conjugate of U, has a pole: only act() sweeps it
     p, m = 3, 2
-    blocks0 = orbits(SubgroupSpec("Gamma0", m=m), m, p=p)
-    for big in (orbits(SubgroupSpec("U", m=m), m, p=p),
-                act_sweep_orbits(SubgroupSpec("Uprime", m=m), m, p=p)):
+    blocks0 = orbits(SubgroupSpec("Gamma0"), m, p=p)
+    for big in (orbits(SubgroupSpec("U"), m, p=p),
+                act_sweep_orbits(SubgroupSpec("Uprime"), m, p=p)):
         lookup = {}
         for i, b in enumerate(big):
             for x in b:
@@ -251,14 +248,22 @@ def test_gamma0_refines_U_and_Uprime():
             assert len({lookup[x] for x in blk}) == 1
 
 def test_uprime_transitive():
-    part = act_sweep_orbits(SubgroupSpec("Uprime", m=2), 2, p=3)
+    part = act_sweep_orbits(SubgroupSpec("Uprime"), 2, p=3)
     assert len(part) == 1
+
+
+def test_orbits_sweep_at_the_callers_level():
+    # the spec carries no level, so the unit parameters and the depths
+    # kept follow the level the orbits are asked for
+    part = orbits(SubgroupSpec("K_m", k=1), 3, p=2)
+    assert [len(b) for b in part] == [4, 4, 4]
+    assert part == residue_sweep_orbits(SubgroupSpec("K_m", k=1), 3, 2)
 
 
 def test_orbits_need_level_one():
     # at level 0 no residue is a unit
     with pytest.raises(ValueError, match="^orbits need level at least 1$"):
-        orbits(SubgroupSpec("U", m=0), 0, p=3)
+        orbits(SubgroupSpec("U"), 0, p=3)
 
 
 GRID = [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)]
@@ -267,20 +272,20 @@ GRID = [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)]
 def _specs(m):
     # one spec per subgroup kind, every depth k < m for the principal ones
     for kind in ("U", "Gamma0"):
-        yield SubgroupSpec(kind, m=m)
+        yield SubgroupSpec(kind)
     for k in range(1, m):
-        yield SubgroupSpec("Gamma_k", m=m, k=k)
-        yield SubgroupSpec("K_m", m=m, k=k)
+        yield SubgroupSpec("Gamma_k", k=k)
+        yield SubgroupSpec("K_m", k=k)
 
 
 @pytest.mark.parametrize("p,m", GRID)
 def test_integral_images_equal_act(p, m):
     pts = enumerate_p1(p, m)
-    specs = [SubgroupSpec("U", m=m), SubgroupSpec("Gamma0", m=m)]
-    specs += [SubgroupSpec(kind, m=m, k=k)
+    specs = [SubgroupSpec("U"), SubgroupSpec("Gamma0")]
+    specs += [SubgroupSpec(kind, k=k)
               for kind in ("Gamma_k", "K_m") for k in range(1, m)]
     for spec in specs:
-        for g in subgroup_generators(spec, p):
+        for g in subgroup_generators(spec, p, m):
             lg = laurent_matrix(p, g)
             assert _in_gl2_o(lg)
             imgs = _integral_images(g, p, m, _unit_inverses(p, m))
@@ -301,7 +306,7 @@ def test_orbits_equal_act_sweep(p, m):
     *((kind, 2, 1, m) for kind in ("Gamma_k", "K_m") for m in (2, 3, 4, 5)),
 ])
 def test_orbits_equal_residue_sweep(kind, p, k, m):
-    spec = SubgroupSpec(kind, m=m, k=k)
+    spec = SubgroupSpec(kind, k=k)
     assert orbits(spec, m, p) == residue_sweep_orbits(spec, m, p)
 
 
@@ -313,7 +318,7 @@ def test_orbits_equal_residue_sweep(kind, p, k, m):
                                  for m in range(1, top + 1)])
 def test_orbits_equal_level_generator_sweep(kind, p, m):
     for k in range(1, m):
-        spec = SubgroupSpec(kind, m=m, k=k)
+        spec = SubgroupSpec(kind, k=k)
         assert orbits(spec, m, p) == residue_sweep_orbits(spec, m, p), spec
 
 
@@ -324,7 +329,7 @@ def test_integral_images_equal_act_every_depth(p, m):
     inv = _unit_inverses(p, m)
     for kind in ("Gamma_k", "K_m"):
         for k in range(1, m):
-            for g in level_generators(SubgroupSpec(kind, m=m, k=k), p):
+            for g in level_generators(SubgroupSpec(kind, k=k), p, m):
                 imgs = _integral_images(g.int_entries(m), p, m, inv)
                 assert [pts[i] for i in imgs] == [act(x, g, m)[0]
                                                   for x in pts]
@@ -373,15 +378,6 @@ def test_classification_closed_form():
     for p in (2, 3, 5):
         for k in (1, 2, 3, 4):
             assert orbit_count_formula(p, k) == p ** k + p ** (k - 1)
-
-def test_classification_report_json():
-    rep = orbit_classification_check(1, 2, 5)
-    blob = json.loads(orbit_report_json(rep))
-    assert blob["k"] == 1
-    assert blob["orbit_count"] == 3
-    assert all(set(o) == {"rep", "size"} for o in blob["orbits"])
-    assert sum(o["size"] for o in blob["orbits"]) == len(enumerate_p1(2, blob["m"]))
-
 
 # The disc clauses, driven by partitions corrupted at level 2k so that the
 # orbit count, and with it the two count clauses, still passes.

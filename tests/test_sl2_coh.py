@@ -119,7 +119,7 @@ def test_base_edge_stabilizer_is_iwahori():
     ball = bt_ball(3, 1)
     spec = ball.stabilizers[ball.base_edge]
     assert spec.kind == "Gamma0"
-    gens = subgroup_generators(spec, 3)
+    gens = subgroup_generators(spec, 3, 1)
     assert closure_size(gens, 3, 1) == 12
 
 
@@ -168,7 +168,7 @@ def test_eta_respects_adjacency():
 def test_integral_action_fixes_root_and_colors():
     ball = bt_ball(3, 2)
     edge_set = {frozenset(e) for e in ball.edges}
-    for g in subgroup_generators(SubgroupSpec("U", 1), 3):
+    for g in subgroup_generators(SubgroupSpec("U"), 3, 1):
         assert vertex_image(ROOT, g) == ROOT
         for v in ball.vertices:
             w = vertex_image(v, g)

@@ -1,6 +1,8 @@
 """Finite-level projective line, subgroup images, orbits, and the
 reference act() they are pinned against."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from bruteforce import (_in_gl2_o, act, act_sweep_orbits, closure_size,
                         diag_matrix, laurent_matrix, level_generators,
                         residue_sweep_orbits)
 from strata_glue import padic_core
+from strata_glue.cli import main
 from strata_glue.padic_core import (
     ClassificationMismatch,
     PrecisionExhausted,
@@ -378,6 +381,15 @@ def test_classification_closed_form():
     for p in (2, 3, 5):
         for k in (1, 2, 3, 4):
             assert orbit_count_formula(p, k) == p ** k + p ** (k - 1)
+
+def test_classification_report_json(capsys):
+    # the report's stable subset, as the orbits command serializes it
+    assert main(["orbits", "--format", "json", "--p", "2", "--k", "1"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["k"] == 1
+    assert blob["orbit_count"] == 3
+    assert all(set(o) == {"rep", "size"} for o in blob["orbits"])
+    assert sum(o["size"] for o in blob["orbits"]) == len(enumerate_p1(2, blob["m"]))
 
 # The disc clauses, driven by partitions corrupted at level 2k so that the
 # orbit count, and with it the two count clauses, still passes.

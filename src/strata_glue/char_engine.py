@@ -4,11 +4,15 @@ Everything the gluing functor does to an unramified input factors through
 a short list of value-level facts: unramified characters of E^x are pinned
 by their value at a uniformizer, the coinvariant constituents of the small
 induced models form two-line symbols with a split flag, and each slope
-carries a frozen degree table saying which determinant twists appear where.
-The numeric engines certify the two degeneration facts this table leans on
-(the Steinberg line concentrates in one homological degree, the weight-one
-induced model is acyclic against the averaging operator); this module does
-the remaining arithmetic in Lambda and never touches a tree again.
+carries one frozen table saying which building block, determinant twist
+and modulus exponents sit in which degree.  hc_tilde reads an input spec
+against its slope's table; glue reads the contragredient against it and
+flips the result through Verdier duality, which only reindexes and
+inverts.  The numeric engines certify the two degeneration facts the
+integral table leans on (the Steinberg line concentrates in one
+homological degree, the weight-one induced model is acyclic against the
+averaging operator); this module does the remaining arithmetic in Lambda
+and never touches a tree again.
 """
 
 import json
@@ -20,7 +24,6 @@ from types import MappingProxyType
 
 from .lambda_core import (
     LambdaMatrix,
-    MissingSqrtQ,
     ModuleMap,
     free_module,
     iso_class,
@@ -37,7 +40,7 @@ from .finite_rep import (
     steinberg,
     trivial_rep,
 )
-from .sl2_coh import sl2_homology
+from .sl2_coh import sl2_cohomology
 
 
 class UnsupportedSpec(ValueError):
@@ -46,10 +49,6 @@ class UnsupportedSpec(ValueError):
 
 class DegreeNotInTable(ValueError):
     """Requested output degree has no rule row."""
-
-
-class MissingProvenance(ValueError):
-    """Graded module does not remember which input produced it."""
 
 
 class NonUnitWitness(ValueError):
@@ -203,16 +202,12 @@ def _char_key(c):
 
 
 class GradedCharModule:
-    """Finite character table indexed by output degree.
+    """Finite character table indexed by output degree; empty degrees are
+    dropped on construction."""
 
-    Empty degrees are dropped on construction; provenance records the
-    (slope, spec) pair that produced the table, which the duality flip
-    needs in order to recompute the partner table.
-    """
+    __slots__ = ("ring", "chars")
 
-    __slots__ = ("ring", "chars", "provenance")
-
-    def __init__(self, ring, chars, provenance=None):
+    def __init__(self, ring, chars):
         cleaned = {}
         for d in sorted(chars):
             entry = tuple(sorted(chars[d], key=_char_key))
@@ -220,7 +215,6 @@ class GradedCharModule:
                 cleaned[int(d)] = entry
         self.ring = ring
         self.chars = cleaned
-        self.provenance = provenance
 
     def is_zero(self):
         return not self.chars
@@ -249,54 +243,45 @@ class JacquetSymbol:
         self.unit_witness = unit_witness
 
 
-# ------------------------------------------------------------ rule tables
+# ----------------------------------------------------------- slope tables
 
 
-class InputCohomologyTable:
-    """Degree -> building-block spec for one slope, with central twists."""
+class SlopeTable:
+    """Frozen stratum table of one slope.
 
-    __slots__ = ("slope", "rows", "det_exponents")
+    rows maps an output degree to its building-block spec, the central
+    character of that block as a modulus exponent, and the z_1/z_2 modulus
+    exponents the degree adds; d is the ambient dimension of the duality
+    flip and inputs the spec kinds the slope takes.
+    """
 
-    def __init__(self, slope, rows, det_exponents):
-        self.slope = slope
-        self.rows = MappingProxyType(dict(rows))
-        self.det_exponents = MappingProxyType(
-            {j: Fraction(e) for j, e in det_exponents.items()})
+    __slots__ = ("name", "rows", "d", "inputs")
 
-
-class TateRuleTable:
-    """Frozen z_1/z_2 modulus exponents per degree, plus the duality dim."""
-
-    __slots__ = ("name", "z_exponents", "d")
-
-    def __init__(self, name, z_exponents, d):
+    def __init__(self, name, rows, d, inputs):
         self.name = name
-        self.z_exponents = MappingProxyType(dict(z_exponents))
+        self.rows = MappingProxyType(dict(rows))
         self.d = d
+        self.inputs = frozenset(inputs)
 
 
-INTEGRAL_TABLE = InputCohomologyTable(
+INTEGRAL = SlopeTable(
     "integral",
-    {2: "st", 3: "ind(1,0)", 4: "absdet^1"},
-    # central characters of the rows, as modulus exponents
-    {2: 0, 3: Fraction(1, 2), 4: 1})
+    {2: ("st", 0, (0, 0)),
+     3: ("ind(1,0)", Fraction(1, 2), (-1, 0)),
+     4: ("absdet^1", 1, (-2, 0))},
+    d=2, inputs=("triv", "absdet", "ind", "ps"))
 
-HALF_TABLE = InputCohomologyTable(
+HALF = SlopeTable(
     "half",
-    {1: "triv", 2: "nrd^1"},
-    {1: 0, 2: 1})
-
-INTEGRAL_RULES = TateRuleTable(
-    "integral", {2: (0, 0), 3: (-1, 0), 4: (-2, 0)}, d=2)
-
-HALF_RULES = TateRuleTable("half", {1: (0, 0), 2: (-2, 0)}, d=1)
+    {1: ("triv", 0, (0, 0)), 2: ("nrd^1", 1, (-2, 0))},
+    d=1, inputs=("triv", "nrd"))
 
 
-def _slope(slope):
+def _table(slope):
     if slope in ("int", "integral"):
-        return ("integral", INTEGRAL_TABLE, INTEGRAL_RULES)
+        return INTEGRAL
     if slope == "half":
-        return ("half", HALF_TABLE, HALF_RULES)
+        return HALF
     raise ValueError(f"unknown slope {slope!r}")
 
 
@@ -321,20 +306,17 @@ def jacquet_symbolic(ring, spec):
     tag = parse_rep_spec(spec)
     if tag[0] == "st":
         cs = (TorusChar.delta_power(ring, -1),)
-        return JacquetSymbol(cs, split=False, unit_witness=_witness(cs, ring))
-    if tag[0] == "triv":
+    elif tag[0] == "triv":
         cs = (TorusChar.from_exponents(ring, 0, 0),)
-        return JacquetSymbol(cs, split=False, unit_witness=_witness(cs, ring))
-    if tag[0] == "absdet":
+    elif tag[0] == "absdet":
         cs = (TorusChar.from_exponents(ring, tag[1], tag[1]),)
-        return JacquetSymbol(cs, split=False, unit_witness=_witness(cs, ring))
-    if tag[0] in ("ind", "ps"):
+    elif tag[0] in ("ind", "ps"):
         chi = TorusChar.from_exponents(ring, *induced_exponents(tag))
-        sub = chi.weyl() * TorusChar.delta_power(ring, -1)
-        cs = (sub, chi)
-        return JacquetSymbol(cs, split=sub.values() != chi.values(),
-                             unit_witness=_witness(cs, ring))
-    raise UnsupportedSpec(f"no symbolic coinvariants for {spec!r}")
+        cs = (chi.weyl() * TorusChar.delta_power(ring, -1), chi)
+    else:
+        raise UnsupportedSpec(f"no symbolic coinvariants for {spec!r}")
+    split = len(cs) == 2 and cs[0].values() != cs[1].values()
+    return JacquetSymbol(cs, split=split, unit_witness=_witness(cs, ring))
 
 
 def ts_homology(symbol, twist):
@@ -359,12 +341,12 @@ def ts_homology(symbol, twist):
 # --------------------------------------------------------------- assembly
 
 
-def assemble_characters(j, sheaf_char, module_det_char, rules):
+def assemble_characters(j, sheaf_char, module_det_char, table):
     """Two-block character at degree j: sheaf and det land in both slots,
-    the rule row adds its modulus exponents on z_1 and z_2."""
-    if j not in rules.z_exponents:
-        raise DegreeNotInTable(f"degree {j} not in the {rules.name} rules")
-    e1, e2 = rules.z_exponents[j]
+    the table row adds its modulus exponents on z_1 and z_2."""
+    if j not in table.rows:
+        raise DegreeNotInTable(f"degree {j} not in the {table.name} rules")
+    e1, e2 = table.rows[j][2]
     ring = sheaf_char.ring
     base = sheaf_char * module_det_char
     return Gb2Character(base * UnramChar.abs_power(ring, e1),
@@ -379,105 +361,78 @@ def _integral_degenerations(ring):
         if not ring.is_unit((1 - ring.q_pow(e)) % ring.n):
             raise RuntimeError(
                 f"difference map 1 - q^{e} fails to invert mod {ring.n}")
-    # Steinberg concentrates below, the trivial line on top
-    h = sl2_homology(steinberg(ring, 1))
-    if iso_class(h[0]) != [] or iso_class(h[-1]) != [ring.n]:
+    # both models are self-dual, so their cohomology in degrees 0 and 1 is
+    # their homology in degrees 0 and -1: Steinberg concentrates below, the
+    # trivial line on top
+    h = sl2_cohomology(steinberg(ring, 1))
+    if iso_class(h[0]) != [] or iso_class(h[1]) != [ring.n]:
         raise RuntimeError("Steinberg homology moved; table is invalid")
-    h = sl2_homology(trivial_rep(ring, 1))
-    if iso_class(h[0]) != [ring.n] or iso_class(h[-1]) != []:
+    h = sl2_cohomology(trivial_rep(ring, 1))
+    if iso_class(h[0]) != [ring.n] or iso_class(h[1]) != []:
         raise RuntimeError("trivial-line homology moved; table is invalid")
     return True
+
+
+def _accept(ring, table, tag, spec):
+    """Reject an input kind the slope does not take, once the integral
+    table's degenerations are certified."""
+    if table is INTEGRAL:
+        _integral_degenerations(ring)
+    if tag[0] not in table.inputs:
+        raise UnsupportedSpec(f"{table.name} slope cannot take {spec!r}")
+
+
+def _characters(ring, table, tag):
+    """Degree -> characters of a slope's table against an accepted tag."""
+    chars = {}
+    if tag[0] in ("ind", "ps"):
+        a, b = induced_exponents(tag)
+        twist = (TorusChar.from_exponents(ring, a, b)
+                 * TorusChar.delta_power(ring, 1))
+        one = UnramChar.abs_power(ring, 0)
+        for j, (row_spec, det, _z) in table.rows.items():
+            ranks = ts_homology(jacquet_symbolic(ring, row_spec), twist)
+            if ranks[0]:
+                c = assemble_characters(
+                    j, one, UnramChar.abs_power(ring, (a + b) / 2 + det),
+                    table)
+                chars[j] = (c,) * ranks[0]
+                chars[j - 1] = (c,) * ranks[-1]
+        return chars
+    sheaf = UnramChar.abs_power(ring, tag[1] if len(tag) > 1 else Fraction(0))
+    for j in (min(table.rows), max(table.rows)):
+        row_spec, det, _z = table.rows[j]
+        c = assemble_characters(j, sheaf, UnramChar.abs_power(ring, det),
+                                table)
+        chars[j - (row_spec == "st")] = (c,)
+    return chars
 
 
 def hc_tilde(ring, slope, spec):
     """Compactly supported output of one stratum against one input spec.
 
-    One-dimensional inputs on the integral slope keep the outer rows of
-    the table (the Steinberg row lands one degree down, the middle row
-    dies); induced inputs pair with at most one table row through the
-    coinvariant count and occupy two adjacent degrees.  The half slope
-    has no room to degenerate and keeps both of its rows.
+    One-dimensional inputs keep the outer rows of the slope's table, a
+    Steinberg row landing one degree down: the integral middle row dies,
+    and the half slope has no room to degenerate.  Induced inputs pair
+    with at most one row through the coinvariant count and occupy two
+    adjacent degrees.
     """
-    name, table, rules = _slope(slope)
-    spec = spec.strip()
+    table, spec = _table(slope), spec.strip()
     tag = parse_rep_spec(spec)
-    prov = (name, spec)
-    one = UnramChar.abs_power(ring, 0)
-
-    if name == "integral":
-        _integral_degenerations(ring)
-        if tag[0] in ("triv", "absdet"):
-            k = tag[1] if tag[0] == "absdet" else Fraction(0)
-            sheaf = UnramChar.abs_power(ring, k)
-            lo = assemble_characters(
-                2, sheaf,
-                UnramChar.abs_power(ring, table.det_exponents[2]), rules)
-            hi = assemble_characters(
-                4, sheaf,
-                UnramChar.abs_power(ring, table.det_exponents[4]), rules)
-            return GradedCharModule(ring, {1: (lo,), 4: (hi,)}, prov)
-        if tag[0] in ("ind", "ps"):
-            a, b = induced_exponents(tag)
-            chi = TorusChar.from_exponents(ring, a, b)
-            twist = chi * TorusChar.delta_power(ring, 1)
-            center = (a + b) / 2
-            chars = {}
-            for j, row_spec in table.rows.items():
-                ranks = ts_homology(jacquet_symbolic(ring, row_spec), twist)
-                if not ranks[0]:
-                    continue
-                det = UnramChar.abs_power(
-                    ring, center + table.det_exponents[j])
-                c = assemble_characters(j, one, det, rules)
-                chars[j] = (c,) * ranks[0]
-                chars[j - 1] = (c,) * ranks[-1]
-            return GradedCharModule(ring, chars, prov)
-        raise UnsupportedSpec(f"integral slope cannot take {spec!r}")
-
-    if tag[0] in ("triv", "nrd"):
-        k = tag[1] if tag[0] == "nrd" else Fraction(0)
-        sheaf = UnramChar.abs_power(ring, k)
-        chars = {
-            j: (assemble_characters(
-                j, sheaf,
-                UnramChar.abs_power(ring, table.det_exponents[j]), rules),)
-            for j in table.rows}
-        return GradedCharModule(ring, chars, prov)
-    raise UnsupportedSpec(f"half slope cannot take {spec!r}")
+    _accept(ring, table, tag, spec)
+    return GradedCharModule(ring, _characters(ring, table, tag))
 
 
-# --------------------------------------------------------------- duality
-
-
-def _dual_spec(spec):
-    tag = parse_rep_spec(spec)
-    if tag[0] in ("triv", "st"):
-        return spec
-    if tag[0] in ("absdet", "nrd"):
-        return f"{tag[0]}^{-tag[1]}"
-    if tag[0] in ("ind", "ps"):
-        return f"{tag[0]}({-tag[1]},{-tag[2]})"
-    raise UnsupportedSpec(f"no contragredient spec for {spec!r}")
-
-
-def verdier_dualize(graded, d, rules):
+def verdier_dualize(graded, d):
     """Flip a stratum output through duality in ambient dimension d.
 
-    Degree k of the flip is the inverse of degree 2d-k computed for the
-    contragredient input, twisted by delta_T across both blocks; the
-    provenance is what makes the partner computation possible.
+    Degree k of the flip is the inverse of degree 2d-k, twisted by delta_T
+    across both blocks.  glue applies it to the contragredient's table.
     """
-    if rules.d != d:
-        raise ValueError(
-            f"dimension {d} disagrees with the {rules.name} rules")
-    if graded.provenance is None:
-        raise MissingProvenance("graded module carries no input provenance")
-    name, spec = graded.provenance
-    partner = hc_tilde(graded.ring, name, _dual_spec(spec))
     dt = Gb2Character.delta(graded.ring)
-    chars = {2 * d - k: tuple(c.inverse() * dt for c in entry)
-             for k, entry in partner.chars.items()}
-    return GradedCharModule(graded.ring, chars, graded.provenance)
+    return GradedCharModule(graded.ring, {
+        2 * d - k: tuple(c.inverse() * dt for c in entry)
+        for k, entry in graded.chars.items()})
 
 
 # -------------------------------------------------------------- cuspidal
@@ -520,11 +475,15 @@ def _load_cusp_table(ring, source):
         raise ValueError("generators and matrices must be lists")
     if len(gens) != len(mats) or not mats:
         raise ValueError("generators and matrices must pair up")
-    table = {}
+    table, first = {}, {}
     for i, (g, mat) in enumerate(zip(gens, mats)):
         g = _int_matrix(g, f"generators[{i}]", (2, 2))
         key = tuple(tuple(v % p for v in row) for row in g)
-        table[key] = _int_matrix(mat, f"matrices[{i}]")
+        mat = _int_matrix(mat, f"matrices[{i}]")
+        j = first.setdefault(key, i)
+        if table.setdefault(key, mat) != mat:
+            raise ValueError(f"generators[{j}] and generators[{i}] agree "
+                             f"mod {p} but carry different matrices")
     return inflate(ring, p, table, rank=len(mats[0]))
 
 
@@ -554,18 +513,25 @@ def glue(ring, slope, spec):
     """Gluing output for one input spec on one slope.
 
     Cuspidal inputs must pass both vanishing witnesses and then glue to
-    zero; everything unramified factors through the duality flip of the
-    stratum table.
+    zero.  An unramified input's output is the duality flip of its
+    contragredient's stratum table; the contragredient negates every
+    exponent of the parsed spec.  The input's own table is computed first
+    as a check: a value collision mod n can give it a row whose exponent
+    Lambda cannot represent, ind(-1,-1/2) over Z/11, say, although the
+    contragredient's table is empty, and such an input is refused.
     """
-    name, _table, rules = _slope(slope)
-    spec = spec.strip()
+    table, spec = _table(slope), spec.strip()
     tag = parse_rep_spec(spec)
     if tag[0] == "cusp":
-        if name != "integral":
+        if table is not INTEGRAL:
             raise UnsupportedSpec("cuspidal data lives on the integral slope")
         _check_cuspidal(ring, tag[1])
-        return GradedCharModule(ring, {}, (name, spec))
-    return verdier_dualize(hc_tilde(ring, slope, spec), rules.d, rules)
+        return GradedCharModule(ring, {})
+    _accept(ring, table, tag, spec)
+    _characters(ring, table, tag)
+    dual = (tag[0],) + tuple(-e for e in tag[1:])
+    return verdier_dualize(
+        GradedCharModule(ring, _characters(ring, table, dual)), table.d)
 
 
 # ------------------------------------------------------------ generators

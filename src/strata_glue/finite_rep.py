@@ -59,10 +59,6 @@ class NotStabilized(RuntimeError):
         self.stages = tuple(stages)
 
 
-class DualNotAvailable(ValueError):
-    """No contragredient formula is wired in for this model kind."""
-
-
 # ------------------------------------------------------------ scalar helpers
 
 def _vp(x, p):
@@ -178,20 +174,6 @@ def gl2_f2_sign(ring):
     neg = ((-1 % ring.n,),)
     table = {((1, 1), (0, 1)): neg, ((1, 0), (1, 1)): neg}
     return inflate(ring, 2, table, rank=1)
-
-
-def dual_rep(sig):
-    """Contragredient, produced as a first-class model of the same kind."""
-    ring = sig.ring
-    if sig.kind == "trivial":
-        return sig
-    if sig.kind == "induced":
-        c1, c2 = sig.chi
-        return induced_rep(ring, (ring.inv(c1), ring.inv(c2)), sig.level,
-                           precision=sig.precision)
-    if sig.kind == "steinberg":
-        return steinberg(ring, sig.level, precision=sig.precision)
-    raise DualNotAvailable(f"no dual for kind {sig.kind!r}")
 
 
 # ------------------------------------------------------------- fixed points

@@ -26,7 +26,7 @@ from .lambda_core import (
     quotient_module,
 )
 from .padic_core import ProjPoint, SubgroupSpec, enumerate_p1
-from .finite_rep import dual_rep, fixed_points, induced_rep, unram_pair
+from .finite_rep import fixed_points, induced_rep, unram_pair
 
 
 class AcyclicityFailed(RuntimeError):
@@ -46,10 +46,12 @@ class TreeBall:
     """Radius-r piece of the lattice-class tree around the standard vertex.
 
     Vertices are (distance, point) pairs: the distance-d shell is the level-d
-    projective line, and each point names the Hermite-canonical lattice
-    returned by lattice_basis.  Edges join a shell point to its level-(d-1)
-    projection.  Colors alternate with distance and name the stabilizer kind
-    of each facet up to conjugacy.
+    projective line, and each point names the lattice class whose Hermite
+    basis has determinant p^d: rows (1, t), (0, p^d) for the point [1:t],
+    rows (p^d, 0), (s, 1) for [s:1], and the standard lattice at the root.
+    Edges join a shell point to its level-(d-1) projection.  Colors
+    alternate with distance and name the stabilizer kind of each facet up
+    to conjugacy.
     """
 
     __slots__ = ("p", "radius", "vertices", "edges", "colors",
@@ -94,16 +96,6 @@ class TreeBall:
             if kids != want:
                 raise RuntimeError(f"vertex {v} has {kids} children")
         return True
-
-    def lattice_basis(self, label):
-        """Hermite-reduced basis of the canonical representative lattice."""
-        d, pt = label
-        if d == 0:
-            return ((1, 0), (0, 1))
-        md = self.p ** d
-        if pt.branch == "b":
-            return ((1, pt.res), (0, md))
-        return ((md, 0), (pt.res, 1))
 
     def eta_image(self, label):
         """Translate by diag(1, pi); None when pushed outside the ball."""
@@ -225,16 +217,6 @@ def cohomology_report(sigma):
     """JSON-shaped invariant factors of the two surviving degrees."""
     h = sl2_cohomology(sigma)
     return {"H0": iso_class(h[0]), "H1": iso_class(h[1])}
-
-
-def sl2_homology(sigma):
-    """Degrees 0 and -1, via the cohomology of the contragredient.
-
-    Finite modules over Z/n are non-canonically their own duals, so the
-    computed presentations stand in for the dual modules.
-    """
-    coh = _two_degrees(ss_complex(dual_rep(sigma)))
-    return {0: coh[0], -1: coh[1]}
 
 
 # --------------------------------------------------------------- acyclicity

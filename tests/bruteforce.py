@@ -25,13 +25,24 @@ The linear algebra oracles are feasible for ambient rank <= 4 and modulus
 <= 9, which is the regime the property tests run in.  The package code
 must agree with these oracles.  Beyond the public API they import only
 helpers that they do not restate: the unit generators, the 2x2 scaled
-inverse and the unchecked matrix wrapper.
+inverse, the unchecked matrix wrapper and the integral table's
+degeneration certificate.
+
+The gluing path through provenance tags, with its split input and rule
+tables and its string-built contragredient, is kept at the end; glue and
+hc_tilde are pinned against it.
 """
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
-from strata_glue.finite_rep import (_scaled_inverse, induced_rep, steinberg,
+from strata_glue.char_engine import (DegreeNotInTable, Gb2Character,
+                                     GradedCharModule, JacquetSymbol,
+                                     TorusChar, UnramChar, UnsupportedSpec,
+                                     _integral_degenerations, ts_homology)
+from strata_glue.finite_rep import (_scaled_inverse, induced_exponents,
+                                    induced_rep, parse_rep_spec, steinberg,
                                     trivial_rep)
 from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
                                      howell_form, identity_matrix, kernel,
@@ -1163,3 +1174,181 @@ def vertex_image(label, g):
         return label
     y, _ = act(pt, laurent_matrix(pt.p, g), d)
     return (d, y)
+
+
+# ------------------------------------------------- gluing through provenance
+#
+# The gluing path before glue flipped its contragredient's table directly:
+# each slope carried an input table and a separate rule table, hc_tilde
+# tagged its output with the (slope, spec) that produced it, and
+# verdier_dualize read that tag back, checked the dimension against the
+# rules, rebuilt the contragredient spec as a string and recomputed its
+# table.  Cuspidal inputs are left out; glue checks them before any table
+# is read.
+
+
+class ProvenanceModule(GradedCharModule):
+    """Character table that remembers the (slope, spec) behind it."""
+
+    __slots__ = ("provenance",)
+
+    def __init__(self, ring, chars, provenance):
+        super().__init__(ring, chars)
+        self.provenance = provenance
+
+
+class InputCohomologyTable:
+    """Degree -> building-block spec for one slope, with central twists."""
+
+    def __init__(self, slope, rows, det_exponents):
+        self.slope = slope
+        self.rows = dict(rows)
+        self.det_exponents = {j: Fraction(e)
+                              for j, e in det_exponents.items()}
+
+
+class TateRuleTable:
+    """Frozen z_1/z_2 modulus exponents per degree, plus the duality dim."""
+
+    def __init__(self, name, z_exponents, d):
+        self.name = name
+        self.z_exponents = dict(z_exponents)
+        self.d = d
+
+
+INTEGRAL_TABLE = InputCohomologyTable(
+    "integral", {2: "st", 3: "ind(1,0)", 4: "absdet^1"},
+    {2: 0, 3: Fraction(1, 2), 4: 1})
+HALF_TABLE = InputCohomologyTable("half", {1: "triv", 2: "nrd^1"},
+                                  {1: 0, 2: 1})
+INTEGRAL_RULES = TateRuleTable(
+    "integral", {2: (0, 0), 3: (-1, 0), 4: (-2, 0)}, d=2)
+HALF_RULES = TateRuleTable("half", {1: (0, 0), 2: (-2, 0)}, d=1)
+
+
+def _slope(slope):
+    if slope in ("int", "integral"):
+        return ("integral", INTEGRAL_TABLE, INTEGRAL_RULES)
+    if slope == "half":
+        return ("half", HALF_TABLE, HALF_RULES)
+    raise ValueError(f"unknown slope {slope!r}")
+
+
+def _witness(constituents, ring):
+    w = 1
+    for c in constituents:
+        w = w * c.chi1.value * c.chi2.value % ring.n
+    return w
+
+
+def provenance_jacquet_symbolic(ring, spec):
+    """Two-line coinvariant symbol, one return per spec kind."""
+    tag = parse_rep_spec(spec)
+    if tag[0] == "st":
+        cs = (TorusChar.delta_power(ring, -1),)
+        return JacquetSymbol(cs, split=False, unit_witness=_witness(cs, ring))
+    if tag[0] == "triv":
+        cs = (TorusChar.from_exponents(ring, 0, 0),)
+        return JacquetSymbol(cs, split=False, unit_witness=_witness(cs, ring))
+    if tag[0] == "absdet":
+        cs = (TorusChar.from_exponents(ring, tag[1], tag[1]),)
+        return JacquetSymbol(cs, split=False, unit_witness=_witness(cs, ring))
+    if tag[0] in ("ind", "ps"):
+        chi = TorusChar.from_exponents(ring, *induced_exponents(tag))
+        sub = chi.weyl() * TorusChar.delta_power(ring, -1)
+        cs = (sub, chi)
+        return JacquetSymbol(cs, split=sub.values() != chi.values(),
+                             unit_witness=_witness(cs, ring))
+    raise UnsupportedSpec(f"no symbolic coinvariants for {spec!r}")
+
+
+def _assemble(j, sheaf_char, module_det_char, rules):
+    if j not in rules.z_exponents:
+        raise DegreeNotInTable(f"degree {j} not in the {rules.name} rules")
+    e1, e2 = rules.z_exponents[j]
+    ring = sheaf_char.ring
+    base = sheaf_char * module_det_char
+    return Gb2Character(base * UnramChar.abs_power(ring, e1),
+                        base * UnramChar.abs_power(ring, e2))
+
+
+def provenance_hc_tilde(ring, slope, spec):
+    """Stratum table of one input, tagged with its provenance."""
+    name, table, rules = _slope(slope)
+    spec = spec.strip()
+    tag = parse_rep_spec(spec)
+    prov = (name, spec)
+    one = UnramChar.abs_power(ring, 0)
+
+    if name == "integral":
+        _integral_degenerations(ring)
+        if tag[0] in ("triv", "absdet"):
+            k = tag[1] if tag[0] == "absdet" else Fraction(0)
+            sheaf = UnramChar.abs_power(ring, k)
+            lo = _assemble(
+                2, sheaf,
+                UnramChar.abs_power(ring, table.det_exponents[2]), rules)
+            hi = _assemble(
+                4, sheaf,
+                UnramChar.abs_power(ring, table.det_exponents[4]), rules)
+            return ProvenanceModule(ring, {1: (lo,), 4: (hi,)}, prov)
+        if tag[0] in ("ind", "ps"):
+            a, b = induced_exponents(tag)
+            chi = TorusChar.from_exponents(ring, a, b)
+            twist = chi * TorusChar.delta_power(ring, 1)
+            center = (a + b) / 2
+            chars = {}
+            for j, row_spec in table.rows.items():
+                ranks = ts_homology(
+                    provenance_jacquet_symbolic(ring, row_spec), twist)
+                if not ranks[0]:
+                    continue
+                det = UnramChar.abs_power(
+                    ring, center + table.det_exponents[j])
+                c = _assemble(j, one, det, rules)
+                chars[j] = (c,) * ranks[0]
+                chars[j - 1] = (c,) * ranks[-1]
+            return ProvenanceModule(ring, chars, prov)
+        raise UnsupportedSpec(f"integral slope cannot take {spec!r}")
+
+    if tag[0] in ("triv", "nrd"):
+        k = tag[1] if tag[0] == "nrd" else Fraction(0)
+        sheaf = UnramChar.abs_power(ring, k)
+        chars = {
+            j: (_assemble(
+                j, sheaf,
+                UnramChar.abs_power(ring, table.det_exponents[j]), rules),)
+            for j in table.rows}
+        return ProvenanceModule(ring, chars, prov)
+    raise UnsupportedSpec(f"half slope cannot take {spec!r}")
+
+
+def _dual_spec(spec):
+    tag = parse_rep_spec(spec)
+    if tag[0] in ("triv", "st"):
+        return spec
+    if tag[0] in ("absdet", "nrd"):
+        return f"{tag[0]}^{-tag[1]}"
+    if tag[0] in ("ind", "ps"):
+        return f"{tag[0]}({-tag[1]},{-tag[2]})"
+    raise UnsupportedSpec(f"no contragredient spec for {spec!r}")
+
+
+def provenance_verdier_dualize(graded, d, rules):
+    """Recompute the contragredient's table from the provenance and flip it."""
+    if rules.d != d:
+        raise ValueError(
+            f"dimension {d} disagrees with the {rules.name} rules")
+    name, spec = graded.provenance
+    partner = provenance_hc_tilde(graded.ring, name, _dual_spec(spec))
+    dt = Gb2Character.delta(graded.ring)
+    chars = {2 * d - k: tuple(c.inverse() * dt for c in entry)
+             for k, entry in partner.chars.items()}
+    return ProvenanceModule(graded.ring, chars, graded.provenance)
+
+
+def provenance_glue(ring, slope, spec):
+    """Gluing output of a non-cuspidal input through the provenance tag."""
+    _name, _table, rules = _slope(slope)
+    return provenance_verdier_dualize(
+        provenance_hc_tilde(ring, slope, spec.strip()), rules.d, rules)

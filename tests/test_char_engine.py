@@ -19,20 +19,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import provenance_glue, provenance_hc_tilde
 from strata_glue.lambda_core import MissingSqrtQ, make_ring
 from strata_glue.finite_rep import induced_rep, jacquet_oracle, steinberg
 from strata_glue.char_engine import (
     CuspidalWitnessFailed,
     DegreeNotInTable,
     ExponentCollision,
-    Gb2Character,
-    GradedCharModule,
-    HALF_RULES,
-    HALF_TABLE,
-    INTEGRAL_RULES,
-    INTEGRAL_TABLE,
+    HALF,
+    INTEGRAL,
     JacquetSymbol,
-    MissingProvenance,
     NonUnitWitness,
     TorusChar,
     UnramChar,
@@ -238,13 +234,13 @@ def test_ts_homology_additive_over_split_symbols(a, b, t):
 def test_assemble_characters_pinned_examples():
     triv = UnramChar.abs_power(R11, 0)
     out = assemble_characters(4, triv, UnramChar.abs_power(R11, 1),
-                              INTEGRAL_RULES)
+                              INTEGRAL)
     assert (out.z1.value, out.z2.value) == (3, 4)  # d_T
-    out = assemble_characters(2, triv, triv, INTEGRAL_RULES)
+    out = assemble_characters(2, triv, triv, INTEGRAL)
     assert (out.z1.value, out.z2.value) == (1, 1)
     out = assemble_characters(3, triv,
                               UnramChar.abs_power(R11, Fraction(3, 2)),
-                              INTEGRAL_RULES)
+                              INTEGRAL)
     # |.|^1 d_T^(1/2): (q^(-1) q^(1/2), q^(-1) q^(-1/2)) = (9, 3) mod 11
     assert (out.z1.value, out.z2.value) == (9, 3)
     assert out.z1.exponent == Fraction(1, 2)
@@ -254,30 +250,30 @@ def test_assemble_characters_pinned_examples():
 def test_assemble_characters_sheaf_lands_in_both_slots():
     sheaf = UnramChar.abs_power(R11, 1)
     triv = UnramChar.abs_power(R11, 0)
-    out = assemble_characters(2, sheaf, triv, INTEGRAL_RULES)
+    out = assemble_characters(2, sheaf, triv, INTEGRAL)
     assert (out.z1.value, out.z2.value) == (4, 4)
 
 
 def test_assemble_characters_unknown_degree():
     triv = UnramChar.abs_power(R11, 0)
     with pytest.raises(DegreeNotInTable):
-        assemble_characters(5, triv, triv, INTEGRAL_RULES)
+        assemble_characters(5, triv, triv, INTEGRAL)
     with pytest.raises(DegreeNotInTable):
-        assemble_characters(3, triv, triv, HALF_RULES)
+        assemble_characters(3, triv, triv, HALF)
 
 
 def test_rule_tables_are_frozen_constants():
-    assert dict(INTEGRAL_RULES.z_exponents) == {
-        2: (0, 0), 3: (-1, 0), 4: (-2, 0)}
-    assert dict(HALF_RULES.z_exponents) == {1: (0, 0), 2: (-2, 0)}
-    assert INTEGRAL_RULES.d == 2 and HALF_RULES.d == 1
-    assert dict(INTEGRAL_TABLE.rows) == {
-        2: "st", 3: "ind(1,0)", 4: "absdet^1"}
-    assert dict(HALF_TABLE.rows) == {1: "triv", 2: "nrd^1"}
+    assert dict(INTEGRAL.rows) == {
+        2: ("st", 0, (0, 0)),
+        3: ("ind(1,0)", Fraction(1, 2), (-1, 0)),
+        4: ("absdet^1", 1, (-2, 0))}
+    assert dict(HALF.rows) == {1: ("triv", 0, (0, 0)),
+                               2: ("nrd^1", 1, (-2, 0))}
+    assert INTEGRAL.d == 2 and HALF.d == 1
+    assert INTEGRAL.inputs == {"triv", "absdet", "ind", "ps"}
+    assert HALF.inputs == {"triv", "nrd"}
     with pytest.raises(TypeError):
-        INTEGRAL_RULES.z_exponents[2] = (9, 9)
-    with pytest.raises(TypeError):
-        INTEGRAL_TABLE.rows[2] = "triv"
+        INTEGRAL.rows[2] = ("triv", 0, (9, 9))
 
 
 # ------------------------------------------------- compactly supported side
@@ -349,34 +345,29 @@ def test_hc_tilde_half_exponent_needs_sqrt():
 
 
 def test_verdier_dualize_integral_purity():
+    # triv is its own contragredient, so its flip is its glue output
     g = hc_tilde(R11, "int", "triv")
-    assert vals(verdier_dualize(g, 2, INTEGRAL_RULES)) == {
-        0: [(1, 1)], 3: [(3, 4)]}
+    assert vals(verdier_dualize(g, 2)) == {0: [(1, 1)], 3: [(3, 4)]}
 
 
 def test_verdier_dualize_half():
-    g = hc_tilde(R11, "half", "nrd^1")
-    assert vals(verdier_dualize(g, 1, HALF_RULES)) == {
-        0: [(4, 4)], 1: [(1, 5)]}
+    # the flip of nrd^-1's table is the glue output of nrd^1
+    g = hc_tilde(R11, "half", "nrd^-1")
+    assert vals(verdier_dualize(g, 1)) == {0: [(4, 4)], 1: [(1, 5)]}
 
 
 def test_verdier_dualize_empty_is_empty():
     g = hc_tilde(R11, "int", "ps(0,2)")
-    assert verdier_dualize(g, 2, INTEGRAL_RULES).is_zero()
+    assert verdier_dualize(g, 2).is_zero()
 
 
-def test_verdier_dualize_requires_provenance():
-    bare = GradedCharModule(
-        R11, {0: (Gb2Character(UnramChar.abs_power(R11, 0),
-                               UnramChar.abs_power(R11, 0)),)})
-    with pytest.raises(MissingProvenance):
-        verdier_dualize(bare, 2, INTEGRAL_RULES)
-
-
-def test_verdier_dualize_checks_dimension_against_rules():
-    g = hc_tilde(R11, "int", "triv")
-    with pytest.raises(ValueError):
-        verdier_dualize(g, 1, INTEGRAL_RULES)
+@pytest.mark.parametrize("slope, spec", [("int", "ps(0,0)"),
+                                         ("int", "absdet^1/2"),
+                                         ("half", "nrd^3")])
+def test_verdier_dualize_is_an_involution(slope, spec):
+    g = hc_tilde(R11, slope, spec)
+    d = INTEGRAL.d if slope == "int" else HALF.d
+    assert verdier_dualize(verdier_dualize(g, d), d).to_json() == g.to_json()
 
 
 # ------------------------------------------------------------------- glue
@@ -415,10 +406,46 @@ def test_glue_half_slope():
     assert vals(glue(R7, "half", "nrd^1")) == {0: [(4, 4)], 1: [(1, 2)]}
 
 
+def test_glue_refuses_an_input_whose_own_table_is_unrepresentable():
+    # the contragredient ind(1,1/2) has an empty table, but q^5 = 1 mod 11
+    # gives ind(-1,-1/2) a row whose determinant exponent is 1/4
+    assert hc_tilde(R11, "int", "ind(1,1/2)").is_zero()
+    with pytest.raises(ValueError,
+                       match=r"^exponent 1/4 is not half-integral$"):
+        glue(R11, "int", "ind(-1,-1/2)")
+
+
+RINGS = (R11, R7, R5, make_ring(143, 3, sqrt_q=82),
+         make_ring(121, 3, sqrt_q=27))
+EXPONENTS = st.sampled_from(
+    [Fraction(k, 2) for k in range(-6, 7)] + [Fraction(1, 3)])
+SPECS = st.one_of(
+    st.sampled_from(["triv", "st"]),
+    st.builds("{}^{}".format, st.sampled_from(["absdet", "nrd"]), EXPONENTS),
+    st.builds("{}({},{})".format, st.sampled_from(["ind", "ps"]),
+              EXPONENTS, EXPONENTS))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).to_json()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RINGS), st.sampled_from(["int", "integral", "half"]),
+       SPECS)
+def test_glue_matches_the_provenance_path(ring, slope, spec):
+    # same table, or the same exception with the same message
+    assert _outcome(glue, ring, slope, spec) == \
+        _outcome(provenance_glue, ring, slope, spec)
+    assert _outcome(hc_tilde, ring, slope, spec) == \
+        _outcome(provenance_hc_tilde, ring, slope, spec)
+
+
 def test_glue_cuspidal_vanishes_after_witness_check():
-    out = glue(R7, "int", "cusp:gl2f2-sign")
-    assert out.is_zero()
-    assert out.provenance == ("integral", "cusp:gl2f2-sign")
+    assert glue(R7, "int", "cusp:gl2f2-sign").is_zero()
 
 
 def test_glue_cuspidal_rejects_trivial_character_table(tmp_path):

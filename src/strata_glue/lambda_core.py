@@ -11,11 +11,20 @@ their pivot column, and only the rest is eliminated, per prime power of n,
 with the local orders joined by CRT.  All values are immutable after
 construction and every operation is a pure function, so instances can be
 shared freely.
+
+Matrices are held as sparse rows, {column: value} maps of the nonzero
+entries, and every path reads supports, never the full width: the Howell
+engine keeps rows in buckets keyed by their leading column and carries the
+kernel transform sparse, transposes and images walk the nonzero entries,
+and solves, sizes and iso classes read the Howell pivots, which lead each
+row.  So a tree-ball boundary, two nonzeros per column, costs its nonzeros
+plus fill, not its square.  The dense view of a matrix is built on demand.
 """
 
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, zip_longest
+from itertools import zip_longest
 from math import gcd, prod
 
 
@@ -124,51 +133,101 @@ def make_ring(n, p, sqrt_q=None):
 
 
 class LambdaMatrix:
-    """Dense matrix over Z/n, entries stored reduced, row major."""
+    """Matrix over Z/n held as sparse rows.
 
-    __slots__ = ("ring", "entries", "cols")
+    rows is a tuple of {column: value} maps, one per row, holding only the
+    nonzero entries, each in [1, n), with columns ascending: a row of a
+    Howell form leads with its pivot.  entries is the dense row-major view,
+    built on first use.  Rows are shared, never mutated.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "_entries")
 
     def __init__(self, ring, entries, cols=None):
+        """Rows are dense sequences or {column: value} maps, mixed freely;
+        every value is reduced mod n.  With no dense row, cols is needed."""
         n = ring.n
-        rows = tuple(tuple(int(e) % n for e in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+        rows, width = [], None
+        for r in entries:
+            if isinstance(r, dict):
+                rows.append({j: x for j in sorted(r) if (x := int(r[j]) % n)})
+                continue
+            r = [int(e) % n for e in r]
+            if width is None:
+                width = len(r)
+                if cols is not None and cols != width:
+                    raise ValueError(f"rows have {width} columns, not {cols}")
+            elif len(r) != width:
                 raise ValueError("ragged matrix")
-            if cols is not None and cols != width:
-                raise ValueError(f"rows have {width} columns, not {cols}")
+            rows.append(_nonzero(r))
+        if cols is None:
+            if width is None:
+                raise ValueError("empty matrix needs an explicit column count")
             cols = width
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
+        if any(r and (next(iter(r)) < 0 or next(reversed(r)) >= cols)
+               for r in rows):
+            raise ValueError(f"a row has a column outside 0..{cols - 1}")
         self.ring = ring
-        self.entries = rows
+        self.rows = tuple(rows)
         self.cols = cols
+        self._entries = None
+
+    @classmethod
+    def _sparse(cls, ring, rows, cols):
+        """Wrap rows that are already {column: value} maps in the stored
+        form, without checking them."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.rows = tuple(rows)
+        m.cols = cols
+        m._entries = None
+        return m
 
     @classmethod
     def _reduced(cls, ring, rows, cols):
-        """Wrap rows that are already tuples of entries in [0, n), each of
-        length cols, without checking or reducing them again."""
-        m = object.__new__(cls)
-        m.ring = ring
-        m.entries = tuple(rows)
-        m.cols = cols
+        """Wrap dense rows that are already tuples of entries in [0, n),
+        each of length cols, without checking or reducing them again."""
+        rows = tuple(rows)
+        m = cls._sparse(ring, [_nonzero(r) for r in rows], cols)
+        m._entries = rows
         return m
 
     @property
     def nrows(self):
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = tuple(_dense(r, self.cols) for r in self.rows)
+        return self._entries
 
     def transpose(self):
-        rows = tuple(zip(*self.entries)) if self.entries else ((),) * self.cols
-        return LambdaMatrix._reduced(self.ring, rows, self.nrows)
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.rows):
+            for j, x in r.items():
+                out[j][i] = x
+        return LambdaMatrix._sparse(self.ring, out, self.nrows)
 
     def __repr__(self):
         return f"LambdaMatrix({self.nrows}x{self.cols} mod {self.ring.n})"
 
 
+def _dense(row, width):
+    # a {column: value} map as a dense tuple
+    out = [0] * width
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
+def _nonzero(row):
+    # a dense row as the {column: value} map of its nonzero entries
+    return {j: x for j, x in enumerate(row) if x}
+
+
 def identity_matrix(ring, k):
-    return LambdaMatrix(ring, [[1 if i == j else 0 for j in range(k)]
-                               for i in range(k)], cols=k)
+    return LambdaMatrix._sparse(ring, [{i: 1} for i in range(k)], k)
 
 
 # ----------------------------------------------------------- Howell engine
@@ -193,109 +252,135 @@ def _unit_scale(a, n):
 def _howell_engine(rows, n, width, kernel=False):
     """Howell form of the row span of rows over Z/n, or its left kernel.
 
-    Entries of rows must already lie in [0, n); rows are copied, not
-    reduced again.  Returns the Howell rows as tuples.  With kernel set it
-    returns instead rows spanning {x : x * rows = 0}, not in Howell form:
-    only then is the row transform carried, and the above-pivot reduction,
-    which cannot change the kernel, is skipped.  Rows are split into live
-    and zero once; a live row is zero left of the current column, so each
-    step touches only the columns from there on.
+    rows are {column: value} maps with values in [1, n) and columns below
+    width; they are copied, not reduced again or mutated.  Returns the
+    Howell rows as maps, columns ascending.  With kernel set it returns
+    instead rows spanning {x : x * rows = 0}, not in Howell form: only then
+    is the row transform carried, sparse, row i starting as {width + i: 1},
+    and the above-pivot reduction, which cannot change the kernel, is
+    skipped.
 
-    Each column takes one of two paths.  Unit path: when some row has a
+    This is structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO
+    1990) on the Howell normalizer of Storjohann & Mulders.  Rows wait in
+    buckets keyed by their leading column; each column takes its bucket,
+    and each row it eliminates is filed again under its new leading
+    column, so no row is looked at in a column where it is known to be
+    zero.  A column takes one of two paths.  Unit path: when some row has a
     unit in the column, the first such row is the pivot, scaled to 1, and
-    each other row with an entry there is cleared by one subtraction that
-    touches only the pivot's nonzero columns, listed once per pivot.  A
-    unit pivot has no annihilator.  Over a prime n every nonzero entry is a
-    unit, so only this path runs.  Fallback path, reached only for
+    each other row is cleared by one subtraction over the pivot's support.
+    A unit pivot has no annihilator.  Over a prime n every nonzero entry
+    is a unit, so only this path runs.  Fallback path, reached only for
     composite n when no entry in the column is a unit: the first row is
-    combined with each other one by an extended-gcd step over the full
-    width, normalized by _unit_scale, and its annihilator multiple stays
-    live, which gives the Howell property.  The above-pivot reduction
-    subtracts each pivot row over its nonzero columns only.
+    combined with each other one by an extended-gcd step over the union of
+    their supports, normalized by _unit_scale, and its annihilator multiple
+    is filed again, which gives the Howell property.  The above-pivot
+    reduction runs from the last row up, so each row is reduced by rows
+    already reduced, and it visits only the pivot columns a row holds.
     """
-    live, zeros = [], []
+    buckets, zeros = {}, []
+
+    def file(row):
+        if row:
+            c = min(row)
+            if c < width:
+                if c in buckets:
+                    buckets[c].append(row)
+                else:
+                    buckets[c] = [row]
+                return
+            if kernel:
+                zeros.append(row)
+
     for i, r in enumerate(rows):
-        row = list(r)
+        row = dict(r)
         if kernel:
-            row += [0] * len(rows)
             row[width + i] = 1
-        (live if any(row[:width]) else zeros).append(row)
+        file(row)
 
     out, pivots = [], []
     for col in range(width):
-        if not live:
+        if not buckets:
             break
-        hits = [w for w in live if w[col]]
-        if not hits:
+        hits = buckets.pop(col, None)
+        if hits is None:
             continue
-        live = [w for w in live if not w[col]]
         piv = next((w for w in hits if gcd(w[col], n) == 1), None)
         if piv is not None:
-            nonzero = list(compress(range(col + 1, len(piv)), piv[col + 1:]))
-            if piv[col] != 1:
-                inv = pow(piv[col], -1, n)
-                piv[col] = 1
-                for k in nonzero:
-                    piv[k] = inv * piv[k] % n
-            support = [(k, piv[k]) for k in nonzero]
+            a = piv[col]
+            if a != 1:
+                inv = pow(a, -1, n)
+                for k, x in piv.items():
+                    piv[k] = inv * x % n
+            support = [(k, x) for k, x in piv.items() if k != col]
             for b in hits:
                 if b is piv:
                     continue
-                c = b[col]
-                b[col] = 0
+                c = b.pop(col)
                 for k, x in support:
-                    b[k] = (b[k] - c * x) % n
-                if any(b[col + 1:width]):
-                    live.append(b)
-                elif kernel:
-                    zeros.append(b)
-            out.append(piv)
-            pivots.append(col)
-            continue
-        piv = hits[0]
-        for b in hits[1:]:
-            av, bv = piv[col], b[col]
-            g, s, t = _xgcd(av, bv)
-            u, v = -(bv // g), av // g
-            pairs = list(zip(piv[col:], b[col:]))
-            piv[col:] = [(s * x + t * y) % n for x, y in pairs]
-            b[col:] = [(u * x + v * y) % n for x, y in pairs]
-            if any(b[col + 1:width]):
-                live.append(b)
-            elif kernel:
-                zeros.append(b)
-        u = _unit_scale(piv[col], n)
-        piv[col:] = [(u * x) % n for x in piv[col:]]
+                    if y := (b.get(k, 0) - c * x) % n:
+                        b[k] = y
+                    else:
+                        b.pop(k, None)
+                file(b)
+        else:
+            piv = hits[0]
+            for b in hits[1:]:
+                av, bv = piv[col], b[col]
+                g, s, t = _xgcd(av, bv)
+                u, v = -(bv // g), av // g
+                new_piv, new_b = {}, {}
+                for k in piv.keys() | b.keys():
+                    x, y = piv.get(k, 0), b.get(k, 0)
+                    if z := (s * x + t * y) % n:
+                        new_piv[k] = z
+                    if z := (u * x + v * y) % n:
+                        new_b[k] = z
+                piv = new_piv
+                file(new_b)
+            u = _unit_scale(piv[col], n)
+            piv = {k: u * x % n for k, x in piv.items()}
+            d = piv[col]
+            if d > 1:  # non-units can combine to a unit: 2, 3 mod 6
+                ann = n // d
+                file({k: y for k, x in piv.items() if (y := ann * x % n)})
         out.append(piv)
         pivots.append(col)
-        if piv[col] > 1:  # non-units can combine to a unit: 2, 3 mod 6
-            ann = n // piv[col]
-            arow = [0] * col + [(ann * x) % n for x in piv[col:]]
-            if any(arow[col + 1:width]):
-                live.append(arow)
-            elif kernel:
-                zeros.append(arow)
 
     if kernel:
-        return [tuple(w[width:]) for w in zeros if any(w[width:])]
-    # reduce entries above each pivot into [0, pivot); a pivot row is used
-    # only on the rows above it, before it is itself reduced, so its nonzero
-    # columns are listed once, when it is first needed
-    supports = [None] * len(out)
-    for i, row in enumerate(out):
-        for k in range(i + 1, len(out)):
-            c = pivots[k]
-            d = out[k][c]
-            q = row[c] // d
-            if q:
-                if supports[k] is None:
-                    r = out[k]
-                    supports[k] = [(j, r[j]) for j in
-                                   compress(range(c + 1, width), r[c + 1:])]
-                row[c] -= q * d
-                for j, y in supports[k]:
-                    row[j] = (row[j] - q * y) % n
-    return [tuple(r) for r in out]
+        return [{k - width: x for k, x in sorted(w.items())} for w in zeros]
+    # reduce entries above each pivot into [0, pivot), last row first; a
+    # reduced row holds no unit pivot's column, so subtracting it can bring
+    # back only the non-unit pivots' columns it holds, which it lists
+    where = {c: k for k, c in enumerate(pivots)}
+    comeback = [()] * len(out)
+    for i in range(len(out) - 1, -1, -1):
+        row = out[i]
+        todo = sorted(c for c in row if c in where and c != pivots[i])
+        t = 0
+        while t < len(todo):
+            c = todo[t]
+            t += 1
+            x = row.get(c, 0)
+            r = out[where[c]]
+            d = r[c]
+            if x < d:
+                continue
+            q = x // d
+            if x - q * d:
+                row[c] = x - q * d
+            else:
+                del row[c]
+            for j, y in r.items():
+                if j != c:
+                    if z := (row.get(j, 0) - q * y) % n:
+                        row[j] = z
+                    else:
+                        row.pop(j, None)
+            for j in comeback[where[c]]:
+                insort(todo, j, t)
+        out[i] = row = dict(sorted(row.items()))
+        comeback[i] = [c for c in row if c in where and c != pivots[i]]
+    return out
 
 
 def _xgcd(a, b):
@@ -312,35 +397,48 @@ def _xgcd(a, b):
 
 def howell_form(m):
     """Unique Howell canonical representative of the row span of m."""
-    return LambdaMatrix._reduced(
-        m.ring, _howell_engine(m.entries, m.ring.n, m.cols), m.cols)
+    return LambdaMatrix._sparse(
+        m.ring, _howell_engine(m.rows, m.ring.n, m.cols), m.cols)
 
 
 def left_kernel(m):
     """Howell basis of {x : x * m = 0}."""
-    krows = _howell_engine(m.entries, m.ring.n, m.cols, kernel=True)
+    krows = _howell_engine(m.rows, m.ring.n, m.cols, kernel=True)
     kh = _howell_engine(krows, m.ring.n, m.nrows)
-    return LambdaMatrix._reduced(m.ring, kh, m.nrows)
+    return LambdaMatrix._sparse(m.ring, kh, m.nrows)
+
+
+def _solve(v, hmat):
+    """Coefficients {i: c} with sum of c * row i of hmat equal to v, or
+    None.  v is a {column: value} map; hmat must be Howell form, so each
+    row leads with its pivot and the pivots strictly increase."""
+    n = hmat.ring.n
+    v = {j: y for j, x in v.items() if (y := x % n)}
+    coeffs = {}
+    for i, row in enumerate(hmat.rows):
+        if not v:
+            break
+        c, d = next(iter(row.items()))
+        x = v.get(c)
+        if x is None:
+            continue
+        if x % d:
+            return None
+        q = coeffs[i] = x // d
+        for j, y in row.items():
+            if z := (v.get(j, 0) - q * y) % n:
+                v[j] = z
+            else:
+                v.pop(j, None)
+    return None if v else coeffs
 
 
 def express_in_span(v, hmat):
     """Coefficients c with c * hmat = v, or None.  hmat must be Howell form."""
-    n = hmat.ring.n
-    v = [e % n for e in v]
-    coeffs = [0] * hmat.nrows
-    c = -1
-    for i, row in enumerate(hmat.entries):   # pivots strictly increase
-        c = next(j for j in range(c + 1, hmat.cols) if row[j])
-        d = row[c]
-        if v[c] % d != 0:
-            return None
-        q = v[c] // d
-        coeffs[i] = q % n
-        for j in range(c, hmat.cols):
-            v[j] = (v[j] - q * row[j]) % n
-    if any(v):
+    coeffs = _solve(_nonzero(v), hmat)
+    if coeffs is None:
         return None
-    return coeffs
+    return list(_dense(coeffs, hmat.nrows))
 
 
 # ----------------------------------------------------------------- modules
@@ -359,7 +457,7 @@ class FgModule:
         self.ring = ring
         self.ambient = ambient
         if relations is None:
-            relations = LambdaMatrix(ring, [], cols=ambient)
+            relations = LambdaMatrix._sparse(ring, (), ambient)
         else:
             relations = howell_form(relations)
         if relations.cols != ambient:
@@ -367,14 +465,10 @@ class FgModule:
         self.relations = relations
         self.witness_rows = witness_rows
 
-    def contains_rel(self, v):
-        return express_in_span(v, self.relations) is not None
-
     def size(self):
-        span, c = 1, -1
-        for row in self.relations.entries:   # pivots strictly increase
-            c = next(j for j in range(c + 1, self.ambient) if row[j])
-            span *= self.ring.n // row[c]
+        span = 1
+        for row in self.relations.rows:   # each leads with its pivot
+            span *= self.ring.n // next(iter(row.values()))
         return self.ring.n ** self.ambient // span
 
     def is_zero(self):
@@ -389,22 +483,12 @@ def free_module(ring, k):
 
 
 def quotient_module(module, rows):
-    """Quotient of an FgModule by extra ambient relation rows.
-
-    Rows that are already tuples of entries in [0, n), as image_rows()
-    gives them, are stacked on the relations without a second check; any
-    other rows go through the checking constructor, which reduces them.
-    """
+    """Quotient of an FgModule by extra ambient relation rows: dense rows or
+    {column: value} maps, as image_rows() gives them, reduced mod n."""
     ring, k = module.ring, module.ambient
-    rows = list(rows)
-    if all(type(r) is tuple and len(r) == k
-           and (not r or 0 <= min(r) and max(r) < ring.n) for r in rows):
-        stack = LambdaMatrix._reduced(
-            ring, module.relations.entries + tuple(rows), k)
-    else:
-        stack = LambdaMatrix(
-            ring, list(module.relations.entries) + rows, cols=k)
-    return FgModule(ring, k, stack)
+    extra = LambdaMatrix(ring, rows, cols=k)
+    return FgModule(ring, k, LambdaMatrix._sparse(
+        ring, module.relations.rows + extra.rows, k))
 
 
 def span_module(ring, ambient, rows):
@@ -412,8 +496,8 @@ def span_module(ring, ambient, rows):
     generators, which it keeps as witness rows.  For the same span this is
     exactly what kernel() returns, Howell form being canonical.  Entries of
     rows must already lie in [0, n)."""
-    return _present_subquotient(
-        ring, ambient, _howell_engine(rows, ring.n, ambient), ())
+    return _present_subquotient(ring, ambient, _howell_engine(
+        [_nonzero(r) for r in rows], ring.n, ambient), ())
 
 
 class ModuleMap:
@@ -424,28 +508,39 @@ class ModuleMap:
     (source relations land in target relations) is checked on construction.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_images")
 
     def __init__(self, source, target, matrix):
         if matrix.nrows != target.ambient or matrix.cols != source.ambient:
-            if not (matrix.nrows == 0 and target.ambient == 0):
-                raise ValueError("matrix shape does not match source/target")
+            raise ValueError("matrix shape does not match source/target")
         self.source = source
         self.target = target
         self.matrix = matrix
-        for rel in source.relations.entries:
-            if not target.contains_rel(self.apply(rel)):
+        self._images = matrix.transpose().rows
+        for rel in source.relations.rows:
+            if _solve(self._image(rel), target.relations) is None:
                 raise IllDefinedMap("source relation escapes target relations")
+
+    def _image(self, v):
+        # the image of a {generator: coefficient} map, as a map whose
+        # values are not yet reduced
+        images, out = self._images, {}
+        for j, c in v.items():
+            for i, x in images[j].items():
+                out[i] = out.get(i, 0) + c * x
+        return out
 
     def apply(self, v):
         n = self.source.ring.n
-        support = [(j, c) for j, c in enumerate(v) if c]
-        return [sum(row[j] * c for j, c in support) % n
-                for row in self.matrix.entries]
+        out = [0] * self.matrix.nrows
+        for i, x in self._image(_nonzero(v)).items():
+            out[i] = x % n
+        return out
 
     def image_rows(self):
-        """Images of the source generators, as target-ambient rows."""
-        return self.matrix.transpose().entries
+        """Images of the source generators, as target-ambient rows: one
+        {column: value} map per generator."""
+        return self._images
 
 
 class BoundedComplex:
@@ -462,40 +557,43 @@ class BoundedComplex:
         for k in self.differentials:
             if k + 1 in self.differentials:
                 nxt = self.differentials[k + 1]
+                rel = self.modules[k + 2].relations
                 for row in self.differentials[k].image_rows():
-                    if not self.modules[k + 2].contains_rel(nxt.apply(row)):
+                    if _solve(nxt._image(row), rel) is None:
                         raise ValueError(f"d_{k+1} d_{k} != 0")
 
 
 def _present_subquotient(ring, ambient, gen_rows, mod_rows):
-    """span(gen_rows)/span(mod_rows) presented on the given generators."""
+    """span(gen_rows)/span(mod_rows) presented on the given generators,
+    all of them {column: value} maps."""
     if not gen_rows:
         return FgModule(ring, 0, witness_rows=())
+    g = len(gen_rows)
     stacked = list(gen_rows) + list(mod_rows)
-    kern = left_kernel(LambdaMatrix._reduced(ring, stacked, ambient))
-    rel = [k[: len(gen_rows)] for k in kern.entries]
-    return FgModule(ring, len(gen_rows),
-                    LambdaMatrix._reduced(ring, rel, len(gen_rows)) if rel
-                    else None,
-                    witness_rows=tuple(tuple(g) for g in gen_rows))
+    kern = left_kernel(LambdaMatrix._sparse(ring, stacked, ambient))
+    rel = [{j: x for j, x in r.items() if j < g} for r in kern.rows]
+    return FgModule(ring, g,
+                    LambdaMatrix._sparse(ring, rel, g) if rel else None,
+                    witness_rows=tuple(_dense(r, ambient) for r in gen_rows))
 
 
 def kernel(f):
     """Kernel of a ModuleMap as an abstract FgModule with witness rows:
     the Howell rows of {x : f(x) = 0 in target}."""
     ring, k = f.source.ring, f.source.ambient
-    a = f.matrix.transpose()          # x * a = apply(x)
-    stacked = list(a.entries) + list(f.target.relations.entries)
-    kern = left_kernel(LambdaMatrix._reduced(ring, stacked, a.cols))
-    rows = _howell_engine([r[:k] for r in kern.entries], ring.n, k)
-    return _present_subquotient(ring, k, rows, f.source.relations.entries)
+    stacked = list(f.image_rows()) + list(f.target.relations.rows)
+    kern = left_kernel(LambdaMatrix._sparse(ring, stacked, f.matrix.nrows))
+    rows = _howell_engine([{j: x for j, x in r.items() if j < k}
+                           for r in kern.rows], ring.n, k)
+    return _present_subquotient(ring, k, rows, f.source.relations.rows)
 
 
 # --------------------------------------------------- Smith form, iso classes
 
 def _local_smith(rows, width, q):
-    """Smith form over Z/q, for q a prime power, of rows over Z/n: the
-    order of each column's cyclic summand, q where no pivot lands.
+    """Smith form over Z/q, for q a prime power, of {column: value} rows
+    over Z/n spread over width columns: the orders of the cyclic summands,
+    one per column, q where no pivot lands, in no particular order.
 
     An entry of least valuation, that is of least gcd g with q, divides
     every entry of its block over Z/q, so it clears its column by row steps
@@ -504,25 +602,26 @@ def _local_smith(rows, width, q):
     not be carried out.  The pivot is left as g times a unit, which spans
     the same ideal as g.
     """
-    a = [[x % q for x in r] for r in rows]
-    orders = [q] * width
+    a = [{j: y for j, x in r.items() if (y := x % q)} for r in rows]
+    orders = []
     while True:
         best = min(((gcd(x, q), i, j) for i, r in enumerate(a)
-                    for j, x in enumerate(r) if x), default=None)
+                    for j, x in r.items()), default=None)
         if best is None:
-            return orders
+            return orders + [q] * (width - len(orders))
         g, i, j = best
         piv = a.pop(i)
         inv = pow(piv[j] // g, -1, q)
         # x = s * piv[j] mod q for each other entry x of the pivot row
-        steps = [(c, x // g * inv % q) for c, x in enumerate(piv)
-                 if x and c != j]
+        steps = [(c, x // g * inv % q) for c, x in piv.items() if c != j]
         for r in a:
-            if r[j]:
+            if rj := r.pop(j, 0):
                 for c, s in steps:
-                    r[c] = (r[c] - r[j] * s) % q
-                r[j] = 0
-        orders[j] = g
+                    if y := (r.get(c, 0) - rj * s) % q:
+                        r[c] = y
+                    else:
+                        r.pop(c, None)
+        orders.append(g)
 
 
 def iso_class(module):
@@ -534,19 +633,15 @@ def iso_class(module):
     its pivot generator in terms of the others.  Over a prime n every pivot
     is 1, so the answer is [n] * (ambient - rows), with no elimination and
     no factoring.  Rows with other pivots are eliminated per prime power q
-    of n.  The local orders, sorted largest first, multiply column by
-    column into the invariant factors.
+    of n, on their supports.  The local orders, sorted largest first,
+    multiply column by column into the invariant factors.
     """
-    n, k = module.ring.n, module.ambient
-    unit, rest, c = [], [], -1
-    for r in module.relations.entries:   # pivots strictly increase
-        c = next(j for j in range(c + 1, k) if r[j])
-        (unit if r[c] == 1 else rest).append((c, r))
-    cut = {c for c, _ in unit}
-    cols = [j for j in range(k) if j not in cut]
-    rest = [[r[j] for j in cols] for _, r in rest]
+    n = module.ring.n
+    rest = [r for r in module.relations.rows   # each leads with its pivot
+            if next(iter(r.values())) != 1]
+    width = module.ambient - module.relations.nrows + len(rest)
     local = []
     for _, q in _factor(n) if rest else ((n, n),):
-        orders = _local_smith(rest, len(cols), q)
+        orders = _local_smith(rest, width, q)
         local.append(sorted((o for o in orders if o > 1), reverse=True))
     return [prod(f) for f in zip_longest(*local, fillvalue=1)]

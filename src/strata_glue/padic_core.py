@@ -16,7 +16,16 @@ from itertools import count, islice
 
 
 class PrecisionExhausted(ArithmeticError):
-    """Requested level cannot be certified from the available precision."""
+    """Requested level cannot be certified from the available precision.
+
+    needed is the level that was asked for, available the deepest level
+    the precision at hand certifies.
+    """
+
+    def __init__(self, message, needed=None, available=None):
+        super().__init__(message)
+        self.needed = needed
+        self.available = available
 
 
 class UnsupportedSubgroup(ValueError):
@@ -51,7 +60,8 @@ class ProjPoint:
 
     def project(self, level):
         if level > self.level:
-            raise PrecisionExhausted("cannot refine a point to a finer level")
+            raise PrecisionExhausted("cannot refine a point to a finer level",
+                                     needed=level, available=self.level)
         return ProjPoint(self.p, level, self.branch, self.res % self.p ** level)
 
     def _key(self):

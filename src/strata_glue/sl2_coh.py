@@ -119,18 +119,18 @@ class TreeBall:
         """Cellular chains, edges -> vertices -> Lambda, as one complex."""
         nv, ne = len(self.vertices), len(self.edges)
         index = {v: i for i, v in enumerate(self.vertices)}
-        rows = [[0] * ne for _ in range(nv)]
+        rows = [{} for _ in range(nv)]
+        # edges run shell by shell, so a vertex meets its parent edge
+        # before its child edges and each row's columns come ascending
         for j, (child, parent) in enumerate(self.edges):
             rows[index[child]][j] = 1
             rows[index[parent]][j] = ring.n - 1
         c1 = free_module(ring, ne)
         c0 = free_module(ring, nv)
         aug = free_module(ring, 1)
-        # entries are already 0, 1 and n - 1
-        boundary = ModuleMap(c1, c0, LambdaMatrix._reduced(
-            ring, map(tuple, rows), ne))
-        degree = ModuleMap(c0, aug, LambdaMatrix._reduced(
-            ring, [(1,) * nv], nv))
+        boundary = ModuleMap(c1, c0, LambdaMatrix._sparse(ring, rows, ne))
+        degree = ModuleMap(c0, aug, LambdaMatrix._sparse(
+            ring, [dict.fromkeys(range(nv), 1)], nv))
         return BoundedComplex({0: c1, 1: c0, 2: aug},
                               {0: boundary, 1: degree})
 

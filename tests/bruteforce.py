@@ -7,7 +7,8 @@ images and of action matrices (the averaging projector), full vector
 enumeration, element-order multisets, congruence subgroups generated at
 every depth, one act() per generator and point, one pow() and one
 union-find call per point and generator, an extended-gcd combine for every
-row of a Howell column, a pullback that solves for each point's source
+row of a Howell column, the dense Howell engine that rescans every live
+row per column, a pullback that solves for each point's source
 point afresh, a Jacquet stage engine that smooths vectors on every point
 of the line, fixed points as the kernel of dense action matrices against a
 model rebuilt one level up, iso classes from the integer Smith form of the
@@ -34,6 +35,7 @@ hc_tilde are pinned against it.
 """
 
 import itertools
+from itertools import compress
 from fractions import Fraction
 from math import gcd
 
@@ -678,6 +680,136 @@ def xgcd_left_kernel(rows, n, width):
     return xgcd_howell(xgcd_howell(rows, n, width, kernel=True), n, len(rows))
 
 
+def dense_howell_engine(rows, n, width, kernel=False):
+    """Howell form of the row span of rows over Z/n, or its left kernel.
+
+    Entries of rows must already lie in [0, n); rows are copied, not
+    reduced again.  Returns the Howell rows as tuples.  With kernel set it
+    returns instead rows spanning {x : x * rows = 0}, not in Howell form:
+    only then is the row transform carried, and the above-pivot reduction,
+    which cannot change the kernel, is skipped.  Rows are split into live
+    and zero once; a live row is zero left of the current column, so each
+    step touches only the columns from there on.
+
+    Each column takes one of two paths.  Unit path: when some row has a
+    unit in the column, the first such row is the pivot, scaled to 1, and
+    each other row with an entry there is cleared by one subtraction that
+    touches only the pivot's nonzero columns, listed once per pivot.  A
+    unit pivot has no annihilator.  Over a prime n every nonzero entry is a
+    unit, so only this path runs.  Fallback path, reached only for
+    composite n when no entry in the column is a unit: the first row is
+    combined with each other one by an extended-gcd step over the full
+    width, normalized by _unit_scale, and its annihilator multiple stays
+    live, which gives the Howell property.  The above-pivot reduction
+    subtracts each pivot row over its nonzero columns only.
+    """
+    live, zeros = [], []
+    for i, r in enumerate(rows):
+        row = list(r)
+        if kernel:
+            row += [0] * len(rows)
+            row[width + i] = 1
+        (live if any(row[:width]) else zeros).append(row)
+
+    out, pivots = [], []
+    for col in range(width):
+        if not live:
+            break
+        hits = [w for w in live if w[col]]
+        if not hits:
+            continue
+        live = [w for w in live if not w[col]]
+        piv = next((w for w in hits if gcd(w[col], n) == 1), None)
+        if piv is not None:
+            nonzero = list(compress(range(col + 1, len(piv)), piv[col + 1:]))
+            if piv[col] != 1:
+                inv = pow(piv[col], -1, n)
+                piv[col] = 1
+                for k in nonzero:
+                    piv[k] = inv * piv[k] % n
+            support = [(k, piv[k]) for k in nonzero]
+            for b in hits:
+                if b is piv:
+                    continue
+                c = b[col]
+                b[col] = 0
+                for k, x in support:
+                    b[k] = (b[k] - c * x) % n
+                if any(b[col + 1:width]):
+                    live.append(b)
+                elif kernel:
+                    zeros.append(b)
+            out.append(piv)
+            pivots.append(col)
+            continue
+        piv = hits[0]
+        for b in hits[1:]:
+            av, bv = piv[col], b[col]
+            g, s, t = _xgcd(av, bv)
+            u, v = -(bv // g), av // g
+            pairs = list(zip(piv[col:], b[col:]))
+            piv[col:] = [(s * x + t * y) % n for x, y in pairs]
+            b[col:] = [(u * x + v * y) % n for x, y in pairs]
+            if any(b[col + 1:width]):
+                live.append(b)
+            elif kernel:
+                zeros.append(b)
+        u = _unit_scale(piv[col], n)
+        piv[col:] = [(u * x) % n for x in piv[col:]]
+        out.append(piv)
+        pivots.append(col)
+        if piv[col] > 1:  # non-units can combine to a unit: 2, 3 mod 6
+            ann = n // piv[col]
+            arow = [0] * col + [(ann * x) % n for x in piv[col:]]
+            if any(arow[col + 1:width]):
+                live.append(arow)
+            elif kernel:
+                zeros.append(arow)
+
+    if kernel:
+        return [tuple(w[width:]) for w in zeros if any(w[width:])]
+    # reduce entries above each pivot into [0, pivot); a pivot row is used
+    # only on the rows above it, before it is itself reduced, so its nonzero
+    # columns are listed once, when it is first needed
+    supports = [None] * len(out)
+    for i, row in enumerate(out):
+        for k in range(i + 1, len(out)):
+            c = pivots[k]
+            d = out[k][c]
+            q = row[c] // d
+            if q:
+                if supports[k] is None:
+                    r = out[k]
+                    supports[k] = [(j, r[j]) for j in
+                                   compress(range(c + 1, width), r[c + 1:])]
+                row[c] -= q * d
+                for j, y in supports[k]:
+                    row[j] = (row[j] - q * y) % n
+    return [tuple(r) for r in out]
+
+
+def dense_left_kernel(rows, n, width):
+    """Howell rows of {x : x * rows = 0}, by dense_howell_engine in both
+    passes, as left_kernel computed them."""
+    return dense_howell_engine(
+        dense_howell_engine(rows, n, width, kernel=True), n, len(rows))
+
+
+def dense_kernel(f, target_relations, source_relations):
+    """(relations, witness rows) of kernel(f) as the dense engine computed
+    them, for the map's dense matrix and dense Howell relation rows of its
+    target and source."""
+    n, k = f.source.ring.n, f.source.ambient
+    a = list(zip(*f.matrix.entries)) or [()] * f.matrix.cols
+    kern = dense_left_kernel(a + list(target_relations), n, f.matrix.nrows)
+    gens = dense_howell_engine([r[:k] for r in kern], n, k)
+    if not gens:
+        return [], []
+    rel = dense_left_kernel(gens + list(source_relations), n, k)
+    g = len(gens)
+    return dense_howell_engine([r[:g] for r in rel], n, g), gens
+
+
 def _vp(x, p):
     v = 0
     while x % p == 0:
@@ -1103,23 +1235,24 @@ def _snf_with_colbasis(rows, cols):
     return factors, v, vinv
 
 
-def _presentation_stack(module):
-    rows = [list(r) for r in module.relations.entries]
-    n = module.ring.n
-    for i in range(module.ambient):
-        row = [0] * module.ambient
+def smith_iso_class(rows, n, ambient):
+    """Invariant factors (> 1) of Lambda^ambient modulo the span of rows,
+    largest first, by the integer Smith form of rows stacked on n * I."""
+    if ambient == 0:
+        return []
+    stack = [list(r) for r in rows]
+    for i in range(ambient):
+        row = [0] * ambient
         row[i] = n
-        rows.append(row)
-    return rows
+        stack.append(row)
+    factors, _, _ = _snf_with_colbasis(stack, ambient)
+    return sorted((f for f in factors if f > 1), reverse=True)
 
 
 def integer_iso_class(module):
-    """Invariant factors (> 1) of the module, largest first, by the integer
-    Smith form of its Howell relations stacked on n * I."""
-    if module.ambient == 0:
-        return []
-    factors, _, _ = _snf_with_colbasis(_presentation_stack(module), module.ambient)
-    return sorted((f for f in factors if f > 1), reverse=True)
+    """smith_iso_class of the module's Howell relations."""
+    return smith_iso_class(module.relations.entries, module.ring.n,
+                           module.ambient)
 
 
 # Oracles that only the tests call: the averaging projector over the finite

@@ -266,6 +266,14 @@ def test_precision_exhaustion_has_its_own_exit_code(capsys):
     assert "PrecisionExhausted" in err
 
 
+def test_precision_exhaustion_message_is_unchanged(capsys):
+    code, out, err = run(capsys, "sl2coh", "--rep", "st",
+                         "--level", "2", "--precision", "2")
+    assert (code, out) == (4, "")
+    assert err == ("error: PrecisionExhausted: "
+                   "level 3 exceeds the model budget 2\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_glue_accepts_level_and_precision_it_does_not_read(capsys, fmt):
     argv = ("glue", "--slope", "int", "--rep", "triv", "--format", fmt)

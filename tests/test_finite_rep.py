@@ -225,8 +225,9 @@ def test_uprime_needs_one_level_of_precision():
                 induced_rep(R11, (1, 1), 2, precision=2),
                 trivial_rep(R11, 2, precision=2)):
         with pytest.raises(PrecisionExhausted,
-                           match=r"^level 3 exceeds the model budget 2$"):
+                           match=r"^level 3 exceeds the model budget 2$") as exc:
             fixed_points(sig, spec)
+        assert (exc.value.needed, exc.value.available) == (3, 2)
         assert (_fixed_outcome(fixed_points, sig, spec)
                 == _fixed_outcome(dense_fixed_points, sig, spec))
     fixed_points(steinberg(R11, 2, precision=3), spec)
@@ -462,8 +463,11 @@ def test_unit_pull_tables_equal_loop(ring):
 
 def test_jacquet_needs_precision():
     sig = induced_rep(R11, (1, 1), 2, precision=3)
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^stage window needs level 6, budget is 3$"
+                       ) as exc:
         jacquet_oracle(sig)
+    assert (exc.value.needed, exc.value.available) == (6, 3)
 
 
 # ---------------------------------------------------------------- inflate

@@ -35,9 +35,13 @@ from strata_glue.lambda_core import (
 from bruteforce import (
     all_vectors,
     brute_left_kernel,
+    dense_howell_engine,
+    dense_kernel,
+    dense_left_kernel,
     element_order_multiset,
     integer_iso_class,
     orders_of_factor_sum,
+    smith_iso_class,
     span_of,
     xgcd_howell,
     xgcd_left_kernel,
@@ -251,6 +255,16 @@ def test_homology_single_spot():
     d = ModuleMap(free_module(r, 1), free_module(r, 0),
                   LambdaMatrix(r, [], cols=1))
     assert iso_class(kernel(d)) == [6]
+
+def test_map_to_zero_module_checks_its_width():
+    r = carrier(6)
+    with pytest.raises(ValueError, match="matrix shape"):
+        ModuleMap(free_module(r, 3), free_module(r, 0),
+                  LambdaMatrix(r, [], cols=5))
+    f = ModuleMap(free_module(r, 3), free_module(r, 0),
+                  LambdaMatrix(r, [], cols=3))
+    assert f.image_rows() == ({}, {}, {})
+    assert f.apply([1, 2, 3]) == []
 
 def test_homology_frozen_steinberg_shape():
     # d(x0,x1) = (x0-x1, x0-x1) on (Z/5)^2: H0 = H1 = Z/5
@@ -511,6 +525,113 @@ def test_engine_late_unit_pivot(n, column):
         # the same column after a cleared one, below a zero-led block
         shifted = [[0] + r for r in entries] + [[1] * (cols + 1)]
         _assert_engine_matches_reference(n, shifted, cols + 1)
+
+
+# ------------------------------------ sparse engine against the dense engine
+
+@st.composite
+def sparse_case(draw):
+    # a matrix at a drawn density over a ring with and without zero
+    # divisors; on composite n some columns hold only multiples of a prime
+    # divisor, so that no hit is a unit and the xgcd fallback and the
+    # annihilator rows run
+    n = draw(st.sampled_from([7, 11, 8, 12, 121, 143]))
+    density = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5, 0.75, 1.0]))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    divisor = next(d for d in range(2, n + 1) if n % d == 0)
+    nonunit = {j for j in range(cols) if divisor < n and rng.random() < 0.5}
+
+    def entry(j):
+        if rng.random() >= density:
+            return 0
+        return rng.randrange(n) * (divisor if j in nonunit else 1) % n
+    return n, cols, [tuple(entry(j) for j in range(cols))
+                     for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_case())
+def test_sparse_engine_matches_dense_engine(case):
+    n, cols, entries = case
+    ring = carrier(n)
+    m = LambdaMatrix(ring, entries, cols=cols)
+    assert list(howell_form(m).entries) == dense_howell_engine(
+        entries, n, cols)
+    assert list(left_kernel(m).entries) == dense_left_kernel(
+        entries, n, cols)
+    # the first half of the rows presents a module, the rest is quotiented
+    half = len(entries) // 2
+    base = quotient_module(free_module(ring, cols), entries[:half])
+    base_rel = dense_howell_engine(entries[:half], n, cols)
+    quot = quotient_module(base, entries[half:])
+    quot_rel = dense_howell_engine(base_rel + entries[half:], n, cols)
+    assert list(quot.relations.entries) == quot_rel
+    assert iso_class(quot) == smith_iso_class(quot_rel, n, cols)
+    # m maps Lambda^cols modulo the first half to Lambda^rows modulo the
+    # images of those relations and every other column of m
+    if not entries:
+        return
+    images = [tuple(sum(r[j] * x[j] for j in range(cols)) % n
+                    for r in entries) for x in base_rel]
+    extra = list(zip(*entries))[::2]
+    target_rel = dense_howell_engine(images + extra, n, len(entries))
+    target = quotient_module(free_module(ring, len(entries)), images + extra)
+    assert list(target.relations.entries) == target_rel
+    f = ModuleMap(base, target, m)
+    got = kernel(f)
+    rel, gens = dense_kernel(f, target_rel, base_rel)
+    assert list(got.relations.entries) == rel
+    assert list(got.witness_rows) == gens
+    assert iso_class(got) == smith_iso_class(rel, n, len(gens))
+
+
+@pytest.mark.parametrize("n", [11, 143])
+@pytest.mark.parametrize("p", [2, 3])
+def test_ball_boundaries_match_dense_engine(p, n):
+    from strata_glue.sl2_coh import bt_ball
+    ring = make_ring(n, p)
+    for r in range(1, 6):
+        ball = bt_ball(p, r)
+        boundary = ball.chain_complex(ring).differentials[0]
+        nv, ne = len(ball.vertices), len(ball.edges)
+        index = {v: i for i, v in enumerate(ball.vertices)}
+        dense = [[0] * ne for _ in range(nv)]
+        for j, (child, parent) in enumerate(ball.edges):
+            dense[index[child]][j] = 1
+            dense[index[parent]][j] = n - 1
+        assert boundary.matrix.entries == tuple(map(tuple, dense))
+        h = ball.homology(ring)
+        assert list(h[0].relations.entries) == dense_howell_engine(
+            list(zip(*dense)), n, nv)
+        rel, gens = dense_kernel(boundary, [], [])
+        assert list(h[1].relations.entries) == rel
+        assert list(h[1].witness_rows) == gens
+
+
+@pytest.mark.parametrize("p, r", [(3, 6), (2, 9)])
+def test_ball_homology_at_scale(p, r):
+    # 1457 and 1023 vertices: a dense engine takes seconds here
+    from strata_glue.sl2_coh import bt_ball
+    h = bt_ball(p, r).homology(make_ring(11, p))
+    assert iso_class(h[0]) == [11]
+    assert iso_class(h[1]) == []
+
+
+def test_sparse_rows_and_dense_view_agree():
+    r = carrier(12)
+    m = LambdaMatrix(r, [{3: 14, 0: 6, 1: 12}, (0, 5, 0, 0), [0, 0, 0, -1]])
+    assert m.rows == ({0: 6, 3: 2}, {1: 5}, {3: 11})
+    assert [list(row) for row in m.rows] == [[0, 3], [1], [3]]
+    assert m.entries == ((6, 0, 0, 2), (0, 5, 0, 0), (0, 0, 0, 11))
+    assert m.transpose().rows == ({0: 6}, {1: 5}, {}, {0: 2, 2: 11})
+    with pytest.raises(ValueError, match="column count"):
+        LambdaMatrix(r, [{0: 1}])
+    with pytest.raises(ValueError, match="outside 0..2"):
+        LambdaMatrix(r, [{3: 1}], cols=3)
+    f = ModuleMap(free_module(r, 4), free_module(r, 3), m)
+    assert f.image_rows() == m.transpose().rows
+    assert f.apply([1, 1, 0, 1]) == [8, 5, 11]
 
 
 # ------------------------------------------------------------ unit normalizer

@@ -76,6 +76,15 @@ def test_act_identity():
         y, coc = act(x, g, 2)
         assert y == x and coc.scalar_val == 0 and coc.torus_vals == (0, 0)
 
+def test_project_refuses_a_finer_level():
+    x = ProjPoint.big_cell(3, 2, 5)
+    assert x.project(1) == ProjPoint.big_cell(3, 1, 2)
+    with pytest.raises(PrecisionExhausted,
+                       match="cannot refine a point to a finer level") as exc:
+        x.project(4)
+    assert (exc.value.needed, exc.value.available) == (4, 2)
+
+
 def test_act_precision_exhausted():
     # [1:3].diag(1,1/pi) = [1 : 3/pi], whose residue needs one spare level
     g = diag_matrix(3, 0, -1)

@@ -5,13 +5,18 @@ plus the exit code; nothing here shells out.  Frozen renderings follow
 the same value tables as test_char_engine.
 """
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strata_glue import cli
 from strata_glue.cli import main
+from strata_glue.lambda_core import LambdaMatrix
 from strata_glue.padic_core import enumerate_p1
+
+from bruteforce import brute_left_kernel, span_of
 
 
 def run(capsys, *argv):
@@ -380,3 +385,56 @@ def test_verify_all_lists_a_failing_criterion_and_runs_the_rest(
     assert lines[1] == "after: PASS"
     assert lines[-1] == "FAILED: broken"
     assert ran == ["after", "after"]
+
+
+# ------------------------------------------------- linear-algebra oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_images_match_brute_force(data):
+    n = data.draw(st.one_of(st.sampled_from((4, 8, 9)), st.integers(2, 12)))
+    width = data.draw(st.integers(1, 3))
+    row = st.one_of(
+        st.just((0,) * width),
+        st.tuples(*[st.integers(0, n - 1)] * width))
+    pool = data.draw(st.lists(row, min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+
+    xs = list(itertools.product(range(n), repeat=len(rows)))
+    images = cli._images(rows, n, width)
+    assert images == [
+        tuple(sum(c * r[j] for c, r in zip(x, rows)) % n
+              for j in range(width))
+        for x in xs]
+    span = span_of(rows, n, width)
+    assert set(images) == span
+    assert set(cli._images(rows, n, width, closed=True)) == span
+    assert {x for x, img in zip(xs, images) if not any(img)} == \
+        brute_left_kernel(rows, n)
+
+
+def _drop_last_row(fn):
+    def faulty(m):
+        out = fn(m)
+        return LambdaMatrix(out.ring, out.rows[:-1], cols=out.cols)
+    return faulty
+
+
+@pytest.mark.parametrize("name, fault, message", [
+    ("howell_form", _drop_last_row, "howell form changed the row span"),
+    ("left_kernel", _drop_last_row, "left kernel disagrees with enumeration"),
+    ("quotient_module",
+     lambda fn: lambda module, rows: fn(module, rows[:-1]),
+     "quotient size disagrees with enumeration"),
+])
+def test_linear_algebra_oracle_catches_a_faulty_engine(
+        capsys, monkeypatch, name, fault, message):
+    monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+    code, out, _ = run(capsys, "verify-all", "--format", "json")
+    assert code == 3
+    blob = json.loads(out)
+    assert blob["failed"] == ["linear-algebra"]
+    assert blob["criteria"][-1] == {"criterion": "linear-algebra",
+                                    "status": "fail",
+                                    "error": f"RuntimeError: {message}"}

@@ -40,9 +40,10 @@ from .padic_core import (
     UnsupportedSubgroup,
     _eta_inv_images,
     _unit_gens,
-    _unit_inverses,
-    enumerate_p1,
+    _unit_torus_images,
     orbits,
+    p1_size,
+    project,
     subgroup_generators,
 )
 
@@ -90,18 +91,24 @@ class FiniteRep:
     """Level-m model of one of four kinds.
 
     trivial has rank 1; induced holds the functions on the level-m line,
-    one coordinate per point of labels, twisted by the unit pair chi;
-    steinberg is the quotient of its parent, the untwisted induced model,
-    by the constants; inflated is a depth-zero model given by a table of
-    rank x rank matrices keyed by 2x2 residue matrices mod p.  Only the
-    inflated kind has an action matrix: the other kinds are read through
-    orbits and closed forms.
+    one coordinate per point index (padic_core's codec), twisted by the
+    unit pair chi; steinberg is the quotient of its parent, the untwisted
+    induced model, by the constants; inflated is a depth-zero model given
+    by a table of rank x rank matrices keyed by 2x2 residue matrices mod p.
+    Only the inflated kind has an action matrix: the other kinds are read
+    through orbits and closed forms.
+
+    precision is a budget on the levels the model's calls may work at, not
+    a truncation: every residue is exact at whatever level a call uses.
+    Two calls check it and raise PrecisionExhausted past it: Uprime fixed
+    points need level + 1, and jacquet_oracle needs level + j_max (2m + 2
+    by default).
     """
 
     __slots__ = ("ring", "p", "level", "precision", "kind", "chi",
-                 "labels", "rank", "parent", "table")
+                 "rank", "parent", "table")
 
-    def __init__(self, ring, p, level, precision, kind, chi=None, labels=None,
+    def __init__(self, ring, p, level, precision, kind, chi=None,
                  rank=None, parent=None, table=None):
         self.ring = ring
         self.p = p
@@ -109,7 +116,6 @@ class FiniteRep:
         self.precision = precision
         self.kind = kind
         self.chi = chi
-        self.labels = labels
         self.rank = rank
         self.parent = parent
         self.table = table
@@ -146,17 +152,15 @@ def induced_rep(ring, chi, m, precision=None):
     chi = (c1 % ring.n, c2 % ring.n)
     if not (ring.is_unit(chi[0]) and ring.is_unit(chi[1])):
         raise ValueError(f"character values {chi} must be units")
-    labels = enumerate_p1(ring.p, m)
     return FiniteRep(ring, ring.p, m, precision or 2 * m + 4, "induced",
-                     chi=chi, labels=labels, rank=len(labels))
+                     chi=chi, rank=p1_size(ring.p, m))
 
 
 def steinberg(ring, m, precision=None):
     """Quotient of the untwisted induced model by the constants."""
     parent = induced_rep(ring, (1, 1), m, precision=precision)
     return FiniteRep(ring, ring.p, m, parent.precision, "steinberg",
-                     chi=(1, 1), labels=parent.labels[1:],
-                     rank=parent.rank - 1, parent=parent)
+                     chi=(1, 1), rank=parent.rank - 1, parent=parent)
 
 
 def inflate(ring, p, table, rank):
@@ -218,11 +222,6 @@ def fixed_points(sig, spec):
     return kernel(f)
 
 
-def _point_index(x):
-    # position in enumerate_p1 order: [1:t] -> t, [s:1] -> p^m + s/p
-    return x.res if x.branch == "b" else x.p ** x.level + x.res // x.p
-
-
 def _mod_constants(rows, n):
     # induced-model rows to Steinberg coordinates: v[i] - v[0], i >= 1
     return [tuple((x - r[0]) % n for x in r[1:]) for r in rows]
@@ -232,12 +231,12 @@ def _orbit_rows(sig, spec):
     # rows spanning the fixed space of a subgroup of GL2(O)
     if sig.kind == "trivial":
         return [(1,)]
-    size = len(sig.parent.labels if sig.kind == "steinberg" else sig.labels)
+    size = (sig.parent if sig.kind == "steinberg" else sig).rank
     rows = []
     for block in orbits(spec, sig.level, sig.p):
         row = [0] * size
-        for x in block:
-            row[_point_index(x)] = 1
+        for i in block:
+            row[i] = 1
         rows.append(row)
     if sig.kind == "steinberg":
         return _mod_constants(rows, sig.ring.n)
@@ -272,16 +271,16 @@ def _uprime_rows(sig):
     ring, n, p, m = sig.ring, sig.ring.n, sig.p, sig.level
     base = sig.parent if sig.kind == "steinberg" else sig
     # one entry per point of the level-(m+1) line
-    orbit_of = [None] * (p ** (m + 1) + p ** m)
+    orbit_of = [None] * p1_size(p, m + 1)
     blocks = orbits(SubgroupSpec("U"), m + 1, p)
     for o, block in enumerate(blocks):
-        for x in block:
-            orbit_of[_point_index(x)] = o
+        for i in block:
+            orbit_of[i] = o
     weight = {tv: ring.inv(_chi_val(ring, base.chi, tv))
               for tv in ((-1, 0), (0, -1))}
     over = [None] * base.rank
     cons = set()
-    for o, (i, tv) in zip(orbit_of, _eta_inv_images(p, m)):
+    for o, (i, tv) in zip(orbit_of, _eta_inv_images(p, m + 1, m)):
         term = (o, weight[tv])
         if over[i] is None:
             over[i] = term
@@ -326,7 +325,7 @@ class _StageEngine:
     # Smoothing leaves the disc sum times a unit w_out fixed by the point, so
     # a vector is held in disc coordinates: slots ordered by their first point
     # (the big disc, holding [1:0], is slot 0), infinity being slot 1.
-    # Points are indices: [1:t] -> t and [s:1] -> p^L + s/p.
+    # Points are indices in padic_core's codec.
 
     def __init__(self, ring, p, m, big_l, chi):
         self.ring = ring
@@ -337,11 +336,10 @@ class _StageEngine:
         self.r = self.c1 * ring.inv(self.c2) % n
         md, pm = p ** big_l, p ** m
         # point count, read by the stage sizer in perfbench/spans.py
-        self.size = md + md // p
+        self.size = p1_size(p, big_l)
         # depth of each [s:1] with s != 0, in order of s
         self.mu = [_vp(s, p) for s in range(p, md, p)]
-        self.fiber_of = ([t % pm for t in range(md)]
-                         + [pm + s % pm // p for s in range(0, md, p)])
+        self.fiber_of = project(p, big_l, m)
         self.pm = pm
         # value of w_out at each point; 1 on the big cell and at infinity
         self.w_out = [1] * (md + 1) + [pow(self.r, -mu, n) for mu in self.mu]
@@ -376,30 +374,24 @@ class _StageEngine:
         translation by diag(d1, d2), and the weight times w_out at the
         source; neither depends on the vector or the stage.
 
-        The probes have closed forms.  For units d1, d2 the weight is 1,
-        [1:t] pulls from [1:t*d2/d1] and [s:1] from [s*d1/d2:1].  For
-        diag(p, 1), [1:t] pulls from [1:t/p] with weight c2 when p | t and
-        from [p/t:1] with weight c1 when t is a unit, and [s:1] pulls from
-        [p*s:1] with weight c1.
+        The probes have closed forms in padic_core.  For units d1, d2 the
+        weight is 1 and the source is the point times diag(d1, d2).  For
+        diag(p, 1), the central pi (acting by c1 * c2) times
+        diag(1, pi^-1), [1:t] pulls from [1:t/p] with weight c2 when p | t
+        and from [p/t:1] with weight c1 when t is a unit, and [s:1] pulls
+        from [p*s:1] with weight c1.
         """
-        p, md, n = self.p, self.p ** self.big_l, self.n
+        p, n = self.p, self.n
         if d1 % p and d2 % p:
-            r = d2 * pow(d1, -1, md) % md
-            src = [t * r % md for t in range(md)]
-            r = d1 * pow(d2, -1, md) % md
-            src.extend(md + s * r % md // p for s in range(0, md, p))
+            src = _unit_torus_images(p, self.big_l, d1, d2)
             return src, [self.w_out[t] for t in src]
         if (d1, d2) != (p, 1):
             raise ValueError(f"no pull table for diag({d1}, {d2})")
-        # p/t for a unit t has index md + (t^-1 mod md/p), and p*s has
-        # index md + s mod md/p
-        low = md // p
-        inv = _unit_inverses(p, self.big_l - 1)
-        src = [md + inv[t % low] if t % p else t // p for t in range(md)]
-        src.extend(md + s % low for s in range(0, md, p))
-        c1, c2 = self.c1 % n, self.c2 % n
-        wts = [(c1 if i >= md or i % p else c2) * self.w_out[t] % n
-               for i, t in enumerate(src)]
+        scale = {(-1, 0): self.c2 % n, (0, -1): self.c1 % n}
+        src, wts = [], []
+        for t, tv in _eta_inv_images(p, self.big_l, self.big_l):
+            src.append(t)
+            wts.append(scale[tv] * self.w_out[t] % n)
         return src, wts
 
     def transfer(self, j, d1, d2):

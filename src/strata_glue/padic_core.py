@@ -1,6 +1,6 @@
 """Finite-level p-adic projective line and orbit sweeps on it.
 
-A point of P^1(O/pi^m) is stored in canonical affine form, [1:t] when the
+A point of P^1(O/pi^m) is its index (see the codec below): [1:t] when the
 first coordinate can lead and [s:1] with p | s otherwise, with t and s
 exact residues mod p^m, so equality is plain comparison.  Group elements
 are plain 2x2 integer matrices in GL2(O): integral with a unit
@@ -16,10 +16,11 @@ from itertools import count, islice
 
 
 class PrecisionExhausted(ArithmeticError):
-    """Requested level cannot be certified from the available precision.
+    """A call needs a deeper level than its model's precision budget.
 
-    needed is the level that was asked for, available the deepest level
-    the precision at hand certifies.
+    The budget truncates no arithmetic.  It bounds the levels a model's
+    calls may work at: Uprime fixed points need level + 1 and the Jacquet
+    oracle m + j_max.  needed is the level asked for, available the budget.
     """
 
     def __init__(self, message, needed=None, available=None):
@@ -36,61 +37,30 @@ class ClassificationMismatch(RuntimeError):
     """Computed orbit partition contradicts the closed-form description."""
 
 
-class ProjPoint:
-    """Canonical point of P^1(O/pi^level): [1:t], or [s:1] with pi | s."""
+# ------------------------------------------------------------ point codec
+#
+# The level-m points are the integers 0 <= i < p1_size(p, m): [1:t] is t
+# for 0 <= t < p^m, and [s:1], p | s, is p^m + s/p.  So the big cell comes
+# first and each cell runs in residue order; every block, table and sweep
+# below is indexed this way.
 
-    __slots__ = ("p", "level", "branch", "res")
-
-    def __init__(self, p, level, branch, res):
-        self.p = p
-        self.level = level
-        self.branch = branch
-        self.res = res
-
-    @classmethod
-    def big_cell(cls, p, level, t):
-        return cls(p, level, "b", t % p ** level)
-
-    @classmethod
-    def inf_cell(cls, p, level, s):
-        s = s % p ** level
-        if s % p:
-            raise ValueError("second-branch residue must be divisible by p")
-        return cls(p, level, "i", s)
-
-    def project(self, level):
-        if level > self.level:
-            raise PrecisionExhausted("cannot refine a point to a finer level",
-                                     needed=level, available=self.level)
-        return ProjPoint(self.p, level, self.branch, self.res % self.p ** level)
-
-    def _key(self):
-        return (self.p, self.level, self.branch, self.res)
-
-    def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __lt__(self, other):
-        # big cell first, then by residue; callers compare within one level
-        return (self.branch, self.res) < (other.branch, other.res)
-
-    def __str__(self):
-        if self.branch == "b":
-            return f"[1:{self.res}]"
-        return f"[{self.res}:1]"
-
-    def __repr__(self):
-        return f"ProjPoint({self.p}^{self.level}, {self})"
+def p1_size(p, m):
+    """Point count p^m + p^(m-1) of P^1(O/pi^m)."""
+    md = p ** m
+    return md + md // p
 
 
-def enumerate_p1(p, m):
-    """All canonical points at level m, in canonical order."""
-    pts = [ProjPoint.big_cell(p, m, t) for t in range(p ** m)]
-    pts += [ProjPoint.inf_cell(p, m, s) for s in range(0, p ** m, p)]
-    return pts
+def point_label(p, m, i):
+    """The level-m point of index i as "[1:t]" or "[s:1]"."""
+    md = p ** m
+    return f"[1:{i}]" if i < md else f"[{(i - md) * p}:1]"
+
+
+def project(p, m, level):
+    """Index at level <= m of every level-m point, in index order."""
+    md, ml = p ** m, p ** level
+    return ([t % ml for t in range(md)]
+            + [ml + s % ml // p for s in range(0, md, p)])
 
 
 # --------------------------------------------------------------- subgroups
@@ -208,13 +178,12 @@ def _unit_inverses(p, m):
 
 
 def _integral_images(g, p, m, inv):
-    """Index of x*g for every level-m point x, in enumerate_p1 order.
+    """Index of x*g for every level-m point x, in index order.
 
-    [1:t] has index t and [s:1] index p^m + s//p.  g must lie in GL2(O):
-    it maps the primitive lift (1, t) or (s, 1) to a primitive (c1, c2), so
-    one coordinate is a unit and the ratio is exact mod p^m.  inv is
-    _unit_inverses(p, m).  Along each cell the lifts step by (0, 1) or
-    (p, 0), so their images step by (c, d) or (p*a, p*b).
+    g must lie in GL2(O): it maps the primitive lift (1, t) or (s, 1) to a
+    primitive (c1, c2), so one coordinate is a unit and the ratio is exact
+    mod p^m.  inv is _unit_inverses(p, m).  Along each cell the lifts step
+    by (0, 1) or (p, 0), so their images step by (c, d) or (p*a, p*b).
     """
     md = p ** m
     (a, b), (c, d) = [[x % md for x in row] for row in g]
@@ -230,23 +199,40 @@ def _integral_images(g, p, m, inv):
     return out
 
 
-def _eta_inv_images(p, m):
-    """Yield the index at level m and the torus valuations of
-    x * diag(1, pi^-1) for every level-(m+1) point x in enumerate_p1 order.
+def _eta_inv_images(p, m, level):
+    """Yield the index at level m - 1 or m and the torus valuations of
+    x * diag(1, pi^-1) for every level-m point x, in index order.
 
     [1:t] goes to [1:t/p] with torus_vals (-1, 0) when p | t, and to
     [p/t:1] with (0, -1) when t is a unit; [s:1] goes to [p*s:1] with
-    (0, -1).
+    (0, -1).  At level m - 1 these are the images; at level m, t/p is
+    the residue below p^(m-1), as the Jacquet stage engine's diag(pi, 1)
+    probe reads it (diag(pi, 1) is the central pi times diag(1, pi^-1)).
     """
-    md = p ** m
-    inv = _unit_inverses(p, m)
-    for t in range(p * md):
-        if t % p == 0:
-            yield t // p, (-1, 0)
+    md, ml = p ** m, p ** level
+    # p/t is [p*u:1] with u = t^-1 mod p^(level-1), and p*s is [p*s':1]
+    # with s' = s mod p^(level-1): both have index ml + the residue
+    inv = _unit_inverses(p, max(level - 1, 0))
+    low = len(inv)
+    for t in range(md):
+        if t % p:
+            yield ml + inv[t % low], (0, -1)
         else:
-            yield md + p * inv[t % md] % md // p, (0, -1)
-    for s in range(0, p * md, p):
-        yield md + p * s % md // p, (0, -1)
+            yield t // p, (-1, 0)
+    for s in range(0, md, p):
+        yield ml + s % low, (0, -1)
+
+
+def _unit_torus_images(p, m, d1, d2):
+    """Index of x * diag(d1, d2) for every level-m point x, in index order,
+    for units d1 and d2: [1:t] goes to [1:t*d2/d1] and [s:1] to
+    [s*d1/d2:1]."""
+    md = p ** m
+    r = d2 * pow(d1, -1, md) % md
+    out = [t * r % md for t in range(md)]
+    r = pow(r, -1, md)
+    out.extend(md + s * r % md // p for s in range(0, md, p))
+    return out
 
 
 def orbits(spec, m, p):
@@ -259,16 +245,15 @@ def orbits(spec, m, p):
     union-find closes the relation symmetrically.  One table of unit
     inverses mod p^m, built per call, serves every generator, and the
     images of one generator are merged before the next one's are made.
-    Blocks list their points in enumerate_p1 order and
-    come in the order of their first points.  Raises ValueError when
+    Blocks are tuples of point indices in index order, and they come in
+    the order of their first points.  Raises ValueError when
     m < 1, where no residue is a unit, and UnsupportedSubgroup for a kind
     that subgroup_generators does not know.
     """
     if m < 1:
         raise ValueError("orbits need level at least 1")
     gens = subgroup_generators(spec, p, m)
-    base = enumerate_p1(p, m)
-    parent = list(range(len(base)))
+    parent = list(range(p1_size(p, m)))
     inv = _unit_inverses(p, m)
     for g in gens:
         # union-find with path halving, inlined (the chained assignment
@@ -287,9 +272,9 @@ def orbits(spec, m, p):
     # parents point to lesser indices, so in index order the parent's
     # parent is already the root
     blocks = {}
-    for i, x in enumerate(base):
+    for i in range(len(parent)):
         parent[i] = r = parent[parent[i]]
-        blocks.setdefault(r, []).append(x)
+        blocks.setdefault(r, []).append(i)
     return [tuple(b) for b in blocks.values()]
 
 
@@ -322,18 +307,15 @@ def orbit_classification_check(k, p, n):
     expected = orbit_count_formula(p, k)
     if len(part) != expected:
         raise ClassificationMismatch("orbit count disagrees with closed form")
-    step = p ** k
-    # blocks list their points in enumerate_p1 order and each disc's centre
-    # is its least point, so a block equal to a disc starts with its centre
-    inf = ProjPoint.inf_cell(p, m, 0)
-    inf_block = next((b for b in part if b[0] == inf), ())
-    if set(inf_block) != {ProjPoint.inf_cell(p, m, s)
-                          for s in range(0, p ** m, step)}:
+    md, step = p ** m, p ** k
+    # blocks list their points in index order and each disc's centre is its
+    # least point, so a block equal to a disc starts with its centre: [0:1]
+    # at index md, its disc the [s:1] with p^k | s; [1:0] at index 0
+    inf_block = next((b for b in part if b[0] == md), ())
+    if set(inf_block) != set(range(md, md + md // p, step // p)):
         raise ClassificationMismatch("infinity orbit is not the depth-k disc")
-    zero = ProjPoint.big_cell(p, m, 0)
-    zero_block = next((b for b in part if b[0] == zero), ())
-    if set(zero_block) != {ProjPoint.big_cell(p, m, t)
-                           for t in range(0, p ** m, step)}:
+    zero_block = next((b for b in part if b[0] == 0), ())
+    if set(zero_block) != set(range(0, md, step)):
         raise ClassificationMismatch("zero orbit is not the depth-k disc")
     return {
         "k": k,
@@ -342,6 +324,7 @@ def orbit_classification_check(k, p, n):
         "n": n,
         "orbit_count": len(part),
         "formula_count": expected,
-        "orbits": [{"rep": str(b[0]), "size": len(b)} for b in part],
+        "orbits": [{"rep": point_label(p, m, b[0]), "size": len(b)}
+                   for b in part],
     }
 

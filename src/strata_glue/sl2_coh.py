@@ -25,7 +25,7 @@ from .lambda_core import (
     make_ring,
     quotient_module,
 )
-from .padic_core import ProjPoint, SubgroupSpec, enumerate_p1
+from .padic_core import SubgroupSpec, p1_size, project
 from .finite_rep import fixed_points, induced_rep, unram_pair
 
 
@@ -45,13 +45,14 @@ _ROOT = (0, None)
 class TreeBall:
     """Radius-r piece of the lattice-class tree around the standard vertex.
 
-    Vertices are (distance, point) pairs: the distance-d shell is the level-d
-    projective line, and each point names the lattice class whose Hermite
-    basis has determinant p^d: rows (1, t), (0, p^d) for the point [1:t],
-    rows (p^d, 0), (s, 1) for [s:1], and the standard lattice at the root.
-    Edges join a shell point to its level-(d-1) projection.  Colors
-    alternate with distance and name the stabilizer kind of each facet up
-    to conjugacy.
+    Vertices are (distance, index) pairs: the distance-d shell is the
+    level-d projective line, its points named by their indices in
+    padic_core's codec, and each point names the lattice class whose
+    Hermite basis has determinant p^d: rows (1, t), (0, p^d) for the point
+    [1:t], rows (p^d, 0), (s, 1) for [s:1], and the standard lattice at
+    the root.  Edges join a shell point to its level-(d-1) projection.
+    Colors alternate with distance and name the stabilizer kind of each
+    facet up to conjugacy.
     """
 
     __slots__ = ("p", "radius", "vertices", "edges", "colors",
@@ -63,10 +64,11 @@ class TreeBall:
         verts = [_ROOT]
         edges = []
         for d in range(1, radius + 1):
-            for pt in enumerate_p1(p, d):
-                verts.append((d, pt))
-                parent = _ROOT if d == 1 else (d - 1, pt.project(d - 1))
-                edges.append(((d, pt), parent))
+            up = project(p, d, d - 1)
+            for i in range(p1_size(p, d)):
+                verts.append((d, i))
+                parent = _ROOT if d == 1 else (d - 1, up[i])
+                edges.append(((d, i), parent))
         self.vertices = tuple(verts)
         self.edges = tuple(edges)
         self.colors = {v: "U" if v[0] % 2 == 0 else "Uprime" for v in verts}
@@ -80,7 +82,7 @@ class TreeBall:
 
     @property
     def base_edge(self):
-        return ((1, ProjPoint.big_cell(self.p, 1, 0)), _ROOT)
+        return ((1, 0), _ROOT)
 
     def check_regular(self):
         """Assert the homogeneous tree shape; True when every count fits."""
@@ -99,21 +101,24 @@ class TreeBall:
 
     def eta_image(self, label):
         """Translate by diag(1, pi); None when pushed outside the ball."""
-        d, pt = label
+        d, i = label
+        p = self.p
         if d == 0:
-            return (1, ProjPoint.big_cell(self.p, 1, 0))
-        if pt.branch == "b":
+            return (1, 0)
+        md = p ** d
+        if i < md:
+            # [1:t] goes to [1:p*t] one shell out
             if d + 1 > self.radius:
                 return None
-            return (d + 1, ProjPoint.big_cell(self.p, d + 1, pt.res * self.p))
-        s1 = pt.res // self.p
+            return (d + 1, i * p)
         if d == 1:
             return _ROOT
-        if s1 % self.p == 0:
-            return (d - 1, ProjPoint.inf_cell(self.p, d - 1, s1))
+        # [s:1], at offset s1 = s/p in its cell, goes to [s1:1] one shell in
+        s1, ml = i - md, md // p
+        if s1 % p == 0:
+            return (d - 1, ml + s1 // p)
         # the scaled lattice leads with a unit, so it flips branch
-        t = pow(s1, -1, self.p ** (d - 1))
-        return (d - 1, ProjPoint.big_cell(self.p, d - 1, t))
+        return (d - 1, pow(s1, -1, ml))
 
     def chain_complex(self, ring):
         """Cellular chains, edges -> vertices -> Lambda, as one complex."""
@@ -148,7 +153,7 @@ class TreeBall:
 
 
 def bt_ball(p, r):
-    """Ball of radius r; its labels are exact residues through level r."""
+    """Ball of radius r; its vertices are point indices through level r."""
     if r < 1:
         raise ValueError("a ball needs radius at least 1")
     return TreeBall(p, r)

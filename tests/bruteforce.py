@@ -13,6 +13,8 @@ point afresh, a Jacquet stage engine that smooths vectors on every point
 of the line, fixed points as the kernel of dense action matrices against a
 model rebuilt one level up, iso classes from the integer Smith form of the
 relations stacked on n * I, and tree-ball vertices moved by act().
+Points of P^1(O/pi^m) are ProjPoint objects here, the reference that
+padic_core's index codec is pinned against.
 
 act() is the truncated p-adic layer the package ran before its sweeps
 became residue arithmetic: point coordinates are Laurent numbers known
@@ -49,9 +51,8 @@ from strata_glue.finite_rep import (_scaled_inverse, induced_exponents,
 from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
                                      howell_form, identity_matrix, kernel,
                                      quotient_module)
-from strata_glue.padic_core import (PrecisionExhausted, ProjPoint,
-                                   SubgroupSpec, UnsupportedSubgroup,
-                                   _unit_gens, enumerate_p1)
+from strata_glue.padic_core import (PrecisionExhausted, SubgroupSpec,
+                                   UnsupportedSubgroup, _unit_gens)
 
 
 def mat_mul(ring, a_rows, b_rows, b_cols):
@@ -145,6 +146,73 @@ def orders_of_factor_sum(factors, n):
         orders.append(k)
     orders.sort()
     return orders
+
+
+# Points of P^1(O/pi^m) as objects, as padic_core carried them before every
+# point became its index.  act() below returns them, and padic_core's index
+# codec (p1_size, point_label, project) is pinned against them.  Copied
+# verbatim; point_index is the codec's index of a point.
+
+class ProjPoint:
+    """Canonical point of P^1(O/pi^level): [1:t], or [s:1] with pi | s."""
+
+    __slots__ = ("p", "level", "branch", "res")
+
+    def __init__(self, p, level, branch, res):
+        self.p = p
+        self.level = level
+        self.branch = branch
+        self.res = res
+
+    @classmethod
+    def big_cell(cls, p, level, t):
+        return cls(p, level, "b", t % p ** level)
+
+    @classmethod
+    def inf_cell(cls, p, level, s):
+        s = s % p ** level
+        if s % p:
+            raise ValueError("second-branch residue must be divisible by p")
+        return cls(p, level, "i", s)
+
+    def project(self, level):
+        if level > self.level:
+            raise PrecisionExhausted("cannot refine a point to a finer level",
+                                     needed=level, available=self.level)
+        return ProjPoint(self.p, level, self.branch, self.res % self.p ** level)
+
+    def _key(self):
+        return (self.p, self.level, self.branch, self.res)
+
+    def __eq__(self, other):
+        return isinstance(other, ProjPoint) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __lt__(self, other):
+        # big cell first, then by residue; callers compare within one level
+        return (self.branch, self.res) < (other.branch, other.res)
+
+    def __str__(self):
+        if self.branch == "b":
+            return f"[1:{self.res}]"
+        return f"[{self.res}:1]"
+
+    def __repr__(self):
+        return f"ProjPoint({self.p}^{self.level}, {self})"
+
+
+def enumerate_p1(p, m):
+    """All canonical points at level m, in canonical order."""
+    pts = [ProjPoint.big_cell(p, m, t) for t in range(p ** m)]
+    pts += [ProjPoint.inf_cell(p, m, s) for s in range(0, p ** m, p)]
+    return pts
+
+
+def point_index(x):
+    """Position of x in enumerate_p1 order: [1:t] is t, [s:1] p^m + s/p."""
+    return x.res if x.branch == "b" else x.p ** x.level + x.res // x.p
 
 
 # The truncated Laurent layer and act() as padic_core ran them, before
@@ -398,9 +466,10 @@ def action_matrix(sig, g):
     if sig.kind == "trivial":
         return LambdaMatrix(ring, ((1,),))
     if sig.kind == "induced":
-        index = {x: i for i, x in enumerate(sig.labels)}
+        labels = enumerate_p1(sig.p, sig.level)
+        index = {x: i for i, x in enumerate(labels)}
         rows = [[0] * sig.rank for _ in range(sig.rank)]
-        for i, x in enumerate(sig.labels):
+        for i, x in enumerate(labels):
             y, coc = act(x, g, sig.level)
             rows[i][index[y]] = _chi_val(ring, sig.chi, coc.torus_vals)
         return LambdaMatrix._reduced(ring, map(tuple, rows), sig.rank)
@@ -501,7 +570,8 @@ def closure_size(gens, p, m):
 def act_sweep_orbits(spec, m, p):
     """Orbit partition by one act() per generator and point, as orbits()
     computed it for every generator before its residue sweep: all points of
-    a level raised by twice the pole depth plus slack, merged at level m."""
+    a level raised by twice the pole depth plus slack, merged at level m.
+    Blocks are tuples of point indices, as orbits() returns them."""
     gens = level_generators(spec, p, m)
     depth = max((g.maxneg() for g in gens), default=0)
     internal = m if depth == 0 else m + 2 * depth + 2
@@ -514,7 +584,8 @@ def act_sweep_orbits(spec, m, p):
                 a |= b
                 for y in b:
                     block[y] = a
-    out = {id(b): tuple(sorted(b)) for b in block.values()}
+    out = {id(b): tuple(sorted(map(point_index, b)))
+           for b in block.values()}
     return sorted(out.values(), key=lambda b: b[0])
 
 
@@ -562,7 +633,8 @@ def residue_sweep_orbits(spec, m, p):
     a non-unit determinant, goes through act() on each point of a raised
     internal level L: L exceeds m by twice the pole depth plus slack, and
     act() raises PrecisionExhausted where even that cannot certify the
-    image at level m.
+    image at level m.  Blocks are tuples of point indices, as orbits()
+    returns them.
     """
     gens = level_generators(spec, p, m)
     base = enumerate_p1(p, m)
@@ -592,8 +664,8 @@ def residue_sweep_orbits(spec, m, p):
                 union(src, index[y])
 
     blocks = {}
-    for i, x in enumerate(base):
-        blocks.setdefault(_find(parent, i), []).append(x)
+    for i in range(len(base)):
+        blocks.setdefault(_find(parent, i), []).append(i)
     out = [tuple(sorted(b)) for b in blocks.values()]
     out.sort(key=lambda b: b[0])
     return out
@@ -1110,9 +1182,9 @@ def _eta_inv_rows(sig, raised):
     eta_inv = diag_matrix(sig.p, 0, -1)
     base = sig.parent if sig.kind == "steinberg" else sig
     top = raised.parent if raised.kind == "steinberg" else raised
-    index = {x: i for i, x in enumerate(base.labels)}
+    index = {x: i for i, x in enumerate(enumerate_p1(sig.p, m))}
     rows = []
-    for x2 in top.labels:
+    for x2 in enumerate_p1(sig.p, raised.level):
         y, coc = act(x2, eta_inv, m)
         row = [0] * base.rank
         row[index[y]] = _chi_val(ring, base.chi, coc.torus_vals)
@@ -1299,14 +1371,34 @@ def averaging_projector(sig, subgroup):
     return ModuleMap(free_module(ring, k), free_module(ring, k), e)
 
 
-def vertex_image(label, g):
-    """Image of a tree-ball vertex under an integer matrix in GL2(O);
-    shells are preserved."""
+def point_eta_image(p, radius, label):
+    """TreeBall.eta_image as it ran on (distance, ProjPoint) vertices:
+    translate by diag(1, pi); None when pushed outside the ball."""
     d, pt = label
     if d == 0:
+        return (1, ProjPoint.big_cell(p, 1, 0))
+    if pt.branch == "b":
+        if d + 1 > radius:
+            return None
+        return (d + 1, ProjPoint.big_cell(p, d + 1, pt.res * p))
+    s1 = pt.res // p
+    if d == 1:
+        return (0, None)
+    if s1 % p == 0:
+        return (d - 1, ProjPoint.inf_cell(p, d - 1, s1))
+    # the scaled lattice leads with a unit, so it flips branch
+    t = pow(s1, -1, p ** (d - 1))
+    return (d - 1, ProjPoint.big_cell(p, d - 1, t))
+
+
+def vertex_image(p, label, g):
+    """Image of a tree-ball vertex (distance, index) under an integer
+    matrix in GL2(O); shells are preserved."""
+    d, i = label
+    if d == 0:
         return label
-    y, _ = act(pt, laurent_matrix(pt.p, g), d)
-    return (d, y)
+    y, _ = act(enumerate_p1(p, d)[i], laurent_matrix(p, g), d)
+    return (d, point_index(y))
 
 
 # ------------------------------------------------- gluing through provenance

@@ -13,7 +13,7 @@ import pytest
 
 from strata_glue.lambda_core import CoeffRing, LambdaMatrix, free_module, \
     howell_form, iso_class, left_kernel, make_ring, quotient_module
-from strata_glue.padic_core import ProjPoint, SubgroupSpec, \
+from strata_glue.padic_core import SubgroupSpec, \
     orbit_classification_check, orbits
 from strata_glue.finite_rep import fixed_points, gl2_f2_sign, induced_rep, \
     jacquet_oracle, steinberg, trivial_rep, unram_pair

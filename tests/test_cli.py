@@ -5,6 +5,7 @@ plus the exit code; nothing here shells out.  Frozen renderings follow
 the same value tables as test_char_engine.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -14,9 +15,7 @@ from hypothesis import given, settings, strategies as st
 from strata_glue import cli
 from strata_glue.cli import main
 from strata_glue.lambda_core import LambdaMatrix
-from strata_glue.padic_core import enumerate_p1
-
-from bruteforce import brute_left_kernel, span_of
+from bruteforce import brute_left_kernel, enumerate_p1, span_of
 
 
 def run(capsys, *argv):
@@ -226,6 +225,38 @@ def test_orbits_json(capsys):
     assert all(set(o) == {"rep", "size"} for o in blob["orbits"])
     assert (sum(o["size"] for o in blob["orbits"])
             == len(enumerate_p1(2, blob["m"])))
+
+
+# orbits --format json, byte for byte: literals at (p, k) = (2, 1) and
+# (3, 1), and sha256 digests of the CI cases (2, 6), (5, 2) and the
+# benchmark cases (3, 4), (7, 2), from the ProjPoint-labelled sweep
+_ORBITS_JSON = {
+    (2, 1): '{"command": "orbits", "k": 1, "m": 2, "orbit_count": 3, '
+            '"orbits": [{"rep": "[1:0]", "size": 2}, {"rep": "[1:1]", '
+            '"size": 2}, {"rep": "[0:1]", "size": 2}], "status": "pass"}\n',
+    (3, 1): '{"command": "orbits", "k": 1, "m": 2, "orbit_count": 4, '
+            '"orbits": [{"rep": "[1:0]", "size": 3}, {"rep": "[1:1]", '
+            '"size": 3}, {"rep": "[1:2]", "size": 3}, {"rep": "[0:1]", '
+            '"size": 3}], "status": "pass"}\n',
+}
+_ORBITS_SHA256 = {
+    (2, 6): "d67e3b288f4dbcdf425736dc2eba848d4177c7b6f5463ce12559c8ddb485d044",
+    (5, 2): "58ed235e4a01fcf912abbf4572c304543cf1160b19484041a00d677cd6ab9c80",
+    (3, 4): "461e00ec347d740ea52e9affbd8a6126889098bac08527fe47d425b1d316f65f",
+    (7, 2): "3d81885e0c5602e091fc7af2d1a5890b1eecbdfecb4902729449fe514d5317ae",
+}
+
+
+@pytest.mark.parametrize("p,k", [*_ORBITS_JSON, *_ORBITS_SHA256])
+def test_orbits_json_bytes_are_frozen(capsys, p, k):
+    code, out, _ = run(capsys, "orbits", "--p", str(p), "--k", str(k),
+                       "--format", "json")
+    assert code == 0
+    if (p, k) in _ORBITS_JSON:
+        assert out == _ORBITS_JSON[p, k]
+    else:
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == _ORBITS_SHA256[p, k]
 
 
 def test_orbits_nonprime_p_is_usage_error(capsys):

@@ -12,6 +12,7 @@ from strata_glue.lambda_core import (
 )
 from strata_glue.padic_core import (
     PrecisionExhausted,
+    _eta_inv_images,
     SubgroupSpec,
     UnsupportedSubgroup,
     orbits,
@@ -459,6 +460,28 @@ def test_unit_pull_tables_equal_loop(ring):
             for d1, d2 in probes:
                 assert eng._pull_table(d1, d2) == loop_pull_table(eng, d1,
                                                                   d2)
+
+
+@pytest.mark.parametrize("ring,levels", [
+    *((r, range(1, 6)) for r in (R11, R7, R143, R121, R13)),
+    (R7, (10,)),   # the deep tier's level-4 oracle, L = 2m + 2
+    (R11, (6,)),   # verify-all's level-2 oracle
+], ids=lambda x: f"n{x.n}-p{x.p}" if hasattr(x, "n") else None)
+def test_eta_inv_images_equal_loop_pull_table(ring, levels):
+    # the diag(p, 1) probe is the central pi times diag(1, pi^-1): the
+    # shared closed form at level L, its torus valuations shifted by (1, 1),
+    # against the per-point loop
+    p, n = ring.p, ring.n
+    rng = random.Random(f"eta-pull:{n}")
+    units = [c for c in range(1, n) if ring.is_unit(c)]
+    for big_l in levels:
+        chi = (rng.choice(units), rng.choice(units))
+        eng = finite_rep._StageEngine(ring, p, 1, big_l, chi)
+        want = loop_pull_table(eng, p, 1)
+        got = [(t, finite_rep._chi_val(ring, chi, (a + 1, b + 1))
+                * eng.w_out[t] % n)
+               for t, (a, b) in _eta_inv_images(p, big_l, big_l)]
+        assert got == list(zip(*want))
 
 
 def test_jacquet_needs_precision():

@@ -6,20 +6,22 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import (_in_gl2_o, act, act_sweep_orbits, closure_size,
-                        diag_matrix, laurent_matrix, level_generators,
+from bruteforce import (ProjPoint, _in_gl2_o, act, act_sweep_orbits,
+                        closure_size, diag_matrix, enumerate_p1,
+                        laurent_matrix, level_generators, point_index,
                         residue_sweep_orbits)
 from strata_glue import padic_core
 from strata_glue.cli import main
 from strata_glue.padic_core import (
     ClassificationMismatch,
     PrecisionExhausted,
-    ProjPoint,
     SubgroupSpec,
     UnsupportedSubgroup,
-    enumerate_p1,
     orbit_classification_check,
     orbits,
+    p1_size,
+    point_label,
+    project,
     subgroup_generators,
 )
 from strata_glue.padic_core import (_eta_inv_images, _integral_images,
@@ -41,6 +43,32 @@ def test_p1_level1_points():
 def test_p1_distinct():
     pts = enumerate_p1(3, 3)
     assert len(set(pts)) == len(pts) == 3 ** 2 * 4
+
+
+# ------------------------------------------------- the index codec
+
+# every p in {2, 3, 5, 7} and level m >= 1 with |P^1(O/pi^m)| <= 5000
+_CODEC_GRID = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 12)
+               if p ** m + p ** (m - 1) <= 5000]
+
+
+@pytest.mark.parametrize("p,m", _CODEC_GRID)
+def test_codec_matches_reference_points(p, m):
+    # size, labels and projection to every coarser level against the
+    # ProjPoint reference, point by point
+    pts = enumerate_p1(p, m)
+    assert p1_size(p, m) == len(pts)
+    assert [point_index(x) for x in pts] == list(range(len(pts)))
+    assert [point_label(p, m, i) for i in range(len(pts))] == list(
+        map(str, pts))
+    for level in range(m + 1):
+        assert project(p, m, level) == [point_index(x.project(level))
+                                        for x in pts], level
+
+
+def test_p1_size_is_an_integer_at_level_zero():
+    assert all(type(p1_size(p, 0)) is int and p1_size(p, 0) == 1
+               for p in (2, 3, 5, 7))
 
 
 # ---------------------------------------------------- act (the reference)
@@ -242,9 +270,10 @@ def test_orbits_U_transitive():
 
 def test_orbits_blocks_sorted():
     part = orbits(SubgroupSpec("Gamma_k", k=1), 2, p=3)
+    assert all(list(b) == sorted(b) for b in part)
     reps = [b[0] for b in part]
     assert reps == sorted(reps)
-    assert str(reps[0]) == "[1:0]"
+    assert point_label(3, 2, reps[0]) == "[1:0]"
 
 def test_gamma0_refines_U_and_Uprime():
     # Uprime, the eta-conjugate of U, has a pole: only act() sweeps it
@@ -365,7 +394,7 @@ def test_eta_inv_images_equal_act(p, m):
     for x in enumerate_p1(p, m + 1):
         y, coc = act(x, eta_inv, m)
         want.append((index[y], coc.torus_vals))
-    assert list(_eta_inv_images(p, m)) == want
+    assert list(_eta_inv_images(p, m + 1, m)) == want
 
 
 
@@ -401,10 +430,11 @@ def test_classification_report_json(capsys):
     assert sum(o["size"] for o in blob["orbits"]) == len(enumerate_p1(2, blob["m"]))
 
 # The disc clauses, driven by partitions corrupted at level 2k so that the
-# orbit count, and with it the two count clauses, still passes.
+# orbit count, and with it the two count clauses, still passes.  Blocks are
+# sets of point indices: [1:0] is 0 and [0:1] is p^m.
 
 def _inf(p, m):
-    return ProjPoint.inf_cell(p, m, 0)
+    return point_index(ProjPoint.inf_cell(p, m, 0))
 
 
 def _move_inf_out(blocks, p, m):
@@ -417,7 +447,7 @@ def _move_inf_out(blocks, p, m):
 
 def _split_zero(blocks, p, m):
     # [1:0] alone, the rest of its disc apart, and two other blocks merged
-    zero = ProjPoint.big_cell(p, m, 0)
+    zero = point_index(ProjPoint.big_cell(p, m, 0))
     blocks.append(blocks[0] - {zero})
     blocks[0] = {zero}
     inf = _inf(p, m)
@@ -430,7 +460,7 @@ def _inf_not_first(blocks, p, m):
     # a big-cell point, less than [0:1], joins the infinity block
     inf = _inf(p, m)
     donor = next(b for b in blocks[1:]
-                 if len(b) > 1 and min(b).branch == "b")
+                 if len(b) > 1 and min(b) < p ** m)
     x = min(donor)
     donor.discard(x)
     next(b for b in blocks if inf in b).add(x)

@@ -6,7 +6,6 @@ import pytest
 
 from strata_glue.lambda_core import iso_class, make_ring
 from strata_glue.padic_core import (
-    ProjPoint,
     SubgroupSpec,
     UnsupportedSubgroup,
     subgroup_generators,
@@ -20,8 +19,9 @@ from strata_glue.finite_rep import (
     unram_pair,
 )
 from strata_glue import sl2_coh
-from bruteforce import (closure_size, fixed_points as dense_fixed_points,
-                        integer_iso_class, vertex_image)
+from bruteforce import (ProjPoint, closure_size, enumerate_p1,
+                        fixed_points as dense_fixed_points, integer_iso_class,
+                        point_eta_image, point_index, vertex_image)
 from strata_glue.sl2_coh import (
     AcyclicityFailed,
     bt_ball,
@@ -143,11 +143,26 @@ def test_eta_swaps_colors():
         assert ball.colors[w] != ball.colors[v]
     # root, interior big cells (3 + 9), and every second-branch cell (1+3+9)
     assert moved == 26
-    assert ball.eta_image(ROOT) == (1, ProjPoint.big_cell(3, 1, 0))
-    assert ball.eta_image((1, ProjPoint.inf_cell(3, 1, 0))) == ROOT
+    def vertex(d, x):
+        return (d, point_index(x))
+
+    assert ball.eta_image(ROOT) == vertex(1, ProjPoint.big_cell(3, 1, 0))
+    assert ball.eta_image(vertex(1, ProjPoint.inf_cell(3, 1, 0))) == ROOT
     # [3:1] at level 2 carries to [1:1] one shell down
-    assert ball.eta_image((2, ProjPoint.inf_cell(3, 2, 3))) == \
-        (1, ProjPoint.big_cell(3, 1, 1))
+    assert ball.eta_image(vertex(2, ProjPoint.inf_cell(3, 2, 3))) == \
+        vertex(1, ProjPoint.big_cell(3, 1, 1))
+
+
+@pytest.mark.parametrize("p,r", [(2, 5), (3, 4), (5, 3)])
+def test_eta_image_matches_point_reference(p, r):
+    # index arithmetic against the same translation on ProjPoint vertices
+    ball = bt_ball(p, r)
+    shells = [None] + [enumerate_p1(p, d) for d in range(1, r + 1)]
+    for v in ball.vertices:
+        d, i = v
+        w = point_eta_image(p, r, v if d == 0 else (d, shells[d][i]))
+        assert ball.eta_image(v) == (
+            w if w is None or w[0] == 0 else (w[0], point_index(w[1])))
 
 
 def test_eta_respects_adjacency():
@@ -167,13 +182,13 @@ def test_integral_action_fixes_root_and_colors():
     ball = bt_ball(3, 2)
     edge_set = {frozenset(e) for e in ball.edges}
     for g in subgroup_generators(SubgroupSpec("U"), 3, 1):
-        assert vertex_image(ROOT, g) == ROOT
+        assert vertex_image(3, ROOT, g) == ROOT
         for v in ball.vertices:
-            w = vertex_image(v, g)
+            w = vertex_image(3, v, g)
             assert w[0] == v[0]
             assert ball.colors[w] == ball.colors[v]
         for a, b in ball.edges:
-            moved = frozenset((vertex_image(a, g), vertex_image(b, g)))
+            moved = frozenset((vertex_image(3, a, g), vertex_image(3, b, g)))
             assert moved in edge_set
 
 

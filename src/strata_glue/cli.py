@@ -5,7 +5,7 @@ the small GL2 models, graded character output of the gluing functor, and
 an aggregate verification run over every pinned acceptance check.  Text
 and JSON modes carry the same numeric content; only labels differ.  Exit
 codes: 0 success, 2 usage or invalid configuration, 3 a mathematical
-assertion failed, 4 precision exhausted.
+assertion failed.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .lambda_core import (
     make_ring,
     quotient_module,
 )
-from .padic_core import PrecisionExhausted, orbit_classification_check
+from .padic_core import orbit_classification_check
 from .finite_rep import jacquet_oracle, rep_model
 from .sl2_coh import bt_ball, cohomology_report, ps1_acyclicity_check
 from .char_engine import (
@@ -63,7 +63,8 @@ def _build_parser():
     shared.add_argument("--level", type=int, default=2,
                         help="sl2coh's congruence level m >= 1 (default 2)")
     shared.add_argument("--precision", type=int, default=6,
-                        help="sl2coh's precision M >= level (default 6)")
+                        help="accepted and ignored: every level is "
+                             "computed exactly (default 6)")
     shared.add_argument("--k", type=int, default=1,
                         help="congruence depth for orbit counts (default 1)")
     shared.add_argument("--format", choices=("text", "json"), default="text")
@@ -112,10 +113,7 @@ def _iso_text(factors):
 
 
 def cmd_sl2coh(args, ring):
-    if args.precision < args.level:
-        raise ValueError("precision must be at least the level")
-    rep = cohomology_report(rep_model(ring, args.rep, args.level,
-                                      args.precision))
+    rep = cohomology_report(rep_model(ring, args.rep, args.level))
     if args.format == "json":
         out = {"command": "sl2coh", "rep": args.rep.strip()}
         out.update(rep)
@@ -180,7 +178,7 @@ def _check_sl2coh():
             for spec, want in (("triv", ([n], [])),
                                ("ind(0,0)", ([n], [n])),
                                ("st", ([], [n]))):
-                rep = cohomology_report(rep_model(ring, spec, 2, 6))
+                rep = cohomology_report(rep_model(ring, spec, 2))
                 if (rep["H0"], rep["H1"]) != want:
                     raise RuntimeError(
                         f"sl2coh({spec}) at p={p}, n={n} gave {rep}")
@@ -402,9 +400,6 @@ def main(argv=None):
                 raise ValueError("verify-all runs on its fixed rings and "
                                  f"ignores {', '.join(ignored)}")
         return _COMMANDS[args.command](args, ring)
-    except PrecisionExhausted as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,6 @@ from .lambda_core import (
     span_module,
 )
 from .padic_core import (
-    PrecisionExhausted,
     SubgroupSpec,
     UnsupportedSubgroup,
     _eta_inv_images,
@@ -98,22 +97,19 @@ class FiniteRep:
     Only the inflated kind has an action matrix: the other kinds are read
     through orbits and closed forms.
 
-    precision is a budget on the levels the model's calls may work at, not
-    a truncation: every residue is exact at whatever level a call uses.
-    Two calls check it and raise PrecisionExhausted past it: Uprime fixed
-    points need level + 1, and jacquet_oracle needs level + j_max (2m + 2
-    by default).
+    A model carries only its level.  Every residue is exact mod p^L, so
+    each call works at the level it needs: Uprime fixed points at level + 1
+    and jacquet_oracle at level + j_max (2m + 2 by default).
     """
 
-    __slots__ = ("ring", "p", "level", "precision", "kind", "chi",
+    __slots__ = ("ring", "p", "level", "kind", "chi",
                  "rank", "parent", "table")
 
-    def __init__(self, ring, p, level, precision, kind, chi=None,
+    def __init__(self, ring, p, level, kind, chi=None,
                  rank=None, parent=None, table=None):
         self.ring = ring
         self.p = p
         self.level = level
-        self.precision = precision
         self.kind = kind
         self.chi = chi
         self.rank = rank
@@ -137,14 +133,13 @@ class FiniteRep:
                 f"rank={self.rank})")
 
 
-def trivial_rep(ring, m, precision=None):
+def trivial_rep(ring, m):
     if m < 1:
         raise ValueError("level must be at least 1")
-    return FiniteRep(ring, ring.p, m, precision or 2 * m + 4, "trivial",
-                     chi=(1, 1), rank=1)
+    return FiniteRep(ring, ring.p, m, "trivial", chi=(1, 1), rank=1)
 
 
-def induced_rep(ring, chi, m, precision=None):
+def induced_rep(ring, chi, m):
     """Functions on the level-m projective line, twisted by a unit pair."""
     if m < 1:
         raise ValueError("level must be at least 1")
@@ -152,15 +147,15 @@ def induced_rep(ring, chi, m, precision=None):
     chi = (c1 % ring.n, c2 % ring.n)
     if not (ring.is_unit(chi[0]) and ring.is_unit(chi[1])):
         raise ValueError(f"character values {chi} must be units")
-    return FiniteRep(ring, ring.p, m, precision or 2 * m + 4, "induced",
-                     chi=chi, rank=p1_size(ring.p, m))
+    return FiniteRep(ring, ring.p, m, "induced", chi=chi,
+                     rank=p1_size(ring.p, m))
 
 
-def steinberg(ring, m, precision=None):
+def steinberg(ring, m):
     """Quotient of the untwisted induced model by the constants."""
-    parent = induced_rep(ring, (1, 1), m, precision=precision)
-    return FiniteRep(ring, ring.p, m, parent.precision, "steinberg",
-                     chi=(1, 1), rank=parent.rank - 1, parent=parent)
+    parent = induced_rep(ring, (1, 1), m)
+    return FiniteRep(ring, ring.p, m, "steinberg", chi=(1, 1),
+                     rank=parent.rank - 1, parent=parent)
 
 
 def inflate(ring, p, table, rank):
@@ -170,7 +165,7 @@ def inflate(ring, p, table, rank):
         if len(mat) != rank or any(len(row) != rank for row in mat):
             raise ValueError(f"matrix for {key} is not {rank}x{rank}")
         norm[key] = tuple(tuple(v % ring.n for v in row) for row in mat)
-    return FiniteRep(ring, p, 1, 6, "inflated", table=norm, rank=rank)
+    return FiniteRep(ring, p, 1, "inflated", table=norm, rank=rank)
 
 
 def gl2_f2_sign(ring):
@@ -198,15 +193,16 @@ def fixed_points(sig, spec):
     padic_core.orbits returns.  By banality and Maschke, that of the
     Steinberg model is their image modulo the constants.  Uprime, the
     conjugate of U by eta = diag(1, pi), is read through the closed-form
-    eta-inverse images against the U-orbits one level up, and needs that
-    level within the model's precision.
+    eta-inverse images against the U-orbits one level up.
 
     Dense path, for inflated models only: the kernel of the stacked g - 1
     action matrices.  Inflated models have no Uprime, and every kind
     outside U, Uprime, Gamma0, Gamma_k and K_m raises UnsupportedSubgroup.
     """
     if spec.kind == "Uprime":
-        return _uprime_fixed(sig)
+        if sig.kind == "inflated":
+            raise UnsupportedSubgroup("Uprime")
+        return span_module(sig.ring, sig.rank, _uprime_rows(sig))
     # raises UnsupportedSubgroup for an unknown kind, on every model kind
     gens = subgroup_generators(spec, sig.p, sig.level)
     if sig.kind != "inflated":
@@ -241,18 +237,6 @@ def _orbit_rows(sig, spec):
     if sig.kind == "steinberg":
         return _mod_constants(rows, sig.ring.n)
     return rows
-
-
-def _uprime_fixed(sig):
-    # v is fixed by the eta-conjugate of U iff its eta-inverse translate,
-    # computed at one level up, is fixed by U there
-    if sig.kind == "inflated":
-        raise UnsupportedSubgroup("Uprime")
-    if sig.level + 1 > sig.precision:
-        raise PrecisionExhausted(
-            f"level {sig.level + 1} exceeds the model budget {sig.precision}",
-            needed=sig.level + 1, available=sig.precision)
-    return span_module(sig.ring, sig.rank, _uprime_rows(sig))
 
 
 def _uprime_rows(sig):
@@ -484,9 +468,9 @@ def _scaled_inverse(ring, mtx, scale):
 def jacquet_oracle(sig, j_max=None):
     """Run the smoothing tower until two consecutive stages agree.
 
-    Raises NotStabilized, carrying the stage summaries, when the window
-    closes first or the agreeing stages' pi-matrix is singular, and
-    PrecisionExhausted when the model budget cannot hold the internal level.
+    The stages run on the level-(m + j_max) line.  Raises NotStabilized,
+    carrying the stage summaries, when the window closes first or the
+    agreeing stages' pi-matrix is singular.
     """
     if sig.kind not in ("induced", "steinberg"):
         raise ValueError(f"no smoothing stages for kind {sig.kind!r}")
@@ -495,12 +479,9 @@ def jacquet_oracle(sig, j_max=None):
     chi = (1, 1) if fold else sig.chi
     if j_max is None:
         j_max = m + 2
-    big_l = m + j_max
-    if sig.precision < big_l:
-        raise PrecisionExhausted(
-            f"stage window needs level {big_l}, budget is {sig.precision}",
-            needed=big_l, available=sig.precision)
-    eng = _StageEngine(ring, sig.p, m, big_l, chi)
+    if j_max < 0:
+        raise ValueError(f"j_max must be at least 0, got {j_max}")
+    eng = _StageEngine(ring, sig.p, m, m + j_max, chi)
     prev = None
     seen = []
     for j in range(j_max + 1):
@@ -565,14 +546,14 @@ def induced_exponents(tag):
     return a, b
 
 
-def rep_model(ring, spec, level, precision=None):
+def rep_model(ring, spec, level):
     """Level model of a rep spec that has one: triv, st, ind or ps."""
     tag = parse_rep_spec(spec)
     if tag[0] == "triv":
-        return trivial_rep(ring, level, precision)
+        return trivial_rep(ring, level)
     if tag[0] == "st":
-        return steinberg(ring, level, precision)
+        return steinberg(ring, level)
     if tag[0] in ("ind", "ps"):
         chi = unram_pair(ring, *induced_exponents(tag))
-        return induced_rep(ring, chi, level, precision)
+        return induced_rep(ring, chi, level)
     raise ValueError(f"no finite-level model for {spec!r}")

@@ -15,20 +15,6 @@ the image of each generator in the finite quotient has finite order.
 from itertools import count, islice
 
 
-class PrecisionExhausted(ArithmeticError):
-    """A call needs a deeper level than its model's precision budget.
-
-    The budget truncates no arithmetic.  It bounds the levels a model's
-    calls may work at: Uprime fixed points need level + 1 and the Jacquet
-    oracle m + j_max.  needed is the level asked for, available the budget.
-    """
-
-    def __init__(self, message, needed=None, available=None):
-        super().__init__(message)
-        self.needed = needed
-        self.available = available
-
-
 class UnsupportedSubgroup(ValueError):
     """No generator recipe for this subgroup name."""
 

@@ -51,8 +51,8 @@ from strata_glue.finite_rep import (_scaled_inverse, induced_exponents,
 from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
                                      howell_form, identity_matrix, kernel,
                                      quotient_module)
-from strata_glue.padic_core import (PrecisionExhausted, SubgroupSpec,
-                                   UnsupportedSubgroup, _unit_gens)
+from strata_glue.padic_core import (SubgroupSpec, UnsupportedSubgroup,
+                                   _unit_gens)
 
 
 def mat_mul(ring, a_rows, b_rows, b_cols):
@@ -146,6 +146,17 @@ def orders_of_factor_sum(factors, n):
         orders.append(k)
     orders.sort()
     return orders
+
+
+class PrecisionExhausted(ArithmeticError):
+    """The truncated layer below cannot certify a residue at the level
+    asked for.  needed is that level, available the precision at hand.
+    """
+
+    def __init__(self, message, needed=None, available=None):
+        super().__init__(message)
+        self.needed = needed
+        self.available = available
 
 
 # Points of P^1(O/pi^m) as objects, as padic_core carried them before every
@@ -1136,19 +1147,16 @@ class PointStageEngine:
 # path: every fixed module is the kernel of stacked dense g - 1 action
 # matrices, and Uprime goes through the dense eta-inverse matrix against the
 # U-fixed rows one level up.  Copied verbatim, less the model and subgroup
-# kinds that are gone; the action matrices are action_matrix above, and the
-# recursive calls resolve to these copies.
+# kinds and the precision budget that are gone; the action matrices are
+# action_matrix above, and the recursive calls resolve to these copies.
 
 def at_level(sig, m2):
     """The same trivial, induced or Steinberg model realized at level m2."""
-    if m2 > sig.precision:
-        raise PrecisionExhausted(
-            f"level {m2} exceeds the model budget {sig.precision}")
     if sig.kind == "trivial":
-        return trivial_rep(sig.ring, m2, precision=sig.precision)
+        return trivial_rep(sig.ring, m2)
     if sig.kind == "induced":
-        return induced_rep(sig.ring, sig.chi, m2, precision=sig.precision)
-    return steinberg(sig.ring, m2, precision=sig.precision)
+        return induced_rep(sig.ring, sig.chi, m2)
+    return steinberg(sig.ring, m2)
 
 
 def fixed_points(sig, spec):

@@ -295,19 +295,11 @@ def test_non_half_integral_exponent_prints_a_fraction(capsys):
     assert "Fraction(" not in err
 
 
-def test_precision_exhaustion_has_its_own_exit_code(capsys):
-    code, _, err = run(capsys, "sl2coh", "--rep", "st",
-                       "--level", "2", "--precision", "2")
-    assert code == 4
-    assert "PrecisionExhausted" in err
-
-
-def test_precision_exhaustion_message_is_unchanged(capsys):
-    code, out, err = run(capsys, "sl2coh", "--rep", "st",
-                         "--level", "2", "--precision", "2")
-    assert (code, out) == (4, "")
-    assert err == ("error: PrecisionExhausted: "
-                   "level 3 exceeds the model budget 2\n")
+def test_sl2coh_reads_uprime_one_level_up_at_any_level(capsys):
+    # Uprime fixed points work at level + 1, whatever --precision says
+    for extra in (("--level", "2", "--precision", "2"), ("--level", "6")):
+        code, out, err = run(capsys, "sl2coh", "--rep", "st", *extra)
+        assert (code, out, err) == (0, "H0 = 0\nH1 = Z/11\n", "")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -319,11 +311,17 @@ def test_glue_accepts_level_and_precision_it_does_not_read(capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_sl2coh_checks_precision_against_level(capsys, fmt):
-    code, out, err = run(capsys, "sl2coh", "--rep", "triv", "--format", fmt,
-                         "--level", "5", "--precision", "3")
-    assert (code, out) == (2, "")
-    assert "ValueError: precision must be at least the level" in err
+@pytest.mark.parametrize("argv", [
+    ("sl2coh", "--rep", "st", "--level", "3"),
+    ("glue", "--slope", "half", "--rep", "nrd^1"),
+    ("orbits", "--p", "2", "--k", "2"),
+], ids=lambda argv: argv[0])
+def test_precision_changes_no_output(capsys, argv, fmt):
+    want = run(capsys, *argv, "--format", fmt)
+    assert want[0] == 0
+    for precision in ("1", "3", "10"):
+        assert run(capsys, *argv, "--format", fmt,
+                   "--precision", precision) == want
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

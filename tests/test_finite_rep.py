@@ -11,7 +11,6 @@ from strata_glue.lambda_core import (
     make_ring,
 )
 from strata_glue.padic_core import (
-    PrecisionExhausted,
     _eta_inv_images,
     SubgroupSpec,
     UnsupportedSubgroup,
@@ -219,19 +218,15 @@ def test_uprime_unsupported_kinds():
         fixed_points(sig, SubgroupSpec("Uprime"))
 
 
-def test_uprime_needs_one_level_of_precision():
-    # Uprime is read one level up, so a model at its precision refuses it
+def test_uprime_reads_one_level_up():
+    # Uprime is read at level 3 of a level-2 model, and agrees with the
+    # dense eta-inverse matrix there
     spec = SubgroupSpec("Uprime")
-    for sig in (steinberg(R11, 2, precision=2),
-                induced_rep(R11, (1, 1), 2, precision=2),
-                trivial_rep(R11, 2, precision=2)):
-        with pytest.raises(PrecisionExhausted,
-                           match=r"^level 3 exceeds the model budget 2$") as exc:
-            fixed_points(sig, spec)
-        assert (exc.value.needed, exc.value.available) == (3, 2)
-        assert (_fixed_outcome(fixed_points, sig, spec)
-                == _fixed_outcome(dense_fixed_points, sig, spec))
-    fixed_points(steinberg(R11, 2, precision=3), spec)
+    for sig in (steinberg(R11, 2), induced_rep(R11, (1, 1), 2),
+                trivial_rep(R11, 2)):
+        fx = fixed_points(sig, spec)
+        assert (_fixed_outcome(dense_fixed_points, sig, spec)
+                == (fx.ambient, fx.witness_rows, fx.relations.entries))
 
 
 # ----------------------------------------------------- averaging projector
@@ -484,13 +479,30 @@ def test_eta_inv_images_equal_loop_pull_table(ring, levels):
         assert got == list(zip(*want))
 
 
-def test_jacquet_needs_precision():
-    sig = induced_rep(R11, (1, 1), 2, precision=3)
-    with pytest.raises(PrecisionExhausted,
-                       match=r"^stage window needs level 6, budget is 3$"
-                       ) as exc:
-        jacquet_oracle(sig)
-    assert (exc.value.needed, exc.value.available) == (6, 3)
+def _jacquet_outcome(res):
+    return (res.stabilized_rank, res.filtration, res.split,
+            res.stabilization_level,
+            {k: v.entries for k, v in res.torus_action.items()
+             if k != "units"},
+            [u.entries for u in res.torus_action["units"]])
+
+
+def test_jacquet_window_sets_its_own_level():
+    # j_max = 7 runs the stages on the level-9 line
+    sig = induced_rep(R11, (1, 1), 2)
+    assert (_jacquet_outcome(jacquet_oracle(sig, j_max=7))
+            == _jacquet_outcome(jacquet_oracle(sig)))
+
+
+@pytest.mark.parametrize("j_max", [-1, -2, -5])
+def test_jacquet_rejects_a_negative_window(monkeypatch, j_max):
+    def refuse(*args):
+        raise AssertionError("stage engine built")
+
+    monkeypatch.setattr(finite_rep, "_StageEngine", refuse)
+    with pytest.raises(ValueError,
+                       match=rf"^j_max must be at least 0, got {j_max}$"):
+        jacquet_oracle(induced_rep(R11, (1, 1), 2), j_max=j_max)
 
 
 # ---------------------------------------------------------------- inflate

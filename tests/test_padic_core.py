@@ -6,15 +6,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import (ProjPoint, _in_gl2_o, act, act_sweep_orbits,
-                        closure_size, diag_matrix, enumerate_p1,
-                        laurent_matrix, level_generators, point_index,
-                        residue_sweep_orbits)
+from bruteforce import (PrecisionExhausted, ProjPoint, _in_gl2_o, act,
+                        act_sweep_orbits, closure_size, diag_matrix,
+                        enumerate_p1, laurent_matrix, level_generators,
+                        point_index, residue_sweep_orbits)
 from strata_glue import padic_core
 from strata_glue.cli import main
 from strata_glue.padic_core import (
     ClassificationMismatch,
-    PrecisionExhausted,
     SubgroupSpec,
     UnsupportedSubgroup,
     orbit_classification_check,

@@ -81,7 +81,7 @@ def test_ball_regularity():
     assert all(len(adj[v]) == 1 for v in adj if v[0] == 2)
 
 
-def test_ball_radius_and_precision_guards():
+def test_ball_radius_guard():
     # labels are exact residues, so the radius is the only guard
     with pytest.raises(ValueError, match="radius at least 1"):
         bt_ball(3, 0)

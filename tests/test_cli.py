@@ -295,11 +295,23 @@ def test_non_half_integral_exponent_prints_a_fraction(capsys):
     assert "Fraction(" not in err
 
 
-def test_sl2coh_reads_uprime_one_level_up_at_any_level(capsys):
-    # Uprime fixed points work at level + 1, whatever --precision says
+def test_precision_exhaustion_has_its_own_exit_code(capsys):
+    # models carry no precision budget, so the run that once exhausted it
+    # (Uprime fixed points at level + 1 = 3 > precision 2) now succeeds,
+    # and no exit code is set aside for exhaustion at any level
     for extra in (("--level", "2", "--precision", "2"), ("--level", "6")):
         code, out, err = run(capsys, "sl2coh", "--rep", "st", *extra)
         assert (code, out, err) == (0, "H0 = 0\nH1 = Z/11\n", "")
+
+
+def test_precision_exhaustion_message_is_unchanged(capsys):
+    # the former exhaustion run prints what the run without --precision
+    # prints, and no PrecisionExhausted message on either stream
+    argv = ("sl2coh", "--rep", "st", "--level", "2")
+    want = run(capsys, *argv)
+    got = run(capsys, *argv, "--precision", "2")
+    assert got == want == (0, "H0 = 0\nH1 = Z/11\n", "")
+    assert "PrecisionExhausted" not in got[1] + got[2]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

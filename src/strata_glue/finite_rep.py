@@ -10,8 +10,11 @@ quotient together with its two-step filtration.
 
 The oracle's smoothed vectors live on P^1(O/pi^L), L = m + j_max, which has
 p^L + p^(L-1) points, but are held in disc coordinates: one sum per
-smoothing disc plus the value at the point at infinity.  The level-5 oracle
-at p = 3 runs on 708,588 points, and its stages have 972 slots at most.
+smoothing disc plus the value at the point at infinity.  Each stage's
+fibre columns and torus probes are point counts per slot in closed form,
+so a stage costs its slot count times p per probe, with no pass over the
+points: the level-5 oracle at p = 3 works on at most 972 slots and three
+probes, and never on the 708,588 points of its line.
 
 Fixed points of trivial, induced and Steinberg models come from orbits,
 with no action matrix: those of padic_core.orbits for U, Gamma0, Gamma_k
@@ -39,10 +42,8 @@ from .padic_core import (
     UnsupportedSubgroup,
     _eta_inv_images,
     _unit_gens,
-    _unit_torus_images,
     orbits,
     p1_size,
-    project,
     subgroup_generators,
 )
 
@@ -60,14 +61,6 @@ class NotStabilized(RuntimeError):
 
 
 # ------------------------------------------------------------ scalar helpers
-
-def _vp(x, p):
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
 
 def _chi_val(ring, chi, torus_vals):
     c1, c2 = chi
@@ -303,97 +296,149 @@ class JacquetResult:
                 f"filtration={self.filtration}, split={self.split})")
 
 
+def _depth_residues(p, mu, e):
+    # the residues c < p^e with v_p(c) = mu, ascending
+    return [p ** mu * u for u in range(1, p ** (e - mu)) if u % p]
+
+
 class _StageEngine:
     # working model: functions on the level-L line; stage j smooths along
     # the depth-j unipotent discs and probes the torus in a two-vector frame.
-    # Smoothing leaves the disc sum times a unit w_out fixed by the point, so
-    # a vector is held in disc coordinates: slots ordered by their first point
-    # (the big disc, holding [1:0], is slot 0), infinity being slot 1.
-    # Points are indices in padic_core's codec.
+    # Points are grouped by depth: [s:1] with s != 0 has depth v_p(s), the
+    # big cell [1:t] has depth 0 (its units t being the [1/t:1]), and
+    # infinity stands alone.  Smoothing leaves the disc sum times
+    # w_out = r^-depth, so a vector is held in disc coordinates, one per
+    # slot: slot 0 holds the big cell and the depths mu <= j, slot 1
+    # infinity, and slot 2 + i the i-th disc in order of its key c.  The
+    # disc (mu, c), j < mu < L, is the [s:1] with s = c mod p^kk,
+    # kk = min(2 mu - j, L), v_p(c) = mu, c < p^kk: p^(L - kk) points,
+    # each of inbound weight q^(kk - L) r^mu, so r^mu in all.  Fibre columns
+    # and probe transfers are point counts per slot in closed form: no
+    # stage visits a point, and a stage costs its slots times p per probe.
 
     def __init__(self, ring, p, m, big_l, chi):
         self.ring = ring
         self.p = p
+        self.m = m
         self.big_l = big_l
         self.n = n = ring.n
         self.c1, self.c2 = chi
         self.r = self.c1 * ring.inv(self.c2) % n
-        md, pm = p ** big_l, p ** m
         # point count, read by the stage sizer in perfbench/spans.py
         self.size = p1_size(p, big_l)
-        # depth of each [s:1] with s != 0, in order of s
-        self.mu = [_vp(s, p) for s in range(p, md, p)]
-        self.fiber_of = project(p, big_l, m)
-        self.pm = pm
-        # value of w_out at each point; 1 on the big cell and at infinity
-        self.w_out = [1] * (md + 1) + [pow(self.r, -mu, n) for mu in self.mu]
+        # w_out at each depth below L; 1 on the big cell and at infinity
+        self.w_out = [pow(self.r, -mu, n) for mu in range(big_l)]
         # torus probes: diag(pi, 1), then diag(u, 1) and diag(1, u) per unit
         self.ops = [(p, 1)]
         for u in _unit_gens(p, m):
             self.ops += [(u, 1), (1, u)]
-        self.pulls = {op: self._pull_table(*op) for op in self.ops}
-        self.slots = (None,)
 
-    def _slots(self, j):
-        """Stage j's slot and inbound weight at each point, and the slot
-        count.  Only the latest stage's tables are kept: stages run in order.
+    def _begin(self, j):
+        """Stage j's discs as (c, mu) in slot order, each disc's slot, and
+        the inbound weight of one point at each depth."""
+        p, big_l, n = self.p, self.big_l, self.n
+        self.j = j
+        self.discs = sorted((c, mu) for mu in range(j + 1, big_l)
+                            for c in _depth_residues(p, mu, self._kk(mu)))
+        self.slot_of = {c: k for k, (c, _) in enumerate(self.discs, 2)}
+        self.w_in = [self.ring.q_pow(self._kk(mu) - big_l)
+                     * pow(self.r, mu, n) % n for mu in range(big_l)]
+
+    def _kk(self, mu):
+        # the residue precision of the depth-mu discs at the current stage
+        return min(2 * mu - self.j, self.big_l)
+
+    def _count(self, mu, e):
+        # points of depth mu with s = a mod p^e, e > mu, or of depth mu
+        # when e = mu; at depth 0 these are the big cell's units
+        p, big_l = self.p, self.big_l
+        if e > mu:
+            return p ** (big_l - e)
+        return (p - 1) * p ** (big_l - mu - 1)
+
+    def _spread(self, mu, a, e):
+        """(slot, point count) pairs over the depth-mu points with
+        s = a mod p^e, a < p^e; e = mu (a = 0) takes every depth-mu point."""
+        p, big_l, j = self.p, self.big_l, self.j
+        if mu <= j:
+            return [(0, self._count(mu, e))]
+        kk = self._kk(mu)
+        if e >= kk:
+            return [(self.slot_of[a % p ** kk], p ** (big_l - e))]
+        size = p ** (big_l - kk)
+        if e == mu:
+            return [(self.slot_of[c], size)
+                    for c in _depth_residues(p, mu, kk)]
+        return [(self.slot_of[c], size) for c in range(a, p ** kk, p ** e)]
+
+    def _row(self, terms):
+        # a {slot: coefficient} row from (slot, term) pairs: summed mod n,
+        # zeros dropped, slots ascending
+        n, acc = self.n, {}
+        for k, c in terms:
+            acc[k] = acc.get(k, 0) + c
+        return {k: c % n for k, c in sorted(acc.items()) if c % n}
+
+    def _fibres(self):
+        """The smoothed indicators of the level-m fibres, deduplicated, as
+        {slot: value} rows, those of [1:0] and of infinity first.
+
+        A big-cell fibre is p^(L-m) points of depth 0; that of [s0:1] is
+        the depth-mu0 points s = s0 mod p^m; that of infinity is infinity
+        and every point of depth m or more.
         """
-        if self.slots[0] != j:
-            p, big_l, md, n = self.p, self.big_l, self.p ** self.big_l, self.n
-            # a point [s:1] of depth mu > j lies in the disc s mod p^kk
-            kk = [min(2 * mu - j, big_l) for mu in range(big_l)]
-            w_mu = [self.ring.q_pow(kk[mu] - big_l) * pow(self.r, mu, n) % n
-                    for mu in range(big_l)]
-            first = {}
-            slot = [0] * md + [1]
-            for s, mu in zip(range(p, md, p), self.mu):
-                slot.append(0 if mu <= j else first.setdefault(
-                    (mu, s % p ** kk[mu]), len(first) + 2))
-            w_in = [w_mu[0]] * md + [1] + [w_mu[mu] for mu in self.mu]
-            self.slots = (j, slot, w_in, len(first) + 2)
-        return self.slots[1:]
+        p, m, big_l, w_in = self.p, self.m, self.big_l, self.w_in
+        rows = [{0: p ** (big_l - m) * w_in[0] % self.n},
+                self._row([(1, 1)] + [(k, c * w_in[mu])
+                                      for mu in range(m, big_l)
+                                      for k, c in self._spread(mu, 0, mu)])]
+        for mu in range(1, m):
+            for s0 in _depth_residues(p, mu, m):
+                rows.append(self._row((k, c * w_in[mu])
+                                      for k, c in self._spread(mu, s0, m)))
+        return list({tuple(r.items()): r for r in rows}.values())
 
-    def _pull_table(self, d1, d2):
-        """Source index of each point under the pullback along right
-        translation by diag(d1, d2), and the weight times w_out at the
-        source; neither depends on the vector or the stage.
+    def _transfer(self, d1, d2):
+        """Pull along diag(d1, d2), then smooth at the current stage: the
+        row of each slot maps source slots to coefficients.
 
-        The probes have closed forms in padic_core.  For units d1, d2 the
-        weight is 1 and the source is the point times diag(d1, d2).  For
-        diag(p, 1), the central pi (acting by c1 * c2) times
-        diag(1, pi^-1), [1:t] pulls from [1:t/p] with weight c2 when p | t
-        and from [p/t:1] with weight c1 when t is a unit, and [s:1] pulls
-        from [p*s:1] with weight c1.
+        A unit pair keeps each point's depth and moves [s:1] to
+        [s d1/d2:1], so each disc (mu, c) pulls from (mu, c d1/d2 mod p^kk)
+        with weight r^mu r^-mu = 1, and slot 0 from itself with weight
+        q^-j + (p - 1) (q^(-j) + ... + q^-1) = 1, as every stage has j < L.
+        diag(p, 1) is the central pi times diag(1, pi^-1):
+        [1:t] pulls from [1:t/p] with scale c2 when p | t, and every other
+        point from [p s:1] with scale c1, one depth up, or from infinity at
+        depth L - 1.  So the depth-mu points with s = a mod p^e pull
+        evenly from the depth-(mu + 1) ones with s = p a mod p^(e + 1).
         """
-        p, n = self.p, self.n
+        p, big_l, n = self.p, self.big_l, self.n
+        w_in, w_out = self.w_in, self.w_out
         if d1 % p and d2 % p:
-            src = _unit_torus_images(p, self.big_l, d1, d2)
-            return src, [self.w_out[t] for t in src]
-        if (d1, d2) != (p, 1):
-            raise ValueError(f"no pull table for diag({d1}, {d2})")
-        scale = {(-1, 0): self.c2 % n, (0, -1): self.c1 % n}
-        src, wts = [], []
-        for t, tv in _eta_inv_images(p, self.big_l, self.big_l):
-            src.append(t)
-            wts.append(scale[tv] * self.w_out[t] % n)
-        return src, wts
+            md = p ** big_l
+            shift = d1 * pow(d2, -1, md) % md
+            return [{0: 1}, {1: 1}] + [
+                {self.slot_of[c * shift % p ** self._kk(mu)]: 1}
+                for c, mu in self.discs]
+        c1 = self.c1
 
-    def transfer(self, j, d1, d2):
-        """Pull along diag(d1, d2), then smooth at stage j, as a sparse
-        table {(slot, source slot): coefficient} on disc coordinates."""
-        slot, w_in, _ = self._slots(j)
-        src, wts = self.pulls[(d1, d2)]
-        table = {}
-        for k, w, t, c in zip(slot, w_in, src, wts):
-            key = (k, slot[t])
-            table[key] = table.get(key, 0) + w * c
-        return {key: c % self.n for key, c in table.items()}
+        def pull(mu, a, e):
+            w = w_in[mu] * c1
+            if mu + 1 == big_l:
+                return [(1, w * self._count(mu, e))]
+            e2 = min(e + 1, big_l)
+            w = w * w_out[mu + 1] * p ** (e2 - e)
+            return [(k, w * c)
+                    for k, c in self._spread(mu + 1, p * a % p ** e2, e2)]
 
-    def _apply(self, table, v):
-        out = [0] * len(v)
-        for (k, k2), c in table.items():
-            out[k] += c * v[k2]
-        return [x % self.n for x in out]
+        # slot 0: the big cell's [1:t], p | t, then every depth mu <= j
+        head = [(0, p ** (big_l - 1) * w_in[0] * self.c2)]
+        rows = [self._row(head + [t for mu in range(self.j + 1)
+                                  for t in pull(mu, 0, mu)]),
+                {1: c1 % n}]
+        for c, mu in self.discs:
+            rows.append(self._row(pull(mu, c, self._kk(mu))))
+        return rows
 
     def solve(self, v, cb, ci):
         # frame coordinates: ci owns the infinity coefficient, cb the base one
@@ -410,29 +455,29 @@ class _StageEngine:
 
     def stage(self, j, fold):
         n = self.n
-        slot, w_in, width = self._slots(j)
+        self._begin(j)
+        width = len(self.discs) + 2
         # every column's disc sums: the indicator of a level-m fibre, smoothed
-        cols = [[0] * width for _ in range(self.pm + self.pm // self.p)]
-        for f, k, w in zip(self.fiber_of, slot, w_in):
-            cols[f][k] += w
-        stack = [tuple(x % n for x in c) for c in cols]
-        cb, ci = stack[0], stack[self.pm]
+        stack = self._fibres()
+        cb, ci = ([r.get(k, 0) for k in range(width)] for r in stack[:2])
         # fold adds the constants, all ones in disc coordinates since w_out
         # is 1 under the trivial character that folding runs with
         if fold:
-            stack.append((1,) * width)
-        # the Howell row count equals that over point coordinates, also for
-        # composite n: with slots in first-point order, a pivot can only sit
-        # on the first point of its slot
+            stack.append(dict.fromkeys(range(width), 1))
+        # the Howell row count depends only on the span, so not on the
+        # duplicate fibres, and equals that over point coordinates, also
+        # for composite n: with slots in first-point order, a pivot can only
+        # sit on the first point of its slot
         rank = howell_form(
-            LambdaMatrix._reduced(self.ring, stack, width)).nrows
+            LambdaMatrix._sparse(self.ring, stack, width)).nrows
         if fold:
             rank -= 1
         mats = []
         for d1, d2 in self.ops:
-            table = self.transfer(j, d1, d2)
-            sa = self.solve(self._apply(table, cb), cb, ci)
-            sb = self.solve(self._apply(table, ci), cb, ci)
+            rows = self._transfer(d1, d2)
+            sa, sb = (self.solve([sum(c * v[k] for k, c in row.items()) % n
+                                  for row in rows], cb, ci)
+                      for v in (cb, ci))
             if sa is None or sb is None:
                 mats = None
                 break

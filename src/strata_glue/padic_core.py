@@ -192,8 +192,9 @@ def _eta_inv_images(p, m, level):
     [1:t] goes to [1:t/p] with torus_vals (-1, 0) when p | t, and to
     [p/t:1] with (0, -1) when t is a unit; [s:1] goes to [p*s:1] with
     (0, -1).  At level m - 1 these are the images; at level m, t/p is
-    the residue below p^(m-1), as the Jacquet stage engine's diag(pi, 1)
-    probe reads it (diag(pi, 1) is the central pi times diag(1, pi^-1)).
+    the residue below p^(m-1), which gives the sources of the pullback
+    along diag(pi, 1), the central pi times diag(1, pi^-1), on the
+    level-m line.
     """
     md, ml = p ** m, p ** level
     # p/t is [p*u:1] with u = t^-1 mod p^(level-1), and p*s is [p*s':1]
@@ -207,18 +208,6 @@ def _eta_inv_images(p, m, level):
             yield t // p, (-1, 0)
     for s in range(0, md, p):
         yield ml + s % low, (0, -1)
-
-
-def _unit_torus_images(p, m, d1, d2):
-    """Index of x * diag(d1, d2) for every level-m point x, in index order,
-    for units d1 and d2: [1:t] goes to [1:t*d2/d1] and [s:1] to
-    [s*d1/d2:1]."""
-    md = p ** m
-    r = d2 * pow(d1, -1, md) % md
-    out = [t * r % md for t in range(md)]
-    r = pow(r, -1, md)
-    out.extend(md + s * r % md // p for s in range(0, md, p))
-    return out
 
 
 def orbits(spec, m, p):

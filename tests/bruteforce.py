@@ -10,7 +10,8 @@ union-find call per point and generator, an extended-gcd combine for every
 row of a Howell column, the dense Howell engine that rescans every live
 row per column, a pullback that solves for each point's source
 point afresh, a Jacquet stage engine that smooths vectors on every point
-of the line, fixed points as the kernel of dense action matrices against a
+of the line and one that visits every point to build each stage's disc
+coordinates, fixed points as the kernel of dense action matrices against a
 model rebuilt one level up, iso classes from the integer Smith form of the
 relations stacked on n * I, and tree-ball vertices moved by act().
 Points of P^1(O/pi^m) are ProjPoint objects here, the reference that
@@ -27,9 +28,9 @@ and its orbit-based fixed points are pinned against it.
 The linear algebra oracles are feasible for ambient rank <= 4 and modulus
 <= 9, which is the regime the property tests run in.  The package code
 must agree with these oracles.  Beyond the public API they import only
-helpers that they do not restate: the unit generators, the 2x2 scaled
-inverse, the unchecked matrix wrapper and the integral table's
-degeneration certificate.
+helpers that they do not restate: the unit generators, the eta-inverse
+images, the point codec, the 2x2 scaled inverse, the unchecked matrix
+wrapper and the integral table's degeneration certificate.
 
 The gluing path through provenance tags, with its split input and rule
 tables and its string-built contragredient, is kept at the end; glue and
@@ -52,7 +53,8 @@ from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
                                      howell_form, identity_matrix, kernel,
                                      quotient_module)
 from strata_glue.padic_core import (SubgroupSpec, UnsupportedSubgroup,
-                                   _unit_gens)
+                                   _eta_inv_images, _unit_gens, p1_size,
+                                   project)
 
 
 def mat_mul(ring, a_rows, b_rows, b_cols):
@@ -1139,6 +1141,173 @@ class PointStageEngine:
         if mats is None:
             return (rank, None, None)
         central = self.c1 * self.c2 % self.n
+        mpi2 = _scaled_inverse(self.ring, mats[0], central)
+        return (rank, tuple(mats), mpi2)
+
+
+# The Jacquet stage engine as it ran before its stages were built from
+# disc counts: stage vectors in disc coordinates, but every stage still
+# visits each point of the level-L line to find its slot, its fibre and
+# its probe sources.  Copied verbatim, with the unit-probe images it
+# read from padic_core.
+
+def _unit_torus_images(p, m, d1, d2):
+    """Index of x * diag(d1, d2) for every level-m point x, in index order,
+    for units d1 and d2: [1:t] goes to [1:t*d2/d1] and [s:1] to
+    [s*d1/d2:1]."""
+    md = p ** m
+    r = d2 * pow(d1, -1, md) % md
+    out = [t * r % md for t in range(md)]
+    r = pow(r, -1, md)
+    out.extend(md + s * r % md // p for s in range(0, md, p))
+    return out
+
+
+class DiscStageEngine:
+    # working model: functions on the level-L line; stage j smooths along
+    # the depth-j unipotent discs and probes the torus in a two-vector frame.
+    # Smoothing leaves the disc sum times a unit w_out fixed by the point, so
+    # a vector is held in disc coordinates: slots ordered by their first point
+    # (the big disc, holding [1:0], is slot 0), infinity being slot 1.
+    # Points are indices in padic_core's codec.
+
+    def __init__(self, ring, p, m, big_l, chi):
+        self.ring = ring
+        self.p = p
+        self.big_l = big_l
+        self.n = n = ring.n
+        self.c1, self.c2 = chi
+        self.r = self.c1 * ring.inv(self.c2) % n
+        md, pm = p ** big_l, p ** m
+        # point count, read by the stage sizer in perfbench/spans.py
+        self.size = p1_size(p, big_l)
+        # depth of each [s:1] with s != 0, in order of s
+        self.mu = [_vp(s, p) for s in range(p, md, p)]
+        self.fiber_of = project(p, big_l, m)
+        self.pm = pm
+        # value of w_out at each point; 1 on the big cell and at infinity
+        self.w_out = [1] * (md + 1) + [pow(self.r, -mu, n) for mu in self.mu]
+        # torus probes: diag(pi, 1), then diag(u, 1) and diag(1, u) per unit
+        self.ops = [(p, 1)]
+        for u in _unit_gens(p, m):
+            self.ops += [(u, 1), (1, u)]
+        self.pulls = {op: self._pull_table(*op) for op in self.ops}
+        self.slots = (None,)
+
+    def _slots(self, j):
+        """Stage j's slot and inbound weight at each point, and the slot
+        count.  Only the latest stage's tables are kept: stages run in order.
+        """
+        if self.slots[0] != j:
+            p, big_l, md, n = self.p, self.big_l, self.p ** self.big_l, self.n
+            # a point [s:1] of depth mu > j lies in the disc s mod p^kk
+            kk = [min(2 * mu - j, big_l) for mu in range(big_l)]
+            w_mu = [self.ring.q_pow(kk[mu] - big_l) * pow(self.r, mu, n) % n
+                    for mu in range(big_l)]
+            first = {}
+            slot = [0] * md + [1]
+            for s, mu in zip(range(p, md, p), self.mu):
+                slot.append(0 if mu <= j else first.setdefault(
+                    (mu, s % p ** kk[mu]), len(first) + 2))
+            w_in = [w_mu[0]] * md + [1] + [w_mu[mu] for mu in self.mu]
+            self.slots = (j, slot, w_in, len(first) + 2)
+        return self.slots[1:]
+
+    def _pull_table(self, d1, d2):
+        """Source index of each point under the pullback along right
+        translation by diag(d1, d2), and the weight times w_out at the
+        source; neither depends on the vector or the stage.
+
+        The probes have closed forms in padic_core.  For units d1, d2 the
+        weight is 1 and the source is the point times diag(d1, d2).  For
+        diag(p, 1), the central pi (acting by c1 * c2) times
+        diag(1, pi^-1), [1:t] pulls from [1:t/p] with weight c2 when p | t
+        and from [p/t:1] with weight c1 when t is a unit, and [s:1] pulls
+        from [p*s:1] with weight c1.
+        """
+        p, n = self.p, self.n
+        if d1 % p and d2 % p:
+            src = _unit_torus_images(p, self.big_l, d1, d2)
+            return src, [self.w_out[t] for t in src]
+        if (d1, d2) != (p, 1):
+            raise ValueError(f"no pull table for diag({d1}, {d2})")
+        scale = {(-1, 0): self.c2 % n, (0, -1): self.c1 % n}
+        src, wts = [], []
+        for t, tv in _eta_inv_images(p, self.big_l, self.big_l):
+            src.append(t)
+            wts.append(scale[tv] * self.w_out[t] % n)
+        return src, wts
+
+    def transfer(self, j, d1, d2):
+        """Pull along diag(d1, d2), then smooth at stage j, as a sparse
+        table {(slot, source slot): coefficient} on disc coordinates."""
+        slot, w_in, _ = self._slots(j)
+        src, wts = self.pulls[(d1, d2)]
+        table = {}
+        for k, w, t, c in zip(slot, w_in, src, wts):
+            key = (k, slot[t])
+            table[key] = table.get(key, 0) + w * c
+        return {key: c % self.n for key, c in table.items()}
+
+    def _apply(self, table, v):
+        out = [0] * len(v)
+        for (k, k2), c in table.items():
+            out[k] += c * v[k2]
+        return [x % self.n for x in out]
+
+    def solve(self, v, cb, ci):
+        # frame coordinates: ci owns the infinity coefficient, cb the base one
+        n = self.n
+        den = cb[0]
+        if gcd(den, n) != 1:
+            return None
+        b = v[1]
+        a = (v[0] - b * ci[0]) * self.ring.inv(den) % n
+        for x, y, z in zip(v, cb, ci):
+            if (a * y + b * z) % n != x:
+                return None
+        return a, b % n
+
+    def stage(self, j, fold):
+        n = self.n
+        slot, w_in, width = self._slots(j)
+        # every column's disc sums: the indicator of a level-m fibre, smoothed
+        cols = [[0] * width for _ in range(self.pm + self.pm // self.p)]
+        for f, k, w in zip(self.fiber_of, slot, w_in):
+            cols[f][k] += w
+        stack = [tuple(x % n for x in c) for c in cols]
+        cb, ci = stack[0], stack[self.pm]
+        # fold adds the constants, all ones in disc coordinates since w_out
+        # is 1 under the trivial character that folding runs with
+        if fold:
+            stack.append((1,) * width)
+        # the Howell row count equals that over point coordinates, also for
+        # composite n: with slots in first-point order, a pivot can only sit
+        # on the first point of its slot
+        rank = howell_form(
+            LambdaMatrix._reduced(self.ring, stack, width)).nrows
+        if fold:
+            rank -= 1
+        mats = []
+        for d1, d2 in self.ops:
+            table = self.transfer(j, d1, d2)
+            sa = self.solve(self._apply(table, cb), cb, ci)
+            sb = self.solve(self._apply(table, ci), cb, ci)
+            if sa is None or sb is None:
+                mats = None
+                break
+            mats.append(((sa[0], sb[0]), (sa[1], sb[1])))
+        if mats is not None and fold:
+            base = self.solve((1,) * width, cb, ci)
+            if base is None:
+                mats = None
+            else:
+                a0 = base[0]
+                mats = [(((mtx[0][0] - a0 * mtx[1][0]) % n,),)
+                        for mtx in mats]
+        if mats is None:
+            return (rank, None, None)
+        central = self.c1 * self.c2 % n
         mpi2 = _scaled_inverse(self.ring, mats[0], central)
         return (rank, tuple(mats), mpi2)
 

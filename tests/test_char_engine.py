@@ -13,6 +13,7 @@ The gluing tables themselves were fixed beforehand by hand:
 """
 
 import json
+import random
 import warnings
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import provenance_glue, provenance_hc_tilde
 from strata_glue.lambda_core import MissingSqrtQ, make_ring
-from strata_glue.finite_rep import induced_rep, jacquet_oracle, steinberg
+from strata_glue.finite_rep import (induced_rep, jacquet_oracle, rep_model,
+                                    steinberg)
 from strata_glue.char_engine import (
     CuspidalWitnessFailed,
     DegreeNotInTable,
@@ -182,6 +184,57 @@ def test_jacquet_symbolic_matches_oracle_at_level_4():
     res = jacquet_oracle(induced_rep(R11, (1, 4), 4))
     assert [c.values() for c in sym.constituents] == list(res.filtration)
     assert sym.split == res.split
+
+
+def _oracle_matches_symbol(ring, spec, level):
+    sym = jacquet_symbolic(ring, spec)
+    res = jacquet_oracle(rep_model(ring, spec, level))
+    return ([c.values() for c in sym.constituents] == list(res.filtration)
+            and sym.split == res.split)
+
+
+R13_5 = make_ring(13, 5)
+R13_7 = make_ring(13, 7)
+_LEVELS = ([(R11, spec, m) for spec in ("ind(0,1)", "st")
+            for m in range(2, 7)]
+           + [(R13_5, "ind(0,1)", 3)]
+           + [(R13_7, "ind(0,1)", m) for m in (2, 3)])
+
+
+@pytest.mark.parametrize("ring, spec, level", _LEVELS,
+                         ids=[f"n{r.n}-p{r.p}-{s}-m{m}"
+                              for r, s, m in _LEVELS])
+def test_oracle_filtration_is_level_stable(ring, spec, level):
+    # the coinvariants do not depend on the level the model is cut at: the
+    # oracle reads the symbol's filtration and split at every level, up to
+    # the level-6 line over Z/11 (6.4 million points at L = 14)
+    assert _oracle_matches_symbol(ring, spec, level)
+
+
+def _banal_rings_with_sqrt_q(p, bound):
+    # Z/n for the primes 7 <= n < bound in which p is a square; every such
+    # n is banal for p <= 5, since (p - 1)^2 (p + 1) has no prime factor
+    # above 3
+    for n in range(7, bound):
+        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
+            root = next((x for x in range(1, n) if x * x % n == p), None)
+            if root is not None:
+                yield make_ring(n, p, sqrt_q=root)
+
+
+@pytest.mark.parametrize("p, level", [(2, 2), (3, 2), (5, 2), (2, 3)])
+def test_oracle_matches_symbol_across_rings(p, level):
+    # two seeded half-integral exponent pairs in [-3, 3] per ring; every
+    # case that disagrees is listed, none is dropped
+    misses = []
+    for ring in _banal_rings_with_sqrt_q(p, 2000):
+        rng = random.Random(f"ring-sweep:{ring.n}:{p}:{level}")
+        for _ in range(2):
+            a, b = (Fraction(rng.randint(-6, 6), 2) for _ in range(2))
+            spec = f"ind({a},{b})"
+            if not _oracle_matches_symbol(ring, spec, level):
+                misses.append((ring.n, spec))
+    assert misses == []
 
 
 # --------------------------------------------------------- torus homology

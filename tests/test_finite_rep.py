@@ -17,9 +17,9 @@ from strata_glue.padic_core import (
     orbits,
 )
 from strata_glue import finite_rep
-from bruteforce import (NonInvertibleOrder, PointStageEngine, action_matrix,
-                        averaging_projector, elem_lower, elem_upper,
-                        laurent_matrix, loop_pull_table, mat_mul,
+from bruteforce import (DiscStageEngine, NonInvertibleOrder, PointStageEngine,
+                        action_matrix, averaging_projector, elem_lower,
+                        elem_upper, laurent_matrix, loop_pull_table, mat_mul,
                         per_point_pull)
 from bruteforce import fixed_points as dense_fixed_points
 from strata_glue.finite_rep import (
@@ -371,10 +371,10 @@ def _disc_coords(ref, slot, v, j):
     (R11, 3, 2, (0, 1)),   # verify-all's level-2 oracle over Z/11
 ])
 def test_pull_table_matches_per_point_pullback(ring, p, m, chi):
-    # each transfer table is the reference's per-point pullback followed by
-    # its smoothing, read in disc coordinates
+    # each of the disc reference's transfer tables is the point reference's
+    # per-point pullback followed by its smoothing, read in disc coordinates
     chi = unram_pair(ring, *chi)
-    eng = finite_rep._StageEngine(ring, p, m, 2 * m + 2, chi)
+    eng = DiscStageEngine(ring, p, m, 2 * m + 2, chi)
     ref = PointStageEngine(ring, p, m, 2 * m + 2, chi)
     rng = random.Random(f"pull:{ring.n}:{m}")
     for j in range(m + 3):
@@ -432,14 +432,41 @@ def test_disc_engine_matches_point_engine(ring, m, spec, monkeypatch):
 
 
 R13 = make_ring(13, 5)
+R13_7 = make_ring(13, 7)
+# the reference engine keeps several tables of one entry per point: past
+# this many points they run to gigabytes (p = 7 at L = 8 has 6.7 million)
+_REFERENCE_POINTS = 500_000
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("ring", [R11, R7, R143, R121, R13, R13_7],
+                         ids=lambda r: f"n{r.n}-p{r.p}")
+def test_slot_engine_matches_disc_engine(ring, m):
+    # every stage summary of the closed-form engine against the engine that
+    # visits each point: on the lines at the model's level, one level up
+    # and at the oracle's 2m + 2, at every stage of the window, with fold
+    # on and off
+    p = ring.p
+    rng = random.Random(f"slots:{ring.n}:{p}:{m}")
+    units = [c for c in range(1, ring.n) if ring.is_unit(c)]
+    for big_l in (m, m + 1, 2 * m + 2):
+        if p ** big_l + p ** (big_l - 1) > _REFERENCE_POINTS:
+            continue
+        chi = (rng.choice(units), rng.choice(units))
+        eng = finite_rep._StageEngine(ring, p, m, big_l, chi)
+        ref = DiscStageEngine(ring, p, m, big_l, chi)
+        for j in range(big_l - m + 1):
+            for fold in (False, True):
+                assert eng.stage(j, fold) == ref.stage(j, fold), (big_l, j,
+                                                                 fold)
 
 
 @pytest.mark.parametrize("ring", [R11, R7, R143, R121, R13],
                          ids=lambda r: f"n{r.n}-p{r.p}")
 def test_unit_pull_tables_equal_loop(ring):
-    # the closed-form tables of the probes against the per-point loop: the
-    # engine's own probes, diag(p, 1) among them, then unit pairs off its
-    # list
+    # the disc reference's closed-form probe tables against the per-point
+    # loop: the engine's own probes, diag(p, 1) among them, then unit pairs
+    # off its list
     p, n = ring.p, ring.n
     rng = random.Random(f"unit-pull:{n}")
     units = [c for c in range(1, n) if ring.is_unit(c)]
@@ -447,7 +474,7 @@ def test_unit_pull_tables_equal_loop(ring):
         md = p ** big_l
         for m in range(1, big_l + 1):
             chi = (rng.choice(units), rng.choice(units))
-            eng = finite_rep._StageEngine(ring, p, m, big_l, chi)
+            eng = DiscStageEngine(ring, p, m, big_l, chi)
             probes = list(eng.ops)
             md_units = [x for x in range(1, md) if x % p]
             u, v = rng.choice(md_units), rng.choice(md_units)
@@ -471,7 +498,7 @@ def test_eta_inv_images_equal_loop_pull_table(ring, levels):
     units = [c for c in range(1, n) if ring.is_unit(c)]
     for big_l in levels:
         chi = (rng.choice(units), rng.choice(units))
-        eng = finite_rep._StageEngine(ring, p, 1, big_l, chi)
+        eng = DiscStageEngine(ring, p, 1, big_l, chi)
         want = loop_pull_table(eng, p, 1)
         got = [(t, finite_rep._chi_val(ring, chi, (a + 1, b + 1))
                 * eng.w_out[t] % n)

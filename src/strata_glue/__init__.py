@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .lambda_core import (  # noqa: F401
     BadSqrt,
     BanalityViolation,
-    BoundedComplex,
     CoeffRing,
     FgModule,
     IllDefinedMap,

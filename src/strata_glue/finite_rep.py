@@ -16,11 +16,11 @@ so a stage costs its slot count times p per probe, with no pass over the
 points: the level-5 oracle at p = 3 works on at most 972 slots and three
 probes, and never on the 708,588 points of its line.
 
-Fixed points of trivial, induced and Steinberg models come from orbits,
-with no action matrix: those of padic_core.orbits for U, Gamma0, Gamma_k
-and K_m, and for Uprime the U-orbits one level up through the closed-form
-eta-inverse images.  Only inflated models, whose action is a table of
-residue matrices mod p, take the dense kernel of their action matrices.
+Fixed points of trivial, induced and Steinberg models come with no action
+matrix: those of U, Gamma0, Gamma_k and K_m from padic_core.orbits, and
+Uprime's fixed line in closed form, c1 on the big cell and c2 off it.
+Only inflated models, whose action is a table of residue matrices mod p,
+take the dense kernel of their action matrices.
 """
 
 from fractions import Fraction
@@ -34,13 +34,10 @@ from .lambda_core import (
     howell_form,
     identity_matrix,
     kernel,
-    left_kernel,
     span_module,
 )
 from .padic_core import (
-    SubgroupSpec,
     UnsupportedSubgroup,
-    _eta_inv_images,
     _unit_gens,
     orbits,
     p1_size,
@@ -61,12 +58,6 @@ class NotStabilized(RuntimeError):
 
 
 # ------------------------------------------------------------ scalar helpers
-
-def _chi_val(ring, chi, torus_vals):
-    c1, c2 = chi
-    t1, t2 = torus_vals
-    return pow(c1, t1, ring.n) * pow(c2, t2, ring.n) % ring.n
-
 
 def unram_pair(ring, a, b):
     """Value pair at pi of the unramified twist |.|^a x |.|^b.
@@ -91,8 +82,9 @@ class FiniteRep:
     through orbits and closed forms.
 
     A model carries only its level.  Every residue is exact mod p^L, so
-    each call works at the level it needs: Uprime fixed points at level + 1
-    and jacquet_oracle at level + j_max (2m + 2 by default).
+    each call works at the level it needs: jacquet_oracle at level + j_max
+    (2m + 2 by default), and Uprime's fixed line is a closed form at the
+    model's own level.
     """
 
     __slots__ = ("ring", "p", "level", "kind", "chi",
@@ -185,8 +177,9 @@ def fixed_points(sig, spec):
     induced model is spanned by the indicators of the orbits
     padic_core.orbits returns.  By banality and Maschke, that of the
     Steinberg model is their image modulo the constants.  Uprime, the
-    conjugate of U by eta = diag(1, pi), is read through the closed-form
-    eta-inverse images against the U-orbits one level up.
+    conjugate of U by eta = diag(1, pi), fixes one line in closed form
+    (_uprime_rows): c1 on the big cell and c2 off it, and nothing on the
+    Steinberg model.
 
     Dense path, for inflated models only: the kernel of the stacked g - 1
     action matrices.  Inflated models have no Uprime, and every kind
@@ -211,11 +204,6 @@ def fixed_points(sig, spec):
     return kernel(f)
 
 
-def _mod_constants(rows, n):
-    # induced-model rows to Steinberg coordinates: v[i] - v[0], i >= 1
-    return [tuple((x - r[0]) % n for x in r[1:]) for r in rows]
-
-
 def _orbit_rows(sig, spec):
     # rows spanning the fixed space of a subgroup of GL2(O)
     if sig.kind == "trivial":
@@ -228,51 +216,31 @@ def _orbit_rows(sig, spec):
             row[i] = 1
         rows.append(row)
     if sig.kind == "steinberg":
-        return _mod_constants(rows, sig.ring.n)
+        # to Steinberg coordinates: v[i] - v[0], i >= 1
+        n = sig.ring.n
+        return [tuple((x - r[0]) % n for x in r[1:]) for r in rows]
     return rows
 
 
 def _uprime_rows(sig):
-    """Rows spanning the Uprime-fixed space, solved on U-orbit constants.
+    """Rows spanning the Uprime-fixed space, in closed form.
 
-    eta^-1 has a pole: it sends each level-(m+1) point x2 to a level-m
-    point y with a unit weight w, both read off the closed-form images of
-    padic_core._eta_inv_images.  The translate of v is U-fixed iff
-    w * v[y] is one constant c_O over each U-orbit O of level m+1.  So
-    v[y] = c_O / w, two points over the same y constrain c, and the system
-    is as wide as the orbit count.  Steinberg solves on its parent, whose
-    constants are fixed, and drops them.
+    v is Uprime-fixed iff its translate by eta^-1 = diag(1, pi^-1) is
+    U-fixed on the level-(m+1) line, which U = SL2(O) sweeps in one orbit.
+    eta^-1 sends the level-(m+1) points with torus valuations (-1, 0), the
+    [1:t] with p | t, onto the level-m big cell, and every other point,
+    with valuations (0, -1), onto the [s:1]; so no two weights meet over
+    one point, and the fixed line is c1 on the big cell and c2 off it.
+    For Steinberg that is the constant row of its untwisted parent, zero
+    modulo the constants.
     """
     if sig.kind == "trivial":
         return [(1,)]
-    ring, n, p, m = sig.ring, sig.ring.n, sig.p, sig.level
-    base = sig.parent if sig.kind == "steinberg" else sig
-    # one entry per point of the level-(m+1) line
-    orbit_of = [None] * p1_size(p, m + 1)
-    blocks = orbits(SubgroupSpec("U"), m + 1, p)
-    for o, block in enumerate(blocks):
-        for i in block:
-            orbit_of[i] = o
-    weight = {tv: ring.inv(_chi_val(ring, base.chi, tv))
-              for tv in ((-1, 0), (0, -1))}
-    over = [None] * base.rank
-    cons = set()
-    for o, (i, tv) in zip(orbit_of, _eta_inv_images(p, m + 1, m)):
-        term = (o, weight[tv])
-        if over[i] is None:
-            over[i] = term
-        elif over[i] != term:
-            row = [0] * len(blocks)
-            row[term[0]] = -term[1]
-            row[over[i][0]] += over[i][1]
-            cons.add(tuple(x % n for x in row))
-    # eta^-1 maps the level-(m+1) line onto the level-m one: no y is missed
-    cmat = LambdaMatrix._reduced(ring, sorted(cons), len(blocks))
-    rows = [[c[o] * w % n for o, w in over]
-            for c in left_kernel(cmat.transpose()).entries]
     if sig.kind == "steinberg":
-        return _mod_constants(rows, n)
-    return rows
+        return []
+    c1, c2 = sig.chi
+    md = sig.p ** sig.level
+    return [[c1] * md + [c2] * (md // sig.p)]
 
 
 # ----------------------------------------------------------- Jacquet oracle

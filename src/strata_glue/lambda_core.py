@@ -543,26 +543,6 @@ class ModuleMap:
         return self._images
 
 
-class BoundedComplex:
-    """Complex of FgModules with differentials d_k : C_k -> C_{k+1}."""
-
-    __slots__ = ("modules", "differentials")
-
-    def __init__(self, modules, differentials):
-        self.modules = dict(modules)
-        self.differentials = dict(differentials)
-        for k, d in self.differentials.items():
-            if d.source is not self.modules.get(k) or d.target is not self.modules.get(k + 1):
-                raise ValueError(f"differential at {k} detached from the complex")
-        for k in self.differentials:
-            if k + 1 in self.differentials:
-                nxt = self.differentials[k + 1]
-                rel = self.modules[k + 2].relations
-                for row in self.differentials[k].image_rows():
-                    if _solve(nxt._image(row), rel) is None:
-                        raise ValueError(f"d_{k+1} d_{k} != 0")
-
-
 def _present_subquotient(ring, ambient, gen_rows, mod_rows):
     """span(gen_rows)/span(mod_rows) presented on the given generators,
     all of them {column: value} maps."""

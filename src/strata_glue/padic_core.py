@@ -14,6 +14,8 @@ the image of each generator in the finite quotient has finite order.
 
 from itertools import count, islice
 
+from .lambda_core import _factor
+
 
 class UnsupportedSubgroup(ValueError):
     """No generator recipe for this subgroup name."""
@@ -68,20 +70,6 @@ class SubgroupSpec:
         return f"SubgroupSpec({self.kind!r}{extra})"
 
 
-def _prime_factors(x):
-    out = []
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        out.append(x)
-    return out
-
-
 def _unit_gens(p, m):
     # generators of (Z/p^m)^*: cyclic for odd p; {-1} x <5> for p=2, m >= 3
     if p == 2:
@@ -92,7 +80,7 @@ def _unit_gens(p, m):
         return [2 ** m - 1, 5]
     md = p ** m
     phi = (p - 1) * p ** (m - 1)
-    facs = _prime_factors(phi)
+    facs = [r for r, _ in _factor(phi)]
     g = 2
     while True:
         if g % p and all(pow(g, phi // r, md) != 1 for r in facs):
@@ -183,31 +171,6 @@ def _integral_images(g, p, m, inv):
             else:
                 out.append(md + c1 * inv[c2 % md] % md // p)
     return out
-
-
-def _eta_inv_images(p, m, level):
-    """Yield the index at level m - 1 or m and the torus valuations of
-    x * diag(1, pi^-1) for every level-m point x, in index order.
-
-    [1:t] goes to [1:t/p] with torus_vals (-1, 0) when p | t, and to
-    [p/t:1] with (0, -1) when t is a unit; [s:1] goes to [p*s:1] with
-    (0, -1).  At level m - 1 these are the images; at level m, t/p is
-    the residue below p^(m-1), which gives the sources of the pullback
-    along diag(pi, 1), the central pi times diag(1, pi^-1), on the
-    level-m line.
-    """
-    md, ml = p ** m, p ** level
-    # p/t is [p*u:1] with u = t^-1 mod p^(level-1), and p*s is [p*s':1]
-    # with s' = s mod p^(level-1): both have index ml + the residue
-    inv = _unit_inverses(p, max(level - 1, 0))
-    low = len(inv)
-    for t in range(md):
-        if t % p:
-            yield ml + inv[t % low], (0, -1)
-        else:
-            yield t // p, (-1, 0)
-    for s in range(0, md, p):
-        yield ml + s % low, (0, -1)
 
 
 def orbits(spec, m, p):

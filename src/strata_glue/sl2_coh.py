@@ -15,7 +15,6 @@ principal-series vanishing statement.
 from fractions import Fraction
 
 from .lambda_core import (
-    BoundedComplex,
     LambdaMatrix,
     ModuleMap,
     express_in_span,
@@ -120,8 +119,9 @@ class TreeBall:
         # the scaled lattice leads with a unit, so it flips branch
         return (d - 1, pow(s1, -1, ml))
 
-    def chain_complex(self, ring):
-        """Cellular chains, edges -> vertices -> Lambda, as one complex."""
+    def boundary(self, ring):
+        """Cellular boundary, edges -> vertices: +1 at each edge's child,
+        -1 at its parent."""
         nv, ne = len(self.vertices), len(self.edges)
         index = {v: i for i, v in enumerate(self.vertices)}
         rows = [{} for _ in range(nv)]
@@ -130,21 +130,13 @@ class TreeBall:
         for j, (child, parent) in enumerate(self.edges):
             rows[index[child]][j] = 1
             rows[index[parent]][j] = ring.n - 1
-        c1 = free_module(ring, ne)
-        c0 = free_module(ring, nv)
-        aug = free_module(ring, 1)
-        boundary = ModuleMap(c1, c0, LambdaMatrix._sparse(ring, rows, ne))
-        degree = ModuleMap(c0, aug, LambdaMatrix._sparse(
-            ring, [dict.fromkeys(range(nv), 1)], nv))
-        return BoundedComplex({0: c1, 1: c0, 2: aug},
-                              {0: boundary, 1: degree})
+        return ModuleMap(free_module(ring, ne), free_module(ring, nv),
+                         LambdaMatrix._sparse(ring, rows, ne))
 
     def homology(self, ring):
-        """H0 and H1 of the unaugmented cellular complex."""
-        c = self.chain_complex(ring)
-        boundary = c.differentials[0]
-        h0 = quotient_module(c.modules[1], boundary.image_rows())
-        h1 = kernel(boundary)
+        """H0 and H1 of the unaugmented cellular complex: the cokernel and
+        the kernel of the boundary."""
+        h1, h0 = _kernel_cokernel(self.boundary(ring))
         return {0: h0, 1: h1}
 
     def __repr__(self):
@@ -205,11 +197,13 @@ def ss_complex(sigma):
     return SSComplex(sigma, u_fixed, uprime_fixed, gamma0_fixed, delta)
 
 
+def _kernel_cokernel(f):
+    # the cokernel is f's target modulo the images of its generators
+    return kernel(f), quotient_module(f.target, f.image_rows())
+
+
 def _two_degrees(ss):
-    ring = ss.sigma.ring
-    h0 = kernel(ss.delta)
-    h1 = quotient_module(free_module(ring, ss.delta.target.ambient),
-                         ss.delta.image_rows())
+    h0, h1 = _kernel_cokernel(ss.delta)
     return {0: h0, 1: h1}
 
 

@@ -53,7 +53,7 @@ from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
                                      howell_form, identity_matrix, kernel,
                                      quotient_module)
 from strata_glue.padic_core import (SubgroupSpec, UnsupportedSubgroup,
-                                   _eta_inv_images, _unit_gens, p1_size,
+                                   _unit_gens, _unit_inverses, p1_size,
                                    project)
 
 
@@ -1148,8 +1148,8 @@ class PointStageEngine:
 # The Jacquet stage engine as it ran before its stages were built from
 # disc counts: stage vectors in disc coordinates, but every stage still
 # visits each point of the level-L line to find its slot, its fibre and
-# its probe sources.  Copied verbatim, with the unit-probe images it
-# read from padic_core.
+# its probe sources.  Copied verbatim, with the unit-probe and eta-inverse
+# images it read from padic_core.
 
 def _unit_torus_images(p, m, d1, d2):
     """Index of x * diag(d1, d2) for every level-m point x, in index order,
@@ -1161,6 +1161,31 @@ def _unit_torus_images(p, m, d1, d2):
     r = pow(r, -1, md)
     out.extend(md + s * r % md // p for s in range(0, md, p))
     return out
+
+
+def _eta_inv_images(p, m, level):
+    """Yield the index at level m - 1 or m and the torus valuations of
+    x * diag(1, pi^-1) for every level-m point x, in index order.
+
+    [1:t] goes to [1:t/p] with torus_vals (-1, 0) when p | t, and to
+    [p/t:1] with (0, -1) when t is a unit; [s:1] goes to [p*s:1] with
+    (0, -1).  At level m - 1 these are the images; at level m, t/p is
+    the residue below p^(m-1), which gives the sources of the pullback
+    along diag(pi, 1), the central pi times diag(1, pi^-1), on the
+    level-m line.
+    """
+    md, ml = p ** m, p ** level
+    # p/t is [p*u:1] with u = t^-1 mod p^(level-1), and p*s is [p*s':1]
+    # with s' = s mod p^(level-1): both have index ml + the residue
+    inv = _unit_inverses(p, max(level - 1, 0))
+    low = len(inv)
+    for t in range(md):
+        if t % p:
+            yield ml + inv[t % low], (0, -1)
+        else:
+            yield t // p, (-1, 0)
+    for s in range(0, md, p):
+        yield ml + s % low, (0, -1)
 
 
 class DiscStageEngine:

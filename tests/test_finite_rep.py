@@ -11,15 +11,15 @@ from strata_glue.lambda_core import (
     make_ring,
 )
 from strata_glue.padic_core import (
-    _eta_inv_images,
     SubgroupSpec,
     UnsupportedSubgroup,
     orbits,
 )
 from strata_glue import finite_rep
 from bruteforce import (DiscStageEngine, NonInvertibleOrder, PointStageEngine,
-                        action_matrix, averaging_projector, elem_lower,
-                        elem_upper, laurent_matrix, loop_pull_table, mat_mul,
+                        _chi_val, _eta_inv_images, action_matrix,
+                        averaging_projector, elem_lower, elem_upper,
+                        laurent_matrix, loop_pull_table, mat_mul,
                         per_point_pull)
 from bruteforce import fixed_points as dense_fixed_points
 from strata_glue.finite_rep import (
@@ -39,6 +39,8 @@ from strata_glue.finite_rep import (
 R11 = make_ring(11, 3, sqrt_q=5)
 R5 = make_ring(5, 2)
 R7 = make_ring(7, 2, sqrt_q=3)
+R143 = make_ring(143, 3, 82)
+R121 = make_ring(121, 3, 27)
 
 
 def free_rank(mod, n):
@@ -219,14 +221,20 @@ def test_uprime_unsupported_kinds():
 
 
 def test_uprime_reads_one_level_up():
-    # Uprime is read at level 3 of a level-2 model, and agrees with the
-    # dense eta-inverse matrix there
+    # the closed-form Uprime line agrees with the reference, which reads
+    # the dense eta-inverse matrix into the level-(m+1) model, on every
+    # model kind and on twisted models: ind(0,5) over Z/143 has
+    # c2 = 3^-5, which is 1 mod 11 but not mod 13
     spec = SubgroupSpec("Uprime")
-    for sig in (steinberg(R11, 2), induced_rep(R11, (1, 1), 2),
-                trivial_rep(R11, 2)):
-        fx = fixed_points(sig, spec)
-        assert (_fixed_outcome(dense_fixed_points, sig, spec)
-                == (fx.ambient, fx.witness_rows, fx.relations.entries))
+    specs = ("triv", "st", "ind(0,0)", "ind(0,1)", "ind(0,5)", "ind(2,-3)",
+             "ind(1/2,-1/2)")
+    for ring in (R11, R7, R143, R121):
+        for m in (1, 2, 3):
+            for sig in (rep_model(ring, s, m) for s in specs):
+                fx = fixed_points(sig, spec)
+                assert (_fixed_outcome(dense_fixed_points, sig, spec)
+                        == (fx.ambient, fx.witness_rows,
+                            fx.relations.entries)), (ring.n, m, sig)
 
 
 # ----------------------------------------------------- averaging projector
@@ -392,8 +400,6 @@ def test_pull_table_matches_per_point_pullback(ring, p, m, chi):
                                                              want, j)
 
 
-R143 = make_ring(143, 3, 82)
-R121 = make_ring(121, 3, 27)
 _PINNED = (
     [(R11, 2, s) for s in ("ind(0,0)", "ind(0,1)", "ind(1,0)",
                            "ind(1/2,-1/2)", "st")]
@@ -500,7 +506,7 @@ def test_eta_inv_images_equal_loop_pull_table(ring, levels):
         chi = (rng.choice(units), rng.choice(units))
         eng = DiscStageEngine(ring, p, 1, big_l, chi)
         want = loop_pull_table(eng, p, 1)
-        got = [(t, finite_rep._chi_val(ring, chi, (a + 1, b + 1))
+        got = [(t, _chi_val(ring, chi, (a + 1, b + 1))
                 * eng.w_out[t] % n)
                for t, (a, b) in _eta_inv_images(p, big_l, big_l)]
         assert got == list(zip(*want))

@@ -6,10 +6,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import (PrecisionExhausted, ProjPoint, _in_gl2_o, act,
-                        act_sweep_orbits, closure_size, diag_matrix,
-                        enumerate_p1, laurent_matrix, level_generators,
-                        point_index, residue_sweep_orbits)
+from bruteforce import (PrecisionExhausted, ProjPoint, _eta_inv_images,
+                        _in_gl2_o, act, act_sweep_orbits, closure_size,
+                        diag_matrix, enumerate_p1, laurent_matrix,
+                        level_generators, point_index, residue_sweep_orbits)
 from strata_glue import padic_core
 from strata_glue.cli import main
 from strata_glue.padic_core import (
@@ -23,7 +23,7 @@ from strata_glue.padic_core import (
     project,
     subgroup_generators,
 )
-from strata_glue.padic_core import (_eta_inv_images, _integral_images,
+from strata_glue.padic_core import (_integral_images, _unit_gens,
                                    _unit_inverses)
 
 
@@ -382,6 +382,17 @@ def test_unit_inverses(p, m):
     inv = _unit_inverses(p, m)
     assert len(inv) == md
     assert all(u * inv[u] % md == 1 for u in range(md) if u % p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", range(1, 5))
+def test_unit_gens_generate_the_units(p, m):
+    md, gens = p ** m, _unit_gens(p, m)
+    group = frontier = {1}
+    while frontier:
+        frontier = {x * g % md for x in frontier for g in gens} - group
+        group = group | frontier
+    assert group == {u for u in range(md) if u % p}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

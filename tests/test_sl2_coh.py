@@ -104,13 +104,20 @@ def test_ball_iso_class_at_radius_five_and_composite_n():
             assert iso_class(mod) == integer_iso_class(mod)
 
 
-def test_ball_chain_complex_degrees():
-    ball = bt_ball(2, 2)
-    c = ball.chain_complex(R7)
-    assert set(c.modules) == {0, 1, 2}
-    assert c.modules[0].ambient == len(ball.edges)
-    assert c.modules[1].ambient == len(ball.vertices)
-    assert c.modules[2].ambient == 1
+def test_ball_boundary_columns_sum_to_zero():
+    # edges -> vertices, one +1 and one -1 per edge, so the degree map
+    # kills every boundary
+    for p, n in ((2, 7), (3, 11), (3, 143)):
+        ring = make_ring(n, p)
+        for r in range(1, 6):
+            ball = bt_ball(p, r)
+            d = ball.boundary(ring)
+            nv, ne = len(ball.vertices), len(ball.edges)
+            assert (d.source.ambient, d.target.ambient) == (ne, nv)
+            assert (d.matrix.nrows, d.matrix.cols) == (nv, ne)
+            cols = d.image_rows()
+            assert len(cols) == ne
+            assert all(sum(c.values()) % n == 0 for c in cols)
 
 
 def test_base_edge_stabilizer_is_iwahori():
@@ -325,7 +332,8 @@ def _ss_pins(ss):
 @pytest.mark.parametrize("ring", [R11, R7, R143, R121],
                          ids=["n11", "n7", "n143", "n121"])
 def test_ss_complex_matches_dense_reference(ring, level, monkeypatch):
-    specs = ("triv", "ind(0,0)", "ind(0,1)", "ind(1/2,-1/2)", "st")
+    specs = ("triv", "ind(0,0)", "ind(0,1)", "ind(0,5)", "ind(1/2,-1/2)",
+             "st")
     models = [rep_model(ring, s, level) for s in specs]
     got = [_ss_pins(ss_complex(sig)) for sig in models]
     monkeypatch.setattr(sl2_coh, "fixed_points", dense_fixed_points)

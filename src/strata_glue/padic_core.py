@@ -7,12 +7,14 @@ are plain 2x2 integer matrices in GL2(O): integral with a unit
 determinant, they map every primitive lift to a primitive one and so act
 on the level-m points by residue arithmetic mod p^m alone.  Orbits are
 merged by a union-find with path halving, run inline over one generator's
-images at a time; one table of unit inverses, built per orbits() call,
-serves every generator.  Generator inverses are never applied because
-the image of each generator in the finite quotient has finite order.
+images at a time; one table of unit inverses, built per orbits() call
+from powers of the unit generators, serves every generator.  Generator
+inverses are never applied because the image of each generator in the
+finite quotient has finite order.  The depth-k classification sweeps
+level 2k alone and projects the level below.
 """
 
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from .lambda_core import _factor
 
@@ -71,13 +73,12 @@ class SubgroupSpec:
 
 
 def _unit_gens(p, m):
-    # generators of (Z/p^m)^*: cyclic for odd p; {-1} x <5> for p=2, m >= 3
+    # generators of (Z/p^m)^*, independent: none when it is trivial
+    # (p^m <= 2); cyclic for odd p; {-1} x <5> for p=2, m >= 3
+    if p ** m <= 2:
+        return []
     if p == 2:
-        if m == 1:
-            return []
-        if m == 2:
-            return [3]
-        return [2 ** m - 1, 5]
+        return [3] if m == 2 else [2 ** m - 1, 5]
     md = p ** m
     phi = (p - 1) * p ** (m - 1)
     facs = [r for r, _ in _factor(phi)]
@@ -142,12 +143,24 @@ def subgroup_generators(spec, p, m):
 # ------------------------------------------------------------------ orbits
 
 def _unit_inverses(p, m):
-    """inv[u] = u^-1 mod p^m for every unit u < p^m; 0 at the non-units."""
+    """inv[u] = u^-1 mod p^m for every unit u < p^m; 0 at the non-units.
+
+    Each unit is a product of powers of the generators of (Z/p^m)^*
+    (_unit_gens), and (g^i * u)^-1 = g^-i * u^-1, g^-i being the powers of
+    g read backwards from g^0: two multiplications per unit, no pow.  At
+    m = 0 the table is [0].
+    """
     md = p ** m
     inv = [0] * md
-    for u in range(1, md):
-        if u % p:
-            inv[u] = pow(u, -1, md)
+    units = invs = [1 % md]
+    for g in _unit_gens(p, m):
+        powers = [1]
+        while (x := powers[-1] * g % md) != 1:
+            powers.append(x)
+        units = [u * x % md for x in powers for u in units]
+        invs = [v * x % md for x in powers[:1] + powers[:0:-1] for v in invs]
+    for u, v in zip(units, invs):
+        inv[u] = v
     return inv
 
 
@@ -158,18 +171,23 @@ def _integral_images(g, p, m, inv):
     primitive (c1, c2), so one coordinate is a unit and the ratio is exact
     mod p^m.  inv is _unit_inverses(p, m).  Along each cell the lifts step
     by (0, 1) or (p, 0), so their images step by (c, d) or (p*a, p*b).
+    When p | c, g is upper triangular mod p: c1 = a + t*c is a unit on the
+    big cell and s*a + c is not on the other, so no point needs the test.
     """
     md = p ** m
     (a, b), (c, d) = [[x % md for x in row] for row in g]
+    big = zip(islice(count(a, c), md), count(b, d))
+    small = zip(islice(count(c, p * a), md // p), count(d, p * b))
+    if c % p == 0:
+        return ([c2 * inv[c1 % md] % md for c1, c2 in big]
+                + [md + c1 * inv[c2 % md] % md // p for c1, c2 in small])
     out = []
-    for c1, dc1, c2, dc2, size in ((a, c, b, d, md),
-                                   (c, p * a, d, p * b, md // p)):
-        for c1, c2 in zip(islice(count(c1, dc1), size), count(c2, dc2)):
-            c1 %= md
-            if c1 % p:
-                out.append(c2 * inv[c1] % md)
-            else:
-                out.append(md + c1 * inv[c2 % md] % md // p)
+    for c1, c2 in chain(big, small):
+        c1 %= md
+        if c1 % p:
+            out.append(c2 * inv[c1] % md)
+        else:
+            out.append(md + c1 * inv[c2 % md] % md // p)
     return out
 
 
@@ -196,8 +214,10 @@ def orbits(spec, m, p):
     for g in gens:
         # union-find with path halving, inlined (the chained assignment
         # sets parent[i] before i moves); the root of each class is its
-        # least index
+        # least index; points that share a parent are one class already
         for i, j in enumerate(_integral_images(g, p, m, inv)):
+            if parent[i] == parent[j]:
+                continue
             while parent[i] != i:
                 parent[i] = i = parent[parent[i]]
             while parent[j] != j:
@@ -225,23 +245,25 @@ def orbit_count_formula(p, k):
 def orbit_classification_check(k, p, n):
     """Cross-check depth-k congruence orbits against the closed form.
 
-    Verifies, in order: the partition count is already stable between
-    levels 2k-1 and 2k; the count matches the closed form; the orbit of
-    [0:1] is the depth-k disc around infinity; the orbit of [1:0] is the
-    depth-k disc around zero.  Raises ClassificationMismatch naming the
-    first clause that fails.  n tags the report; the partition itself does
-    not depend on it.  Raises ValueError when k < 1.
+    Sweeps the one level 2k.  Projection to level 2k-1 commutes with the
+    action and is onto, so the level-(2k-1) orbits are the distinct
+    projections of the level-2k ones, each taken as a set; that partition
+    is projected, not swept.  Verifies, in order: the partition count is
+    already stable between levels 2k-1 and 2k (distinct level-2k blocks
+    project to distinct blocks); the count matches the closed form; the
+    orbit of [0:1] is the depth-k disc around infinity; the orbit of [1:0]
+    is the depth-k disc around zero.  Raises ClassificationMismatch naming
+    the first clause that fails.  n tags the report; the partition itself
+    does not depend on it.  Raises ValueError when k < 1.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    parts = {}
-    for m in (2 * k - 1, 2 * k):
-        parts[m] = orbits(SubgroupSpec("Gamma_k", k=k), m, p=p)
-    if len(parts[2 * k - 1]) != len(parts[2 * k]):
+    m = 2 * k
+    part = orbits(SubgroupSpec("Gamma_k", k=k), m, p=p)
+    down = project(p, m, m - 1)
+    if len({frozenset(map(down.__getitem__, b)) for b in part}) != len(part):
         raise ClassificationMismatch(
             "orbit count changes between levels 2k-1 and 2k")
-    m = 2 * k
-    part = parts[m]
     expected = orbit_count_formula(p, k)
     if len(part) != expected:
         raise ClassificationMismatch("orbit count disagrees with closed form")

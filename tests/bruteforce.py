@@ -684,6 +684,20 @@ def residue_sweep_orbits(spec, m, p):
     return out
 
 
+# The table of unit inverses that orbits() built before it took the powers
+# of the unit generators: one pow() per unit.  Copied verbatim, kept as
+# the reference for the new table.
+
+def pow_unit_inverses(p, m):
+    """inv[u] = u^-1 mod p^m for every unit u < p^m; 0 at the non-units."""
+    md = p ** m
+    inv = [0] * md
+    for u in range(1, md):
+        if u % p:
+            inv[u] = pow(u, -1, md)
+    return inv
+
+
 def _xgcd(a, b):
     old_r, r = a, b
     old_s, s = 1, 0

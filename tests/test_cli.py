@@ -228,8 +228,9 @@ def test_orbits_json(capsys):
 
 
 # orbits --format json, byte for byte: literals at (p, k) = (2, 1) and
-# (3, 1), and sha256 digests of the CI cases (2, 6), (5, 2) and the
-# benchmark cases (3, 4), (7, 2), from the ProjPoint-labelled sweep
+# (3, 1), and sha256 digests of the CI cases (2, 6), (5, 2), the
+# benchmark cases (3, 4), (7, 2), from the ProjPoint-labelled sweep, and
+# the large CI cases (3, 5), (2, 8), from the sweep of levels 2k-1 and 2k
 _ORBITS_JSON = {
     (2, 1): '{"command": "orbits", "k": 1, "m": 2, "orbit_count": 3, '
             '"orbits": [{"rep": "[1:0]", "size": 2}, {"rep": "[1:1]", '
@@ -244,6 +245,8 @@ _ORBITS_SHA256 = {
     (5, 2): "58ed235e4a01fcf912abbf4572c304543cf1160b19484041a00d677cd6ab9c80",
     (3, 4): "461e00ec347d740ea52e9affbd8a6126889098bac08527fe47d425b1d316f65f",
     (7, 2): "3d81885e0c5602e091fc7af2d1a5890b1eecbdfecb4902729449fe514d5317ae",
+    (3, 5): "52d902d7e6b7929841fa5c9a39e66b8a04b6aa1519c2c98f1fb3a753e826fd34",
+    (2, 8): "911e13b59476870bb6b576baf292bd814b1f67ee05bad5e6137993fd78c22c42",
 }
 
 

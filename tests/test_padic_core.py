@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from bruteforce import (PrecisionExhausted, ProjPoint, _eta_inv_images,
                         _in_gl2_o, act, act_sweep_orbits, closure_size,
                         diag_matrix, enumerate_p1, laurent_matrix,
-                        level_generators, point_index, residue_sweep_orbits)
+                        level_generators, point_index, pow_unit_inverses,
+                        residue_sweep_orbits)
 from strata_glue import padic_core
 from strata_glue.cli import main
 from strata_glue.padic_core import (
@@ -376,12 +377,19 @@ def test_integral_images_equal_act_every_depth(p, m):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(7))
 def test_unit_inverses(p, m):
     md = p ** m
     inv = _unit_inverses(p, m)
     assert len(inv) == md
     assert all(u * inv[u] % md == 1 for u in range(md) if u % p)
+    assert all(inv[u] == 0 for u in range(0, md, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("m", range(7))
+def test_unit_inverses_equal_pow_table(p, m):
+    assert _unit_inverses(p, m) == pow_unit_inverses(p, m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -476,6 +484,24 @@ def _inf_not_first(blocks, p, m):
     next(b for b in blocks if inf in b).add(x)
 
 
+def _classify_corrupted(monkeypatch, k, p, corrupt, grow):
+    # orbit_classification_check on the level-2k partition after corrupt,
+    # which adds grow blocks; it sweeps no other level
+    real = orbits
+
+    def corrupted(spec, m, p):
+        assert m == 2 * spec.k
+        part = real(spec, m, p)
+        blocks = [set(b) for b in part]
+        corrupt(blocks, p, m)
+        out = sorted(tuple(sorted(b)) for b in blocks)
+        assert len(out) == len(part) + grow
+        return out
+
+    monkeypatch.setattr(padic_core, "orbits", corrupted)
+    return orbit_classification_check(k, p, 11)
+
+
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 2)])
 @pytest.mark.parametrize("corrupt,clause", [
     (_move_inf_out, "infinity orbit is not the depth-k disc"),
@@ -483,18 +509,52 @@ def _inf_not_first(blocks, p, m):
     (_inf_not_first, "infinity orbit is not the depth-k disc"),
 ])
 def test_classification_disc_clauses(monkeypatch, k, p, corrupt, clause):
-    real = orbits
-
-    def corrupted(spec, m, p):
-        part = real(spec, m, p)
-        if m != 2 * spec.k:
-            return part
-        blocks = [set(b) for b in part]
-        corrupt(blocks, p, m)
-        out = sorted(tuple(sorted(b)) for b in blocks)
-        assert len(out) == len(part)
-        return out
-
-    monkeypatch.setattr(padic_core, "orbits", corrupted)
     with pytest.raises(ClassificationMismatch, match=clause):
-        orbit_classification_check(k, p, 11)
+        _classify_corrupted(monkeypatch, k, p, corrupt, 0)
+
+
+# The count clauses, driven by one more block at level 2k.  The zero disc
+# [1:0] + p^k O is a union of whole fibres of the projection to level
+# 2k-1, and at k >= 2 it projects onto more than one point.
+
+def _split_within_fibres(blocks, p, m):
+    # the least point of each fibre leaves the zero disc: both halves have
+    # the zero disc's projection
+    down = project(p, m, m - 1)
+    zero = next(b for b in blocks if 0 in b)
+    least = {}
+    for i in sorted(zero):
+        least.setdefault(down[i], i)
+    zero -= set(least.values())
+    blocks.append(set(least.values()))
+
+
+def _split_across_fibres(blocks, p, m):
+    # the fibre over [1:0] leaves the zero disc: the halves project to
+    # distinct sets
+    down = project(p, m, m - 1)
+    zero = next(b for b in blocks if 0 in b)
+    fibre = {i for i in zero if down[i] == 0}
+    zero -= fibre
+    blocks.append(fibre)
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("corrupt,clause", [
+    (_split_within_fibres, "orbit count changes between levels 2k-1 and 2k"),
+    (_split_across_fibres, "orbit count disagrees with closed form"),
+])
+def test_classification_count_clauses(monkeypatch, k, p, corrupt, clause):
+    with pytest.raises(ClassificationMismatch, match=clause):
+        _classify_corrupted(monkeypatch, k, p, corrupt, 1)
+
+
+# orbit_classification_check projects the level-(2k-1) partition from
+# level 2k; projection commutes with the action, so it is the direct sweep
+@pytest.mark.parametrize("p,k", [*((2, k) for k in range(1, 9)),
+                                 *((3, k) for k in range(1, 6)), (7, 2)])
+def test_projected_partition_equals_level_below(p, k):
+    spec, m = SubgroupSpec("Gamma_k", k=k), 2 * k
+    down = project(p, m, m - 1)
+    projected = {frozenset(down[i] for i in b) for b in orbits(spec, m, p)}
+    assert projected == set(map(frozenset, orbits(spec, m - 1, p)))

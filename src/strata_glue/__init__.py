@@ -15,6 +15,7 @@ from .lambda_core import (  # noqa: F401
     howell_form,
     iso_class,
     kernel,
+    kernel_cokernel,
     left_kernel,
     make_ring,
     quotient_module,

@@ -3,14 +3,16 @@
 Z/n is not a domain, so row reduction alone does not give canonical forms or
 complete kernels.  The canonical representative used throughout is the Howell
 form: unique per row span, closed under the annihilator rows that a composite
-modulus introduces.  Modules are finitely generated quotients of free modules,
-maps are matrices on ambient generators, and kernels and quotients are
-computed by stacked Howell solves.  Iso classes come from a Smith form mod n
-that starts from the Howell relations: rows with a unit pivot drop out with
-their pivot column, and only the rest is eliminated, per prime power of n,
-with the local orders joined by CRT.  All values are immutable after
-construction and every operation is a pure function, so instances can be
-shared freely.
+modulus introduces.  Modules are finitely generated quotients of free modules
+and maps are matrices on ambient generators.  A map's kernel and cokernel
+come from one elimination of its image rows stacked on the target
+relations: the rows its carried transform leaves zero give the kernel, and
+its pivot rows, reduced above their pivots, are the cokernel's Howell
+relations.  Iso classes come from a Smith form mod n that starts from the
+Howell relations: rows with a unit pivot drop out with their pivot column,
+and only the rest is eliminated, per prime power of n, with the local
+orders joined by CRT.  All values are immutable after construction and
+every operation is a pure function, so instances can be shared freely.
 
 Matrices are held as sparse rows, {column: value} maps of the nonzero
 entries, and every path reads supports, never the full width: the Howell
@@ -249,16 +251,27 @@ def _unit_scale(a, n):
     return (u0 + c * (n // d)) % n
 
 
-def _howell_engine(rows, n, width, kernel=False):
-    """Howell form of the row span of rows over Z/n, or its left kernel.
+def _howell_engine(rows, n, width):
+    """Howell form of the row span of rows over Z/n: the rows as maps,
+    columns ascending.  rows are {column: value} maps with values in
+    [1, n) and columns below width; they are copied, not reduced again or
+    mutated."""
+    out, pivots, _ = _eliminate(rows, n, width)
+    return _reduce_above(out, pivots, n)
 
-    rows are {column: value} maps with values in [1, n) and columns below
-    width; they are copied, not reduced again or mutated.  Returns the
-    Howell rows as maps, columns ascending.  With kernel set it returns
-    instead rows spanning {x : x * rows = 0}, not in Howell form: only then
-    is the row transform carried, sparse, row i starting as {width + i: 1},
-    and the above-pivot reduction, which cannot change the kernel, is
-    skipped.
+
+def _eliminate(rows, n, width, transform=False):
+    """Echelon form of the row span of rows over Z/n, before the
+    above-pivot reduction: (pivot rows, their pivot columns, kernel rows).
+
+    rows are as for _howell_engine.  The pivot rows are maps, columns in no
+    order, each with its pivot as its least column.  The kernel rows are
+    empty unless transform is set: only then is the row transform carried,
+    sparse, row i starting as {width + i: 1}, and the rows that it leaves
+    zero below width, shifted down by width, span {x : x * rows = 0}; they
+    are not in Howell form.  The pivot rows lose their transform columns,
+    so they are the same with transform set or not.  One elimination so
+    gives both the row span and the left kernel (Storjohann & Mulders).
 
     This is structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO
     1990) on the Howell normalizer of Storjohann & Mulders.  Rows wait in
@@ -273,9 +286,7 @@ def _howell_engine(rows, n, width, kernel=False):
     composite n when no entry in the column is a unit: the first row is
     combined with each other one by an extended-gcd step over the union of
     their supports, normalized by _unit_scale, and its annihilator multiple
-    is filed again, which gives the Howell property.  The above-pivot
-    reduction runs from the last row up, so each row is reduced by rows
-    already reduced, and it visits only the pivot columns a row holds.
+    is filed again, which gives the Howell property.
     """
     buckets, zeros = {}, []
 
@@ -288,12 +299,12 @@ def _howell_engine(rows, n, width, kernel=False):
                 else:
                     buckets[c] = [row]
                 return
-            if kernel:
+            if transform:
                 zeros.append(row)
 
     for i, r in enumerate(rows):
         row = dict(r)
-        if kernel:
+        if transform:
             row[width + i] = 1
         file(row)
 
@@ -346,11 +357,22 @@ def _howell_engine(rows, n, width, kernel=False):
         out.append(piv)
         pivots.append(col)
 
-    if kernel:
-        return [{k - width: x for k, x in sorted(w.items())} for w in zeros]
-    # reduce entries above each pivot into [0, pivot), last row first; a
-    # reduced row holds no unit pivot's column, so subtracting it can bring
-    # back only the non-unit pivots' columns it holds, which it lists
+    if transform:
+        out = [{k: x for k, x in w.items() if k < width} for w in out]
+        zeros = [{k - width: x for k, x in w.items()} for w in zeros]
+    return out, pivots, zeros
+
+
+def _reduce_above(out, pivots, n):
+    """Howell rows from the echelon rows of _eliminate, which it reduces in
+    place: every entry above a pivot is brought into [0, pivot), columns
+    ascending.
+
+    The reduction runs from the last row up, so each row is reduced by rows
+    already reduced, and it visits only the pivot columns a row holds.  A
+    reduced row holds no unit pivot's column, so subtracting it can bring
+    back only the non-unit pivots' columns it holds, which it lists.
+    """
     where = {c: k for k, c in enumerate(pivots)}
     comeback = [()] * len(out)
     for i in range(len(out) - 1, -1, -1):
@@ -403,7 +425,7 @@ def howell_form(m):
 
 def left_kernel(m):
     """Howell basis of {x : x * m = 0}."""
-    krows = _howell_engine(m.rows, m.ring.n, m.cols, kernel=True)
+    krows = _eliminate(m.rows, m.ring.n, m.cols, transform=True)[2]
     kh = _howell_engine(krows, m.ring.n, m.nrows)
     return LambdaMatrix._sparse(m.ring, kh, m.nrows)
 
@@ -465,6 +487,17 @@ class FgModule:
         self.relations = relations
         self.witness_rows = witness_rows
 
+    @classmethod
+    def _wrap(cls, ring, ambient, rows):
+        """Wrap relation rows that are already in Howell form, {column:
+        value} maps below ambient, without reducing them again."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.ambient = ambient
+        m.relations = LambdaMatrix._sparse(ring, rows, ambient)
+        m.witness_rows = None
+        return m
+
     def size(self):
         span = 1
         for row in self.relations.rows:   # each leads with its pivot
@@ -494,8 +527,8 @@ def quotient_module(module, rows):
 def span_module(ring, ambient, rows):
     """Submodule of Lambda^ambient spanned by rows, presented on its Howell
     generators, which it keeps as witness rows.  For the same span this is
-    exactly what kernel() returns, Howell form being canonical.  Entries of
-    rows must already lie in [0, n)."""
+    exactly the kernel that kernel() and kernel_cokernel() return, Howell
+    form being canonical.  Entries of rows must already lie in [0, n)."""
     return _present_subquotient(ring, ambient, _howell_engine(
         [_nonzero(r) for r in rows], ring.n, ambient), ())
 
@@ -557,15 +590,42 @@ def _present_subquotient(ring, ambient, gen_rows, mod_rows):
                     witness_rows=tuple(_dense(r, ambient) for r in gen_rows))
 
 
+def _eliminate_map(f):
+    # f's image rows stacked on its target relations, eliminated with the
+    # transform carried: the kernel rows are the relations among them
+    return _eliminate(list(f.image_rows()) + list(f.target.relations.rows),
+                      f.target.ring.n, f.target.ambient, transform=True)
+
+
+def _kernel_module(f, zeros):
+    # the kernel of f from the kernel rows of _eliminate_map(f): the Howell
+    # rows of their source coordinates, modulo the source relations; the
+    # projection of a span, they need not be in Howell form first
+    ring, k = f.source.ring, f.source.ambient
+    rows = _howell_engine([{j: x for j, x in r.items() if j < k}
+                           for r in zeros], ring.n, k)
+    return _present_subquotient(ring, k, rows, f.source.relations.rows)
+
+
 def kernel(f):
     """Kernel of a ModuleMap as an abstract FgModule with witness rows:
     the Howell rows of {x : f(x) = 0 in target}."""
-    ring, k = f.source.ring, f.source.ambient
-    stacked = list(f.image_rows()) + list(f.target.relations.rows)
-    kern = left_kernel(LambdaMatrix._sparse(ring, stacked, f.matrix.nrows))
-    rows = _howell_engine([{j: x for j, x in r.items() if j < k}
-                           for r in kern.rows], ring.n, k)
-    return _present_subquotient(ring, k, rows, f.source.relations.rows)
+    return _kernel_module(f, _eliminate_map(f)[2])
+
+
+def kernel_cokernel(f):
+    """Kernel and cokernel of a ModuleMap from one elimination, equal to
+    kernel(f) and quotient_module(f.target, f.image_rows()).
+
+    The elimination of f's image rows stacked on the target relations
+    gives the kernel through its kernel rows, as in kernel(); its pivot
+    rows, reduced above their pivots, are the Howell form of the image
+    plus the target relations, which are the cokernel's relations.
+    """
+    out, pivots, zeros = _eliminate_map(f)
+    ring, t = f.target.ring, f.target.ambient
+    return (_kernel_module(f, zeros),
+            FgModule._wrap(ring, t, _reduce_above(out, pivots, ring.n)))
 
 
 # --------------------------------------------------- Smith form, iso classes

@@ -173,14 +173,21 @@ def _integral_images(g, p, m, inv):
     by (0, 1) or (p, 0), so their images step by (c, d) or (p*a, p*b).
     When p | c, g is upper triangular mod p: c1 = a + t*c is a unit on the
     big cell and s*a + c is not on the other, so no point needs the test.
+    When c = 0, c1 = a at every point of the big cell, whose images are
+    then the progression (b + t*d) * a^-1.
     """
     md = p ** m
     (a, b), (c, d) = [[x % md for x in row] for row in g]
     big = zip(islice(count(a, c), md), count(b, d))
     small = zip(islice(count(c, p * a), md // p), count(d, p * b))
     if c % p == 0:
-        return ([c2 * inv[c1 % md] % md for c1, c2 in big]
-                + [md + c1 * inv[c2 % md] % md // p for c1, c2 in small])
+        if c == 0:
+            # a and d are units, so the step is not 0
+            b0, step = b * inv[a] % md, d * inv[a] % md
+            cell = [x % md for x in range(b0, b0 + step * md, step)]
+        else:
+            cell = [c2 * inv[c1 % md] % md for c1, c2 in big]
+        return cell + [md + c1 * inv[c2 % md] % md // p for c1, c2 in small]
     out = []
     for c1, c2 in chain(big, small):
         c1 %= md

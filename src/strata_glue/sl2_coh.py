@@ -9,7 +9,9 @@ onto a single difference map sigma^U (+) sigma^{U'} -> sigma^{Gamma_0},
 written here in the Howell coordinates of the Iwahori-fixed block.  Kernel
 and cokernel of that map are the only degrees that survive banality, and
 inverting its 2x2 specialization is the desk-size form of the unramified
-principal-series vanishing statement.
+principal-series vanishing statement.  Both degrees, of that map and of a
+ball's boundary alike, are read off one elimination of the map's rows
+(lambda_core.kernel_cokernel).
 """
 
 from fractions import Fraction
@@ -20,9 +22,8 @@ from .lambda_core import (
     express_in_span,
     free_module,
     iso_class,
-    kernel,
+    kernel_cokernel,
     make_ring,
-    quotient_module,
 )
 from .padic_core import SubgroupSpec, p1_size, project
 from .finite_rep import fixed_points, induced_rep, unram_pair
@@ -136,7 +137,7 @@ class TreeBall:
     def homology(self, ring):
         """H0 and H1 of the unaugmented cellular complex: the cokernel and
         the kernel of the boundary."""
-        h1, h0 = _kernel_cokernel(self.boundary(ring))
+        h1, h0 = kernel_cokernel(self.boundary(ring))
         return {0: h0, 1: h1}
 
     def __repr__(self):
@@ -197,13 +198,8 @@ def ss_complex(sigma):
     return SSComplex(sigma, u_fixed, uprime_fixed, gamma0_fixed, delta)
 
 
-def _kernel_cokernel(f):
-    # the cokernel is f's target modulo the images of its generators
-    return kernel(f), quotient_module(f.target, f.image_rows())
-
-
 def _two_degrees(ss):
-    h0, h1 = _kernel_cokernel(ss.delta)
+    h0, h1 = kernel_cokernel(ss.delta)
     return {0: h0, 1: h1}
 
 

@@ -25,6 +25,7 @@ from strata_glue.lambda_core import (
     howell_form,
     iso_class,
     kernel,
+    kernel_cokernel,
     left_kernel,
     make_ring,
     quotient_module,
@@ -215,13 +216,29 @@ def test_span_module_presents_the_row_span(n):
         assert mod.size() == len(span)
 
 @st.composite
-def small_map(draw):
-    n = draw(st.sampled_from([2, 3, 4, 5, 6, 8]))
+def small_map(draw, moduli=(2, 3, 4, 5, 6, 8), relations=False):
+    # entries are drawn among all residues and among the multiples of the
+    # least prime divisor, so that on composite n the xgcd fallback runs;
+    # with relations the source gets some and the target gets their images
+    # and some more, so that the map stays well defined
+    n = draw(st.sampled_from(moduli))
     r = carrier(n)
+    low = next(d for d in range(2, n + 1) if n % d == 0)
+    entry = st.one_of(st.integers(0, n - 1), st.sampled_from(range(0, n, low)))
+
+    def vec(k):
+        return [draw(entry) for _ in range(k)]
     sr = draw(st.integers(1, 3))
     tr = draw(st.integers(1, 3))
-    ent = [[draw(st.integers(0, n - 1)) for _ in range(sr)] for _ in range(tr)]
-    return ModuleMap(free_module(r, sr), free_module(r, tr), LambdaMatrix(r, ent))
+    m = LambdaMatrix(r, [vec(sr) for _ in range(tr)])
+    f = ModuleMap(free_module(r, sr), free_module(r, tr), m)
+    if not relations:
+        return f
+    srel = [vec(sr) for _ in range(draw(st.integers(1, 2)))]
+    trel = ([f.apply(v) for v in srel]
+            + [vec(tr) for _ in range(draw(st.integers(0, 2)))])
+    return ModuleMap(quotient_module(free_module(r, sr), srel),
+                     quotient_module(free_module(r, tr), trel), m)
 
 @settings(max_examples=40, deadline=None)
 @given(small_map())
@@ -240,13 +257,49 @@ def test_kernel_times_image_counts(f):
 
 # ---------------------------------------------------------------- homology
 # a two-term complex C0 -d-> C1 has H0 = ker d and H1 = coker d, read off
-# as sl2_coh reads its difference map: kernel() and quotient_module()
+# as sl2_coh reads its difference map: kernel_cokernel()
 
 def two_term(r, mat, ranks=(2, 2)):
     c0 = free_module(r, ranks[0])
     c1 = free_module(r, ranks[1])
-    d = ModuleMap(c0, c1, LambdaMatrix(r, mat))
-    return iso_class(kernel(d)), iso_class(quotient_module(c1, d.image_rows()))
+    h0, h1 = kernel_cokernel(ModuleMap(c0, c1, LambdaMatrix(r, mat)))
+    return iso_class(h0), iso_class(h1)
+
+
+def _pins(module):
+    # relations with their column order, witness rows and ambient rank
+    return ([list(r.items()) for r in module.relations.rows],
+            module.witness_rows, module.ambient)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_map(moduli=(2, 3, 7, 11, 4, 6, 8, 12, 121, 143),
+                 relations=True))
+def test_kernel_cokernel_equals_the_two_pass_path(f):
+    # one elimination gives what kernel() and quotient_module() give apart,
+    # and the kernel is the dense engine's
+    h0, h1 = kernel_cokernel(f)
+    assert _pins(h0) == _pins(kernel(f))
+    assert _pins(h1) == _pins(quotient_module(f.target, f.image_rows()))
+    rel, gens = dense_kernel(f, f.target.relations.entries,
+                             f.source.relations.entries)
+    assert (list(h0.relations.entries), list(h0.witness_rows)) == (rel, gens)
+
+
+def test_ball_homology_eliminates_once(monkeypatch):
+    # the 484 boundary rows of the radius-5 ball are eliminated once for
+    # both degrees
+    from strata_glue import lambda_core
+    from strata_glue.sl2_coh import bt_ball
+    sizes, eliminate = [], lambda_core._eliminate
+
+    def counted(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return eliminate(rows, *args, **kwargs)
+    monkeypatch.setattr(lambda_core, "_eliminate", counted)
+    h = bt_ball(3, 5).homology(make_ring(11, 3))
+    assert (h[0].size(), h[1].size()) == (11, 1)
+    assert sum(k >= 484 for k in sizes) == 1
 
 def test_homology_single_spot():
     # a lone module is its own H0: the kernel of its map to zero

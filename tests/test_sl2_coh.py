@@ -1,6 +1,7 @@
 """Lattice-class tree balls and fixed-point complexes over them."""
 
 import json
+from itertools import zip_longest
 
 import pytest
 
@@ -291,6 +292,21 @@ def test_homology_degrees():
     h = sl2_cohomology(induced_rep(R11, (1, 1), 2))
     assert iso_class(h[0]) == [11]
     assert iso_class(h[1]) == [11]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_cohomology_report_is_the_crt_of_its_prime_factors(level):
+    # Z/143 = Z/11 x Z/13, so each degree over Z/143 is the product of its
+    # localizations, and its invariant factors multiply position by
+    # position; 3^-5 = 1 mod 11 but not mod 13, so ind(0,5) has a non-unit
+    # entry mod 143 and the elimination takes its xgcd fallback
+    for spec in ("triv", "st", "ind(0,0)", "ind(0,1)", "ind(0,5)"):
+        local = [cohomology_report(rep_model(make_ring(n, 3), spec, level))
+                 for n in (11, 13)]
+        want = {h: [a * b for a, b in zip_longest(
+            local[0][h], local[1][h], fillvalue=1)] for h in ("H0", "H1")}
+        got = cohomology_report(rep_model(make_ring(143, 3), spec, level))
+        assert got == want, spec
 
 
 # --------------------------------------------------------------- invariants

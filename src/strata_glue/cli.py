@@ -6,9 +6,13 @@ an aggregate verification run over every pinned acceptance check.  Text
 and JSON modes carry the same numeric content; only labels differ.  Exit
 codes: 0 success, 2 usage or invalid configuration, 3 a mathematical
 assertion failed.
+
+A process builds one parser and shares it across main() calls, so each
+command after the first pays only for parsing, not for a new parser.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -51,7 +55,13 @@ exponents a, b, k may be halves, written like 1/2 or -3/2.
 """
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of this process, built on first use.
+
+    Every main() call shares it, so it must not be mutated; parse_args
+    only reads it.  A build costs about as much as a whole level-2
+    sl2coh command, so a process that runs many commands pays it once."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--p", type=int, default=3,
                         help="residue characteristic (default 3)")

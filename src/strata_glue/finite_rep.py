@@ -530,6 +530,17 @@ _CALL = re.compile(r"(ind|ps)\(([^,()\s]+),([^,()\s]+)\)\Z")
 _POW = re.compile(r"(absdet|nrd)\^([^\s^]+)\Z")
 
 
+def _exponent(text):
+    # Fraction also reads exponent notation, which would expand 1e99999999
+    # for minutes; a zero denominator is a usage error, not arithmetic
+    if "e" in text.lower():
+        raise ValueError(f"exponent {text!r} is in exponent notation")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"exponent {text!r} has denominator 0") from None
+
+
 def parse_rep_spec(text):
     """Parse a rep spec string into a tagged tuple with Fraction exponents."""
     text = text.strip()
@@ -539,10 +550,10 @@ def parse_rep_spec(text):
         return ("st",)
     m = _CALL.match(text)
     if m:
-        return (m.group(1), Fraction(m.group(2)), Fraction(m.group(3)))
+        return (m.group(1), _exponent(m.group(2)), _exponent(m.group(3)))
     m = _POW.match(text)
     if m:
-        return (m.group(1), Fraction(m.group(2)))
+        return (m.group(1), _exponent(m.group(2)))
     if text.startswith("cusp:"):
         return ("cusp", text[5:])
     raise ValueError(f"unrecognized rep spec {text!r}")

@@ -578,13 +578,20 @@ class ModuleMap:
 
 def _present_subquotient(ring, ambient, gen_rows, mod_rows):
     """span(gen_rows)/span(mod_rows) presented on the given generators,
-    all of them {column: value} maps."""
+    all of them {column: value} maps; gen_rows are Howell rows.
+
+    With nothing to divide by and every pivot 1, the generators are
+    independent: x * gen_rows is x_i at the pivot of the first row i with
+    x_i != 0.  So there are no relations, and no elimination runs."""
     if not gen_rows:
         return FgModule(ring, 0, witness_rows=())
     g = len(gen_rows)
-    stacked = list(gen_rows) + list(mod_rows)
-    kern = left_kernel(LambdaMatrix._sparse(ring, stacked, ambient))
-    rel = [{j: x for j, x in r.items() if j < g} for r in kern.rows]
+    if mod_rows or any(next(iter(r.values())) != 1 for r in gen_rows):
+        stacked = list(gen_rows) + list(mod_rows)
+        kern = left_kernel(LambdaMatrix._sparse(ring, stacked, ambient))
+        rel = [{j: x for j, x in r.items() if j < g} for r in kern.rows]
+    else:
+        rel = []
     return FgModule(ring, g,
                     LambdaMatrix._sparse(ring, rel, g) if rel else None,
                     witness_rows=tuple(_dense(r, ambient) for r in gen_rows))

@@ -468,6 +468,36 @@ def test_glue_refuses_an_input_whose_own_table_is_unrepresentable():
         glue(R11, "int", "ind(-1,-1/2)")
 
 
+_CRT_SPECS = [("int", s) for s in (
+    "triv", "absdet^1", "absdet^-1", "absdet^1/2", "absdet^-1/2",
+    "ind(0,0)", "ind(0,1)", "ps(0,0)", "ps(0,1)", "ps(1,0)")] + [
+    ("half", s) for s in ("nrd^0", "nrd^1", "nrd^-1")]
+
+
+@pytest.mark.parametrize("slope, spec", _CRT_SPECS,
+                         ids=[f"{sl}-{sp}" for sl, sp in _CRT_SPECS])
+def test_glue_is_the_crt_of_its_prime_factors(slope, spec):
+    # Z/143 = Z/11 x Z/13, and sqrt_q = 82 is 5 mod 11 and 4 mod 13: the
+    # same degrees, and each character value reduces to the local ones
+    got = vals(glue(make_ring(143, 3, sqrt_q=82), slope, spec))
+    for n, sqrt_q in ((11, 5), (13, 4)):
+        local = vals(glue(make_ring(n, 3, sqrt_q=sqrt_q), slope, spec))
+        assert {d: sorted((a % n, b % n) for a, b in chars)
+                for d, chars in got.items()} == local, (n, spec)
+
+
+@pytest.mark.parametrize("spec", ["ind(1,0)", "ps(0,2)"])
+def test_glue_crt_has_no_answer_where_the_factors_disagree(spec):
+    # 3^3 = 1 mod 13 but not mod 11, so these inputs glue to zero over Z/11
+    # and to two degrees over Z/13; no value over Z/143 can reduce to both.
+    # Z/143 gives zero, as Z/11 does, since a coincidence mod 13 alone is
+    # none in Z/143; that is recorded here, not derived
+    r11, r13 = make_ring(11, 3, sqrt_q=5), make_ring(13, 3, sqrt_q=4)
+    assert glue(r11, "int", spec).is_zero()
+    assert len(glue(r13, "int", spec).chars) == 2
+    assert glue(make_ring(143, 3, sqrt_q=82), "int", spec).is_zero()
+
+
 RINGS = (R11, R7, R5, make_ring(143, 3, sqrt_q=82),
          make_ring(121, 3, sqrt_q=27))
 EXPONENTS = st.sampled_from(

@@ -1,13 +1,21 @@
 """End-to-end runs of the command-line front end, in process.
 
 Every case calls cli.main with an argv list and inspects stdout/stderr
-plus the exit code; nothing here shells out.  Frozen renderings follow
-the same value tables as test_char_engine.
+plus the exit code.  Only test_one_process_prints_what_fresh_processes_print
+shells out, to compare a run of commands in one process with one process
+per command.  Frozen renderings follow the same value tables as
+test_char_engine.
 """
 
+import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,6 +306,18 @@ def test_non_half_integral_exponent_prints_a_fraction(capsys):
     assert "Fraction(" not in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("ind(1/0,0)", "exponent '1/0' has denominator 0"),
+    ("absdet^0/0", "exponent '0/0' has denominator 0"),
+    # Fraction would expand 10^99999999 before any check could run
+    ("ps(0,1e99999999)", "exponent '1e99999999' is in exponent notation"),
+    ("absdet^1E3", "exponent '1E3' is in exponent notation"),
+])
+def test_unreadable_exponent_is_usage_error(capsys, spec, message):
+    code, out, err = run(capsys, "glue", "--slope", "int", "--rep", spec)
+    assert (code, out, err) == (2, "", f"error: ValueError: {message}\n")
+
+
 def test_precision_exhaustion_has_its_own_exit_code(capsys):
     # models carry no precision budget, so the run that once exhausted it
     # (Uprime fixed points at level + 1 = 3 > precision 2) now succeeds,
@@ -365,6 +385,154 @@ def test_help_documents_the_grammar(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "ps(a,b)" in out and "cusp:NAME" in out
+
+
+# --------------------------------------------- many commands, one process
+
+
+def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):
+    run(capsys, "glue", "--slope", "int", "--rep", "triv")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "sl2coh", "--rep", "st")[0] == 0
+    # verify-all parses its own defaults a second time
+    assert run(capsys, "verify-all", "--n", "13")[0] == 2
+    with pytest.raises(SystemExit):
+        main(["glue", "--rep", "triv"])
+    assert built == []
+
+
+# each pair checks that nothing the first command parsed reaches the second:
+# its level, its --slope, its modulus
+_SEQUENCE = (
+    ("sl2coh", "--rep", "ind(0,1)", "--level", "5"),
+    ("sl2coh", "--rep", "ind(0,1)"),
+    ("glue", "--slope", "half", "--rep", "nrd^1"),
+    ("glue", "--rep", "triv"),
+    ("sl2coh", "--rep", "ind(0,5)", "--n", "143", "--format", "json"),
+    ("verify-all", "--n", "13"),
+)
+
+
+def test_one_process_prints_what_fresh_processes_print(capsys, monkeypatch):
+    # argparse wraps usage lines at the terminal width: pin it for both
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    codes = []
+    for argv in _SEQUENCE:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "strata_glue.cli", *argv], env=env,
+            capture_output=True, encoding="utf-8", timeout=60)
+        assert (code, out, err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 2, 0, 2]
+
+
+# ---------------------------------------------------------------- fuzzing
+# every input through main() ends in a result (0) or a usage error (2),
+# never in an exception; exit 3 means that mathematics failed, which only a
+# well-formed cusp table that is not cuspidal may do
+
+
+def _is_result_or_usage_error(argv):
+    # the output is kept off capsys: hypothesis reruns a test body, and a
+    # function-scoped fixture would not be reset between runs
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    witness = err.getvalue().startswith("error: CuspidalWitnessFailed")
+    return code in (0, 2) or (code == 3 and witness)
+
+
+_NUMERAL = st.text(alphabet="0123456789-+/.eE_ ", min_size=1, max_size=6)
+_SPEC_STRINGS = st.one_of(
+    st.builds("{}({},{})".format, st.sampled_from(["ind", "ps"]),
+              _NUMERAL, _NUMERAL),
+    st.builds("{}^{}".format, st.sampled_from(["absdet", "nrd"]), _NUMERAL),
+    st.sampled_from(["triv", " st ", "cusp:", "cusp:gl2f2-sign", "ind(1,",
+                     "ps()", "absdet^", "nrd^^1"]),
+    st.text(alphabet="indpsabtrvcu()^,:/-0123456789 ", max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([("glue", "--slope=int"), ("glue", "--slope=half"),
+                        ("sl2coh", "--level=1")]),
+       _SPEC_STRINGS)
+def test_any_rep_spec_is_a_result_or_a_usage_error(command, spec):
+    assert _is_result_or_usage_error([*command, f"--rep={spec}"]), spec
+
+
+_ENTRY = st.one_of(st.integers(-9, 9), st.booleans(),
+                   st.sampled_from([1.5, "1", None, 10 ** 30]))
+# ragged rows, bool and non-integer entries, no rows at all
+_MALFORMED = st.one_of(st.lists(st.lists(_ENTRY, max_size=3), max_size=3),
+                       _ENTRY)
+
+
+def _square(size, entry):
+    row = st.lists(entry, min_size=size, max_size=size)
+    return st.lists(row, min_size=size, max_size=size)
+
+
+@st.composite
+def _cusp_tables(draw):
+    # a table of the documented shape with at most one field spoiled; each
+    # generator is a residue matrix mod p, the unit transvection the most
+    # likely, lifted outside F_p
+    p = draw(st.sampled_from([2, 3]))
+    rank = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 4))
+    residues = sorted(itertools.product(range(p), repeat=4),
+                      key=lambda e: e != (1, 1, 0, 1))
+    lifted = st.builds(
+        lambda e, t: [[e[0] + p * t[0], e[1]], [e[2], e[3] + p * t[1]]],
+        st.sampled_from(residues), st.tuples(*[st.integers(-2, 2)] * 2))
+
+    def entries(good):
+        # one draw in sixteen is malformed
+        return [draw(_MALFORMED if draw(st.sampled_from([False] * 15 + [True]))
+                     else good) for _ in range(count)]
+    blob = {"group": f"GL2(F{p})",
+            "generators": entries(lifted),
+            "matrices": entries(_square(rank, st.integers(-9, 9)))}
+    spoil = draw(st.sampled_from([None] * 8 + ["group", "generators",
+                                               "matrices", "blob"]))
+    if spoil == "group":
+        blob["group"] = draw(st.sampled_from(
+            ["GL2(F4)", "GL3(F2)", "SL2(F2)", "GL2(F1)", 2, None]))
+    elif spoil == "blob":
+        return draw(st.one_of(st.lists(_MALFORMED, max_size=2), _ENTRY))
+    elif spoil:
+        blob[spoil] = draw(st.one_of(st.lists(_MALFORMED, max_size=3),
+                                     _ENTRY))
+    return blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cusp_tables(), st.sampled_from([("2", "7"), ("3", "11")]))
+def test_any_cusp_table_is_a_result_or_a_usage_error(
+        tmp_path_factory, blob, ring):
+    table = tmp_path_factory.mktemp("cusp") / "table.json"
+    table.write_text(json.dumps(blob))
+    assert _is_result_or_usage_error(
+        ["glue", "--slope", "int", "--rep", f"cusp:{table}",
+         "--p", ring[0], "--n", ring[1]]), blob
 
 
 # ------------------------------------------------------------ verify-all

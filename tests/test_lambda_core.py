@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strata_glue.lambda_core import (
+    _present_subquotient,
     _unit_scale,
     BadSqrt,
     BanalityViolation,
@@ -214,6 +215,28 @@ def test_span_module_presents_the_row_span(n):
         span = span_of(rows, n, 3)
         assert span_of(list(mod.witness_rows), n, 3) == span
         assert mod.size() == len(span)
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_pivot_generators_have_no_relations(data):
+    # Howell rows that all lead with 1 are presented with no elimination;
+    # every presentation must still be the one the left kernel gives
+    n = data.draw(st.sampled_from((2, 3, 4, 6, 7, 8, 9, 11, 12, 121, 143)))
+    r = carrier(n)
+    low = next(d for d in range(2, n + 1) if n % d == 0)
+    entry = st.one_of(st.integers(0, n - 1), st.sampled_from(range(0, n, low)))
+    cols = data.draw(st.integers(1, 4))
+    m = LambdaMatrix(r, [[data.draw(entry) for _ in range(cols)]
+                         for _ in range(data.draw(st.integers(1, 4)))])
+    rows = howell_form(m).rows
+    got = _present_subquotient(r, cols, rows, ())
+    kern = left_kernel(LambdaMatrix._sparse(r, rows, cols))
+    assert [list(x.items()) for x in got.relations.rows] == [
+        list(x.items()) for x in kern.rows]
+    assert got.witness_rows == tuple(howell_form(m).entries)
+    if all(next(iter(x.values())) == 1 for x in rows):
+        assert not kern.rows
+
 
 @st.composite
 def small_map(draw, moduli=(2, 3, 4, 5, 6, 8), relations=False):

@@ -16,9 +16,10 @@ so a stage costs its slot count times p per probe, with no pass over the
 points: the level-5 oracle at p = 3 works on at most 972 slots and three
 probes, and never on the 708,588 points of its line.
 
-Fixed points of trivial, induced and Steinberg models come with no action
-matrix: those of U, Gamma0, Gamma_k and K_m from padic_core.orbits, and
-Uprime's fixed line in closed form, c1 on the big cell and c2 off it.
+Fixed points are asked for only under the stabilizers of the tree's
+facets, U, Uprime and Gamma0.  On trivial, induced and Steinberg models
+each is a closed form with no action matrix and no orbit sweep: the
+constants, the two cell indicators, and c1 on the big cell with c2 off it.
 Only inflated models, whose action is a table of residue matrices mod p,
 take the dense kernel of their action matrices.
 """
@@ -28,18 +29,17 @@ from math import gcd
 import re
 
 from .lambda_core import (
+    FgModule,
     LambdaMatrix,
     ModuleMap,
     free_module,
     howell_form,
     identity_matrix,
     kernel,
-    span_module,
 )
 from .padic_core import (
     UnsupportedSubgroup,
     _unit_gens,
-    orbits,
     p1_size,
     subgroup_generators,
 )
@@ -78,27 +78,25 @@ class FiniteRep:
     unit pair chi; steinberg is the quotient of its parent, the untwisted
     induced model, by the constants; inflated is a depth-zero model given
     by a table of rank x rank matrices keyed by 2x2 residue matrices mod p.
-    Only the inflated kind has an action matrix: the other kinds are read
-    through orbits and closed forms.
+    Only the inflated kind has an action matrix: the fixed points of the
+    other kinds are closed forms.
 
     A model carries only its level.  Every residue is exact mod p^L, so
     each call works at the level it needs: jacquet_oracle at level + j_max
-    (2m + 2 by default), and Uprime's fixed line is a closed form at the
+    (2m + 2 by default), and the fixed points are closed forms at the
     model's own level.
     """
 
-    __slots__ = ("ring", "p", "level", "kind", "chi",
-                 "rank", "parent", "table")
+    __slots__ = ("ring", "p", "level", "kind", "chi", "rank", "table")
 
-    def __init__(self, ring, p, level, kind, chi=None,
-                 rank=None, parent=None, table=None):
+    def __init__(self, ring, p, level, kind, chi=None, rank=None,
+                 table=None):
         self.ring = ring
         self.p = p
         self.level = level
         self.kind = kind
         self.chi = chi
         self.rank = rank
-        self.parent = parent
         self.table = table
 
     def action_matrix(self, g):
@@ -138,9 +136,8 @@ def induced_rep(ring, chi, m):
 
 def steinberg(ring, m):
     """Quotient of the untwisted induced model by the constants."""
-    parent = induced_rep(ring, (1, 1), m)
-    return FiniteRep(ring, ring.p, m, "steinberg", chi=(1, 1),
-                     rank=parent.rank - 1, parent=parent)
+    rank = induced_rep(ring, (1, 1), m).rank - 1
+    return FiniteRep(ring, ring.p, m, "steinberg", chi=(1, 1), rank=rank)
 
 
 def inflate(ring, p, table, rank):
@@ -163,7 +160,8 @@ def gl2_f2_sign(ring):
 # ------------------------------------------------------------- fixed points
 
 def fixed_points(sig, spec):
-    """Submodule of vectors fixed by every generator of the named subgroup.
+    """Submodule of vectors fixed by U, Uprime or Gamma0: the stabilizers
+    of the tree's vertices and edges.
 
     The working level is the model's own, sig.level.  The result is
     presented on its Howell generators, kept as witness_rows: they span the
@@ -171,31 +169,38 @@ def fixed_points(sig, spec):
     row span, so the result does not depend on which spanning rows a path
     produces.
 
-    Orbit path, for trivial, induced and Steinberg models under U, Gamma0,
-    Gamma_k and K_m: each generator lies in GL2(O) and permutes the
-    level-m points with weight 1 whatever chi is, so the fixed space of an
-    induced model is spanned by the indicators of the orbits
-    padic_core.orbits returns.  By banality and Maschke, that of the
-    Steinberg model is their image modulo the constants.  Uprime, the
-    conjugate of U by eta = diag(1, pi), fixes one line in closed form
-    (_uprime_rows): c1 on the big cell and c2 off it, and nothing on the
-    Steinberg model.
+    Closed form, for trivial, induced and Steinberg models (_cell_rows):
+    every fixed vector of an induced model is constant on the big cell
+    [1:t] and on the [s:1], p | s.  U = SL2(O) is transitive on the level-m
+    line, so it fixes the constants.  Gamma0 keeps a unit first coordinate
+    a unit and a non-unit one a non-unit, and its unipotents step [1:t] to
+    [1:t+1] and [s:1] to [s+p:1], so it fixes the two cell indicators.
+    Uprime, the conjugate of U by eta = diag(1, pi), fixes one line: v is
+    Uprime-fixed iff its translate by eta^-1 = diag(1, pi^-1) is U-fixed on
+    the level-(m+1) line.  eta^-1 sends the [1:t] with p | t, of torus
+    valuations (-1, 0), onto the level-m big cell, and every other point,
+    of valuations (0, -1), onto the [s:1]; so no two weights meet over one
+    point, and the line is c1 on the big cell and c2 off it.  Steinberg
+    takes each row modulo the constants, which by banality and Maschke
+    gives its fixed space: nothing under U and Uprime, whose lines are the
+    constants of its untwisted parent, and the [s:1] indicator under
+    Gamma0.  These rows are written down in Howell form, each led by a 1,
+    so the result is free on them and nothing is eliminated.
 
-    Dense path, for inflated models only: the kernel of the stacked g - 1
-    action matrices.  Inflated models have no Uprime, and every kind
-    outside U, Uprime, Gamma0, Gamma_k and K_m raises UnsupportedSubgroup.
+    Dense path, for inflated models: the kernel of the stacked g - 1
+    action matrices over U or Gamma0.  Every other kind, and Uprime on an
+    inflated model, raises UnsupportedSubgroup.
     """
-    if spec.kind == "Uprime":
-        if sig.kind == "inflated":
-            raise UnsupportedSubgroup("Uprime")
-        return span_module(sig.ring, sig.rank, _uprime_rows(sig))
-    # raises UnsupportedSubgroup for an unknown kind, on every model kind
-    gens = subgroup_generators(spec, sig.p, sig.level)
+    kind = spec.kind
+    if (kind not in ("U", "Uprime", "Gamma0")
+            or (kind == "Uprime" and sig.kind == "inflated")):
+        raise UnsupportedSubgroup(kind)
     if sig.kind != "inflated":
-        return span_module(sig.ring, sig.rank, _orbit_rows(sig, spec))
+        rows = _cell_rows(sig, kind)
+        return FgModule(sig.ring, len(rows), witness_rows=rows)
     ring, k = sig.ring, sig.rank
     rows = []
-    for g in gens:
+    for g in subgroup_generators(spec, sig.p, sig.level):
         for i, r in enumerate(sig.action_matrix(g).entries):
             rows.append(r[:i] + ((r[i] - 1) % ring.n,) + r[i + 1:])
     f = ModuleMap(free_module(ring, k),
@@ -204,43 +209,21 @@ def fixed_points(sig, spec):
     return kernel(f)
 
 
-def _orbit_rows(sig, spec):
-    # rows spanning the fixed space of a subgroup of GL2(O)
+def _cell_rows(sig, kind):
+    # the Howell rows of the fixed space, each constant on the big cell and
+    # on the [s:1]; see fixed_points
     if sig.kind == "trivial":
-        return [(1,)]
-    size = (sig.parent if sig.kind == "steinberg" else sig).rank
-    rows = []
-    for block in orbits(spec, sig.level, sig.p):
-        row = [0] * size
-        for i in block:
-            row[i] = 1
-        rows.append(row)
-    if sig.kind == "steinberg":
-        # to Steinberg coordinates: v[i] - v[0], i >= 1
-        n = sig.ring.n
-        return [tuple((x - r[0]) % n for x in r[1:]) for r in rows]
-    return rows
-
-
-def _uprime_rows(sig):
-    """Rows spanning the Uprime-fixed space, in closed form.
-
-    v is Uprime-fixed iff its translate by eta^-1 = diag(1, pi^-1) is
-    U-fixed on the level-(m+1) line, which U = SL2(O) sweeps in one orbit.
-    eta^-1 sends the level-(m+1) points with torus valuations (-1, 0), the
-    [1:t] with p | t, onto the level-m big cell, and every other point,
-    with valuations (0, -1), onto the [s:1]; so no two weights meet over
-    one point, and the fixed line is c1 on the big cell and c2 off it.
-    For Steinberg that is the constant row of its untwisted parent, zero
-    modulo the constants.
-    """
-    if sig.kind == "trivial":
-        return [(1,)]
-    if sig.kind == "steinberg":
-        return []
-    c1, c2 = sig.chi
+        return ((1,),)
     md = sig.p ** sig.level
-    return [[c1] * md + [c2] * (md // sig.p)]
+    small = md // sig.p
+    if sig.kind == "steinberg":
+        # in the coordinates v[i] - v[0], i >= 1, the constants vanish and
+        # both cell indicators become +-1 on the [s:1]
+        return ((0,) * (md - 1) + (1,) * small,) if kind == "Gamma0" else ()
+    c1, c2 = sig.chi
+    cells = {"U": [(1, 1)], "Gamma0": [(1, 0), (0, 1)],
+             "Uprime": [(1, c2 * sig.ring.inv(c1) % sig.ring.n)]}[kind]
+    return tuple((a,) * md + (b,) * small for a, b in cells)
 
 
 # ----------------------------------------------------------- Jacquet oracle

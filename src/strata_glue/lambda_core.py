@@ -455,14 +455,6 @@ def _solve(v, hmat):
     return None if v else coeffs
 
 
-def express_in_span(v, hmat):
-    """Coefficients c with c * hmat = v, or None.  hmat must be Howell form."""
-    coeffs = _solve(_nonzero(v), hmat)
-    if coeffs is None:
-        return None
-    return list(_dense(coeffs, hmat.nrows))
-
-
 # ----------------------------------------------------------------- modules
 
 class FgModule:

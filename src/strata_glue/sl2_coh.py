@@ -19,7 +19,6 @@ from fractions import Fraction
 from .lambda_core import (
     LambdaMatrix,
     ModuleMap,
-    express_in_span,
     free_module,
     iso_class,
     kernel_cokernel,
@@ -177,22 +176,26 @@ class SSComplex:
 
 
 def ss_complex(sigma):
-    """Two-term fixed-point complex of a level model."""
+    """Two-term fixed-point complex of a level model.
+
+    Each Gamma0 generator is a cell indicator, of the big cell [1:t] or of
+    the [s:1], that leads with 1, and the U and U' generators are constant
+    on each cell; so a source generator's coordinates are its entries at
+    the Gamma0 pivots, and delta is written down, not solved for: ((1, -1),
+    (1, -c2 c1^-1)) on an induced model, ((1, -1),) on the trivial one and
+    1x0 on Steinberg, whose U and U' blocks vanish.
+    """
     ring = sigma.ring
     u_fixed = fixed_points(sigma, SubgroupSpec("U"))
     uprime_fixed = fixed_points(sigma, SubgroupSpec("Uprime"))
     gamma0_fixed = fixed_points(sigma, SubgroupSpec("Gamma0"))
-    gmat = LambdaMatrix(ring, gamma0_fixed.witness_rows, cols=sigma.rank)
-    cols = []
-    for w in u_fixed.witness_rows:
-        cols.append(express_in_span(list(w), gmat))
-    for w in uprime_fixed.witness_rows:
-        c = express_in_span(list(w), gmat)
-        cols.append(None if c is None else [(-x) % ring.n for x in c])
-    if any(c is None for c in cols):
-        raise RuntimeError("a fixed line escapes the Iwahori-fixed block")
-    k = gmat.nrows
-    entries = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
+    pivots = [next(j for j, x in enumerate(w) if x)
+              for w in gamma0_fixed.witness_rows]
+    cols = ([[w[j] for j in pivots] for w in u_fixed.witness_rows]
+            + [[-w[j] % ring.n for j in pivots]
+               for w in uprime_fixed.witness_rows])
+    k = len(pivots)
+    entries = [[c[i] for c in cols] for i in range(k)]
     delta = ModuleMap(free_module(ring, len(cols)), free_module(ring, k),
                       LambdaMatrix(ring, entries, cols=len(cols)))
     return SSComplex(sigma, u_fixed, uprime_fixed, gamma0_fixed, delta)

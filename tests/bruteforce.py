@@ -12,8 +12,9 @@ row per column, a pullback that solves for each point's source
 point afresh, a Jacquet stage engine that smooths vectors on every point
 of the line and one that visits every point to build each stage's disc
 coordinates, fixed points as the kernel of dense action matrices against a
-model rebuilt one level up, iso classes from the integer Smith form of the
-relations stacked on n * I, and tree-ball vertices moved by act().
+model rebuilt one level up and as the span of orbit indicators, iso
+classes from the integer Smith form of the relations stacked on n * I,
+and tree-ball vertices moved by act().
 Points of P^1(O/pi^m) are ProjPoint objects here, the reference that
 padic_core's index codec is pinned against.
 
@@ -22,8 +23,8 @@ became residue arithmetic: point coordinates are Laurent numbers known
 modulo a power of p, group elements are matrices with exact Laurent
 entries, poles allowed, and act() canonicalizes x*g or raises
 PrecisionExhausted where the point's precision cannot certify the image.
-The package's residue sweeps, its closed forms for the eta-inverse images
-and its orbit-based fixed points are pinned against it.
+The package's residue sweeps and its closed forms for the eta-inverse
+images and for the fixed points are pinned against it.
 
 The linear algebra oracles are feasible for ambient rank <= 4 and modulus
 <= 9, which is the regime the property tests run in.  The package code
@@ -51,10 +52,10 @@ from strata_glue.finite_rep import (_scaled_inverse, induced_exponents,
                                     trivial_rep)
 from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
                                      howell_form, identity_matrix, kernel,
-                                     quotient_module)
+                                     quotient_module, span_module)
 from strata_glue.padic_core import (SubgroupSpec, UnsupportedSubgroup,
-                                   _unit_gens, _unit_inverses, p1_size,
-                                   project)
+                                   _unit_gens, _unit_inverses, orbits,
+                                   p1_size, project)
 
 
 def mat_mul(ring, a_rows, b_rows, b_cols):
@@ -469,6 +470,13 @@ def _in_gl2_o(g):
     return g.maxneg() == 0 and det.a != 0 and det.w == 0
 
 
+def induced_parent(sig):
+    """A Steinberg model's untwisted induced parent; any other model."""
+    if sig.kind == "steinberg":
+        return induced_rep(sig.ring, (1, 1), sig.level)
+    return sig
+
+
 # FiniteRep.action_matrix as it ran for the trivial, induced and Steinberg
 # models, one act() per label; an inflated model reads g's residues mod p
 # through its own table.
@@ -487,7 +495,7 @@ def action_matrix(sig, g):
             rows[i][index[y]] = _chi_val(ring, sig.chi, coc.torus_vals)
         return LambdaMatrix._reduced(ring, map(tuple, rows), sig.rank)
     if sig.kind == "steinberg":
-        full = action_matrix(sig.parent, g).entries
+        full = action_matrix(induced_parent(sig), g).entries
         rows = [tuple((x - y) % n for x, y in zip(r[1:], full[0][1:]))
                 for r in full[1:]]
         return LambdaMatrix._reduced(ring, rows, sig.rank)
@@ -1396,8 +1404,7 @@ def _eta_inv_rows(sig, raised):
     if sig.kind == "trivial":
         return [[1]]
     eta_inv = diag_matrix(sig.p, 0, -1)
-    base = sig.parent if sig.kind == "steinberg" else sig
-    top = raised.parent if raised.kind == "steinberg" else raised
+    base, top = induced_parent(sig), induced_parent(raised)
     index = {x: i for i, x in enumerate(enumerate_p1(sig.p, m))}
     rows = []
     for x2 in enumerate_p1(sig.p, raised.level):
@@ -1426,6 +1433,30 @@ def _uprime_fixed(sig):
     f = ModuleMap(free_module(ring, sig.rank), target,
                   LambdaMatrix(ring, rows, cols=sig.rank))
     return kernel(f)
+
+
+# The orbit path that fixed_points ran on trivial, induced and Steinberg
+# models before their fixed points became closed forms: the indicators of
+# the orbits padic_core.orbits returns, taken modulo the constants on a
+# Steinberg model.
+
+def orbit_fixed_points(sig, spec):
+    """Fixed points of a subgroup of GL2(O) that padic_core.orbits knows,
+    presented as fixed_points presents them."""
+    if sig.kind == "trivial":
+        return span_module(sig.ring, 1, [(1,)])
+    size = induced_parent(sig).rank
+    rows = []
+    for block in orbits(spec, sig.level, sig.p):
+        row = [0] * size
+        for i in block:
+            row[i] = 1
+        rows.append(row)
+    if sig.kind == "steinberg":
+        # to Steinberg coordinates: v[i] - v[0], i >= 1
+        n = sig.ring.n
+        rows = [tuple((x - r[0]) % n for x in r[1:]) for r in rows]
+    return span_module(sig.ring, sig.rank, rows)
 
 
 # The integer Smith form that iso_class ran before the Smith form mod n,

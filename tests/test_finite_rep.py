@@ -14,14 +14,16 @@ from strata_glue.padic_core import (
     SubgroupSpec,
     UnsupportedSubgroup,
     orbits,
+    p1_size,
 )
-from strata_glue import finite_rep
+from strata_glue import finite_rep, padic_core, sl2_coh
 from bruteforce import (DiscStageEngine, NonInvertibleOrder, PointStageEngine,
                         _chi_val, _eta_inv_images, action_matrix,
                         averaging_projector, elem_lower, elem_upper,
                         laurent_matrix, loop_pull_table, mat_mul,
                         per_point_pull)
 from bruteforce import fixed_points as dense_fixed_points
+from bruteforce import orbit_fixed_points
 from strata_glue.finite_rep import (
     NotStabilized,
     fixed_points,
@@ -35,6 +37,7 @@ from strata_glue.finite_rep import (
     trivial_rep,
     unram_pair,
 )
+from strata_glue.sl2_coh import cohomology_report
 
 R11 = make_ring(11, 3, sqrt_q=5)
 R5 = make_ring(5, 2)
@@ -103,8 +106,8 @@ def test_fixed_rank_equals_orbit_count():
     # cross-module check against the orbit partition
     p, m = 3, 2
     sig = induced_rep(R11, (1, 1), m)
-    for kind, kw in (("U", {}), ("Gamma0", {}), ("Gamma_k", {"k": 1})):
-        spec = SubgroupSpec(kind, **kw)
+    for kind in ("U", "Gamma0"):
+        spec = SubgroupSpec(kind)
         fx = fixed_points(sig, spec)
         assert free_rank(fx, 11) == len(orbits(spec, m, p=p))
 
@@ -155,7 +158,7 @@ def test_fixed_uprime_matches_U_rank():
             assert img == row
 
 
-# ------------------------------------- orbit path against the dense path
+# ---------------------------- closed forms against the orbit and dense paths
 
 def _fixed_outcome(fn, sig, spec):
     # the presentation, or the exception's class and message
@@ -171,43 +174,57 @@ def _congruence_models(ring, m):
             trivial_rep(ring, m)]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("ring", [R7, R11], ids=["p2", "p3"])
-def test_congruence_fixed_points_match_dense(ring, m):
-    # every depth k <= m; at k = 0 both sides run SL2(O) and GL2(O)
-    for kind in ("Gamma_k", "K_m"):
-        for k in range(m + 1):
-            spec = SubgroupSpec(kind, k=k)
-            for sig in _congruence_models(ring, m):
+# (ring, levels): every level whose line has at most 3000 points
+_ORBIT_GRID = [(R11, range(1, 8)), (R7, range(1, 11)),
+               (R143, range(1, 8)), (R121, range(1, 8)),
+               (make_ring(13, 5), range(1, 5)),
+               (make_ring(13, 7), range(1, 5)), (R5, range(1, 11))]
+
+
+@pytest.mark.parametrize("ring,levels", _ORBIT_GRID,
+                         ids=[f"n{r.n}-p{r.p}" for r, _ in _ORBIT_GRID])
+def test_closed_form_fixed_points_match_orbit_path(ring, levels):
+    # the U and Gamma0 closed forms against the span of orbit indicators
+    specs = ("triv", "st", "ind(0,0)", "ind(0,1)", "ind(0,5)", "ind(2,-3)",
+             "ind(1,0)")
+    for m in levels:
+        assert p1_size(ring.p, m) <= 3000
+        for sig in (rep_model(ring, s, m) for s in specs):
+            for kind in ("U", "Gamma0"):
+                spec = SubgroupSpec(kind)
                 assert (_fixed_outcome(fixed_points, sig, spec)
-                        == _fixed_outcome(dense_fixed_points, sig, spec))
-        # both are transitive on the line: the constants alone are fixed
-        ind = _congruence_models(ring, m)[0]
-        fx = fixed_points(ind, SubgroupSpec(kind, k=0))
-        assert fx.witness_rows == ((1,) * ind.rank,)
+                        == _fixed_outcome(orbit_fixed_points, sig, spec)), (
+                    ring.n, ring.p, m, sig, kind)
 
 
 def test_orbit_path_builds_no_action_matrix(monkeypatch):
-    def refuse(self, g):
-        raise AssertionError("dense action matrix built")
+    # neither the fixed points nor the cohomology that reads them build an
+    # action matrix or sweep an orbit
+    def refuse(*args):
+        raise AssertionError("dense action matrix built or orbits swept")
 
-    # Uprime against act() and the dense eta-inverse matrix one level up
     models = _congruence_models(R11, 2)
+    reports = _congruence_models(R11, 3)
     want = {}
-    for kind in ("U", "Uprime", "Gamma0", "Gamma_k", "K_m"):
-        spec = SubgroupSpec(kind, k=1)
+    for kind in ("U", "Uprime", "Gamma0"):
         for i, sig in enumerate(models):
-            want[kind, i] = _fixed_outcome(dense_fixed_points, sig, spec)
+            want[kind, i] = _fixed_outcome(dense_fixed_points, sig,
+                                           SubgroupSpec(kind))
+    want_reports = [cohomology_report(sig) for sig in reports]
     monkeypatch.setattr(finite_rep.FiniteRep, "action_matrix", refuse)
+    monkeypatch.setattr(padic_core, "orbits", refuse)
     for (kind, i), out in want.items():
-        spec = SubgroupSpec(kind, k=1)
+        spec = SubgroupSpec(kind)
         assert _fixed_outcome(fixed_points, models[i], spec) == out
+    assert [cohomology_report(sig) for sig in reports] == want_reports
+    assert not hasattr(finite_rep, "orbits")
+    assert not hasattr(sl2_coh, "orbits")
 
 
-@pytest.mark.parametrize("kind", ["T", "B", "eta"])
+@pytest.mark.parametrize("kind", ["T", "B", "eta", "Gamma_k", "K_m"])
 def test_fixed_points_refuse_kinds_outside_gl2_o(kind):
-    # no integer generators in GL2(O): every model kind refuses, the
-    # trivial one included
+    # only the tree's stabilizers U, Uprime and Gamma0 have fixed points:
+    # every model kind refuses the rest, the trivial one included
     models = _congruence_models(R11, 1) + [gl2_f2_sign(R7)]
     for sig in models:
         with pytest.raises(UnsupportedSubgroup, match=f"^{kind}$"):

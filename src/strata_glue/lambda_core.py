@@ -20,7 +20,8 @@ engine keeps rows in buckets keyed by their leading column and carries the
 kernel transform sparse, transposes and images walk the nonzero entries,
 and solves, sizes and iso classes read the Howell pivots, which lead each
 row.  So a tree-ball boundary, two nonzeros per column, costs its nonzeros
-plus fill, not its square.  The dense view of a matrix is built on demand.
+plus fill, not its square, and with its vertices numbered leaves first it
+has no fill.  The dense view of a matrix is built on demand.
 """
 
 from bisect import insort
@@ -491,10 +492,11 @@ class FgModule:
         return m
 
     def size(self):
-        span = 1
-        for row in self.relations.rows:   # each leads with its pivot
-            span *= self.ring.n // next(iter(row.values()))
-        return self.ring.n ** self.ambient // span
+        # n^ambient / prod(n / pivot), exact since every Howell pivot
+        # divides n
+        rows = self.relations.rows   # each leads with its pivot
+        return (self.ring.n ** (self.ambient - len(rows))
+                * prod(next(iter(r.values())) for r in rows))
 
     def is_zero(self):
         return self.size() == 1
@@ -514,15 +516,6 @@ def quotient_module(module, rows):
     extra = LambdaMatrix(ring, rows, cols=k)
     return FgModule(ring, k, LambdaMatrix._sparse(
         ring, module.relations.rows + extra.rows, k))
-
-
-def span_module(ring, ambient, rows):
-    """Submodule of Lambda^ambient spanned by rows, presented on its Howell
-    generators, which it keeps as witness rows.  For the same span this is
-    exactly the kernel that kernel() and kernel_cokernel() return, Howell
-    form being canonical.  Entries of rows must already lie in [0, n)."""
-    return _present_subquotient(ring, ambient, _howell_engine(
-        [_nonzero(r) for r in rows], ring.n, ambient), ())
 
 
 class ModuleMap:

@@ -11,7 +11,8 @@ and cokernel of that map are the only degrees that survive banality, and
 inverting its 2x2 specialization is the desk-size form of the unramified
 principal-series vanishing statement.  Both degrees, of that map and of a
 ball's boundary alike, are read off one elimination of the map's rows
-(lambda_core.kernel_cokernel).
+(lambda_core.kernel_cokernel); the boundary numbers the ball's vertices
+leaves first, so its elimination has no fill and subtracts nothing.
 """
 
 from fractions import Fraction
@@ -71,9 +72,10 @@ class TreeBall:
         self.vertices = tuple(verts)
         self.edges = tuple(edges)
         self.colors = {v: "U" if v[0] % 2 == 0 else "Uprime" for v in verts}
-        stabs = {v: SubgroupSpec(self.colors[v]) for v in verts}
+        spec = {k: SubgroupSpec(k) for k in ("U", "Uprime", "Gamma0")}
+        stabs = {v: spec[self.colors[v]] for v in verts}
         for e in edges:
-            stabs[e] = SubgroupSpec("Gamma0")
+            stabs[e] = spec["Gamma0"]
         self.stabilizers = stabs
         self._children = {v: [] for v in verts}
         for child, parent in edges:
@@ -121,12 +123,20 @@ class TreeBall:
 
     def boundary(self, ring):
         """Cellular boundary, edges -> vertices: +1 at each edge's child,
-        -1 at its parent."""
+        -1 at its parent.
+
+        The vertex coordinates run leaves first, the reverse of the vertex
+        order, so a child's coordinate comes before its parent's.  Each
+        edge's image then leads with its own child's coordinate, at 1, and
+        no two images lead in the same coordinate: eliminating the image
+        rows files each once and subtracts nothing, which is Parter's
+        leaves-first order, with no fill, for a tree (SIAM Review 1961).
+        """
         nv, ne = len(self.vertices), len(self.edges)
-        index = {v: i for i, v in enumerate(self.vertices)}
+        index = {v: nv - 1 - i for i, v in enumerate(self.vertices)}
         rows = [{} for _ in range(nv)]
         # edges run shell by shell, so a vertex meets its parent edge
-        # before its child edges and each row's columns come ascending
+        # before its child edges and each row's edge columns come ascending
         for j, (child, parent) in enumerate(self.edges):
             rows[index[child]][j] = 1
             rows[index[parent]][j] = ring.n - 1

@@ -50,9 +50,10 @@ from strata_glue.char_engine import (DegreeNotInTable, Gb2Character,
 from strata_glue.finite_rep import (_scaled_inverse, induced_exponents,
                                     induced_rep, parse_rep_spec, steinberg,
                                     trivial_rep)
-from strata_glue.lambda_core import (LambdaMatrix, ModuleMap, free_module,
-                                     howell_form, identity_matrix, kernel,
-                                     quotient_module, span_module)
+from strata_glue.lambda_core import (FgModule, LambdaMatrix, ModuleMap,
+                                     free_module, howell_form,
+                                     identity_matrix, kernel, left_kernel,
+                                     quotient_module)
 from strata_glue.padic_core import (SubgroupSpec, UnsupportedSubgroup,
                                    _unit_gens, _unit_inverses, orbits,
                                    p1_size, project)
@@ -1438,7 +1439,19 @@ def _uprime_fixed(sig):
 # The orbit path that fixed_points ran on trivial, induced and Steinberg
 # models before their fixed points became closed forms: the indicators of
 # the orbits padic_core.orbits returns, taken modulo the constants on a
-# Steinberg model.
+# Steinberg model, presented by span_module, which lambda_core kept for
+# that path alone.
+
+def span_module(ring, ambient, rows):
+    """Submodule of Lambda^ambient spanned by rows, presented on its Howell
+    generators, which it keeps as witness rows.  For the same span this is
+    exactly the kernel that kernel() and kernel_cokernel() return, Howell
+    form being canonical."""
+    gens = howell_form(LambdaMatrix(ring, rows, cols=ambient))
+    rel = left_kernel(gens)
+    return FgModule(ring, gens.nrows, rel if rel.rows else None,
+                    witness_rows=gens.entries)
+
 
 def orbit_fixed_points(sig, spec):
     """Fixed points of a subgroup of GL2(O) that padic_core.orbits knows,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strata_glue.lambda_core import (
+    _eliminate_map,
     _present_subquotient,
     _solve,
     _unit_scale,
@@ -30,12 +31,12 @@ from strata_glue.lambda_core import (
     left_kernel,
     make_ring,
     quotient_module,
-    span_module,
 )
 
 from bruteforce import (
     all_vectors,
     brute_left_kernel,
+    coset_space,
     dense_howell_engine,
     dense_kernel,
     dense_left_kernel,
@@ -43,6 +44,7 @@ from bruteforce import (
     integer_iso_class,
     orders_of_factor_sum,
     smith_iso_class,
+    span_module,
     span_of,
     xgcd_howell,
     xgcd_left_kernel,
@@ -489,6 +491,17 @@ def test_size_is_product_of_iso_class(n):
             m = quotient_module(free_module(r, ambient), rows)
             assert m.size() == prod(iso_class(m)), (ambient, rows)
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_size_with_non_unit_pivots_against_enumeration(first):
+    # Howell rows over Z/12 with pivots 2, 3, 4 and 6, each dividing n;
+    # without the first row, generator 0 is free
+    rows = [[2, 1, 0, 3], [0, 3, 0, 3], [0, 0, 4, 0], [0, 0, 0, 6]][first:]
+    m = quotient_module(free_module(carrier(12), 4), rows)
+    assert [list(r) for r in m.relations.entries] == rows
+    assert [next(iter(r.values())) for r in m.relations.rows] == [
+        2, 3, 4, 6][first:]
+    assert m.size() == len(coset_space(4, rows, 12))
+
 @pytest.mark.parametrize("n", [4, 6, 9, 12])
 def test_express_in_span_against_enumeration(n):
     # _solve, which ModuleMap's well-definedness check reads: coefficients
@@ -662,7 +675,7 @@ def test_ball_boundaries_match_dense_engine(p, n):
         ball = bt_ball(p, r)
         boundary = ball.boundary(ring)
         nv, ne = len(ball.vertices), len(ball.edges)
-        index = {v: i for i, v in enumerate(ball.vertices)}
+        index = {v: nv - 1 - i for i, v in enumerate(ball.vertices)}
         dense = [[0] * ne for _ in range(nv)]
         for j, (child, parent) in enumerate(ball.edges):
             dense[index[child]][j] = 1
@@ -675,6 +688,27 @@ def test_ball_boundaries_match_dense_engine(p, n):
         assert list(h[1].relations.entries) == rel
         assert list(h[1].witness_rows) == gens
 
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ball_boundary_has_no_fill(p):
+    # vertices numbered leaves first: each edge's image leads with its own
+    # child's column, at 1, no two images share a leading column, and the
+    # elimination files each image once and subtracts nothing
+    from strata_glue.sl2_coh import bt_ball
+    ring = make_ring(11, p)
+    for r in range(1, 7):
+        ball = bt_ball(p, r)
+        f = ball.boundary(ring)
+        nv = len(ball.vertices)
+        index = {v: nv - 1 - i for i, v in enumerate(ball.vertices)}
+        images = f.image_rows()
+        leads = [next(iter(row.items())) for row in images]
+        assert leads == [(index[child], 1) for child, _ in ball.edges]
+        assert len(set(leads)) == len(leads)
+        out, pivots, zeros = _eliminate_map(f)
+        assert zeros == []
+        assert out == sorted(images, key=min)
+        assert pivots == sorted(c for c, _ in leads)
 
 @pytest.mark.parametrize("p, r", [(3, 6), (2, 9)])
 def test_ball_homology_at_scale(p, r):

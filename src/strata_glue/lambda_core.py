@@ -117,12 +117,18 @@ class MissingSqrtQ(ValueError):
     """Half-integral exponent requested on a ring without sqrt_q."""
 
 
+def _check_prime(p):
+    """Raise BanalityViolation unless the residue characteristic p is
+    prime."""
+    if _factor(p) != ((p, p),):
+        raise BanalityViolation(f"residue characteristic {p} is not prime")
+
+
 def make_ring(n, p, sqrt_q=None):
     """Validate and build the coefficient ring Z/n for residue prime p."""
     if n < 2:
         raise BanalityViolation(f"modulus {n} too small")
-    if _factor(p) != ((p, p),):
-        raise BanalityViolation(f"residue characteristic {p} is not prime")
+    _check_prime(p)
     if gcd(n, p) != 1:
         raise BanalityViolation(f"gcd(n={n}, p={p}) != 1")
     bad = (p - 1) * (p - 1) * (p + 1)

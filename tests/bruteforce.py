@@ -39,7 +39,7 @@ hc_tilde are pinned against it.
 """
 
 import itertools
-from itertools import compress
+from itertools import chain, compress, count, islice
 from fractions import Fraction
 from math import gcd
 
@@ -54,9 +54,9 @@ from strata_glue.lambda_core import (FgModule, LambdaMatrix, ModuleMap,
                                      free_module, howell_form,
                                      identity_matrix, kernel, left_kernel,
                                      quotient_module)
+from strata_glue import padic_core
 from strata_glue.padic_core import (SubgroupSpec, UnsupportedSubgroup,
-                                   _unit_gens, _unit_inverses, orbits,
-                                   p1_size, project)
+                                   _unit_gens, p1_size, project)
 
 
 def mat_mul(ring, a_rows, b_rows, b_cols):
@@ -611,6 +611,141 @@ def act_sweep_orbits(spec, m, p):
     return sorted(out.values(), key=lambda b: b[0])
 
 
+# The union-find sweep that orbit_classification_check ran before its
+# orbits were proved on the generators to be the fibres over level k, with
+# the branches of subgroup_generators that only the sweep reached: the
+# principal congruence subgroups K_m of GL2(O), and depth 0.  The sweep is
+# copied verbatim, kept as the reference for the written-down fibres and
+# for the closed-form fixed points.
+
+def subgroup_generators(spec, p, m):
+    """padic_core.subgroup_generators, and K_m and depth k = 0 besides.
+
+    K_m keeps Gamma_k's depths, with diag(u, 1) and diag(1, u) in place of
+    diag(u, u^-1).  At k = 0 the groups are SL2(O), generated by the two
+    elementary unipotents, and GL2(O), which adds diag(u, 1) for each
+    generator u of the units mod p^m.
+    """
+    kind, k = spec.kind, spec.k
+    if kind in ("Gamma_k", "K_m") and k == 0:
+        gens = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+        if kind == "K_m":
+            gens += [((u, 0), (0, 1)) for u in _unit_gens(p, m)]
+        return gens
+    if kind == "K_m":
+        gens = []
+        for g in padic_core.subgroup_generators(
+                SubgroupSpec("Gamma_k", k=k), p, m):
+            (a, b), (c, d) = g
+            if b or c:
+                gens.append(g)
+            else:
+                gens += [((a, 0), (0, 1)), ((1, 0), (0, a))]
+        return gens
+    return padic_core.subgroup_generators(spec, p, m)
+
+
+def _unit_inverses(p, m):
+    """inv[u] = u^-1 mod p^m for every unit u < p^m; 0 at the non-units.
+
+    Each unit is a product of powers of the generators of (Z/p^m)^*
+    (_unit_gens), and (g^i * u)^-1 = g^-i * u^-1, g^-i being the powers of
+    g read backwards from g^0: two multiplications per unit, no pow.  At
+    m = 0 the table is [0].
+    """
+    md = p ** m
+    inv = [0] * md
+    units = invs = [1 % md]
+    for g in _unit_gens(p, m):
+        powers = [1]
+        while (x := powers[-1] * g % md) != 1:
+            powers.append(x)
+        units = [u * x % md for x in powers for u in units]
+        invs = [v * x % md for x in powers[:1] + powers[:0:-1] for v in invs]
+    for u, v in zip(units, invs):
+        inv[u] = v
+    return inv
+
+
+def _integral_images(g, p, m, inv):
+    """Index of x*g for every level-m point x, in index order.
+
+    g must lie in GL2(O): it maps the primitive lift (1, t) or (s, 1) to a
+    primitive (c1, c2), so one coordinate is a unit and the ratio is exact
+    mod p^m.  inv is _unit_inverses(p, m).  Along each cell the lifts step
+    by (0, 1) or (p, 0), so their images step by (c, d) or (p*a, p*b).
+    When p | c, g is upper triangular mod p: c1 = a + t*c is a unit on the
+    big cell and s*a + c is not on the other, so no point needs the test.
+    When c = 0, c1 = a at every point of the big cell, whose images are
+    then the progression (b + t*d) * a^-1.
+    """
+    md = p ** m
+    (a, b), (c, d) = [[x % md for x in row] for row in g]
+    big = zip(islice(count(a, c), md), count(b, d))
+    small = zip(islice(count(c, p * a), md // p), count(d, p * b))
+    if c % p == 0:
+        if c == 0:
+            # a and d are units, so the step is not 0
+            b0, step = b * inv[a] % md, d * inv[a] % md
+            cell = [x % md for x in range(b0, b0 + step * md, step)]
+        else:
+            cell = [c2 * inv[c1 % md] % md for c1, c2 in big]
+        return cell + [md + c1 * inv[c2 % md] % md // p for c1, c2 in small]
+    out = []
+    for c1, c2 in chain(big, small):
+        c1 %= md
+        if c1 % p:
+            out.append(c2 * inv[c1] % md)
+        else:
+            out.append(md + c1 * inv[c2 % md] % md // p)
+    return out
+
+
+def orbits(spec, m, p):
+    """Partition of P^1(O/pi^m) into orbits of the named subgroup.
+
+    The caller's m is the one working level: the generators are those of
+    subgroup_generators(spec, p, m).  Every generator lies in GL2(O) and
+    acts on the level-m points by residue arithmetic mod p^m
+    (_integral_images); every point feeds one union per generator, and
+    union-find closes the relation symmetrically.  One table of unit
+    inverses mod p^m, built per call, serves every generator, and the
+    images of one generator are merged before the next one's are made.
+    Blocks are tuples of point indices in index order, and they come in
+    the order of their first points.  Raises ValueError when
+    m < 1, where no residue is a unit, and UnsupportedSubgroup for a kind
+    that subgroup_generators does not know.
+    """
+    if m < 1:
+        raise ValueError("orbits need level at least 1")
+    gens = subgroup_generators(spec, p, m)
+    parent = list(range(p1_size(p, m)))
+    inv = _unit_inverses(p, m)
+    for g in gens:
+        # union-find with path halving, inlined (the chained assignment
+        # sets parent[i] before i moves); the root of each class is its
+        # least index; points that share a parent are one class already
+        for i, j in enumerate(_integral_images(g, p, m, inv)):
+            if parent[i] == parent[j]:
+                continue
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i < j:
+                parent[j] = i
+            elif j < i:
+                parent[i] = j
+
+    # parents point to lesser indices, so in index order the parent's
+    # parent is already the root
+    blocks = {}
+    for i in range(len(parent)):
+        parent[i] = r = parent[parent[i]]
+        blocks.setdefault(r, []).append(i)
+    return [tuple(b) for b in blocks.values()]
+
+
 # The GL2(O) residue sweep that orbits() ran before it shared one table of
 # unit inverses per call and inlined its union-find: one pow() per point
 # and generator, and one union() call per point and generator.  Copied
@@ -623,7 +758,7 @@ def _find(parent, i):
     return i
 
 
-def _integral_images(g, p, m):
+def _pow_integral_images(g, p, m):
     """Index of x*g for every level-m point x, in enumerate_p1 order.
 
     [1:t] has index t and [s:1] index p^m + s//p.  g must lie in GL2(O):
@@ -651,7 +786,7 @@ def residue_sweep_orbits(spec, m, p):
     Every point feeds one union per generator, and union-find closes the
     relation symmetrically.  Two sweeps share the work.  A generator in
     GL2(O) acts on the level-m points themselves, by residue arithmetic mod
-    p^m (_integral_images).  Every other generator, one with a pole or with
+    p^m (_pow_integral_images).  Every other generator, one with a pole or with
     a non-unit determinant, goes through act() on each point of a raised
     internal level L: L exceeds m by twice the pole depth plus slack, and
     act() raises PrecisionExhausted where even that cannot certify the
@@ -671,7 +806,7 @@ def residue_sweep_orbits(spec, m, p):
     for g in gens:
         # at level 0 no residue is a unit, and act() alone decides
         if m >= 1 and _in_gl2_o(g):
-            for i, j in enumerate(_integral_images(g, p, m)):
+            for i, j in enumerate(_pow_integral_images(g, p, m)):
                 union(i, j)
         else:
             rest.append(g)

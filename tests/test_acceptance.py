@@ -13,8 +13,7 @@ import pytest
 
 from strata_glue.lambda_core import CoeffRing, LambdaMatrix, free_module, \
     howell_form, iso_class, left_kernel, make_ring, quotient_module
-from strata_glue.padic_core import SubgroupSpec, \
-    orbit_classification_check, orbits
+from strata_glue.padic_core import SubgroupSpec, orbit_classification_check
 from strata_glue.finite_rep import fixed_points, gl2_f2_sign, induced_rep, \
     jacquet_oracle, steinberg, trivial_rep, unram_pair
 from strata_glue.sl2_coh import bt_ball, cohomology_report, \
@@ -22,7 +21,7 @@ from strata_glue.sl2_coh import bt_ball, cohomology_report, \
 from strata_glue.char_engine import CuspidalWitnessFailed, \
     compact_generator_ranks, glue, jacquet_symbolic
 
-from bruteforce import brute_left_kernel, span_of
+from bruteforce import brute_left_kernel, orbits, span_of
 
 R11 = make_ring(11, 3, sqrt_q=5)
 R7 = make_ring(7, 2, sqrt_q=3)

@@ -276,6 +276,19 @@ def test_orbits_nonprime_p_is_usage_error(capsys):
     assert "BanalityViolation" in err
 
 
+@pytest.mark.parametrize("p", [11, 23])
+def test_orbits_read_no_coefficient_ring(capsys, p):
+    # the default n = 11 is p at p = 11 and divides (p-1)^2(p+1) at
+    # p = 23: no orbit reads it
+    code, out, err = run(capsys, "orbits", "--p", str(p), "--k", "1",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["orbit_count"] == p + 1
+    code, out, err = run(capsys, "orbits", "--p", str(p), "--k", "1")
+    assert (code, err) == (0, "")
+    assert f"count {p + 1} matches formula {p + 1}" in out
+
+
 # ------------------------------------------------------------ exit codes
 
 

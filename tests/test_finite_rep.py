@@ -13,14 +13,13 @@ from strata_glue.lambda_core import (
 from strata_glue.padic_core import (
     SubgroupSpec,
     UnsupportedSubgroup,
-    orbits,
     p1_size,
 )
 from strata_glue import finite_rep, padic_core, sl2_coh
 from bruteforce import (DiscStageEngine, NonInvertibleOrder, PointStageEngine,
                         _chi_val, _eta_inv_images, action_matrix,
                         averaging_projector, elem_lower, elem_upper,
-                        laurent_matrix, loop_pull_table, mat_mul,
+                        laurent_matrix, loop_pull_table, mat_mul, orbits,
                         per_point_pull)
 from bruteforce import fixed_points as dense_fixed_points
 from bruteforce import orbit_fixed_points
@@ -212,7 +211,7 @@ def test_orbit_path_builds_no_action_matrix(monkeypatch):
                                            SubgroupSpec(kind))
     want_reports = [cohomology_report(sig) for sig in reports]
     monkeypatch.setattr(finite_rep.FiniteRep, "action_matrix", refuse)
-    monkeypatch.setattr(padic_core, "orbits", refuse)
+    monkeypatch.setattr(padic_core, "_fibres", refuse)
     for (kind, i), out in want.items():
         spec = SubgroupSpec(kind)
         assert _fixed_outcome(fixed_points, models[i], spec) == out

@@ -1,5 +1,6 @@
-"""Finite-level projective line, subgroup images, orbits, and the
-reference act() they are pinned against."""
+"""Finite-level projective line, subgroup images, the orbit
+classification, and the reference act() and orbit sweep they are pinned
+against."""
 
 import json
 
@@ -7,25 +8,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import (PrecisionExhausted, ProjPoint, _eta_inv_images,
-                        _in_gl2_o, act, act_sweep_orbits, closure_size,
-                        diag_matrix, enumerate_p1, laurent_matrix,
-                        level_generators, point_index, pow_unit_inverses,
+                        _in_gl2_o, _integral_images, _unit_inverses, act,
+                        act_sweep_orbits, closure_size, diag_matrix,
+                        enumerate_p1, laurent_matrix, level_generators,
+                        orbits, point_index, pow_unit_inverses,
                         residue_sweep_orbits)
+from bruteforce import subgroup_generators as ref_generators
 from strata_glue import padic_core
 from strata_glue.cli import main
+from strata_glue.lambda_core import BanalityViolation
 from strata_glue.padic_core import (
     ClassificationMismatch,
     SubgroupSpec,
     UnsupportedSubgroup,
     orbit_classification_check,
-    orbits,
     p1_size,
     point_label,
     project,
     subgroup_generators,
 )
-from strata_glue.padic_core import (_integral_images, _unit_gens,
-                                   _unit_inverses)
+from strata_glue.padic_core import _unit_gens
 
 
 # ------------------------------------------------------------ enumerate_p1
@@ -180,7 +182,7 @@ def test_closure_gamma_k_sizes():
 
 def test_closure_K_m():
     for p, m, k in [(3, 2, 1), (2, 3, 1)]:
-        gens = subgroup_generators(SubgroupSpec("K_m", k=k), p=p, m=m)
+        gens = ref_generators(SubgroupSpec("K_m", k=k), p=p, m=m)
         assert closure_size(gens, p, m) == p ** (4 * (m - k))
 
 def _closure_cases():
@@ -198,7 +200,7 @@ def test_generating_set_closure(kind, p, m, k, order):
     # one generating set per group: a prefix of the generators at every
     # depth in [k, m), generating the same group, of the closed-form order
     spec = SubgroupSpec(kind, k=k)
-    gens = subgroup_generators(spec, p, m)
+    gens = ref_generators(spec, p, m)
     every = [g.int_entries(m) for g in level_generators(spec, p, m)]
     assert ([tuple(tuple(x % p ** m for x in row) for row in g)
              for g in gens] == every[:len(gens)])
@@ -216,8 +218,8 @@ def test_depth_zero_generates_sl2_and_gl2(p, m):
     md = p ** m
     units = p ** (m - 1) * (p - 1)
     sl2 = p ** (3 * m - 2) * (p * p - 1)
-    gamma = subgroup_generators(SubgroupSpec("Gamma_k", k=0), p, m)
-    km = subgroup_generators(SubgroupSpec("K_m", k=0), p, m)
+    gamma = ref_generators(SubgroupSpec("Gamma_k", k=0), p, m)
+    km = ref_generators(SubgroupSpec("K_m", k=0), p, m)
     assert closure_size(gamma, p, m) == sl2
     if sl2 * units <= 10 ** 5:
         assert closure_size(km, p, m) == sl2 * units
@@ -238,6 +240,18 @@ def test_depth_zero_generates_sl2_and_gl2(p, m):
 def test_unsupported_subgroup():
     with pytest.raises(UnsupportedSubgroup):
         subgroup_generators(SubgroupSpec("Weyl"), p=3, m=1)
+
+
+def test_k_m_and_depth_zero_are_left_to_the_reference():
+    # no command reads K_m or Gamma_k at depth 0: the package refuses them
+    # and the reference generators in tests/bruteforce.py keep them
+    with pytest.raises(UnsupportedSubgroup, match="^K_m$"):
+        subgroup_generators(SubgroupSpec("K_m", k=1), p=3, m=2)
+    with pytest.raises(UnsupportedSubgroup, match="^Gamma_k at depth 0$"):
+        subgroup_generators(SubgroupSpec("Gamma_k", k=0), p=3, m=2)
+    for spec in (SubgroupSpec("U"), SubgroupSpec("Gamma0"),
+                 SubgroupSpec("Gamma_k", k=1), SubgroupSpec("Gamma_k", k=2)):
+        assert ref_generators(spec, 3, 4) == subgroup_generators(spec, 3, 4)
 
 
 # the kinds outside GL2(O)'s integer generators, which no command reaches:
@@ -326,7 +340,7 @@ def test_integral_images_equal_act(p, m):
     specs += [SubgroupSpec(kind, k=k)
               for kind in ("Gamma_k", "K_m") for k in range(1, m)]
     for spec in specs:
-        for g in subgroup_generators(spec, p, m):
+        for g in ref_generators(spec, p, m):
             lg = laurent_matrix(p, g)
             assert _in_gl2_o(lg)
             imgs = _integral_images(g, p, m, _unit_inverses(p, m))
@@ -485,20 +499,19 @@ def _inf_not_first(blocks, p, m):
 
 
 def _classify_corrupted(monkeypatch, k, p, corrupt, grow):
-    # orbit_classification_check on the level-2k partition after corrupt,
-    # which adds grow blocks; it sweeps no other level
-    real = orbits
+    # orbit_classification_check on the level-2k fibres after corrupt,
+    # which adds grow blocks; it reads no other partition
+    real = padic_core._fibres
 
-    def corrupted(spec, m, p):
-        assert m == 2 * spec.k
-        part = real(spec, m, p)
+    def corrupted(p, k):
+        part = real(p, k)
         blocks = [set(b) for b in part]
-        corrupt(blocks, p, m)
+        corrupt(blocks, p, 2 * k)
         out = sorted(tuple(sorted(b)) for b in blocks)
         assert len(out) == len(part) + grow
         return out
 
-    monkeypatch.setattr(padic_core, "orbits", corrupted)
+    monkeypatch.setattr(padic_core, "_fibres", corrupted)
     return orbit_classification_check(k, p, 11)
 
 
@@ -558,3 +571,59 @@ def test_projected_partition_equals_level_below(p, k):
     down = project(p, m, m - 1)
     projected = {frozenset(down[i] for i in b) for b in orbits(spec, m, p)}
     assert projected == set(map(frozenset, orbits(spec, m - 1, p)))
+
+
+# orbit_classification_check writes the level-2k orbits down as the fibres
+# over level k; the union-find sweep of the generators finds them, at every
+# (p, k) that it sweeps in a few seconds
+@pytest.mark.parametrize("p,k", [*((2, k) for k in range(1, 9)),
+                                 *((3, k) for k in range(1, 6)),
+                                 *((5, k) for k in range(1, 4)),
+                                 (7, 1), (7, 2)])
+def test_fibres_equal_union_find_sweep(p, k):
+    spec, m = SubgroupSpec("Gamma_k", k=k), 2 * k
+    fibres = padic_core._fibres(p, k)
+    assert [tuple(b) for b in fibres] == orbits(spec, m, p)
+    down = project(p, m, k)
+    assert all(len({down[i] for i in b}) == 1 for b in fibres)
+
+
+# The proof on the generators, driven by generating sets that break it:
+# one generator that moves the level-k projection, or one of the two
+# unipotents that cycle the fibres left out.
+
+def _with_depth_below(gens, p, k):
+    return gens + [((1, p ** (k - 1)), (0, 1))]
+
+
+def _without_upper(gens, p, k):
+    return [g for g in gens if g != ((1, p ** k), (0, 1))]
+
+
+def _without_lower(gens, p, k):
+    return [g for g in gens if g != ((1, 0), (p ** k, 1))]
+
+
+@pytest.mark.parametrize("k,p", [(1, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("corrupt", [_with_depth_below, _without_upper,
+                                     _without_lower])
+def test_classification_proof_clause(monkeypatch, k, p, corrupt):
+    real = padic_core.subgroup_generators
+
+    def corrupted(spec, p, m):
+        assert (spec.kind, spec.k, m) == ("Gamma_k", k, 2 * k)
+        gens = real(spec, p, m)
+        out = corrupt(gens, p, k)
+        assert out != gens
+        return out
+
+    monkeypatch.setattr(padic_core, "subgroup_generators", corrupted)
+    with pytest.raises(ClassificationMismatch, match="^generators do not "
+                       "fix and cycle the fibres over level k$"):
+        orbit_classification_check(k, p, 11)
+
+
+def test_classification_refuses_a_composite_p():
+    with pytest.raises(BanalityViolation, match="^residue characteristic 4 "
+                       "is not prime$"):
+        orbit_classification_check(1, 4, 11)

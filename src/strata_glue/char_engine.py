@@ -23,8 +23,6 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .lambda_core import (
-    LambdaMatrix,
-    ModuleMap,
     free_module,
     iso_class,
     make_ring,
@@ -497,11 +495,9 @@ def _check_cuspidal(ring, source):
         raise CuspidalWitnessFailed("Iwahori-fixed vectors survive")
     # N-coinvariants: cokernel of (action of the unit transvection) - 1
     a = sig.action_matrix(((1, 1), (0, 1))).entries
-    rows = [[(a[i][j] - (i == j)) % ring.n for j in range(sig.rank)]
-            for i in range(sig.rank)]
-    f = ModuleMap(free_module(ring, sig.rank), free_module(ring, sig.rank),
-                  LambdaMatrix(ring, rows, cols=sig.rank))
-    coinv = quotient_module(free_module(ring, sig.rank), f.image_rows())
+    image = [[(a[i][j] - (i == j)) % ring.n for i in range(sig.rank)]
+             for j in range(sig.rank)]
+    coinv = quotient_module(free_module(ring, sig.rank), image)
     if not coinv.is_zero():
         raise CuspidalWitnessFailed("unipotent coinvariants survive")
 

@@ -104,7 +104,7 @@ def _build_parser():
 
 
 def cmd_orbits(args):
-    rep = orbit_classification_check(args.k, args.p, args.n)
+    rep = orbit_classification_check(args.k, args.p)
     if args.format == "json":
         out = {f: rep[f] for f in ("k", "m", "orbit_count", "orbits")}
         out.update(command="orbits", status="pass")
@@ -176,7 +176,7 @@ _R7 = (7, 2, 3)
 
 def _check_orbits():
     for p, k in ((2, 1), (2, 2), (3, 1), (3, 2)):
-        orbit_classification_check(k, p, 11)
+        orbit_classification_check(k, p)
     return {"configs": 4}
 
 
@@ -269,7 +269,7 @@ def _check_generators():
     ranks = compact_generator_ranks(1, 3, 11, 1)
     if ranks != {2: 6, 3: 8, 4: 2}:
         raise RuntimeError(f"generator ranks moved: {ranks}")
-    count = orbit_classification_check(1, 3, 11)["orbit_count"]
+    count = orbit_classification_check(1, 3)["orbit_count"]
     if ranks[3] != ranks[4] * count:
         raise RuntimeError("generator ranks disagree with the orbit count")
     return {"orbit_count": count}

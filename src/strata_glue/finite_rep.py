@@ -18,10 +18,10 @@ probes, and never on the 708,588 points of its line.
 
 Fixed points are asked for only under the stabilizers of the tree's
 facets, U, Uprime and Gamma0.  On trivial, induced and Steinberg models
-each is a closed form with no action matrix and no orbit sweep: the
-constants, the two cell indicators, and c1 on the big cell with c2 off it.
-Only inflated models, whose action is a table of residue matrices mod p,
-take the dense kernel of their action matrices.
+each is a closed form in cell coordinates, the same rows of at most two
+values at every level, with no action matrix and no orbit sweep.  Only
+inflated models, whose action is a table of residue matrices mod p, take
+the dense kernel of their action matrices.
 """
 
 from fractions import Fraction
@@ -164,28 +164,31 @@ def fixed_points(sig, spec):
     of the tree's vertices and edges.
 
     The working level is the model's own, sig.level.  The result is
-    presented on its Howell generators, kept as witness_rows: they span the
-    fixed space inside the coordinate module.  Howell form is canonical per
-    row span, so the result does not depend on which spanning rows a path
-    produces.
+    presented on its Howell generators, kept as witness_rows: vectors of
+    the enclosing coordinate module that span the fixed space.  Howell form
+    is canonical per row span, so the result does not depend on which
+    spanning rows a path produces.
 
     Closed form, for trivial, induced and Steinberg models (_cell_rows):
     every fixed vector of an induced model is constant on the big cell
-    [1:t] and on the [s:1], p | s.  U = SL2(O) is transitive on the level-m
-    line, so it fixes the constants.  Gamma0 keeps a unit first coordinate
-    a unit and a non-unit one a non-unit, and its unipotents step [1:t] to
-    [1:t+1] and [s:1] to [s+p:1], so it fixes the two cell indicators.
+    [1:t] and on the [s:1], p | s, so it is written in cell coordinates as
+    those two values; a Steinberg vector as the one coordinate [s:1] value
+    minus big-cell value, in which the constants vanish.  U = SL2(O) is
+    transitive on the level-m line, so it fixes the constants.  Gamma0
+    keeps a unit first coordinate a unit and a non-unit one a non-unit,
+    and its unipotents step [1:t] to [1:t+1] and [s:1] to [s+p:1], so it
+    fixes the two cell indicators.
     Uprime, the conjugate of U by eta = diag(1, pi), fixes one line: v is
     Uprime-fixed iff its translate by eta^-1 = diag(1, pi^-1) is U-fixed on
     the level-(m+1) line.  eta^-1 sends the [1:t] with p | t, of torus
     valuations (-1, 0), onto the level-m big cell, and every other point,
     of valuations (0, -1), onto the [s:1]; so no two weights meet over one
-    point, and the line is c1 on the big cell and c2 off it.  Steinberg
-    takes each row modulo the constants, which by banality and Maschke
-    gives its fixed space: nothing under U and Uprime, whose lines are the
-    constants of its untwisted parent, and the [s:1] indicator under
-    Gamma0.  These rows are written down in Howell form, each led by a 1,
-    so the result is free on them and nothing is eliminated.
+    point, and the line is (c1, c2), or (1, c2 c1^-1).  Steinberg takes
+    each row modulo the constants, which by banality and Maschke gives its
+    fixed space: nothing under U and Uprime, whose lines are the constants
+    of its untwisted parent, and the [s:1] indicator, (1,), under Gamma0.
+    These rows are written down in Howell form, each led by a 1, so the
+    result is free on them and nothing is eliminated.
 
     Dense path, for inflated models: the kernel of the stacked g - 1
     action matrices over U or Gamma0.  Every other kind, and Uprime on an
@@ -210,20 +213,16 @@ def fixed_points(sig, spec):
 
 
 def _cell_rows(sig, kind):
-    # the Howell rows of the fixed space, each constant on the big cell and
-    # on the [s:1]; see fixed_points
+    # the Howell rows of the fixed space in cell coordinates: the values on
+    # the big cell and on the [s:1], or for Steinberg their difference; see
+    # fixed_points
     if sig.kind == "trivial":
         return ((1,),)
-    md = sig.p ** sig.level
-    small = md // sig.p
     if sig.kind == "steinberg":
-        # in the coordinates v[i] - v[0], i >= 1, the constants vanish and
-        # both cell indicators become +-1 on the [s:1]
-        return ((0,) * (md - 1) + (1,) * small,) if kind == "Gamma0" else ()
+        return ((1,),) if kind == "Gamma0" else ()
     c1, c2 = sig.chi
-    cells = {"U": [(1, 1)], "Gamma0": [(1, 0), (0, 1)],
-             "Uprime": [(1, c2 * sig.ring.inv(c1) % sig.ring.n)]}[kind]
-    return tuple((a,) * md + (b,) * small for a, b in cells)
+    return {"U": ((1, 1),), "Gamma0": ((1, 0), (0, 1)),
+            "Uprime": ((1, c2 * sig.ring.inv(c1) % sig.ring.n),)}[kind]
 
 
 # ----------------------------------------------------------- Jacquet oracle

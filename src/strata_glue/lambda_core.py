@@ -467,9 +467,11 @@ def _solve(v, hmat):
 class FgModule:
     """Quotient of a free module Lambda^ambient by a Howell-form row span.
 
-    witness_rows, when present, are ambient vectors of an enclosing module
-    that the generators of this abstract presentation came from (kernels
-    keep them so callers can point at actual cycles).
+    witness_rows, when present, are the vectors of an enclosing coordinate
+    module that the generators of this abstract presentation came from
+    (kernels keep them so callers can point at actual cycles).  For the
+    closed-form fixed points of finite_rep that module is the cell module,
+    not the model's point coordinates.
     """
 
     __slots__ = ("ring", "ambient", "relations", "witness_rows")

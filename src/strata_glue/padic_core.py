@@ -144,7 +144,7 @@ def _fibres(p, k):
                for j in range(step // p)])
 
 
-def orbit_classification_check(k, p, n):
+def orbit_classification_check(k, p):
     """Classify the depth-k congruence orbits on the level-2k line and
     cross-check them against the closed form.
 
@@ -160,8 +160,7 @@ def orbit_classification_check(k, p, n):
     count matches the closed form; the orbit of [0:1] is the depth-k disc
     around infinity; the orbit of [1:0] is the depth-k disc around zero.
     Raises ClassificationMismatch naming the first clause that fails, the
-    proof on the generators first.  n tags the report; the partition
-    itself does not depend on it.  Raises BanalityViolation when p is not
+    proof on the generators first.  Raises BanalityViolation when p is not
     prime and ValueError when k < 1.
     """
     _check_prime(p)
@@ -196,8 +195,6 @@ def orbit_classification_check(k, p, n):
     return {
         "k": k,
         "m": m,
-        "p": p,
-        "n": n,
         "orbit_count": len(part),
         "formula_count": expected,
         "orbits": [{"rep": point_label(p, m, b[0]), "size": len(b)}

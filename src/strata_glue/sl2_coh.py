@@ -171,10 +171,9 @@ class SSComplex:
     block carried with a minus sign.
     """
 
-    __slots__ = ("sigma", "u_fixed", "uprime_fixed", "gamma0_fixed", "delta")
+    __slots__ = ("u_fixed", "uprime_fixed", "gamma0_fixed", "delta")
 
-    def __init__(self, sigma, u_fixed, uprime_fixed, gamma0_fixed, delta):
-        self.sigma = sigma
+    def __init__(self, u_fixed, uprime_fixed, gamma0_fixed, delta):
         self.u_fixed = u_fixed
         self.uprime_fixed = uprime_fixed
         self.gamma0_fixed = gamma0_fixed
@@ -188,10 +187,11 @@ class SSComplex:
 def ss_complex(sigma):
     """Two-term fixed-point complex of a level model.
 
+    The fixed spaces come in cell coordinates (finite_rep.fixed_points).
     Each Gamma0 generator is a cell indicator, of the big cell [1:t] or of
-    the [s:1], that leads with 1, and the U and U' generators are constant
-    on each cell; so a source generator's coordinates are its entries at
-    the Gamma0 pivots, and delta is written down, not solved for: ((1, -1),
+    the [s:1], that leads with 1, so a source generator's coordinates are
+    its entries at the Gamma0 pivots, and delta is written down, not
+    solved for, at the same cost at every level: ((1, -1),
     (1, -c2 c1^-1)) on an induced model, ((1, -1),) on the trivial one and
     1x0 on Steinberg, whose U and U' blocks vanish.
     """
@@ -208,7 +208,7 @@ def ss_complex(sigma):
     entries = [[c[i] for c in cols] for i in range(k)]
     delta = ModuleMap(free_module(ring, len(cols)), free_module(ring, k),
                       LambdaMatrix(ring, entries, cols=len(cols)))
-    return SSComplex(sigma, u_fixed, uprime_fixed, gamma0_fixed, delta)
+    return SSComplex(u_fixed, uprime_fixed, gamma0_fixed, delta)
 
 
 def _two_degrees(ss):

@@ -12,7 +12,8 @@ row per column, a pullback that solves for each point's source
 point afresh, a Jacquet stage engine that smooths vectors on every point
 of the line and one that visits every point to build each stage's disc
 coordinates, fixed points as the kernel of dense action matrices against a
-model rebuilt one level up and as the span of orbit indicators, iso
+model rebuilt one level up and as the span of orbit indicators, the
+closed forms' cell rows written out over every point of the line, iso
 classes from the integer Smith form of the relations stacked on n * I,
 and tree-ball vertices moved by act().
 Points of P^1(O/pi^m) are ProjPoint objects here, the reference that
@@ -1605,6 +1606,22 @@ def orbit_fixed_points(sig, spec):
         n = sig.ring.n
         rows = [tuple((x - r[0]) % n for x in r[1:]) for r in rows]
     return span_module(sig.ring, sig.rank, rows)
+
+
+def expand_cells(sig, rows):
+    """The closed-form fixed rows of finite_rep.fixed_points, given in cell
+    coordinates, written out over the points of the model's line, as the
+    dense and orbit paths write them: an induced row (a, b) is a on the big
+    cell [1:t] and b on the [s:1]; a Steinberg row (x,) is, in the
+    coordinates v[i] - v[0], i >= 1, zero on the big cell and x on the
+    [s:1].  Trivial rows are already in the model's coordinates."""
+    if sig.kind == "trivial":
+        return tuple(rows)
+    md = sig.p ** sig.level
+    small = md // sig.p
+    if sig.kind == "steinberg":
+        return tuple((0,) * (md - 1) + (x,) * small for (x,) in rows)
+    return tuple((a,) * md + (b,) * small for a, b in rows)
 
 
 # The integer Smith form that iso_class ran before the Smith form mod n,

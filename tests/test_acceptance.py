@@ -40,7 +40,7 @@ def test_criterion_1_orbit_formula():
             assert len(part) == want, (p, k, m)
         # infinity orbit is the valuation <= -k disc; the classification
         # checker verifies that clause and the zero disc symmetrically
-        rep = orbit_classification_check(k, p, 11)
+        rep = orbit_classification_check(k, p)
         assert rep["orbit_count"] == want
 
 
@@ -120,7 +120,7 @@ def test_criterion_6_cuspidal_vanishing(tmp_path):
 def test_criterion_7_compact_generator_ranks():
     ranks = compact_generator_ranks(1, 3, 11, 1)
     assert ranks == {2: 6, 3: 8, 4: 2}
-    count = orbit_classification_check(1, 3, 11)["orbit_count"]
+    count = orbit_classification_check(1, 3)["orbit_count"]
     assert count == 4
     assert ranks == {2: 2 * (count - 1), 3: 2 * count, 4: 2}
 

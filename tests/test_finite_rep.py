@@ -19,8 +19,8 @@ from strata_glue import finite_rep, padic_core, sl2_coh
 from bruteforce import (DiscStageEngine, NonInvertibleOrder, PointStageEngine,
                         _chi_val, _eta_inv_images, action_matrix,
                         averaging_projector, elem_lower, elem_upper,
-                        laurent_matrix, loop_pull_table, mat_mul, orbits,
-                        per_point_pull)
+                        expand_cells, laurent_matrix, loop_pull_table,
+                        mat_mul, orbits, per_point_pull)
 from bruteforce import fixed_points as dense_fixed_points
 from bruteforce import orbit_fixed_points
 from strata_glue.finite_rep import (
@@ -126,7 +126,7 @@ def test_fixed_brute_force_small():
     brute = {v for v in
              ((x, y, z) for x in range(5) for y in range(5) for z in range(5))
              if hits(v)}
-    fx = fixed_points(sig, SubgroupSpec("U"))
+    fx = point_fixed_points(sig, SubgroupSpec("U"))
     assert len(brute) == fx.size() == 5
     for row in fx.witness_rows:
         assert row in brute
@@ -147,7 +147,7 @@ def test_fixed_uprime_matches_U_rank():
                 steinberg(R11, 2),
                 induced_rep(R11, unram_pair(R11, "1/2", "-1/2"), 2)):
         a = fixed_points(sig, SubgroupSpec("U"))
-        b = fixed_points(sig, SubgroupSpec("Uprime"))
+        b = point_fixed_points(sig, SubgroupSpec("Uprime"))
         assert len(iso_class(a)) == len(iso_class(b))
         # the integral Uprime generator really fixes the witnesses
         low = action_matrix(sig, elem_lower(3, 1, 1)).entries
@@ -157,7 +157,41 @@ def test_fixed_uprime_matches_U_rank():
             assert img == row
 
 
+# U, Uprime and Gamma0 rows in cell coordinates: (big cell, [s:1]) on an
+# induced model, [s:1] minus big cell on Steinberg; 3^-1 is 4 mod 11 and
+# 48 mod 143, 3^-5 is 1 mod 11 and 133 mod 143
+_CELL_ROWS = {
+    (11, "triv"): (((1,),), ((1,),), ((1,),)),
+    (11, "st"): ((), (), ((1,),)),
+    (11, "ind(0,1)"): (((1, 1),), ((1, 4),), ((1, 0), (0, 1))),
+    (11, "ind(0,5)"): (((1, 1),), ((1, 1),), ((1, 0), (0, 1))),
+    (143, "triv"): (((1,),), ((1,),), ((1,),)),
+    (143, "st"): ((), (), ((1,),)),
+    (143, "ind(0,1)"): (((1, 1),), ((1, 48),), ((1, 0), (0, 1))),
+    (143, "ind(0,5)"): (((1, 1),), ((1, 133),), ((1, 0), (0, 1))),
+}
+
+
+def test_fixed_rows_are_cell_vectors_at_every_level():
+    # the same rows at every level, level 40 included
+    for ring in (R11, R143):
+        for spec in ("triv", "st", "ind(0,1)", "ind(0,5)"):
+            for m in (1, 2, 3, 4, 40):
+                sig = rep_model(ring, spec, m)
+                got = tuple(fixed_points(sig, SubgroupSpec(k)).witness_rows
+                            for k in ("U", "Uprime", "Gamma0"))
+                assert got == _CELL_ROWS[ring.n, spec], (ring.n, spec, m)
+
+
 # ---------------------------- closed forms against the orbit and dense paths
+
+def point_fixed_points(sig, spec):
+    # the closed forms with their witness rows expanded from cell to point
+    # coordinates, as the dense and orbit paths present them
+    fx = fixed_points(sig, spec)
+    fx.witness_rows = expand_cells(sig, fx.witness_rows)
+    return fx
+
 
 def _fixed_outcome(fn, sig, spec):
     # the presentation, or the exception's class and message
@@ -191,7 +225,7 @@ def test_closed_form_fixed_points_match_orbit_path(ring, levels):
         for sig in (rep_model(ring, s, m) for s in specs):
             for kind in ("U", "Gamma0"):
                 spec = SubgroupSpec(kind)
-                assert (_fixed_outcome(fixed_points, sig, spec)
+                assert (_fixed_outcome(point_fixed_points, sig, spec)
                         == _fixed_outcome(orbit_fixed_points, sig, spec)), (
                     ring.n, ring.p, m, sig, kind)
 
@@ -214,7 +248,7 @@ def test_orbit_path_builds_no_action_matrix(monkeypatch):
     monkeypatch.setattr(padic_core, "_fibres", refuse)
     for (kind, i), out in want.items():
         spec = SubgroupSpec(kind)
-        assert _fixed_outcome(fixed_points, models[i], spec) == out
+        assert _fixed_outcome(point_fixed_points, models[i], spec) == out
     assert [cohomology_report(sig) for sig in reports] == want_reports
     assert not hasattr(finite_rep, "orbits")
     assert not hasattr(sl2_coh, "orbits")
@@ -247,10 +281,9 @@ def test_uprime_reads_one_level_up():
     for ring in (R11, R7, R143, R121):
         for m in (1, 2, 3):
             for sig in (rep_model(ring, s, m) for s in specs):
-                fx = fixed_points(sig, spec)
                 assert (_fixed_outcome(dense_fixed_points, sig, spec)
-                        == (fx.ambient, fx.witness_rows,
-                            fx.relations.entries)), (ring.n, m, sig)
+                        == _fixed_outcome(point_fixed_points, sig, spec)), (
+                    ring.n, m, sig)
 
 
 # ----------------------------------------------------- averaging projector
@@ -283,7 +316,7 @@ def test_averaging_gamma0_image():
                 e = averaging_projector(sig, SubgroupSpec(kind))
                 img = howell_form(
                     LambdaMatrix(R11, e.image_rows(), cols=sig.rank))
-                fx = fixed_points(sig, SubgroupSpec(kind))
+                fx = point_fixed_points(sig, SubgroupSpec(kind))
                 assert img.entries == fx.witness_rows
 
 def test_averaging_noninvertible_order():

@@ -433,16 +433,16 @@ def test_eta_inv_images_equal_act(p, m):
 # ------------------------------------------- orbit_classification_check
 
 def test_classification_k1_p3():
-    rep = orbit_classification_check(1, 3, 11)
+    rep = orbit_classification_check(1, 3)
     assert rep["orbit_count"] == 4
     assert rep["formula_count"] == 4
 
 def test_classification_k2_p2():
-    rep = orbit_classification_check(2, 2, 5)
+    rep = orbit_classification_check(2, 2)
     assert rep["orbit_count"] == 6
 
 def test_classification_k2_p3():
-    rep = orbit_classification_check(2, 3, 5)
+    rep = orbit_classification_check(2, 3)
     assert rep["orbit_count"] == 12
 
 def test_classification_closed_form():
@@ -512,7 +512,7 @@ def _classify_corrupted(monkeypatch, k, p, corrupt, grow):
         return out
 
     monkeypatch.setattr(padic_core, "_fibres", corrupted)
-    return orbit_classification_check(k, p, 11)
+    return orbit_classification_check(k, p)
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 2)])
@@ -620,10 +620,10 @@ def test_classification_proof_clause(monkeypatch, k, p, corrupt):
     monkeypatch.setattr(padic_core, "subgroup_generators", corrupted)
     with pytest.raises(ClassificationMismatch, match="^generators do not "
                        "fix and cycle the fibres over level k$"):
-        orbit_classification_check(k, p, 11)
+        orbit_classification_check(k, p)
 
 
 def test_classification_refuses_a_composite_p():
     with pytest.raises(BanalityViolation, match="^residue characteristic 4 "
                        "is not prime$"):
-        orbit_classification_check(1, 4, 11)
+        orbit_classification_check(1, 4)

@@ -21,8 +21,9 @@ from strata_glue.finite_rep import (
 )
 from strata_glue import sl2_coh
 from bruteforce import (ProjPoint, closure_size, enumerate_p1,
-                        fixed_points as dense_fixed_points, integer_iso_class,
-                        point_eta_image, point_index, vertex_image)
+                        expand_cells, fixed_points as dense_fixed_points,
+                        integer_iso_class, point_eta_image, point_index,
+                        vertex_image)
 from strata_glue.sl2_coh import (
     AcyclicityFailed,
     bt_ball,
@@ -338,19 +339,45 @@ R143 = make_ring(143, 3, sqrt_q=82)
 R121 = make_ring(121, 3, sqrt_q=27)
 
 
-def _ss_pins(ss):
+def _ss_pins(ss, expand=lambda rows: rows):
+    # expand maps witness rows to point coordinates
     blocks = (ss.u_fixed, ss.uprime_fixed, ss.gamma0_fixed)
-    return ([(f.witness_rows, f.relations.entries) for f in blocks],
+    return ([(expand(f.witness_rows), f.relations.entries) for f in blocks],
             ss.delta.matrix.entries, ss.delta.matrix.cols)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4])
-@pytest.mark.parametrize("ring", [R11, R7, R143, R121],
-                         ids=["n11", "n7", "n143", "n121"])
-def test_ss_complex_matches_dense_reference(ring, level, monkeypatch):
-    specs = ("triv", "ind(0,0)", "ind(0,1)", "ind(0,5)", "ind(1/2,-1/2)",
+_SS_SPECS = ("triv", "ind(0,0)", "ind(0,1)", "ind(0,5)", "ind(1/2,-1/2)",
              "st")
-    models = [rep_model(ring, s, level) for s in specs]
-    got = [_ss_pins(ss_complex(sig)) for sig in models]
+_SS_RINGS = [R11, R7, R143, R121]
+_SS_IDS = ["n11", "n7", "n143", "n121"]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("ring", _SS_RINGS, ids=_SS_IDS)
+def test_ss_complex_matches_dense_reference(ring, level, monkeypatch):
+    # the closed forms, expanded from cell to point coordinates, against
+    # the dense path's point rows
+    models = [rep_model(ring, s, level) for s in _SS_SPECS]
+    got = [_ss_pins(ss_complex(sig), lambda rows: expand_cells(sig, rows))
+           for sig in models]
     monkeypatch.setattr(sl2_coh, "fixed_points", dense_fixed_points)
     assert got == [_ss_pins(ss_complex(sig)) for sig in models]
+
+
+_R13_P5 = make_ring(13, 5)
+
+
+@pytest.mark.parametrize(
+    "ring,specs",
+    [(r, _SS_SPECS) for r in _SS_RINGS]
+    + [(_R13_P5, tuple(s for s in _SS_SPECS if "/" not in s))],
+    ids=_SS_IDS + ["n13-p5"])
+def test_ss_complex_is_level_independent(ring, specs):
+    # the closed forms are cell vectors, so level 40, whose line has
+    # 4 * 3^39 points at p = 3, gives the level-1 answer; over Z/13 at
+    # p = 5 only the integral specs run, as 5 has no square root mod 13
+    for spec in specs:
+        low, high = (rep_model(ring, spec, m) for m in (1, 40))
+        assert cohomology_report(high) == cohomology_report(low), spec
+        assert (ss_complex(high).delta.matrix.entries
+                == ss_complex(low).delta.matrix.entries), spec

@@ -13,8 +13,8 @@ command after the first pays only for parsing, not for a new parser.
 
 import argparse
 import functools
-import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -294,23 +294,58 @@ def _check_tree_balls():
     return {"balls": 6}
 
 
-def _images(rows, n, width, closed=False):
-    """x·rows for every x in (Z/n)^len(rows), in itertools.product order.
+def _images(rows, n, width, orders=None, tables=None):
+    """x·rows for every x with 0 <= x_i < orders[i] (n for every row by
+    default), in itertools.product order.  n is at most 256 and width at
+    most 8: each image is the int whose bytes, in native order, are its
+    entries, so that sets and counts of images run on ints.
 
-    Built one row at a time as per-column lists, zipped into tuples at the
-    end.  closed=True de-duplicates after each row, so the result is the
-    row span and each row costs at most n^(width+1) sums."""
-    cols = [[0]] * width
-    for r in rows:
-        cols = [[(a + c * b) % n for a in col for c in range(n)]
-                for col, b in zip(cols, r)]
-        if closed:
-            cols = list(zip(*set(zip(*cols))))
-    return list(zip(*cols))
+    Each column is a bytes string of values, built from the last row to
+    the first, so that the first coefficient varies slowest.  An entry b
+    of a row with order k maps a column to the concatenation of its k
+    translates by c·b mod n, c < k: one bytes.translate table per shift,
+    kept per (n, b, k) in the dict tables, which callers may share."""
+    if tables is None:
+        tables = {}
+    cols = [b"\0"] * width
+    for i in reversed(range(len(rows))):
+        k = n if orders is None else orders[i]
+        grown = []
+        for col, b in zip(cols, rows[i]):
+            table = tables.get((n, b, k))
+            if table is None:
+                table = tables[n, b, k] = [
+                    bytes(range(s, n)) + bytes(range(s)) + bytes(256 - n)
+                    for s in [c * b % n for c in range(k)]]
+            grown.append(b"".join(map(col.translate, table)))
+        cols = grown
+    packed = bytearray(8 * len(cols[0]))
+    for j, col in enumerate(cols):
+        packed[j::8] = col
+    return memoryview(packed).cast("Q").tolist()
+
+
+def _box(m, tables):
+    """x·m over the coefficient box 0 <= x_i < n / gcd(pivot_i, n).
+
+    On a Howell form this lists each element of the row span exactly
+    once.  A zero row, which only a faulty engine returns, has order 1."""
+    n = m.ring.n
+    orders = [n // math.gcd(next(iter(r.values()), 0), n) for r in m.rows]
+    return _images(m.entries, n, m.cols, orders, tables)
 
 
 def _check_linalg(seed):
+    """200 seeded cases over Z/n, n <= 9, each checked exhaustively.
+
+    x·M is enumerated once, for every x: its set is span(M) and its zeros
+    are ker M.  The Howell form H must list span(M) on its box, once per
+    element; each row of H lies in its own box, so this proves
+    span(H) = span(M) and the Howell property.  Every row of the left
+    kernel K must be a zero of the enumeration, and K's box must list
+    |ker M| distinct points, so span(K) is ker M."""
     rng = random.Random(seed)
+    tables = {}
     for _ in range(200):
         n = rng.randint(2, 9)
         ring = CoeffRing(n, 997)  # matrix layer never consults p
@@ -319,14 +354,19 @@ def _check_linalg(seed):
         m = LambdaMatrix(ring, [[rng.randrange(n) for _ in range(cols)]
                                 for _ in range(rows)])
         entries = m.entries
-        images = _images(entries, n, cols)
+        images = _images(entries, n, cols, None, tables)
         span = set(images)
-        if set(_images(howell_form(m).entries, n, cols, closed=True)) != span:
+        hbox = _box(howell_form(m), tables)
+        if len(hbox) != len(span) or set(hbox) != span:
             raise RuntimeError("howell form changed the row span")
-        kern = set(_images(left_kernel(m).entries, n, rows, closed=True))
-        brute = {x for x, img in zip(
-            itertools.product(range(n), repeat=rows), images) if not any(img)}
-        if kern != brute:
+        kern = left_kernel(m)
+        kbox = _box(kern, tables)
+        nker = images.count(0)
+        # x sits at index sum x_i n^(rows-1-i) of the enumeration
+        if (len(kbox) != nker or len(set(kbox)) != nker
+                or any(images[sum(c * n ** (rows - 1 - i)
+                                  for i, c in r.items())]
+                       for r in kern.rows)):
             raise RuntimeError("left kernel disagrees with enumeration")
         quot = quotient_module(free_module(ring, cols), list(entries))
         size = 1
@@ -392,13 +432,27 @@ _COMMANDS = {
 }
 
 
+def _reject_ignored(parser, args, flags, reason):
+    """ValueError naming each of flags (by dest) that args sets away from
+    its default: a command must not accept a flag it ignores."""
+    default = vars(parser.parse_args([args.command]))
+    ignored = [f"--{k.replace('_', '-')}" for k, v in vars(args).items()
+               if k in flags and v != default[k]]
+    if ignored:
+        raise ValueError(f"{args.command} {reason} and ignores "
+                         f"{', '.join(ignored)}")
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "orbits":
             # the points of P^1 carry no coefficients: no ring is built,
-            # and p and k are checked where they are read
+            # and p and k are checked where they are read; --precision
+            # stays accepted, as for every command
+            _reject_ignored(parser, args, ("n", "sqrt_q", "level"),
+                            "works at level 2k with no coefficient ring")
             return cmd_orbits(args)
         sqrt_q = args.sqrt_q
         if sqrt_q is None and (args.p, args.n) == (3, 11):
@@ -406,13 +460,9 @@ def main(argv=None):
         ring = make_ring(args.n, args.p, sqrt_q)
         if args.command == "verify-all":
             # it runs on fixed rings and reads no shared flag but --format
-            default = vars(parser.parse_args(["verify-all"]))
-            ignored = [f"--{k.replace('_', '-')}"
-                       for k, v in vars(args).items()
-                       if k != "format" and v != default[k]]
-            if ignored:
-                raise ValueError("verify-all runs on its fixed rings and "
-                                 f"ignores {', '.join(ignored)}")
+            _reject_ignored(parser, args,
+                            ("p", "n", "sqrt_q", "level", "precision", "k"),
+                            "runs on its fixed rings")
         return _COMMANDS[args.command](args, ring)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

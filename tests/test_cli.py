@@ -385,6 +385,17 @@ def test_verify_all_rejects_the_flags_it_ignores(capsys, fmt):
     assert code == 2 and "BanalityViolation" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "12"), ("--level", "3"), ("--sqrt-q", "4")])
+def test_orbits_rejects_the_flags_it_ignores(capsys, flag, value):
+    code, out, err = run(capsys, "orbits", "--p", "3", "--k", "1",
+                         flag, value)
+    assert (code, out) == (2, "")
+    assert err.strip().endswith(
+        f"orbits works at level 2k with no coefficient ring and "
+        f"ignores {flag}")
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_orbits_depth_below_one_is_usage_error(capsys, k):
     code, _, err = run(capsys, "orbits", "--k", k)
@@ -615,6 +626,11 @@ def test_verify_all_lists_a_failing_criterion_and_runs_the_rest(
 # ------------------------------------------------- linear-algebra oracle
 
 
+def _unpack(images, width):
+    # each image is an int whose bytes, in native order, are its entries
+    return [tuple(v.to_bytes(8, sys.byteorder)[:width]) for v in images]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_images_match_brute_force(data):
@@ -625,18 +641,50 @@ def test_images_match_brute_force(data):
         st.tuples(*[st.integers(0, n - 1)] * width))
     pool = data.draw(st.lists(row, min_size=1, max_size=4))
     rows = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+    orders = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(1, n), min_size=len(rows),
+                            max_size=len(rows))))
 
-    xs = list(itertools.product(range(n), repeat=len(rows)))
-    images = cli._images(rows, n, width)
+    xs = list(itertools.product(*map(range, orders or [n] * len(rows))))
+    images = _unpack(cli._images(rows, n, width, orders), width)
     assert images == [
         tuple(sum(c * r[j] for c, r in zip(x, rows)) % n
               for j in range(width))
         for x in xs]
-    span = span_of(rows, n, width)
-    assert set(images) == span
-    assert set(cli._images(rows, n, width, closed=True)) == span
-    assert {x for x, img in zip(xs, images) if not any(img)} == \
-        brute_left_kernel(rows, n)
+    if orders is None:
+        assert set(images) == span_of(rows, n, width)
+        assert {x for x, img in zip(xs, images) if not any(img)} == \
+            brute_left_kernel(rows, n)
+
+
+@st.composite
+def _box_matrices(draw):
+    # at most 10^4 points in (Z/n)^rows and (Z/n)^cols, so that span_of
+    # stays quick: 4 x 4 up to n = 9, 3 x 3 at n = 12, 2 x 2 at n = 36
+    n = draw(st.sampled_from((4, 6, 8, 9, 12, 36)))
+    most = max(k for k in range(1, 5) if n ** k <= 10 ** 4)
+    rows = draw(st.integers(1, most))
+    cols = draw(st.integers(1, most))
+    entry = st.integers(0, n - 1)
+    return LambdaMatrix(cli.CoeffRing(n, 997), draw(
+        st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                 min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_box_matrices())
+def test_a_howell_box_lists_its_span_once(m):
+    # what the oracle relies on: the box 0 <= x_i < n / gcd(pivot_i, n)
+    # of a Howell form maps one to one onto its row span
+    for h in (cli.howell_form(m), cli.left_kernel(m)):
+        box = _unpack(cli._box(h, {}), h.cols)
+        assert len(box) == len(set(box))
+        assert set(box) == span_of(h.entries, m.ring.n, h.cols)
+
+
+def test_linear_algebra_oracle_passes_at_forty_seeds():
+    for seed in range(40):
+        assert cli._check_linalg(seed) == {"cases": 200}
 
 
 def _drop_last_row(fn):
@@ -663,3 +711,47 @@ def test_linear_algebra_oracle_catches_a_faulty_engine(
     assert blob["criteria"][-1] == {"criterion": "linear-algebra",
                                     "status": "fail",
                                     "error": f"RuntimeError: {message}"}
+
+
+def _drop_rows_in_the_span_of_the_others(fn):
+    # an echelon form with the right span that is not Howell: over Z/4,
+    # [[2, 1], [0, 2]] becomes [[2, 1]], whose span also holds (0, 2)
+    def faulty(m):
+        keep = list(fn(m).entries)
+        for r in list(keep):
+            others = [s for s in keep if s is not r]
+            if r in span_of(others, m.ring.n, m.cols):
+                keep = others
+        return LambdaMatrix(m.ring, keep, cols=m.cols)
+    return faulty
+
+
+def _double_rows_over_even_n(fn):
+    # doubling can send a row to zero, as it does in a draw at seed 20104;
+    # the oracle must read that row as one of order 1, not fail on it
+    def faulty(m):
+        out = fn(m)
+        if out.ring.n % 2:
+            return out
+        return LambdaMatrix(out.ring,
+                            [{j: 2 * x for j, x in r.items()}
+                             for r in out.rows], cols=out.cols)
+    return faulty
+
+
+@pytest.mark.parametrize("seed", ["1", "20104"])
+@pytest.mark.parametrize("name, fault, message", [
+    ("howell_form", _drop_rows_in_the_span_of_the_others,
+     "howell form changed the row span"),
+    ("left_kernel", _double_rows_over_even_n,
+     "left kernel disagrees with enumeration"),
+])
+def test_linear_algebra_oracle_checks_the_howell_box(
+        capsys, monkeypatch, seed, name, fault, message):
+    monkeypatch.setenv("STRATA_GLUE_SEED", seed)
+    monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+    code, out, _ = run(capsys, "verify-all", "--format", "json")
+    assert code == 3
+    blob = json.loads(out)
+    assert blob["failed"] == ["linear-algebra"]
+    assert blob["criteria"][-1]["error"] == f"RuntimeError: {message}"

@@ -446,6 +446,11 @@ def _reject_ignored(parser, args, flags, reason):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # argparse reads "--rep=--" as an empty list of values, not a string
+    for k, v in vars(args).items():
+        if isinstance(v, list):
+            parser.error(f"argument --{k.replace('_', '-')}: "
+                         "expected one argument")
     try:
         if args.command == "orbits":
             # the points of P^1 carry no coefficients: no ring is built,

@@ -304,6 +304,16 @@ def test_unparseable_spec_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--rep", "--n", "--level", "--k"])
+def test_a_flag_set_to_a_bare_separator_is_usage_error(capsys, flag):
+    # argparse reads "--x=--" as an empty list of values
+    with pytest.raises(SystemExit) as exc:
+        main(["sl2coh", "--rep=triv", f"{flag}=--"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().endswith(
+        f"error: argument {flag}: expected one argument")
+
+
 @pytest.mark.parametrize("level", ["0", "-1"])
 def test_trivial_model_below_level_one_is_usage_error(capsys, level):
     code, out, err = run(capsys, "sl2coh", "--rep", "triv", "--level", level)

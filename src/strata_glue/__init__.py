@@ -7,7 +7,6 @@ from .lambda_core import (  # noqa: F401
     BanalityViolation,
     CoeffRing,
     FgModule,
-    IllDefinedMap,
     LambdaMatrix,
     MissingSqrtQ,
     ModuleMap,

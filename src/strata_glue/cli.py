@@ -56,12 +56,9 @@ exponents a, b, k may be halves, written like 1/2 or -3/2.
 
 
 @functools.cache
-def _build_parser():
-    """The one parser of this process, built on first use.
-
-    Every main() call shares it, so it must not be mutated; parse_args
-    only reads it.  A build costs about as much as a whole level-2
-    sl2coh command, so a process that runs many commands pays it once."""
+def _shared_parser():
+    """The flags every command takes, built once; _reject_ignored reads
+    their defaults from it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--p", type=int, default=3,
                         help="residue characteristic (default 3)")
@@ -78,7 +75,17 @@ def _build_parser():
     shared.add_argument("--k", type=int, default=1,
                         help="congruence depth for orbit counts (default 1)")
     shared.add_argument("--format", choices=("text", "json"), default="text")
+    return shared
 
+
+@functools.cache
+def _build_parser():
+    """The one parser of this process, built on first use.
+
+    Every main() call shares it, so it must not be mutated; parse_args
+    only reads it.  A build costs about as much as a whole level-2
+    sl2coh command, so a process that runs many commands pays it once."""
+    shared = _shared_parser()
     ap = argparse.ArgumentParser(
         prog="strata-glue",
         description="Desk-scale gluing computations for rank-2 strata.",
@@ -424,20 +431,23 @@ def cmd_verify_all(args, ring):
     return 3 if failed else 0
 
 
-# the commands that read a coefficient ring; orbits reads none
+# the commands that read a coefficient ring (orbits reads none), each with
+# the shared flags it ignores and why
 _COMMANDS = {
-    "sl2coh": cmd_sl2coh,
-    "glue": cmd_glue,
-    "verify-all": cmd_verify_all,
+    "sl2coh": (cmd_sl2coh, ("k",), "counts no orbits"),
+    "glue": (cmd_glue, ("k",), "counts no orbits"),
+    "verify-all": (cmd_verify_all,
+                   ("p", "n", "sqrt_q", "level", "precision", "k"),
+                   "runs on its fixed rings"),
 }
 
 
-def _reject_ignored(parser, args, flags, reason):
+def _reject_ignored(args, flags, reason):
     """ValueError naming each of flags (by dest) that args sets away from
     its default: a command must not accept a flag it ignores."""
-    default = vars(parser.parse_args([args.command]))
+    shared = _shared_parser()
     ignored = [f"--{k.replace('_', '-')}" for k, v in vars(args).items()
-               if k in flags and v != default[k]]
+               if k in flags and v != shared.get_default(k)]
     if ignored:
         raise ValueError(f"{args.command} {reason} and ignores "
                          f"{', '.join(ignored)}")
@@ -456,19 +466,16 @@ def main(argv=None):
             # the points of P^1 carry no coefficients: no ring is built,
             # and p and k are checked where they are read; --precision
             # stays accepted, as for every command
-            _reject_ignored(parser, args, ("n", "sqrt_q", "level"),
+            _reject_ignored(args, ("n", "sqrt_q", "level"),
                             "works at level 2k with no coefficient ring")
             return cmd_orbits(args)
         sqrt_q = args.sqrt_q
         if sqrt_q is None and (args.p, args.n) == (3, 11):
             sqrt_q = 5
         ring = make_ring(args.n, args.p, sqrt_q)
-        if args.command == "verify-all":
-            # it runs on fixed rings and reads no shared flag but --format
-            _reject_ignored(parser, args,
-                            ("p", "n", "sqrt_q", "level", "precision", "k"),
-                            "runs on its fixed rings")
-        return _COMMANDS[args.command](args, ring)
+        command, ignored, reason = _COMMANDS[args.command]
+        _reject_ignored(args, ignored, reason)
+        return command(args, ring)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

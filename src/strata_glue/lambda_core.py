@@ -3,25 +3,27 @@
 Z/n is not a domain, so row reduction alone does not give canonical forms or
 complete kernels.  The canonical representative used throughout is the Howell
 form: unique per row span, closed under the annihilator rows that a composite
-modulus introduces.  Modules are finitely generated quotients of free modules
-and maps are matrices on ambient generators.  A map's kernel and cokernel
-come from one elimination of its image rows stacked on the target
-relations: the rows its carried transform leaves zero give the kernel, and
-its pivot rows, reduced above their pivots, are the cokernel's Howell
-relations.  Iso classes come from a Smith form mod n that starts from the
-Howell relations: rows with a unit pivot drop out with their pivot column,
-and only the rest is eliminated, per prime power of n, with the local
-orders joined by CRT.  All values are immutable after construction and
-every operation is a pure function, so instances can be shared freely.
+modulus introduces.  Modules are finitely generated quotients of free
+modules.  A map runs from a free module into any module, as the maps whose
+kernels and cokernels give cohomology do (the SS difference map and the
+tree-ball boundary), and is a matrix on ambient generators.  Its kernel and
+cokernel are read off one elimination of its image rows stacked on the
+target relations: the rows its carried transform leaves zero give the
+kernel, and its pivot rows, reduced above their pivots, are the cokernel's
+Howell relations.  Iso classes come from a Smith form mod n that starts from
+the Howell relations: rows with a unit pivot drop out with their pivot
+column, and only the rest is eliminated, per prime power of n, with the
+local orders joined by CRT.  All values are immutable after construction
+and every operation is a pure function, so instances can be shared freely.
 
 Matrices are held as sparse rows, {column: value} maps of the nonzero
 entries, and every path reads supports, never the full width: the Howell
 engine keeps rows in buckets keyed by their leading column and carries the
 kernel transform sparse, transposes and images walk the nonzero entries,
-and solves, sizes and iso classes read the Howell pivots, which lead each
-row.  So a tree-ball boundary, two nonzeros per column, costs its nonzeros
-plus fill, not its square, and with its vertices numbered leaves first it
-has no fill.  The dense view of a matrix is built on demand.
+and sizes and iso classes read the Howell pivots, which lead each row.  So
+a tree-ball boundary, two nonzeros per column, costs its nonzeros plus
+fill, not its square, and with its vertices numbered leaves first it has no
+fill.  The dense view of a matrix is built on demand.
 """
 
 from bisect import insort
@@ -37,10 +39,6 @@ class BanalityViolation(ValueError):
 
 class BadSqrt(ValueError):
     """Claimed square root of q fails sqrt_q^2 = q mod n."""
-
-
-class IllDefinedMap(ValueError):
-    """Matrix does not carry source relations into target relations."""
 
 
 @lru_cache(maxsize=None)
@@ -437,31 +435,6 @@ def left_kernel(m):
     return LambdaMatrix._sparse(m.ring, kh, m.nrows)
 
 
-def _solve(v, hmat):
-    """Coefficients {i: c} with sum of c * row i of hmat equal to v, or
-    None.  v is a {column: value} map; hmat must be Howell form, so each
-    row leads with its pivot and the pivots strictly increase."""
-    n = hmat.ring.n
-    v = {j: y for j, x in v.items() if (y := x % n)}
-    coeffs = {}
-    for i, row in enumerate(hmat.rows):
-        if not v:
-            break
-        c, d = next(iter(row.items()))
-        x = v.get(c)
-        if x is None:
-            continue
-        if x % d:
-            return None
-        q = coeffs[i] = x // d
-        for j, y in row.items():
-            if z := (v.get(j, 0) - q * y) % n:
-                v[j] = z
-            else:
-                v.pop(j, None)
-    return None if v else coeffs
-
-
 # ----------------------------------------------------------------- modules
 
 class FgModule:
@@ -527,41 +500,24 @@ def quotient_module(module, rows):
 
 
 class ModuleMap:
-    """Map between FgModules.
+    """Map from a free FgModule into any FgModule.
 
     matrix rows are indexed by target generators, columns by source
-    generators: apply(v)[i] = sum_j matrix[i][j] * v[j].  Well-definedness
-    (source relations land in target relations) is checked on construction.
+    generators: source generator j goes to column j.  A free source has no
+    relations to carry, so every matrix of the right shape is a map.
     """
 
     __slots__ = ("source", "target", "matrix", "_images")
 
     def __init__(self, source, target, matrix):
+        if source.relations.rows:
+            raise ValueError("a map's source must be free")
         if matrix.nrows != target.ambient or matrix.cols != source.ambient:
             raise ValueError("matrix shape does not match source/target")
         self.source = source
         self.target = target
         self.matrix = matrix
         self._images = matrix.transpose().rows
-        for rel in source.relations.rows:
-            if _solve(self._image(rel), target.relations) is None:
-                raise IllDefinedMap("source relation escapes target relations")
-
-    def _image(self, v):
-        # the image of a {generator: coefficient} map, as a map whose
-        # values are not yet reduced
-        images, out = self._images, {}
-        for j, c in v.items():
-            for i, x in images[j].items():
-                out[i] = out.get(i, 0) + c * x
-        return out
-
-    def apply(self, v):
-        n = self.source.ring.n
-        out = [0] * self.matrix.nrows
-        for i, x in self._image(_nonzero(v)).items():
-            out[i] = x % n
-        return out
 
     def image_rows(self):
         """Images of the source generators, as target-ambient rows: one
@@ -569,24 +525,19 @@ class ModuleMap:
         return self._images
 
 
-def _present_subquotient(ring, ambient, gen_rows, mod_rows):
-    """span(gen_rows)/span(mod_rows) presented on the given generators,
-    all of them {column: value} maps; gen_rows are Howell rows.
+def _present_span(ring, ambient, gen_rows):
+    """span(gen_rows) presented on the given generators, all of them
+    {column: value} maps; gen_rows are Howell rows.
 
-    With nothing to divide by and every pivot 1, the generators are
-    independent: x * gen_rows is x_i at the pivot of the first row i with
-    x_i != 0.  So there are no relations, and no elimination runs."""
+    With every pivot 1, the generators are independent: x * gen_rows is
+    x_i at the pivot of the first row i with x_i != 0.  So there are no
+    relations, and no elimination runs."""
     if not gen_rows:
         return FgModule(ring, 0, witness_rows=())
-    g = len(gen_rows)
-    if mod_rows or any(next(iter(r.values())) != 1 for r in gen_rows):
-        stacked = list(gen_rows) + list(mod_rows)
-        kern = left_kernel(LambdaMatrix._sparse(ring, stacked, ambient))
-        rel = [{j: x for j, x in r.items() if j < g} for r in kern.rows]
-    else:
-        rel = []
-    return FgModule(ring, g,
-                    LambdaMatrix._sparse(ring, rel, g) if rel else None,
+    rel = None
+    if any(next(iter(r.values())) != 1 for r in gen_rows):
+        rel = left_kernel(LambdaMatrix._sparse(ring, gen_rows, ambient))
+    return FgModule(ring, len(gen_rows), rel,
                     witness_rows=tuple(_dense(r, ambient) for r in gen_rows))
 
 
@@ -597,35 +548,30 @@ def _eliminate_map(f):
                       f.target.ring.n, f.target.ambient, transform=True)
 
 
-def _kernel_module(f, zeros):
-    # the kernel of f from the kernel rows of _eliminate_map(f): the Howell
-    # rows of their source coordinates, modulo the source relations; the
-    # projection of a span, they need not be in Howell form first
-    ring, k = f.source.ring, f.source.ambient
-    rows = _howell_engine([{j: x for j, x in r.items() if j < k}
-                           for r in zeros], ring.n, k)
-    return _present_subquotient(ring, k, rows, f.source.relations.rows)
-
-
 def kernel(f):
     """Kernel of a ModuleMap as an abstract FgModule with witness rows:
     the Howell rows of {x : f(x) = 0 in target}."""
-    return _kernel_module(f, _eliminate_map(f)[2])
+    return kernel_cokernel(f)[0]
 
 
 def kernel_cokernel(f):
-    """Kernel and cokernel of a ModuleMap from one elimination, equal to
-    kernel(f) and quotient_module(f.target, f.image_rows()).
+    """Kernel and cokernel of a ModuleMap, both read off one elimination of
+    f's image rows stacked on the target relations.
 
-    The elimination of f's image rows stacked on the target relations
-    gives the kernel through its kernel rows, as in kernel(); its pivot
-    rows, reduced above their pivots, are the Howell form of the image
-    plus the target relations, which are the cokernel's relations.
+    The kernel rows of that elimination, cut to their source coordinates,
+    span {x : f(x) = 0 in target}; their Howell rows present the kernel,
+    with themselves as witness rows.  The pivot rows, reduced above their
+    pivots, are the Howell form of the image plus the target relations:
+    the cokernel's relations, as quotient_module(f.target, f.image_rows())
+    gives them.
     """
     out, pivots, zeros = _eliminate_map(f)
-    ring, t = f.target.ring, f.target.ambient
-    return (_kernel_module(f, zeros),
-            FgModule._wrap(ring, t, _reduce_above(out, pivots, ring.n)))
+    ring, k = f.source.ring, f.source.ambient
+    rows = _howell_engine([{j: x for j, x in r.items() if j < k}
+                           for r in zeros], ring.n, k)
+    return (_present_span(ring, k, rows),
+            FgModule._wrap(ring, f.target.ambient,
+                           _reduce_above(out, pivots, ring.n)))
 
 
 # --------------------------------------------------- Smith form, iso classes

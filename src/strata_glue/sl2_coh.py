@@ -18,6 +18,7 @@ leaves first, so its elimination has no fill and subtracts nothing.
 from fractions import Fraction
 
 from .lambda_core import (
+    _check_prime,
     LambdaMatrix,
     ModuleMap,
     free_module,
@@ -155,7 +156,10 @@ class TreeBall:
 
 
 def bt_ball(p, r):
-    """Ball of radius r; its vertices are point indices through level r."""
+    """Ball of radius r; its vertices are point indices through level r.
+    Raises BanalityViolation when p is not prime and ValueError when
+    r < 1."""
+    _check_prime(p)
     if r < 1:
         raise ValueError("a ball needs radius at least 1")
     return TreeBall(p, r)

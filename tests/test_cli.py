@@ -406,6 +406,19 @@ def test_orbits_rejects_the_flags_it_ignores(capsys, flag, value):
         f"ignores {flag}")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ("sl2coh", "--rep", "st"), ("glue", "--slope", "int", "--rep", "triv")])
+def test_sl2coh_and_glue_reject_the_depth_they_ignore(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt, "--k", "7")
+    assert (code, out) == (2, "")
+    assert err.strip().endswith(f"{argv[0]} counts no orbits and ignores --k")
+    # the ring is built first, so a banality violation is still named
+    code, out, err = run(capsys, *argv, "--format", fmt, "--k", "7",
+                         "--n", "3", "--p", "2")
+    assert (code, out) == (2, "") and "BanalityViolation" in err
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_orbits_depth_below_one_is_usage_error(capsys, k):
     code, _, err = run(capsys, "orbits", "--k", k)
@@ -434,7 +447,7 @@ def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert run(capsys, "sl2coh", "--rep", "st")[0] == 0
-    # verify-all parses its own defaults a second time
+    # verify-all reads the shared defaults to reject --n
     assert run(capsys, "verify-all", "--n", "13")[0] == 2
     with pytest.raises(SystemExit):
         main(["glue", "--rep", "triv"])

@@ -5,7 +5,8 @@ from itertools import zip_longest
 
 import pytest
 
-from strata_glue.lambda_core import iso_class, make_ring
+from strata_glue.lambda_core import (BanalityViolation, iso_class,
+                                     make_ring)
 from strata_glue.padic_core import (
     SubgroupSpec,
     UnsupportedSubgroup,
@@ -84,9 +85,18 @@ def test_ball_regularity():
 
 
 def test_ball_radius_guard():
-    # labels are exact residues, so the radius is the only guard
+    # labels are exact residues, so beside p the radius is the only guard
     with pytest.raises(ValueError, match="radius at least 1"):
         bt_ball(3, 0)
+
+
+@pytest.mark.parametrize("p", [1, 4, 6])
+def test_ball_needs_a_prime(p):
+    # a non-prime p gives no tree of lattice classes, though at p = 4 and
+    # radius 2 the labels would make 26 vertices that pass check_regular()
+    with pytest.raises(BanalityViolation,
+                       match=f"^residue characteristic {p} is not prime$"):
+        bt_ball(p, 2)
 
 
 def test_ball_chain_homology_is_a_point():

@@ -16,6 +16,7 @@ from .lambda_core import (  # noqa: F401
     kernel,
     kernel_cokernel,
     left_kernel,
+    left_kernel_cokernel,
     make_ring,
     quotient_module,
 )

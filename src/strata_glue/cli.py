@@ -24,12 +24,9 @@ import time
 from .lambda_core import (
     CoeffRing,
     LambdaMatrix,
-    free_module,
-    howell_form,
     iso_class,
-    left_kernel,
+    left_kernel_cokernel,
     make_ring,
-    quotient_module,
 )
 from .padic_core import orbit_classification_check
 from .finite_rep import jacquet_oracle, rep_model
@@ -345,12 +342,14 @@ def _box(m, tables):
 def _check_linalg(seed):
     """200 seeded cases over Z/n, n <= 9, each checked exhaustively.
 
+    One elimination of M gives its left kernel K and the quotient
+    Lambda^cols / span(M), whose relations are the Howell form H of M.
     x·M is enumerated once, for every x: its set is span(M) and its zeros
-    are ker M.  The Howell form H must list span(M) on its box, once per
-    element; each row of H lies in its own box, so this proves
-    span(H) = span(M) and the Howell property.  Every row of the left
-    kernel K must be a zero of the enumeration, and K's box must list
-    |ker M| distinct points, so span(K) is ker M."""
+    are ker M.  H must list span(M) on its box, once per element; each row
+    of H lies in its own box, so this proves span(H) = span(M) and the
+    Howell property.  Every row of K must be a zero of the enumeration,
+    and K's box must list |ker M| distinct points, so span(K) is ker M.
+    The iso class of the quotient must multiply out to n^cols / |span(M)|."""
     rng = random.Random(seed)
     tables = {}
     for _ in range(200):
@@ -358,15 +357,15 @@ def _check_linalg(seed):
         ring = CoeffRing(n, 997)  # matrix layer never consults p
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 3)
-        m = LambdaMatrix(ring, [[rng.randrange(n) for _ in range(cols)]
-                                for _ in range(rows)])
-        entries = m.entries
-        images = _images(entries, n, cols, None, tables)
+        m = LambdaMatrix._reduced(ring, [
+            tuple(rng.randrange(n) for _ in range(cols))
+            for _ in range(rows)], cols)
+        images = _images(m.entries, n, cols, None, tables)
         span = set(images)
-        hbox = _box(howell_form(m), tables)
+        kern, quot = left_kernel_cokernel(m)
+        hbox = _box(quot.relations, tables)
         if len(hbox) != len(span) or set(hbox) != span:
             raise RuntimeError("howell form changed the row span")
-        kern = left_kernel(m)
         kbox = _box(kern, tables)
         nker = images.count(0)
         # x sits at index sum x_i n^(rows-1-i) of the enumeration
@@ -375,7 +374,6 @@ def _check_linalg(seed):
                                   for i, c in r.items())]
                        for r in kern.rows)):
             raise RuntimeError("left kernel disagrees with enumeration")
-        quot = quotient_module(free_module(ring, cols), list(entries))
         size = 1
         for f in iso_class(quot):
             size *= f

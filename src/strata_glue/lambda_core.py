@@ -10,11 +10,13 @@ tree-ball boundary), and is a matrix on ambient generators.  Its kernel and
 cokernel are read off one elimination of its image rows stacked on the
 target relations: the rows its carried transform leaves zero give the
 kernel, and its pivot rows, reduced above their pivots, are the cokernel's
-Howell relations.  Iso classes come from a Smith form mod n that starts from
-the Howell relations: rows with a unit pivot drop out with their pivot
-column, and only the rest is eliminated, per prime power of n, with the
-local orders joined by CRT.  All values are immutable after construction
-and every operation is a pure function, so instances can be shared freely.
+Howell relations.  A plain matrix's left kernel and cokernel come the same
+way from one elimination of its rows (left_kernel_cokernel).  Iso classes
+come from a Smith form mod n that starts from the Howell relations: rows
+with a unit pivot drop out with their pivot column, and only the rest is
+eliminated, per prime power of n, with the local orders joined by CRT.
+All values are immutable after construction and every operation is a pure
+function, so instances can be shared freely.
 
 Matrices are held as sparse rows, {column: value} maps of the nonzero
 entries, and every path reads supports, never the full width: the Howell
@@ -433,6 +435,22 @@ def left_kernel(m):
     krows = _eliminate(m.rows, m.ring.n, m.cols, transform=True)[2]
     kh = _howell_engine(krows, m.ring.n, m.nrows)
     return LambdaMatrix._sparse(m.ring, kh, m.nrows)
+
+
+def left_kernel_cokernel(m):
+    """Left kernel and cokernel of a plain matrix, both read off one
+    elimination of its rows: (left_kernel(m), Lambda^cols / span(m)).
+
+    The plain-matrix twin of kernel_cokernel.  The elimination's kernel
+    rows, in Howell form, are left_kernel(m); its pivot rows, reduced above
+    their pivots, are howell_form(m), which the cokernel keeps as its
+    relations, as quotient_module(free_module(ring, cols), m.rows) does.
+    """
+    ring, n = m.ring, m.ring.n
+    out, pivots, zeros = _eliminate(m.rows, n, m.cols, transform=True)
+    kern = LambdaMatrix._sparse(ring, _howell_engine(zeros, n, m.nrows),
+                                m.nrows)
+    return kern, FgModule._wrap(ring, m.cols, _reduce_above(out, pivots, n))
 
 
 # ----------------------------------------------------------------- modules

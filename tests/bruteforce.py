@@ -1039,17 +1039,17 @@ def dense_left_kernel(rows, n, width):
         dense_howell_engine(rows, n, width, kernel=True), n, len(rows))
 
 
-def dense_kernel(f, target_relations, source_relations):
+def dense_kernel(f, target_relations):
     """(relations, witness rows) of kernel(f) as the dense engine computed
-    them, for the map's dense matrix and dense Howell relation rows of its
-    target and source."""
+    them, for the map's dense matrix and the dense Howell relation rows of
+    its target; a map's source is free."""
     n, k = f.source.ring.n, f.source.ambient
     a = list(zip(*f.matrix.entries)) or [()] * f.matrix.cols
     kern = dense_left_kernel(a + list(target_relations), n, f.matrix.nrows)
     gens = dense_howell_engine([r[:k] for r in kern], n, k)
     if not gens:
         return [], []
-    rel = dense_left_kernel(gens + list(source_relations), n, k)
+    rel = dense_left_kernel(gens, n, k)
     g = len(gens)
     return dense_howell_engine([r[:g] for r in rel], n, g), gens
 

@@ -22,7 +22,12 @@ from hypothesis import given, settings, strategies as st
 
 from strata_glue import cli
 from strata_glue.cli import main
-from strata_glue.lambda_core import LambdaMatrix
+from strata_glue.lambda_core import (
+    FgModule,
+    LambdaMatrix,
+    howell_form,
+    left_kernel,
+)
 from bruteforce import brute_left_kernel, enumerate_p1, span_of
 
 
@@ -699,7 +704,7 @@ def _box_matrices(draw):
 def test_a_howell_box_lists_its_span_once(m):
     # what the oracle relies on: the box 0 <= x_i < n / gcd(pivot_i, n)
     # of a Howell form maps one to one onto its row span
-    for h in (cli.howell_form(m), cli.left_kernel(m)):
+    for h in (howell_form(m), left_kernel(m)):
         box = _unpack(cli._box(h, {}), h.cols)
         assert len(box) == len(set(box))
         assert set(box) == span_of(h.entries, m.ring.n, h.cols)
@@ -710,23 +715,57 @@ def test_linear_algebra_oracle_passes_at_forty_seeds():
         assert cli._check_linalg(seed) == {"cases": 200}
 
 
-def _drop_last_row(fn):
+def test_linear_algebra_oracle_eliminates_twice_per_case(monkeypatch):
+    # one elimination of M gives H, K's rows and the quotient; one more
+    # puts K's rows in Howell form
+    from strata_glue import lambda_core
+    calls, eliminate = [], lambda_core._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+    monkeypatch.setattr(lambda_core, "_eliminate", counted)
+    assert cli._check_linalg(1) == {"cases": 200}
+    assert len(calls) == 2 * 200
+
+
+def _patch_engine(monkeypatch, part, fault):
+    # the oracle's engine with fault applied to one part of its output:
+    # left_kernel_cokernel's quotient relations H ("howell_form") or left
+    # kernel K ("left_kernel"), or iso_class's invariant factors
+    if part == "iso_class":
+        iso = cli.iso_class
+        monkeypatch.setattr(cli, "iso_class", lambda q: fault(iso(q)))
+        return
+    engine = cli.left_kernel_cokernel
+
     def faulty(m):
-        out = fn(m)
-        return LambdaMatrix(out.ring, out.rows[:-1], cols=out.cols)
-    return faulty
+        kern, quot = engine(m)
+        if part == "left_kernel":
+            return fault(kern), quot
+        h = fault(quot.relations)
+        return kern, FgModule._wrap(h.ring, h.cols, h.rows)
+    monkeypatch.setattr(cli, "left_kernel_cokernel", faulty)
 
 
-@pytest.mark.parametrize("name, fault, message", [
+def _drop_last_row(m):
+    return LambdaMatrix(m.ring, m.rows[:-1], cols=m.cols)
+
+
+def _keep_the_largest_factor(factors):
+    # right on Z/n and on 0, so the other criteria still pass
+    return factors[:1]
+
+
+@pytest.mark.parametrize("part, fault, message", [
     ("howell_form", _drop_last_row, "howell form changed the row span"),
     ("left_kernel", _drop_last_row, "left kernel disagrees with enumeration"),
-    ("quotient_module",
-     lambda fn: lambda module, rows: fn(module, rows[:-1]),
+    ("iso_class", _keep_the_largest_factor,
      "quotient size disagrees with enumeration"),
 ])
 def test_linear_algebra_oracle_catches_a_faulty_engine(
-        capsys, monkeypatch, name, fault, message):
-    monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+        capsys, monkeypatch, part, fault, message):
+    _patch_engine(monkeypatch, part, fault)
     code, out, _ = run(capsys, "verify-all", "--format", "json")
     assert code == 3
     blob = json.loads(out)
@@ -736,43 +775,37 @@ def test_linear_algebra_oracle_catches_a_faulty_engine(
                                     "error": f"RuntimeError: {message}"}
 
 
-def _drop_rows_in_the_span_of_the_others(fn):
+def _drop_rows_in_the_span_of_the_others(h):
     # an echelon form with the right span that is not Howell: over Z/4,
     # [[2, 1], [0, 2]] becomes [[2, 1]], whose span also holds (0, 2)
-    def faulty(m):
-        keep = list(fn(m).entries)
-        for r in list(keep):
-            others = [s for s in keep if s is not r]
-            if r in span_of(others, m.ring.n, m.cols):
-                keep = others
-        return LambdaMatrix(m.ring, keep, cols=m.cols)
-    return faulty
+    keep = list(h.entries)
+    for r in list(keep):
+        others = [s for s in keep if s is not r]
+        if r in span_of(others, h.ring.n, h.cols):
+            keep = others
+    return LambdaMatrix(h.ring, keep, cols=h.cols)
 
 
-def _double_rows_over_even_n(fn):
+def _double_rows_over_even_n(k):
     # doubling can send a row to zero, as it does in a draw at seed 20104;
     # the oracle must read that row as one of order 1, not fail on it
-    def faulty(m):
-        out = fn(m)
-        if out.ring.n % 2:
-            return out
-        return LambdaMatrix(out.ring,
-                            [{j: 2 * x for j, x in r.items()}
-                             for r in out.rows], cols=out.cols)
-    return faulty
+    if k.ring.n % 2:
+        return k
+    return LambdaMatrix(k.ring, [{j: 2 * x for j, x in r.items()}
+                                 for r in k.rows], cols=k.cols)
 
 
 @pytest.mark.parametrize("seed", ["1", "20104"])
-@pytest.mark.parametrize("name, fault, message", [
+@pytest.mark.parametrize("part, fault, message", [
     ("howell_form", _drop_rows_in_the_span_of_the_others,
      "howell form changed the row span"),
     ("left_kernel", _double_rows_over_even_n,
      "left kernel disagrees with enumeration"),
 ])
 def test_linear_algebra_oracle_checks_the_howell_box(
-        capsys, monkeypatch, seed, name, fault, message):
+        capsys, monkeypatch, seed, part, fault, message):
     monkeypatch.setenv("STRATA_GLUE_SEED", seed)
-    monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+    _patch_engine(monkeypatch, part, fault)
     code, out, _ = run(capsys, "verify-all", "--format", "json")
     assert code == 3
     blob = json.loads(out)

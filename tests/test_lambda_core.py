@@ -27,6 +27,7 @@ from strata_glue.lambda_core import (
     kernel,
     kernel_cokernel,
     left_kernel,
+    left_kernel_cokernel,
     make_ring,
     quotient_module,
 )
@@ -313,7 +314,7 @@ def test_kernel_cokernel_equals_the_two_pass_path(f):
     h0, h1 = kernel_cokernel(f)
     assert _pins(h0) == _pins(kernel(f))
     assert _pins(h1) == _pins(quotient_module(f.target, f.image_rows()))
-    rel, gens = dense_kernel(f, f.target.relations.entries, [])
+    rel, gens = dense_kernel(f, f.target.relations.entries)
     assert (list(h0.relations.entries), list(h0.witness_rows)) == (rel, gens)
 
 
@@ -541,6 +542,41 @@ def test_left_kernel_beyond_enumeration(n):
         assert ker * span == n ** rows
 
 
+@st.composite
+def plain_matrix(draw):
+    # up to 5 x 5, with empty shapes and with whole rows and columns of
+    # zeros; entries are multiples of the divisors of n
+    n = draw(st.one_of(st.sampled_from((4, 6, 8, 9, 12, 36, 121, 143)),
+                       st.sampled_from((2, 3, 5, 7, 11, 13, 10007))))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    zero_rows = draw(st.sets(st.integers(0, 4)))
+    zero_cols = draw(st.sets(st.integers(0, 4)))
+    entry = st.builds(lambda d, x: d * x % n,
+                      st.sampled_from([d for d in range(1, n) if n % d == 0]),
+                      st.integers(0, n - 1))
+    return LambdaMatrix(carrier(n), [
+        [0 if i in zero_rows or j in zero_cols else draw(entry)
+         for j in range(cols)] for i in range(rows)], cols=cols)
+
+
+def _rows(m):
+    # rows with their column order, and the shape
+    return [list(r.items()) for r in m.rows], m.nrows, m.cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_matrix())
+def test_left_kernel_cokernel_equals_the_separate_calls(m):
+    # one elimination with the transform carried gives the left kernel and
+    # the same pivot rows as an elimination without it
+    kern, quot = left_kernel_cokernel(m)
+    assert _rows(kern) == _rows(left_kernel(m))
+    assert quot.ambient == m.cols
+    assert _rows(quot.relations) == _rows(quotient_module(
+        free_module(m.ring, m.cols), m.entries).relations)
+    assert _rows(quot.relations) == _rows(howell_form(m))
+
+
 # ---------------------------------------------- engine against its reference
 
 def _random_entries(rng, n, rows, cols):
@@ -645,7 +681,7 @@ def test_sparse_engine_matches_dense_engine(case):
     assert list(target.relations.entries) == target_rel
     f = ModuleMap(free_module(ring, cols), target, m)
     got = kernel(f)
-    rel, gens = dense_kernel(f, target_rel, [])
+    rel, gens = dense_kernel(f, target_rel)
     assert list(got.relations.entries) == rel
     assert list(got.witness_rows) == gens
     assert iso_class(got) == smith_iso_class(rel, n, len(gens))
@@ -669,7 +705,7 @@ def test_ball_boundaries_match_dense_engine(p, n):
         h = ball.homology(ring)
         assert list(h[0].relations.entries) == dense_howell_engine(
             list(zip(*dense)), n, nv)
-        rel, gens = dense_kernel(boundary, [], [])
+        rel, gens = dense_kernel(boundary, [])
         assert list(h[1].relations.entries) == rel
         assert list(h[1].witness_rows) == gens
 

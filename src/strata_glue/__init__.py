@@ -22,7 +22,6 @@ from .lambda_core import (  # noqa: F401
 )
 
 from .char_engine import (  # noqa: F401
-    Gb2Character,
     GradedCharModule,
     TorusChar,
     UnramChar,

@@ -17,7 +17,6 @@ and never touches a tree again.
 
 import json
 import re
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -57,10 +56,6 @@ class CuspidalWitnessFailed(RuntimeError):
     """Claimed cuspidal datum has Iwahori-fixed vectors or N-coinvariants."""
 
 
-class ExponentCollision(UserWarning):
-    """Formally distinct exponents give the same value in Lambda."""
-
-
 # ------------------------------------------------------------- characters
 
 
@@ -69,8 +64,7 @@ class UnramChar:
 
     The value is the whole identity over Lambda; the exponent is an
     optional formal label (s for |.|^s) kept for display and duality
-    bookkeeping.  Equality compares values only, with a warning when two
-    distinct formal exponents collide.
+    bookkeeping.  Characters compare through their values, as ints.
     """
 
     __slots__ = ("ring", "value", "exponent")
@@ -97,26 +91,14 @@ class UnramChar:
         exp = None if self.exponent is None else -self.exponent
         return UnramChar(self.ring, self.ring.inv(self.value), exp)
 
-    def __eq__(self, other):
-        if not isinstance(other, UnramChar):
-            return NotImplemented
-        same = self.value == other.value
-        if (same and self.exponent is not None and other.exponent is not None
-                and self.exponent != other.exponent):
-            warnings.warn(
-                f"exponents {self.exponent} and {other.exponent} agree "
-                f"in Z/{self.ring.n}", ExponentCollision, stacklevel=2)
-        return same
-
-    def __hash__(self):
-        return hash((self.ring.n, self.value))
-
     def __repr__(self):
         return f"UnramChar(value={self.value}, exp={self.exponent})"
 
 
 class TorusChar:
-    """Pair of unramified characters of the diagonal torus."""
+    """Pair of unramified characters of the diagonal torus: a constituent
+    of a coinvariant symbol, or an output table's character of the
+    two-block group E_1^x x E_2^x, which at the integral slope is T."""
 
     __slots__ = ("chi1", "chi2")
 
@@ -157,37 +139,11 @@ class TorusChar:
     def is_ts_trivial(self):
         return self.ts_value() == 1
 
+    def to_json(self):
+        return {"z1": _char_json(self.chi1), "z2": _char_json(self.chi2)}
+
     def __repr__(self):
         return f"TorusChar{self.values()}"
-
-
-class Gb2Character:
-    """Character of the two-block group E_1^x x E_2^x at one degree."""
-
-    __slots__ = ("z1", "z2")
-
-    def __init__(self, z1, z2):
-        self.z1 = z1
-        self.z2 = z2
-
-    @classmethod
-    def delta(cls, ring):
-        return cls(UnramChar.abs_power(ring, -1), UnramChar.abs_power(ring, 1))
-
-    def values(self):
-        return (self.z1.value, self.z2.value)
-
-    def __mul__(self, other):
-        return Gb2Character(self.z1 * other.z1, self.z2 * other.z2)
-
-    def inverse(self):
-        return Gb2Character(self.z1.inverse(), self.z2.inverse())
-
-    def to_json(self):
-        return {"z1": _char_json(self.z1), "z2": _char_json(self.z2)}
-
-    def __repr__(self):
-        return f"Gb2Character{self.values()}"
 
 
 def _char_json(c):
@@ -196,7 +152,7 @@ def _char_json(c):
 
 
 def _char_key(c):
-    return (c.z1.value, c.z2.value, str(c.z1.exponent), str(c.z2.exponent))
+    return c.values() + (str(c.chi1.exponent), str(c.chi2.exponent))
 
 
 class GradedCharModule:
@@ -347,8 +303,8 @@ def assemble_characters(j, sheaf_char, module_det_char, table):
     e1, e2 = table.rows[j][2]
     ring = sheaf_char.ring
     base = sheaf_char * module_det_char
-    return Gb2Character(base * UnramChar.abs_power(ring, e1),
-                        base * UnramChar.abs_power(ring, e2))
+    return TorusChar(base * UnramChar.abs_power(ring, e1),
+                     base * UnramChar.abs_power(ring, e2))
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +383,7 @@ def verdier_dualize(graded, d):
     Degree k of the flip is the inverse of degree 2d-k, twisted by delta_T
     across both blocks.  glue applies it to the contragredient's table.
     """
-    dt = Gb2Character.delta(graded.ring)
+    dt = TorusChar.delta_power(graded.ring, 1)
     return GradedCharModule(graded.ring, {
         2 * d - k: tuple(c.inverse() * dt for c in entry)
         for k, entry in graded.chars.items()})

@@ -144,9 +144,9 @@ def _exp_text(e):
 
 def _char_text(c):
     """Render a two-block character as |.|^m d_T^r when exponents allow."""
-    e1, e2 = c.z1.exponent, c.z2.exponent
+    e1, e2 = c.chi1.exponent, c.chi2.exponent
     if e1 is None or e2 is None:
-        return f"({c.z1.value},{c.z2.value})"
+        return f"({c.chi1.value},{c.chi2.value})"
     m, r = (e1 + e2) / 2, (e2 - e1) / 2
     parts = []
     if m:

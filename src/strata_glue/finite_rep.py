@@ -84,10 +84,11 @@ class FiniteRep:
     A model carries only its level.  Every residue is exact mod p^L, so
     each call works at the level it needs: jacquet_oracle at level + j_max
     (2m + 2 by default), and the fixed points are closed forms at the
-    model's own level.
+    model's own level.  So the rank of an induced or Steinberg model,
+    p^m + p^(m-1) with about m log10(p) digits, is counted only when read.
     """
 
-    __slots__ = ("ring", "p", "level", "kind", "chi", "rank", "table")
+    __slots__ = ("ring", "p", "level", "kind", "chi", "table", "_rank")
 
     def __init__(self, ring, p, level, kind, chi=None, rank=None,
                  table=None):
@@ -96,8 +97,14 @@ class FiniteRep:
         self.level = level
         self.kind = kind
         self.chi = chi
-        self.rank = rank
         self.table = table
+        self._rank = rank
+
+    @property
+    def rank(self):
+        if self.kind in ("induced", "steinberg"):
+            return p1_size(self.p, self.level) - (self.kind == "steinberg")
+        return self._rank
 
     def action_matrix(self, g):
         """Matrix of the integer 2x2 matrix g on an inflated model: the
@@ -130,14 +137,14 @@ def induced_rep(ring, chi, m):
     chi = (c1 % ring.n, c2 % ring.n)
     if not (ring.is_unit(chi[0]) and ring.is_unit(chi[1])):
         raise ValueError(f"character values {chi} must be units")
-    return FiniteRep(ring, ring.p, m, "induced", chi=chi,
-                     rank=p1_size(ring.p, m))
+    return FiniteRep(ring, ring.p, m, "induced", chi=chi)
 
 
 def steinberg(ring, m):
     """Quotient of the untwisted induced model by the constants."""
-    rank = induced_rep(ring, (1, 1), m).rank - 1
-    return FiniteRep(ring, ring.p, m, "steinberg", chi=(1, 1), rank=rank)
+    if m < 1:
+        raise ValueError("level must be at least 1")
+    return FiniteRep(ring, ring.p, m, "steinberg", chi=(1, 1))
 
 
 def inflate(ring, p, table, rank):

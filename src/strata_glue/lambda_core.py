@@ -480,14 +480,14 @@ class FgModule:
         self.witness_rows = witness_rows
 
     @classmethod
-    def _wrap(cls, ring, ambient, rows):
+    def _wrap(cls, ring, ambient, rows, witness_rows=None):
         """Wrap relation rows that are already in Howell form, {column:
         value} maps below ambient, without reducing them again."""
         m = object.__new__(cls)
         m.ring = ring
         m.ambient = ambient
         m.relations = LambdaMatrix._sparse(ring, rows, ambient)
-        m.witness_rows = None
+        m.witness_rows = witness_rows
         return m
 
     def size(self):
@@ -549,14 +549,13 @@ def _present_span(ring, ambient, gen_rows):
 
     With every pivot 1, the generators are independent: x * gen_rows is
     x_i at the pivot of the first row i with x_i != 0.  So there are no
-    relations, and no elimination runs."""
-    if not gen_rows:
-        return FgModule(ring, 0, witness_rows=())
-    rel = None
+    relations, and no elimination runs.  Otherwise the relations are
+    left_kernel's rows, already in Howell form, and kept as they are."""
+    rel = ()
     if any(next(iter(r.values())) != 1 for r in gen_rows):
-        rel = left_kernel(LambdaMatrix._sparse(ring, gen_rows, ambient))
-    return FgModule(ring, len(gen_rows), rel,
-                    witness_rows=tuple(_dense(r, ambient) for r in gen_rows))
+        rel = left_kernel(LambdaMatrix._sparse(ring, gen_rows, ambient)).rows
+    return FgModule._wrap(ring, len(gen_rows), rel, witness_rows=tuple(
+        _dense(r, ambient) for r in gen_rows))
 
 
 def _eliminate_map(f):

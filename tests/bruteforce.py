@@ -44,10 +44,10 @@ from itertools import chain, compress, count, islice
 from fractions import Fraction
 from math import gcd
 
-from strata_glue.char_engine import (DegreeNotInTable, Gb2Character,
-                                     GradedCharModule, JacquetSymbol,
-                                     TorusChar, UnramChar, UnsupportedSpec,
-                                     _integral_degenerations, ts_homology)
+from strata_glue.char_engine import (DegreeNotInTable, GradedCharModule,
+                                     JacquetSymbol, TorusChar, UnramChar,
+                                     UnsupportedSpec, _integral_degenerations,
+                                     ts_homology)
 from strata_glue.finite_rep import (_scaled_inverse, induced_exponents,
                                     induced_rep, parse_rep_spec, steinberg,
                                     trivial_rep)
@@ -1905,8 +1905,8 @@ def _assemble(j, sheaf_char, module_det_char, rules):
     e1, e2 = rules.z_exponents[j]
     ring = sheaf_char.ring
     base = sheaf_char * module_det_char
-    return Gb2Character(base * UnramChar.abs_power(ring, e1),
-                        base * UnramChar.abs_power(ring, e2))
+    return TorusChar(base * UnramChar.abs_power(ring, e1),
+                     base * UnramChar.abs_power(ring, e2))
 
 
 def provenance_hc_tilde(ring, slope, spec):
@@ -1978,7 +1978,7 @@ def provenance_verdier_dualize(graded, d, rules):
             f"dimension {d} disagrees with the {rules.name} rules")
     name, spec = graded.provenance
     partner = provenance_hc_tilde(graded.ring, name, _dual_spec(spec))
-    dt = Gb2Character.delta(graded.ring)
+    dt = TorusChar.delta_power(graded.ring, 1)
     chars = {2 * d - k: tuple(c.inverse() * dt for c in entry)
              for k, entry in partner.chars.items()}
     return ProvenanceModule(graded.ring, chars, graded.provenance)

@@ -176,6 +176,43 @@ def test_glue_unrepresentable_input_table_is_usage_error(capsys):
     assert err == "error: ValueError: exponent 1/4 is not half-integral\n"
 
 
+# glue, byte for byte: every run of the grid below, its argv, exit code,
+# stdout and stderr, hashed into one sha256.  The rings take a prime, a
+# prime with no square root of q, p = 5, and two composites with their
+# square roots of 3; the specs take every kind, exponents that collide mod
+# n (|.|^5 and |.|^0 over Z/11), half and quarter exponents, and malformed
+# text.  A change to glue's output restates the digest.
+_GLUE_RINGS = (("--n", "11"), ("--n", "7"), ("--n", "13", "--p", "5"),
+               ("--n", "143", "--sqrt-q", "82"),
+               ("--n", "121", "--sqrt-q", "27"))
+_GLUE_SPECS = (
+    "triv", " triv ", "st", "cusp:gl2f2-sign",
+    *(f"{kind}^{e}" for kind in ("absdet", "nrd")
+      for e in ("0", "1", "-1", "2", "5", "1/2", "-3/2")),
+    *(f"{kind}({a},{b})" for kind in ("ind", "ps")
+      for a, b in ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0), (1, 1),
+                   (0, 2), (3, 0), (5, 5), (0, 5), (5, 6), (-5, -4),
+                   ("-1", "-1/2"), ("1/2", "-1/2"), ("-1/2", "1/2"),
+                   ("1/2", "3/2"), ("11/2", "9/2"), ("0", "1/2"),
+                   ("1/4", "0"))),
+    "", "bogus", "ind(1,", "ind(1/0,1)", "nrd^1e3", "absdet^",
+    "ps(a,b)", "ind(1,2,3)", "triv2", "nrd^(1)", "ind( 0,1)",
+    "absdet^1/3")
+_GLUE_SHA256 = (
+    "aa6b464f2dc1a1625a333ecb66f49a2d3940f2e82f4ec6b27902c33850d7abd9")
+
+
+def test_glue_bytes_are_frozen(capsys):
+    assert len(_GLUE_SPECS) == 68
+    digest = hashlib.sha256()
+    for ring, slope, fmt, spec in itertools.product(
+            _GLUE_RINGS, ("int", "half"), ("text", "json"), _GLUE_SPECS):
+        argv = ["glue", "--slope", slope, "--format", fmt, "--rep", spec,
+                *ring]
+        digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+    assert digest.hexdigest() == _GLUE_SHA256
+
+
 # ---------------------------------------------------------------- sl2coh
 
 

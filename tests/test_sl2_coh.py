@@ -20,7 +20,7 @@ from strata_glue.finite_rep import (
     trivial_rep,
     unram_pair,
 )
-from strata_glue import sl2_coh
+from strata_glue import finite_rep, lambda_core, sl2_coh
 from bruteforce import (ProjPoint, closure_size, enumerate_p1,
                         expand_cells, fixed_points as dense_fixed_points,
                         integer_iso_class, point_eta_image, point_index,
@@ -391,3 +391,33 @@ def test_ss_complex_is_level_independent(ring, specs):
         assert cohomology_report(high) == cohomology_report(low), spec
         assert (ss_complex(high).delta.matrix.entries
                 == ss_complex(low).delta.matrix.entries), spec
+
+
+@pytest.mark.parametrize("spec", ["triv", "st", "ind(0,1)"])
+def test_cohomology_counts_no_points_at_any_level(monkeypatch, spec):
+    # the point count of a level-10^9 line at p = 3 has 4.8 * 10^8 digits;
+    # the closed forms never read it, so counting it is a fault
+    def refuse(p, m):
+        raise AssertionError(f"p1_size({p}, {m}) was counted")
+    monkeypatch.setattr(finite_rep, "p1_size", refuse)
+    low, high = (rep_model(R11, spec, m) for m in (1, 10 ** 9))
+    assert cohomology_report(high) == cohomology_report(low)
+
+
+@pytest.mark.parametrize("ring,calls", [(R143, 4), (R11, 2)],
+                         ids=["n143", "n11"])
+def test_difference_map_eliminations(monkeypatch, ring, calls):
+    # one elimination of the map gives the kernel rows and the cokernel,
+    # one more puts the kernel rows in Howell form; over Z/143 a kernel row
+    # leads with 13, and the left kernel that relates the generators takes
+    # two more, whose Howell rows the kernel keeps as they are
+    f = ss_complex(rep_model(ring, "ind(0,5)", 2)).delta
+    seen, eliminate = [], lambda_core._eliminate
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return eliminate(*args, **kwargs)
+    monkeypatch.setattr(lambda_core, "_eliminate", counted)
+    h0, h1 = lambda_core.kernel_cokernel(f)
+    assert len(seen) == calls
+    assert (iso_class(h0), iso_class(h1)) == ([11], [11])

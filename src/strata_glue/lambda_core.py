@@ -43,22 +43,87 @@ class BadSqrt(ValueError):
     """Claimed square root of q fails sqrt_q^2 = q mod n."""
 
 
+# Miller-Rabin to the first 13 prime bases is deterministic below
+# 3.3 * 10^24: the least composite that passes is 3317044064679887385961981
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n):
+    """Miller-Rabin to _MR_BASES, for n > 41 with no factor among them."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n):
+    """A proper factor of the composite n, which has no factor among
+    _MR_BASES, by Brent's variant of Pollard rho: the walk y -> y^2 + c
+    from y = 2, gcds batched over 128 steps, c = 1, 2, ... until one
+    splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                done += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: step again from its start, one gcd each
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 @lru_cache(maxsize=None)
 def _factor(n):
     """Pairs (l, l^e) over the primes l dividing n exactly e times, l
-    ascending, by trial division; cached, so each modulus is factored once."""
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            q = 1
-            while n % d == 0:
-                n //= d
-                q *= d
-            out.append((d, q))
-        d += 1
-    if n > 1:
-        out.append((n, n))
-    return tuple(out)
+    ascending; () when n < 2.  Primes up to 41 are divided out, and the
+    rest is split by Pollard rho into factors that Miller-Rabin certifies
+    prime (_MR_BASES; above 3.3 * 10^24 they are strong probable primes to
+    those bases).  Cached, so each modulus is factored once."""
+    primes = []
+    for d in _MR_BASES:
+        while n > 1 and n % d == 0:
+            n //= d
+            primes.append(d)
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if _is_prime(m):
+            primes.append(m)
+        else:
+            d = _rho(m)
+            todo += [d, m // d]
+    out = {}
+    for l in sorted(primes):
+        out[l] = out.get(l, 1) * l
+    return tuple(out.items())
 
 
 class CoeffRing:

@@ -15,7 +15,7 @@ coordinates, fixed points as the kernel of dense action matrices against a
 model rebuilt one level up and as the span of orbit indicators, the
 closed forms' cell rows written out over every point of the line, iso
 classes from the integer Smith form of the relations stacked on n * I,
-and tree-ball vertices moved by act().
+moduli factored by trial division, and tree-ball vertices moved by act().
 Points of P^1(O/pi^m) are ProjPoint objects here, the reference that
 padic_core's index codec is pinned against.
 
@@ -151,6 +151,24 @@ def orders_of_factor_sum(factors, n):
         orders.append(k)
     orders.sort()
     return orders
+
+
+def factor_trial_division(n):
+    """Pairs (l, l^e) over the primes l dividing n exactly e times, l
+    ascending, by trial division up to sqrt(n): the reference that
+    lambda_core._factor's Pollard rho is pinned against."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            q = 1
+            while n % d == 0:
+                n //= d
+                q *= d
+            out.append((d, q))
+        d += 1
+    if n > 1:
+        out.append((n, n))
+    return tuple(out)
 
 
 class PrecisionExhausted(ArithmeticError):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from strata_glue.lambda_core import (
     _eliminate_map,
+    _factor,
     _present_span,
     _unit_scale,
     BadSqrt,
@@ -40,6 +41,7 @@ from bruteforce import (
     dense_kernel,
     dense_left_kernel,
     element_order_multiset,
+    factor_trial_division,
     integer_iso_class,
     mat_mul,
     orders_of_factor_sum,
@@ -84,6 +86,28 @@ def test_make_ring_rejects_nonprime():
 def test_make_ring_rejects_prime_powers_and_small_p(p):
     with pytest.raises(BanalityViolation):
         make_ring(13, p)
+
+
+# ------------------------------------------------------------------ _factor
+
+def test_factor_equals_trial_division_up_to_2e5():
+    factor = _factor.__wrapped__  # the cache would keep every entry
+    for n in range(-3, 200001):
+        assert factor(n) == factor_trial_division(n), n
+
+
+@pytest.mark.parametrize("n,want", [
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5, 7
+    (561, ((3, 3), (11, 11), (17, 17))),
+    (3215031751, ((151, 151), (751, 751), (28351, 28351))),
+    # a prime near 10^14, a second's trial division, and two near 10^9,
+    # which trial division takes minutes to separate
+    (11 * (10 ** 14 + 31), ((11, 11), (10 ** 14 + 31, 10 ** 14 + 31))),
+    ((10 ** 9 + 7) * (10 ** 9 + 9),
+     ((10 ** 9 + 7, 10 ** 9 + 7), (10 ** 9 + 9, 10 ** 9 + 9))),
+])
+def test_factor_pseudoprimes_and_large_primes(n, want):
+    assert _factor.__wrapped__(n) == want
 
 
 # -------------------------------------------------------------- howell_form

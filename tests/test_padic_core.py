@@ -463,53 +463,52 @@ def test_classification_report_json(capsys):
 
 # The disc clauses, driven by partitions corrupted at level 2k so that the
 # orbit count, and with it the two count clauses, still passes.  Blocks are
-# sets of point indices: [1:0] is 0 and [0:1] is p^m.
-
-def _inf(p, m):
-    return point_index(ProjPoint.inf_cell(p, m, 0))
-
+# ranges of point indices, as _fibres writes them, since the clauses compare
+# ranges and a tuple never equals one: [1:0] is 0 and [0:1] is p^m.
 
 def _move_inf_out(blocks, p, m):
-    # [0:1] leaves its disc for the zero block
-    inf = _inf(p, m)
-    for b in blocks:
-        b.discard(inf)
-    blocks[0].add(inf)
+    # [0:1] leaves its disc for the zero block, which ends there
+    md, step = p ** m, p ** (m // 2)
+    inf = range(md, md + md // p, step // p)
+    blocks[blocks.index(inf)] = inf[1:]
+    blocks[0] = range(0, md + step, step)
 
 
 def _split_zero(blocks, p, m):
-    # [1:0] alone, the rest of its disc apart, and two other blocks merged
-    zero = point_index(ProjPoint.big_cell(p, m, 0))
-    blocks.append(blocks[0] - {zero})
-    blocks[0] = {zero}
-    inf = _inf(p, m)
-    a, b = [blk for blk in blocks[1:] if inf not in blk][:2]
-    blocks.remove(b)
-    a |= b
+    # the zero disc split by its next digit (_split_across_fibres), and as
+    # many big-cell fibres merged into one block: those over the [1:t]
+    # with t = 1 mod p^(k-1)
+    _split_across_fibres(blocks, p, m)
+    merged = range(1, p ** m, p ** (m // 2 - 1))
+    blocks[:] = [b for b in blocks if b[0] not in merged] + [merged]
 
 
 def _inf_not_first(blocks, p, m):
-    # a big-cell point, less than [0:1], joins the infinity block
-    inf = _inf(p, m)
-    donor = next(b for b in blocks[1:]
-                 if len(b) > 1 and min(b) < p ** m)
-    x = min(donor)
-    donor.discard(x)
-    next(b for b in blocks if inf in b).add(x)
+    # the last big-cell point of the infinity block's step, less than
+    # [0:1], leaves its fibre for the infinity block
+    md, step = p ** m, p ** (m // 2)
+    inf = range(md, md + md // p, step // p)
+    x = md - inf.step
+    donor = next(b for b in blocks if b[-1] == x)
+    blocks[blocks.index(donor)] = donor[:-1]
+    blocks[blocks.index(inf)] = range(x, inf.stop, inf.step)
 
 
 def _classify_corrupted(monkeypatch, k, p, corrupt, grow):
     # orbit_classification_check on the level-2k fibres after corrupt,
-    # which adds grow blocks; it reads no other partition
+    # which leaves a partition of the line into ranges, grow blocks more;
+    # it reads no other partition
     real = padic_core._fibres
 
     def corrupted(p, k):
         part = real(p, k)
-        blocks = [set(b) for b in part]
+        blocks = list(part)
         corrupt(blocks, p, 2 * k)
-        out = sorted(tuple(sorted(b)) for b in blocks)
-        assert len(out) == len(part) + grow
-        return out
+        assert all(type(b) is range for b in blocks)
+        assert sorted(i for b in blocks for i in b) == list(
+            range(p1_size(p, 2 * k)))
+        assert len(blocks) == len(part) + grow
+        return sorted(blocks, key=lambda b: b[0])
 
     monkeypatch.setattr(padic_core, "_fibres", corrupted)
     return orbit_classification_check(k, p)
@@ -526,30 +525,23 @@ def test_classification_disc_clauses(monkeypatch, k, p, corrupt, clause):
         _classify_corrupted(monkeypatch, k, p, corrupt, 0)
 
 
-# The count clauses, driven by one more block at level 2k.  The zero disc
+# The count clauses, driven by more blocks at level 2k.  The zero disc
 # [1:0] + p^k O is a union of whole fibres of the projection to level
 # 2k-1, and at k >= 2 it projects onto more than one point.
 
 def _split_within_fibres(blocks, p, m):
-    # the least point of each fibre leaves the zero disc: both halves have
-    # the zero disc's projection
-    down = project(p, m, m - 1)
-    zero = next(b for b in blocks if 0 in b)
-    least = {}
-    for i in sorted(zero):
-        least.setdefault(down[i], i)
-    zero -= set(least.values())
-    blocks.append(set(least.values()))
+    # the zero disc's points below p^(m-1), the least one over each of its
+    # level-(m-1) points, leave it: both halves have its projection
+    ml, step = p ** (m - 1), p ** (m // 2)
+    blocks[0] = range(ml, p ** m, step)
+    blocks.append(range(0, ml, step))
 
 
 def _split_across_fibres(blocks, p, m):
-    # the fibre over [1:0] leaves the zero disc: the halves project to
-    # distinct sets
-    down = project(p, m, m - 1)
-    zero = next(b for b in blocks if 0 in b)
-    fibre = {i for i in zero if down[i] == 0}
-    zero -= fibre
-    blocks.append(fibre)
+    # the zero disc split by its next digit into p discs, each a union of
+    # fibres over level m-1: the parts project to distinct sets
+    md, step = p ** m, p ** (m // 2)
+    blocks[0:1] = [range(r * step, md, p * step) for r in range(p)]
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 2)])
@@ -558,8 +550,9 @@ def _split_across_fibres(blocks, p, m):
     (_split_across_fibres, "orbit count disagrees with closed form"),
 ])
 def test_classification_count_clauses(monkeypatch, k, p, corrupt, clause):
+    grow = {_split_within_fibres: 1, _split_across_fibres: p - 1}[corrupt]
     with pytest.raises(ClassificationMismatch, match=clause):
-        _classify_corrupted(monkeypatch, k, p, corrupt, 1)
+        _classify_corrupted(monkeypatch, k, p, corrupt, grow)
 
 
 # orbit_classification_check projects the level-(2k-1) partition from
@@ -586,6 +579,38 @@ def test_fibres_equal_union_find_sweep(p, k):
     assert [tuple(b) for b in fibres] == orbits(spec, m, p)
     down = project(p, m, k)
     assert all(len({down[i] for i in b}) == 1 for b in fibres)
+
+
+# the stability clause reads each fibre's projection to level 2k-1 off its
+# range (_image): it is the set project() gives, listed once each in
+# ascending order, at every (p, k) with p^2k <= 10^6
+@pytest.mark.parametrize("p", [p for p in range(2, 1001)
+                               if all(p % d for d in range(2, p))])
+def test_fibre_images_equal_projection(p):
+    k = 1
+    while p ** (2 * k) <= 10 ** 6:
+        m = 2 * k
+        down = project(p, m, m - 1)
+        for b in padic_core._fibres(p, k):
+            image = padic_core._image(p, m, b)
+            assert type(image) is range
+            assert list(image) == sorted(set(down[b.start:b.stop:b.step]))
+        k += 1
+
+
+# the classification reads the fibres' ranges and no point: with the line's
+# point count and projection refused, it still classifies lines of 10^7 to
+# 5.7 * 10^7 points
+@pytest.mark.parametrize("p,k", [(3, 8), (2, 12), (5, 5)])
+def test_classification_visits_no_point(monkeypatch, p, k):
+    def refuse(*args):
+        raise AssertionError("points counted or projected")
+
+    monkeypatch.setattr(padic_core, "project", refuse)
+    monkeypatch.setattr(padic_core, "p1_size", refuse)
+    rep = orbit_classification_check(k, p)
+    assert rep["orbit_count"] == p ** k + p ** (k - 1)
+    assert sum(o["size"] for o in rep["orbits"]) == (p + 1) * p ** (2 * k - 1)
 
 
 # The proof on the generators, driven by generating sets that break it:

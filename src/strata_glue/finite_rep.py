@@ -32,8 +32,8 @@ from .lambda_core import (
     FgModule,
     LambdaMatrix,
     ModuleMap,
+    _eliminate,
     free_module,
-    howell_form,
     identity_matrix,
     kernel,
 )
@@ -424,9 +424,10 @@ class _StageEngine:
         # the Howell row count depends only on the span, so not on the
         # duplicate fibres, and equals that over point coordinates, also
         # for composite n: with slots in first-point order, a pivot can only
-        # sit on the first point of its slot
-        rank = howell_form(
-            LambdaMatrix._sparse(self.ring, stack, width)).nrows
+        # sit on the first point of its slot.  It is the echelon's pivot
+        # count, since reducing above the pivots keeps every row, so no
+        # reduction runs
+        rank = len(_eliminate(stack, n, width)[0])
         if fold:
             rank -= 1
         mats = []

@@ -9,30 +9,34 @@ kernels and cokernels give cohomology do (the SS difference map and the
 tree-ball boundary), and is a matrix on ambient generators.  Its kernel and
 cokernel are read off one elimination of its image rows stacked on the
 target relations: the rows its carried transform leaves zero give the
-kernel, and its pivot rows, reduced above their pivots, are the cokernel's
-Howell relations.  A plain matrix's left kernel and cokernel come the same
-way from one elimination of its rows (left_kernel_cokernel).  Iso classes
-come from a Smith form mod n that starts from the Howell relations: rows
-with a unit pivot drop out with their pivot column, and only the rest is
-eliminated, per prime power of n, with the local orders joined by CRT.
-All values are immutable after construction and every operation is a pure
-function, so instances can be shared freely.
+kernel, and the cokernel keeps its pivot rows as they are.  Reduced above
+their pivots, which happens only when the cokernel's relations are first
+read, they are its Howell relations.  A plain matrix's left kernel and
+cokernel come the same way from one elimination of its rows
+(left_kernel_cokernel).  A module's size reads only its pivots, and so
+does its iso class when every pivot is 1, as over a prime n.  Other iso
+classes come from a Smith form mod n that starts from the Howell
+relations: rows with a unit pivot drop out with their pivot column, and
+only the rest is eliminated, per prime power of n, with the local orders
+joined by CRT.  All values are immutable after construction (a cokernel
+reduces its relations once, on first read, and keeps them), and every
+operation is a pure function, so instances can be shared freely.
 
 Matrices are held as sparse rows, {column: value} maps of the nonzero
 entries, and every path reads supports, never the full width: the Howell
 engine keeps rows in buckets keyed by their leading column and carries the
 kernel transform sparse, transposes and images walk the nonzero entries,
-and sizes and iso classes read the Howell pivots, which lead each row.  So
-a tree-ball boundary, two nonzeros per column, costs its nonzeros plus
-fill, not its square, and with its vertices numbered leaves first it has no
-fill.  The dense view of a matrix is built on demand.
+and sizes and iso classes read the pivots, each the least column of its
+row.  So a tree-ball boundary, two nonzeros per column, costs its nonzeros
+plus fill, not its square, and with its vertices numbered leaves first it
+has no fill.  The dense view of a matrix is built on demand.
 """
 
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 
 class BanalityViolation(ValueError):
@@ -44,13 +48,18 @@ class BadSqrt(ValueError):
 
 
 # Miller-Rabin to the first 13 prime bases is deterministic below
-# 3.3 * 10^24: the least composite that passes is 3317044064679887385961981
-# (Sorenson and Webster, Math. Comp. 86, 2017)
+# _MR_BOUND = 3317044064679887385961981, the least composite that passes
+# (Sorenson and Webster, Math. Comp. 86, 2017); from there on _is_prime
+# adds a strong Lucas test, which that composite fails
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n):
-    """Miller-Rabin to _MR_BASES, for n > 41 with no factor among them."""
+    """Miller-Rabin to _MR_BASES, for n > 41 with no factor among them:
+    a proof below _MR_BOUND.  From _MR_BOUND on, a strong Lucas test
+    follows, which makes it the Baillie-PSW test: no composite is known to
+    pass it, though none is proved not to."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -65,7 +74,61 @@ def _is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a, n):
+    # the Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n):
+    """Strong Lucas probable-prime test of the odd n > 41 with Selfridge's
+    parameters (Baillie and Wagstaff, Math. Comp. 35, 1980): D the first
+    of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.  With
+    n + 1 = k * 2^s, k odd, n passes when U_k = 0 or V_(k * 2^r) = 0 mod n
+    for some r < s."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D would have (D/n) = -1
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False  # gcd(D, n) > 1, and |D| < n
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+
+    def half(x):
+        return (x if x % 2 == 0 else x + n) // 2
+
+    # U_m, V_m, Q^m mod n up the bits of k, from m = 1
+    u, v, qm = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
+        if bit == "1":
+            u, v = half((u + v) % n), half((d * u + v) % n)
+            qm = qm * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qm = (v * v - 2 * qm) % n, qm * qm % n
+        if v == 0:
+            return True
+    return False
 
 
 def _rho(n):
@@ -104,9 +167,10 @@ def _rho(n):
 def _factor(n):
     """Pairs (l, l^e) over the primes l dividing n exactly e times, l
     ascending; () when n < 2.  Primes up to 41 are divided out, and the
-    rest is split by Pollard rho into factors that Miller-Rabin certifies
-    prime (_MR_BASES; above 3.3 * 10^24 they are strong probable primes to
-    those bases).  Cached, so each modulus is factored once."""
+    rest is split by Pollard rho into factors that _is_prime accepts:
+    proved prime by Miller-Rabin below _MR_BOUND, about 3.3 * 10^24, and
+    Baillie-PSW probable primes from there on.  Cached, so each modulus is
+    factored once."""
     primes = []
     for d in _MR_BASES:
         while n > 1 and n % d == 0:
@@ -329,7 +393,10 @@ def _howell_engine(rows, n, width):
     [1, n) and columns below width; they are copied, not reduced again or
     mutated."""
     out, pivots, _ = _eliminate(rows, n, width)
-    return _reduce_above(out, pivots, n)
+    if len(out) > 1:
+        return _reduce_above(out, pivots, n)
+    # a lone row has no other pivot to reduce above
+    return [dict(sorted(r.items())) for r in out]
 
 
 def _eliminate(rows, n, width, transform=False):
@@ -394,17 +461,20 @@ def _eliminate(rows, n, width, transform=False):
                 inv = pow(a, -1, n)
                 for k, x in piv.items():
                     piv[k] = inv * x % n
-            support = [(k, x) for k, x in piv.items() if k != col]
-            for b in hits:
-                if b is piv:
-                    continue
-                c = b.pop(col)
-                for k, x in support:
-                    if y := (b.get(k, 0) - c * x) % n:
-                        b[k] = y
-                    else:
-                        b.pop(k, None)
-                file(b)
+            # a lone row, as in every column of a tree-ball boundary, has
+            # nothing to clear
+            if len(hits) > 1:
+                support = [(k, x) for k, x in piv.items() if k != col]
+                for b in hits:
+                    if b is piv:
+                        continue
+                    c = b.pop(col)
+                    for k, x in support:
+                        if y := (b.get(k, 0) - c * x) % n:
+                            b[k] = y
+                        else:
+                            b.pop(k, None)
+                    file(b)
         else:
             piv = hits[0]
             for b in hits[1:]:
@@ -507,21 +577,29 @@ def left_kernel_cokernel(m):
     elimination of its rows: (left_kernel(m), Lambda^cols / span(m)).
 
     The plain-matrix twin of kernel_cokernel.  The elimination's kernel
-    rows, in Howell form, are left_kernel(m); its pivot rows, reduced above
-    their pivots, are howell_form(m), which the cokernel keeps as its
-    relations, as quotient_module(free_module(ring, cols), m.rows) does.
+    rows, in Howell form, are left_kernel(m).  The cokernel keeps its pivot
+    rows and pivot columns as they are; its relations reduce them above
+    their pivots when first read, to howell_form(m), as
+    quotient_module(free_module(ring, cols), m.rows) gives them.
     """
     ring, n = m.ring, m.ring.n
     out, pivots, zeros = _eliminate(m.rows, n, m.cols, transform=True)
     kern = LambdaMatrix._sparse(ring, _howell_engine(zeros, n, m.nrows),
                                 m.nrows)
-    return kern, FgModule._wrap(ring, m.cols, _reduce_above(out, pivots, n))
+    return kern, FgModule._wrap(ring, m.cols, out, pivots)
 
 
 # ----------------------------------------------------------------- modules
 
 class FgModule:
-    """Quotient of a free module Lambda^ambient by a Howell-form row span.
+    """Quotient of a free module Lambda^ambient by a row span, presented
+    by its echelon rows: one per pivot, each with its pivot as its least
+    column, and that pivot dividing n.
+
+    relations is the Howell form of the span: the echelon rows reduced
+    above their pivots, on first read, and kept.  The pivots alone fix the
+    order, so size() and is_zero() never reduce, nor does iso_class when
+    every pivot is 1.
 
     witness_rows, when present, are the vectors of an enclosing coordinate
     module that the generators of this abstract presentation came from
@@ -530,37 +608,58 @@ class FgModule:
     not the model's point coordinates.
     """
 
-    __slots__ = ("ring", "ambient", "relations", "witness_rows")
+    __slots__ = ("ring", "ambient", "witness_rows", "_rows", "_pivots",
+                 "_relations")
 
     def __init__(self, ring, ambient, relations=None, witness_rows=None):
-        self.ring = ring
-        self.ambient = ambient
         if relations is None:
             relations = LambdaMatrix._sparse(ring, (), ambient)
         else:
             relations = howell_form(relations)
         if relations.cols != ambient:
             raise ValueError("relation width differs from ambient rank")
-        self.relations = relations
-        self.witness_rows = witness_rows
+        self._fill(ring, ambient, relations.rows, None, witness_rows)
 
     @classmethod
-    def _wrap(cls, ring, ambient, rows, witness_rows=None):
-        """Wrap relation rows that are already in Howell form, {column:
-        value} maps below ambient, without reducing them again."""
+    def _wrap(cls, ring, ambient, rows, pivots=None, witness_rows=None):
+        """Wrap {column: value} rows below ambient without reducing them:
+        Howell rows, or, with their pivot columns, the echelon rows of
+        _eliminate, which relations reduces above their pivots on first
+        read, in place."""
         m = object.__new__(cls)
-        m.ring = ring
-        m.ambient = ambient
-        m.relations = LambdaMatrix._sparse(ring, rows, ambient)
-        m.witness_rows = witness_rows
+        m._fill(ring, ambient, rows, pivots, witness_rows)
         return m
 
+    def _fill(self, ring, ambient, rows, pivots, witness_rows):
+        self.ring = ring
+        self.ambient = ambient
+        self.witness_rows = witness_rows
+        self._rows = rows
+        if pivots is None:  # Howell rows, each leading with its pivot
+            self._pivots = [next(iter(r)) for r in rows]
+            self._relations = LambdaMatrix._sparse(ring, rows, ambient)
+        else:
+            self._pivots = pivots
+            self._relations = None
+
+    @property
+    def relations(self):
+        """Howell form of the relation span, reduced on first read."""
+        if self._relations is None:
+            self._relations = LambdaMatrix._sparse(
+                self.ring, _reduce_above(self._rows, self._pivots,
+                                         self.ring.n),
+                self.ambient)
+        return self._relations
+
+    def _pivot_values(self):
+        # reducing above the pivots leaves the pivots as they are
+        return [r[c] for r, c in zip(self._rows, self._pivots)]
+
     def size(self):
-        # n^ambient / prod(n / pivot), exact since every Howell pivot
-        # divides n
-        rows = self.relations.rows   # each leads with its pivot
-        return (self.ring.n ** (self.ambient - len(rows))
-                * prod(next(iter(r.values())) for r in rows))
+        # n^ambient / prod(n / pivot), exact since every pivot divides n
+        return (self.ring.n ** (self.ambient - len(self._pivots))
+                * prod(self._pivot_values()))
 
     def is_zero(self):
         return self.size() == 1
@@ -593,7 +692,7 @@ class ModuleMap:
     __slots__ = ("source", "target", "matrix", "_images")
 
     def __init__(self, source, target, matrix):
-        if source.relations.rows:
+        if source._pivots:
             raise ValueError("a map's source must be free")
         if matrix.nrows != target.ambient or matrix.cols != source.ambient:
             raise ValueError("matrix shape does not match source/target")
@@ -642,9 +741,11 @@ def kernel_cokernel(f):
 
     The kernel rows of that elimination, cut to their source coordinates,
     span {x : f(x) = 0 in target}; their Howell rows present the kernel,
-    with themselves as witness rows.  The pivot rows, reduced above their
-    pivots, are the Howell form of the image plus the target relations:
-    the cokernel's relations, as quotient_module(f.target, f.image_rows())
+    with themselves as witness rows.  The cokernel keeps the pivot rows
+    and pivot columns as they are: its size, and its iso class when every
+    pivot is 1, read only the pivots.  Its relations reduce the pivot rows
+    above their pivots when first read, to the Howell form of the image
+    plus the target relations, as quotient_module(f.target, f.image_rows())
     gives them.
     """
     out, pivots, zeros = _eliminate_map(f)
@@ -652,8 +753,7 @@ def kernel_cokernel(f):
     rows = _howell_engine([{j: x for j, x in r.items() if j < k}
                            for r in zeros], ring.n, k)
     return (_present_span(ring, k, rows),
-            FgModule._wrap(ring, f.target.ambient,
-                           _reduce_above(out, pivots, ring.n)))
+            FgModule._wrap(ring, f.target.ambient, out, pivots))
 
 
 # --------------------------------------------------- Smith form, iso classes
@@ -694,22 +794,27 @@ def _local_smith(rows, width, q):
 
 def iso_class(module):
     """Invariant factors (> 1) of the module, largest first, from its
-    Howell relations.
+    pivots and, past them, its Howell relations.
 
     A Howell row whose pivot is 1 has its pivot column zero in every other
     row, so the row and that column drop out together: the row rewrites
-    its pivot generator in terms of the others.  Over a prime n every pivot
-    is 1, so the answer is [n] * (ambient - rows), with no elimination and
-    no factoring.  Rows with other pivots are eliminated per prime power q
-    of n, on their supports.  The local orders, sorted largest first,
-    multiply column by column into the invariant factors.
+    its pivot generator in terms of the others.  When every pivot is 1, as
+    over a prime n, the answer is [n] * (ambient - pivots), read off the
+    pivots alone, with no reduction above them, no elimination and no
+    factoring.  Otherwise the relations are read, and their rows with
+    other pivots are eliminated per prime power q of n, on their supports.
+    The local orders, sorted largest first, multiply column by column into
+    the invariant factors.
     """
     n = module.ring.n
+    pivots = module._pivot_values()
+    if all(d == 1 for d in pivots):
+        return [n] * (module.ambient - len(pivots)) if n > 1 else []
     rest = [r for r in module.relations.rows   # each leads with its pivot
             if next(iter(r.values())) != 1]
-    width = module.ambient - module.relations.nrows + len(rest)
+    width = module.ambient - len(pivots) + len(rest)
     local = []
-    for _, q in _factor(n) if rest else ((n, n),):
+    for _, q in _factor(n):
         orders = _local_smith(rest, width, q)
         local.append(sorted((o for o in orders if o > 1), reverse=True))
     return [prod(f) for f in zip_longest(*local, fillvalue=1)]

@@ -215,7 +215,7 @@ def test_oracle_matches_symbol_across_rings(p, level):
     # two seeded half-integral exponent pairs in [-3, 3] per ring; every
     # case that disagrees is listed, none is dropped
     misses = []
-    for ring in _banal_rings_with_sqrt_q(p, 2000):
+    for ring in _banal_rings_with_sqrt_q(p, 10 ** 4):
         rng = random.Random(f"ring-sweep:{ring.n}:{p}:{level}")
         for _ in range(2):
             a, b = (Fraction(rng.randint(-6, 6), 2) for _ in range(2))

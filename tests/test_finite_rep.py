@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from strata_glue.lambda_core import (
     CoeffRing,
+    LambdaMatrix,
+    howell_form,
     iso_class,
     make_ring,
 )
@@ -295,7 +297,6 @@ def test_averaging_trivial_is_identity():
 
 def test_averaging_regular_rep():
     # order-3 element of GL2(F2) acting by cyclic shift: free orbit
-    from strata_glue.lambda_core import LambdaMatrix, howell_form
     w = ((0, 1), (1, 1))
     table = {w: ((0, 0, 1), (1, 0, 0), (0, 1, 0))}
     sig = inflate(R5, 2, table, rank=3)
@@ -308,7 +309,6 @@ def test_averaging_regular_rep():
 def test_averaging_gamma0_image():
     # the projector's image is the fixed space, Howell row for Howell row,
     # under Gamma0 and U alike
-    from strata_glue.lambda_core import LambdaMatrix, howell_form
     for m in (1, 2):
         for spec in ("ind(0,1)", "st"):
             sig = rep_model(R11, spec, m)
@@ -484,6 +484,27 @@ def test_disc_engine_matches_point_engine(ring, m, spec, monkeypatch):
     got = [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
     monkeypatch.setattr(finite_rep, "_StageEngine", PointStageEngine)
     assert got == [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("ring", [R11, R7, R121, R143],
+                         ids=lambda r: f"n{r.n}")
+def test_stage_rank_is_the_howell_row_count(ring, m):
+    # each stage's rank, its echelon's pivot count, against the Howell row
+    # count of that stage's fibre stack, with the row of ones that folding
+    # adds, over the oracle's whole window
+    for spec in ("ind(0,1)", "ps(0,0)", "st"):
+        sig = rep_model(ring, spec, m)
+        fold = spec == "st"
+        chi = (1, 1) if fold else sig.chi
+        eng = finite_rep._StageEngine(ring, ring.p, m, 2 * m + 2, chi)
+        for j in range(m + 3):
+            rank = eng.stage(j, fold)[0]
+            stack, width = eng._fibres(), len(eng.discs) + 2
+            if fold:
+                stack.append(dict.fromkeys(range(width), 1))
+            want = howell_form(LambdaMatrix._sparse(ring, stack, width))
+            assert rank == want.nrows - fold, (spec, j)
 
 
 R13 = make_ring(13, 5)

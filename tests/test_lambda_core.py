@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strata_glue.lambda_core import (
+    _check_prime,
     _eliminate_map,
     _factor,
+    _is_strong_lucas_prp,
     _present_span,
     _unit_scale,
     BadSqrt,
@@ -108,6 +110,34 @@ def test_factor_equals_trial_division_up_to_2e5():
 ])
 def test_factor_pseudoprimes_and_large_primes(n, want):
     assert _factor.__wrapped__(n) == want
+
+
+def test_check_prime_rejects_the_least_13_base_strong_pseudoprime():
+    # it passes Miller-Rabin to every base of _MR_BASES, and the strong
+    # Lucas test catches it; rho then splits it
+    n = 3317044064679887385961981
+    with pytest.raises(BanalityViolation, match="is not prime"):
+        _check_prime(n)
+    assert _factor(n) == ((1287836182261, 1287836182261),
+                          (2575672364521, 2575672364521))
+
+
+@pytest.mark.parametrize("e", [89, 107, 127])
+def test_check_prime_accepts_mersenne_primes_past_the_bound(e):
+    n = 2 ** e - 1
+    _check_prime(n)
+    assert _factor(n) == ((n, n),)
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # every prime passes, and the composites that pass are the strong Lucas
+    # pseudoprimes of OEIS A217255
+    passed = [n for n in range(43, 10 ** 5, 2) if _is_strong_lucas_prp(n)]
+    primes = [n for n in range(43, 10 ** 5, 2) if _factor(n) == ((n, n),)]
+    assert sorted(set(passed) - set(primes)) == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+        75077, 97439]
+    assert set(primes) <= set(passed)
 
 
 # -------------------------------------------------------------- howell_form
@@ -762,6 +792,65 @@ def test_ball_homology_at_scale(p, r):
     h = bt_ball(p, r).homology(make_ring(11, p))
     assert iso_class(h[0]) == [11]
     assert iso_class(h[1]) == []
+
+
+# ------------------------------------------------------------ lazy cokernel
+
+_LAZY_MODULI = (2, 4, 6, 8, 9, 11, 12, 36, 121, 143)
+
+
+def _reads_agree(module, stack):
+    # size and iso class before and after the first read of the relations,
+    # and the relations against the Howell form of the stacked rows
+    ring, k = module.ring, module.ambient
+    before = module.size(), iso_class(module)
+    want = howell_form(LambdaMatrix._sparse(ring, stack, k))
+    assert _rows(module.relations) == _rows(want)
+    assert (module.size(), iso_class(module)) == before
+    eager = FgModule(ring, k, want)
+    assert (eager.size(), iso_class(eager)) == before
+
+
+@pytest.mark.parametrize("n", _LAZY_MODULI)
+def test_lazy_cokernel_relations_are_the_stacked_howell_form(n):
+    # maps into free and into quotient targets, and plain matrices: each
+    # cokernel's relations, reduced on first read, are the Howell form of
+    # the image rows stacked on the target relations
+    rng = random.Random(f"lazy-cokernel:{n}")
+    r = carrier(n)
+    for _ in range(40):
+        rows, cols = rng.randrange(7), rng.randrange(1, 7)
+        m = LambdaMatrix(r, _random_entries(rng, n, rows, cols), cols=cols)
+        _reads_agree(left_kernel_cokernel(m)[1], list(m.rows))
+        target = free_module(r, cols)
+        if rng.randrange(2):
+            target = quotient_module(target, _random_entries(
+                rng, n, rng.randrange(1, 4), cols))
+        f = ModuleMap(free_module(r, rows), target, m.transpose())
+        _reads_agree(kernel_cokernel(f)[1],
+                     list(f.image_rows()) + list(target.relations.rows))
+
+
+def test_unit_pivot_sizes_and_iso_classes_never_reduce(monkeypatch):
+    # over a prime n every pivot is 1, so sizes and iso classes read the
+    # pivots alone; the kernels here have at most one row, which has
+    # nothing above its pivot either
+    from strata_glue import lambda_core
+    from strata_glue.finite_rep import rep_model
+    from strata_glue.sl2_coh import bt_ball, cohomology_report
+
+    def refuse(*args):
+        raise AssertionError("reduced above the pivots")
+    monkeypatch.setattr(lambda_core, "_reduce_above", refuse)
+    h = bt_ball(3, 5).homology(make_ring(11, 3))
+    assert (h[0].size(), h[1].size()) == (11, 1)
+    assert (iso_class(h[0]), iso_class(h[1])) == ([11], [])
+    for n in (11, 1000003):
+        ring = make_ring(n, 3)
+        assert cohomology_report(rep_model(ring, "st", 2)) == {
+            "H0": [], "H1": [n]}
+        assert cohomology_report(rep_model(ring, "ind(0,0)", 2)) == {
+            "H0": [n], "H1": [n]}
 
 
 def test_sparse_rows_and_dense_view_agree():

@@ -2,22 +2,23 @@
 
 Z/n is not a domain, so row reduction alone does not give canonical forms or
 complete kernels.  The canonical representative used throughout is the Howell
-form: unique per row span, closed under the annihilator rows that a composite
-modulus introduces.  Modules are finitely generated quotients of free
-modules.  A map runs from a free module into any module, as the maps whose
-kernels and cokernels give cohomology do (the SS difference map and the
-tree-ball boundary), and is a matrix on ambient generators.  Its kernel and
-cokernel are read off one elimination of its image rows stacked on the
-target relations: the rows its carried transform leaves zero give the
-kernel, and the cokernel keeps its pivot rows as they are.  Reduced above
-their pivots, which happens only when the cokernel's relations are first
-read, they are its Howell relations.  A plain matrix's left kernel and
-cokernel come the same way from one elimination of its rows
-(left_kernel_cokernel).  A module's size reads only its pivots, and so
-does its iso class when every pivot is 1, as over a prime n.  Other iso
-classes come from a Smith form mod n that starts from the Howell
-relations: rows with a unit pivot drop out with their pivot column, and
-only the rest is eliminated, per prime power of n, with the local orders
+form, unique per row span.  Over each Z/l^e of n an entry of least valuation
+divides its column, so one pivot rule eliminates there; n is split into its
+Z/l^e, with the parts joined by CRT, only at a column with no unit entry.
+Modules are finitely generated quotients of free modules.  A map runs from a
+free module into any module, as the maps whose kernels and cokernels give
+cohomology do (the SS difference map and the tree-ball boundary), and is a
+matrix on ambient generators.  Its kernel and cokernel are read off one
+elimination of its image rows stacked on the target relations: the rows its
+carried transform leaves zero give the kernel, and the cokernel keeps its
+pivot rows as they are.  Reduced above their pivots, which happens only when
+the cokernel's relations are first read, they are its Howell relations.  A
+plain matrix's left kernel and cokernel come the same way from one
+elimination of its rows (left_kernel_cokernel).  A module's size reads only
+its pivots, and so does its iso class when every pivot is 1, as over a prime
+n.  Other iso classes come from a Smith form mod n that starts from the
+Howell relations: rows with a unit pivot drop out with their pivot column,
+and only the rest is eliminated, per prime power of n, with the local orders
 joined by CRT.  All values are immutable after construction (a cokernel
 reduces its relations once, on first read, and keeps them), and every
 operation is a pure function, so instances can be shared freely.
@@ -248,8 +249,9 @@ class MissingSqrtQ(ValueError):
 
 def _check_prime(p):
     """Raise BanalityViolation unless the residue characteristic p is
-    prime."""
-    if _factor(p) != ((p, p),):
+    prime, by _is_prime past _MR_BASES: p is never factored."""
+    if p not in _MR_BASES and (p <= 41 or any(p % b == 0 for b in _MR_BASES)
+                               or not _is_prime(p)):
         raise BanalityViolation(f"residue characteristic {p} is not prime")
 
 
@@ -370,23 +372,6 @@ def identity_matrix(ring, k):
 
 # ----------------------------------------------------------- Howell engine
 
-def _unit_scale(a, n):
-    """A unit u with u*a = gcd(a, n) mod n, for a not divisible by n.
-
-    Closed form, the "stab" step of Storjohann & Mulders, *Fast algorithms
-    for linear algebra modulo N* (ESA 1998): with d = gcd(a, n), u0 inverts
-    a/d mod n/d, and u0 + c*(n/d) is a unit mod n when c is the largest
-    divisor of n coprime to u0.  Each prime of n then divides exactly one
-    of u0 and c*(n/d).
-    """
-    d = gcd(a, n)
-    u0 = pow(a // d, -1, n // d)
-    c = n
-    while (g := gcd(c, u0)) > 1:
-        c //= g
-    return (u0 + c * (n // d)) % n
-
-
 def _howell_engine(rows, n, width):
     """Howell form of the row span of rows over Z/n: the rows as maps,
     columns ascending.  rows are {column: value} maps with values in
@@ -404,28 +389,66 @@ def _eliminate(rows, n, width, transform=False):
     above-pivot reduction: (pivot rows, their pivot columns, kernel rows).
 
     rows are as for _howell_engine.  The pivot rows are maps, columns in no
-    order, each with its pivot as its least column.  The kernel rows are
-    empty unless transform is set: only then is the row transform carried,
-    sparse, row i starting as {width + i: 1}, and the rows that it leaves
-    zero below width, shifted down by width, span {x : x * rows = 0}; they
-    are not in Howell form.  The pivot rows lose their transform columns,
-    so they are the same with transform set or not.  One elimination so
-    gives both the row span and the left kernel (Storjohann & Mulders).
+    order, each with its pivot, a divisor of n, as its least column, and
+    they have the Howell property.  The kernel rows are empty unless
+    transform is set: only then is the row transform carried, sparse, row i
+    starting as {width + i: 1}, and the rows that it leaves zero below
+    width, shifted down by width, span {x : x * rows = 0}; they are not in
+    Howell form.  The pivot rows lose their transform columns, so they are
+    the same with transform set or not.  One elimination so gives both the
+    row span and the left kernel (Storjohann & Mulders).
 
-    This is structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO
-    1990) on the Howell normalizer of Storjohann & Mulders.  Rows wait in
-    buckets keyed by their leading column; each column takes its bucket,
-    and each row it eliminates is filed again under its new leading
-    column, so no row is looked at in a column where it is known to be
-    zero.  A column takes one of two paths.  Unit path: when some row has a
-    unit in the column, the first such row is the pivot, scaled to 1, and
-    each other row is cleared by one subtraction over the pivot's support.
-    A unit pivot has no annihilator.  Over a prime n every nonzero entry
-    is a unit, so only this path runs.  Fallback path, reached only for
-    composite n when no entry in the column is a unit: the first row is
-    combined with each other one by an extended-gcd step over the union of
-    their supports, normalized by _unit_scale, and its annihilator multiple
-    is filed again, which gives the Howell property.
+    When _eliminate_local gives up, Z/n is the product of two or more Z/q,
+    q = l^e, and it runs once per q on the rows mod q.  Kernel rows lift
+    through e_q, 1 mod q and 0 mod n/q.  In a pivot column c, with d the
+    product over q of the local pivot at c, or of q where there is none,
+    the joined row is the sum of e_q * (d / pivot) times the local rows:
+    its pivot is d, and mod q it is a unit times the local row, so each
+    part's span and Howell property are kept.
+    """
+    try:
+        return _eliminate_local(rows, n, width, transform, False)
+    except _Composite as split:
+        factors = split.args[0]
+    parts, zeros = [], []
+    for _, q in factors:
+        e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod n/q
+        out, pivots, kern = _eliminate_local(
+            [{k: y for k, x in r.items() if (y := x % q)} for r in rows],
+            q, width, transform, True)
+        parts.append((q, e, dict(zip(pivots, out))))
+        zeros += [{k: e * x % n for k, x in r.items()} for r in kern]
+    out, pivots = [], sorted(set().union(*(at for _, _, at in parts)))
+    for c in pivots:
+        d = prod(at[c][c] if c in at else q for q, _, at in parts)
+        row = {}
+        for _, e, at in parts:
+            for k, x in at.get(c, {}).items():
+                row[k] = (row.get(k, 0) + e * (d // at[c][c]) * x) % n
+        out.append(row)
+    return out, pivots, zeros
+
+
+class _Composite(Exception):
+    """Raised by _eliminate_local at a column with no unit entry when n
+    has two or more prime factors; args[0] is _factor(n)."""
+
+
+def _eliminate_local(rows, n, width, transform, prime_power):
+    """_eliminate over Z/n, a prime power when prime_power is set, by one
+    pivot rule; it raises _Composite where the rule does not hold.
+
+    Structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990):
+    rows wait in buckets keyed by their leading column, and each row a
+    column eliminates is filed again under its new leading column, so no
+    row is looked at where it is known to be zero.  A column's pivot is
+    its first row with a unit entry, scaled to 1; over a prime n every
+    nonzero entry is a unit.  With no unit entry, n is factored, once, and
+    over Z/l^e the pivot is the first row whose entry a has the least gcd
+    g with n, scaled to g by the inverse of a / g.  g then divides the
+    column (Howell, 1986; Storjohann & Mulders, ESA 1998), so each other
+    row b clears by b / g times the pivot row, and n / g times the pivot
+    row is filed again, which gives the Howell property.
     """
     buckets, zeros = {}, []
 
@@ -454,48 +477,36 @@ def _eliminate(rows, n, width, transform=False):
         hits = buckets.pop(col, None)
         if hits is None:
             continue
+        g = 1
         piv = next((w for w in hits if gcd(w[col], n) == 1), None)
-        if piv is not None:
-            a = piv[col]
-            if a != 1:
-                inv = pow(a, -1, n)
-                for k, x in piv.items():
-                    piv[k] = inv * x % n
-            # a lone row, as in every column of a tree-ball boundary, has
-            # nothing to clear
-            if len(hits) > 1:
-                support = [(k, x) for k, x in piv.items() if k != col]
-                for b in hits:
-                    if b is piv:
-                        continue
-                    c = b.pop(col)
-                    for k, x in support:
-                        if y := (b.get(k, 0) - c * x) % n:
-                            b[k] = y
-                        else:
-                            b.pop(k, None)
-                    file(b)
-        else:
-            piv = hits[0]
-            for b in hits[1:]:
-                av, bv = piv[col], b[col]
-                g, s, t = _xgcd(av, bv)
-                u, v = -(bv // g), av // g
-                new_piv, new_b = {}, {}
-                for k in piv.keys() | b.keys():
-                    x, y = piv.get(k, 0), b.get(k, 0)
-                    if z := (s * x + t * y) % n:
-                        new_piv[k] = z
-                    if z := (u * x + v * y) % n:
-                        new_b[k] = z
-                piv = new_piv
-                file(new_b)
-            u = _unit_scale(piv[col], n)
-            piv = {k: u * x % n for k, x in piv.items()}
-            d = piv[col]
-            if d > 1:  # non-units can combine to a unit: 2, 3 mod 6
-                ann = n // d
-                file({k: y for k, x in piv.items() if (y := ann * x % n)})
+        if piv is None:
+            if not prime_power:
+                if len(factors := _factor(n)) > 1:
+                    raise _Composite(factors)
+                prime_power = True
+            piv = min(hits, key=lambda w: gcd(w[col], n))
+            g = gcd(piv[col], n)
+        a = piv[col]
+        if a != g:
+            inv = pow(a // g, -1, n)
+            for k, x in piv.items():
+                piv[k] = inv * x % n
+        # a lone row, as in every column of a tree-ball boundary, has
+        # nothing to clear
+        if len(hits) > 1:
+            support = [(k, x) for k, x in piv.items() if k != col]
+            for b in hits:
+                if b is piv:
+                    continue
+                c = b.pop(col) // g
+                for k, x in support:
+                    if y := (b.get(k, 0) - c * x) % n:
+                        b[k] = y
+                    else:
+                        b.pop(k, None)
+                file(b)
+        if g > 1:
+            file({k: y for k, x in piv.items() if (y := n // g * x % n)})
         out.append(piv)
         pivots.append(col)
 
@@ -545,18 +556,6 @@ def _reduce_above(out, pivots, n):
         out[i] = row = dict(sorted(row.items()))
         comeback[i] = [c for c in row if c in where and c != pivots[i]]
     return out
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def howell_form(m):

@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +317,40 @@ def test_orbits_nonprime_p_is_usage_error(capsys):
     code, _, err = run(capsys, "orbits", "--p", "4", "--k", "1")
     assert code == 2
     assert "BanalityViolation" in err
+
+
+# products of two primes near 10^20 and two near 10^14, which Pollard rho
+# takes minutes and seconds to split
+_SEMIPRIMES = [100000000000000000039 * 300000000000000000053,
+               100000000000031 * 100000000000067]
+
+
+@pytest.mark.parametrize("p", _SEMIPRIMES)
+def test_orbits_semiprime_p_is_a_prompt_usage_error(capsys, p):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "orbits", "--p", str(p), "--k", "1")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert f"residue characteristic {p} is not prime" in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("sl2coh", "--rep", "st"), ([], ["n"])),
+    (("sl2coh", "--rep", "ind(0,1)"), ([], [])),
+    (("glue", "--slope", "int", "--rep", "triv"), None),
+])
+def test_a_semiprime_modulus_is_never_factored(capsys, argv, want):
+    # every column has a unit entry, so the engine never splits n, which
+    # Pollard rho would take minutes to do
+    n = _SEMIPRIMES[0]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv, "--n", str(n), "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    if want is not None:
+        blob = json.loads(out)
+        assert (blob["H0"], blob["H1"]) == tuple(
+            [n if x == "n" else x for x in h] for h in want)
 
 
 @pytest.mark.parametrize("p", [11, 23])

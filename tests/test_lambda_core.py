@@ -6,18 +6,19 @@ match the implementation.
 """
 
 import random
+import time
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strata_glue import lambda_core
 from strata_glue.lambda_core import (
     _check_prime,
     _eliminate_map,
     _factor,
     _is_strong_lucas_prp,
     _present_span,
-    _unit_scale,
     BadSqrt,
     BanalityViolation,
     CoeffRing,
@@ -36,6 +37,7 @@ from strata_glue.lambda_core import (
 )
 
 from bruteforce import (
+    _unit_scale,
     all_vectors,
     brute_left_kernel,
     coset_space,
@@ -84,10 +86,38 @@ def test_make_ring_rejects_nonprime():
     with pytest.raises(BanalityViolation):
         make_ring(11, 6)
 
-@pytest.mark.parametrize("p", [-3, 0, 1, 4, 25, 49])
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 25, 49, 1681])
 def test_make_ring_rejects_prime_powers_and_small_p(p):
     with pytest.raises(BanalityViolation):
         make_ring(13, p)
+
+
+# products of two primes near 10^20 and two near 10^14, which Pollard rho
+# takes minutes and seconds to split
+SEMIPRIMES = [100000000000000000039 * 300000000000000000053,
+              100000000000031 * 100000000000067]
+
+
+@pytest.mark.parametrize("p", SEMIPRIMES)
+def test_make_ring_rejects_a_semiprime_without_factoring_it(monkeypatch, p):
+    def refuse(n):
+        raise AssertionError(f"{n} was factored")
+    monkeypatch.setattr(lambda_core, "_rho", refuse)
+    start = time.perf_counter()
+    with pytest.raises(BanalityViolation, match="is not prime"):
+        make_ring(13, p)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_check_prime_agrees_with_factoring_below_1e5():
+    factor = _factor.__wrapped__  # the cache would keep every entry
+    for p in range(-3, 10 ** 5):
+        try:
+            _check_prime(p)
+        except BanalityViolation:
+            assert factor(p) != ((p, p),), p
+        else:
+            assert factor(p) == ((p, p),), p
 
 
 # ------------------------------------------------------------------ _factor
@@ -302,7 +332,7 @@ def test_unit_pivot_generators_have_no_relations(data):
 @st.composite
 def small_map(draw, moduli=(2, 3, 4, 5, 6, 8), relations=False):
     # entries are drawn among all residues and among the multiples of the
-    # least prime divisor, so that on composite n the xgcd fallback runs;
+    # least prime divisor, so that on composite n some columns have no unit;
     # with relations the source stays free and the target gets one to
     # three relation rows
     n = draw(st.sampled_from(moduli))
@@ -375,7 +405,6 @@ def test_kernel_cokernel_equals_the_two_pass_path(f):
 def test_ball_homology_eliminates_once(monkeypatch):
     # the 484 boundary rows of the radius-5 ball are eliminated once for
     # both degrees
-    from strata_glue import lambda_core
     from strata_glue.sl2_coh import bt_ball
     sizes, eliminate = [], lambda_core._eliminate
 
@@ -654,9 +683,13 @@ def _assert_engine_matches_reference(n, entries, cols):
             == xgcd_left_kernel(entries, n, cols))
 
 
-@pytest.mark.parametrize("n", [7, 11, 6, 143, 27, 64, 121, 1000003])
+@pytest.mark.parametrize("n", [7, 11, 6, 143, 27, 64, 121, 1000003, 30, 900,
+                               1001, 3575])
 def test_engine_matches_xgcd_reference(n):
-    # bit for bit, not just equal spans: both outputs are canonical
+    # bit for bit, not just equal spans: both outputs are canonical; on
+    # composite n a column of non-units splits n into its prime powers,
+    # three or four of them at 30, 900 and 1001, and joins the parts where
+    # some have no pivot
     rng = random.Random(f"engine:{n}")
     shapes = [(rng.randint(0, 12), rng.randint(1, 12)) for _ in range(60)]
     shapes += [(30, 3), (24, 6), (3, 30), (5, 24), (16, 16)]
@@ -671,7 +704,7 @@ def test_engine_matches_xgcd_reference(n):
 ])
 def test_engine_late_unit_pivot(n, column):
     # the first hit is a non-unit and a later one a unit, or (the last two
-    # cases) no hit is a unit but the gcd step reaches one
+    # cases) no hit is a unit but the prime-power parts join to a unit
     rng = random.Random(f"late-unit:{n}:{column}")
     for cols in (1, 2, 5, 9):
         entries = [[c] + [rng.randrange(n) for _ in range(cols - 1)]
@@ -682,15 +715,45 @@ def test_engine_late_unit_pivot(n, column):
         _assert_engine_matches_reference(n, shifted, cols + 1)
 
 
+def test_only_a_column_without_a_unit_factors_n(monkeypatch):
+    # a column with a unit entry pivots on it over any n, so a prime n is
+    # never factored, nor Z/143 on the radius-6 ball, whose every column
+    # has a unit entry
+    from strata_glue.sl2_coh import bt_ball
+    calls, factor = [], lambda_core._factor
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+    monkeypatch.setattr(lambda_core, "_factor", counted)
+    rng = random.Random("factor-calls")
+    for n in (11, 1000003):
+        for rows, cols in ((6, 4), (3, 8), (12, 12)):
+            m = LambdaMatrix(carrier(n), [
+                [rng.randrange(n) for _ in range(cols)] for _ in range(rows)])
+            left_kernel_cokernel(m)
+            howell_form(m)
+    h = bt_ball(3, 6).homology(make_ring(143, 3))
+    assert (h[0].size(), h[1].size()) == (143, 1)
+    assert calls == []
+    # over Z/6 the column (2, 3) has no unit: n splits into 2 and 3 once,
+    # and the parts are eliminated with no further lookup
+    entries = [[2, 1, 0], [3, 0, 5]]
+    m = LambdaMatrix(carrier(6), entries)
+    assert list(howell_form(m).entries) == xgcd_howell(entries, 6, 3)
+    assert calls == [6]
+
+
 # ------------------------------------ sparse engine against the dense engine
 
 @st.composite
 def sparse_case(draw):
     # a matrix at a drawn density over a ring with and without zero
     # divisors; on composite n some columns hold only multiples of a prime
-    # divisor, so that no hit is a unit and the xgcd fallback and the
-    # annihilator rows run
-    n = draw(st.sampled_from([7, 11, 8, 12, 121, 143]))
+    # divisor, so that no hit is a unit: the least-valuation pivot and the
+    # annihilator rows run over a prime power, and n splits into its prime
+    # powers otherwise
+    n = draw(st.sampled_from([7, 11, 8, 12, 30, 121, 143]))
     density = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5, 0.75, 1.0]))
     rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 9))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -871,6 +934,7 @@ def test_sparse_rows_and_dense_view_agree():
 # ------------------------------------------------------------ unit normalizer
 
 def test_unit_scale_exhaustive():
+    # the normalizer of the reference engine xgcd_howell
     for n in range(2, 301):
         for a in range(1, n):
             u = _unit_scale(a, n)

@@ -90,10 +90,12 @@ def test_ball_radius_guard():
         bt_ball(3, 0)
 
 
-@pytest.mark.parametrize("p", [1, 4, 6])
+@pytest.mark.parametrize("p", [
+    1, 4, 6, 100000000000000000039 * 300000000000000000053])
 def test_ball_needs_a_prime(p):
     # a non-prime p gives no tree of lattice classes, though at p = 4 and
-    # radius 2 the labels would make 26 vertices that pass check_regular()
+    # radius 2 the labels would make 26 vertices that pass check_regular();
+    # the product of two primes near 10^20 is rejected without factoring
     with pytest.raises(BanalityViolation,
                        match=f"^residue characteristic {p} is not prime$"):
         bt_ball(p, 2)
@@ -310,7 +312,7 @@ def test_cohomology_report_is_the_crt_of_its_prime_factors(level):
     # Z/143 = Z/11 x Z/13, so each degree over Z/143 is the product of its
     # localizations, and its invariant factors multiply position by
     # position; 3^-5 = 1 mod 11 but not mod 13, so ind(0,5) has a non-unit
-    # entry mod 143 and the elimination takes its xgcd fallback
+    # entry mod 143 and the elimination splits Z/143 into Z/11 and Z/13
     for spec in ("triv", "st", "ind(0,0)", "ind(0,1)", "ind(0,5)"):
         local = [cohomology_report(rep_model(make_ring(n, 3), spec, level))
                  for n in (11, 13)]

@@ -270,8 +270,11 @@ class _StageEngine:
     # disc (mu, c), j < mu < L, is the [s:1] with s = c mod p^kk,
     # kk = min(2 mu - j, L), v_p(c) = mu, c < p^kk: p^(L - kk) points,
     # each of inbound weight q^(kk - L) r^mu, so r^mu in all.  Fibre columns
-    # and probe transfers are point counts per slot in closed form: no
-    # stage visits a point, and a stage costs its slots times p per probe.
+    # and probe pullbacks are point counts per slot in closed form: no
+    # stage visits a point.  A probe is applied to the frame's two vectors
+    # straight from those counts, one sum over at most p source slots per
+    # slot, and builds no matrix, so a stage costs its slots times p per
+    # probe.
 
     def __init__(self, ring, p, m, big_l, chi):
         self.ring = ring
@@ -291,19 +294,17 @@ class _StageEngine:
             self.ops += [(u, 1), (1, u)]
 
     def _begin(self, j):
-        """Stage j's discs as (c, mu) in slot order, each disc's slot, and
-        the inbound weight of one point at each depth."""
+        """Stage j's residue precision kk at each depth, its discs as
+        (c, mu) in slot order, each disc's slot, and the inbound weight of
+        one point at each depth."""
         p, big_l, n = self.p, self.big_l, self.n
         self.j = j
+        self.kk = kk = [min(2 * mu - j, big_l) for mu in range(big_l)]
         self.discs = sorted((c, mu) for mu in range(j + 1, big_l)
-                            for c in _depth_residues(p, mu, self._kk(mu)))
+                            for c in _depth_residues(p, mu, kk[mu]))
         self.slot_of = {c: k for k, (c, _) in enumerate(self.discs, 2)}
-        self.w_in = [self.ring.q_pow(self._kk(mu) - big_l)
+        self.w_in = [self.ring.q_pow(kk[mu] - big_l)
                      * pow(self.r, mu, n) % n for mu in range(big_l)]
-
-    def _kk(self, mu):
-        # the residue precision of the depth-mu discs at the current stage
-        return min(2 * mu - self.j, self.big_l)
 
     def _count(self, mu, e):
         # points of depth mu with s = a mod p^e, e > mu, or of depth mu
@@ -314,50 +315,49 @@ class _StageEngine:
         return (p - 1) * p ** (big_l - mu - 1)
 
     def _spread(self, mu, a, e):
-        """(slot, point count) pairs over the depth-mu points with
-        s = a mod p^e, a < p^e; e = mu (a = 0) takes every depth-mu point."""
+        """(count, slots): the depth-mu points with s = a mod p^e, a < p^e,
+        lie count to a slot on the slots, distinct and ascending; e = mu
+        (a = 0) takes every depth-mu point."""
         p, big_l, j = self.p, self.big_l, self.j
         if mu <= j:
-            return [(0, self._count(mu, e))]
-        kk = self._kk(mu)
+            return self._count(mu, e), [0]
+        kk = self.kk[mu]
         if e >= kk:
-            return [(self.slot_of[a % p ** kk], p ** (big_l - e))]
-        size = p ** (big_l - kk)
+            return p ** (big_l - e), [self.slot_of[a % p ** kk]]
+        slot_of = self.slot_of
         if e == mu:
-            return [(self.slot_of[c], size)
-                    for c in _depth_residues(p, mu, kk)]
-        return [(self.slot_of[c], size) for c in range(a, p ** kk, p ** e)]
-
-    def _row(self, terms):
-        # a {slot: coefficient} row from (slot, term) pairs: summed mod n,
-        # zeros dropped, slots ascending
-        n, acc = self.n, {}
-        for k, c in terms:
-            acc[k] = acc.get(k, 0) + c
-        return {k: c % n for k, c in sorted(acc.items()) if c % n}
+            return p ** (big_l - kk), [slot_of[c]
+                                       for c in _depth_residues(p, mu, kk)]
+        return p ** (big_l - kk), [slot_of[c]
+                                   for c in range(a, p ** kk, p ** e)]
 
     def _fibres(self):
         """The smoothed indicators of the level-m fibres, deduplicated, as
-        {slot: value} rows, those of [1:0] and of infinity first.
+        {slot: value} rows, slots ascending, those of [1:0] and of infinity
+        first.
 
         A big-cell fibre is p^(L-m) points of depth 0; that of [s0:1] is
         the depth-mu0 points s = s0 mod p^m; that of infinity is infinity
         and every point of depth m or more.
         """
-        p, m, big_l, w_in = self.p, self.m, self.big_l, self.w_in
-        rows = [{0: p ** (big_l - m) * w_in[0] % self.n},
-                self._row([(1, 1)] + [(k, c * w_in[mu])
-                                      for mu in range(m, big_l)
-                                      for k, c in self._spread(mu, 0, mu)])]
+        p, m, big_l, n, w_in = self.p, self.m, self.big_l, self.n, self.w_in
+        inf = {1: 1}
+        for mu in range(m, big_l):
+            count, slots = self._spread(mu, 0, mu)
+            for k in slots:
+                inf[k] = inf.get(k, 0) + count * w_in[mu]
+        rows = [{0: p ** (big_l - m) * w_in[0] % n},
+                {k: y for k, x in sorted(inf.items()) if (y := x % n)}]
         for mu in range(1, m):
             for s0 in _depth_residues(p, mu, m):
-                rows.append(self._row((k, c * w_in[mu])
-                                      for k, c in self._spread(mu, s0, m)))
+                count, slots = self._spread(mu, s0, m)
+                x = count * w_in[mu] % n
+                rows.append(dict.fromkeys(slots, x) if x else {})
         return list({tuple(r.items()): r for r in rows}.values())
 
-    def _transfer(self, d1, d2):
-        """Pull along diag(d1, d2), then smooth at the current stage: the
-        row of each slot maps source slots to coefficients.
+    def _probe(self, d1, d2, vecs):
+        """Pull each vector of vecs along diag(d1, d2), then smooth at the
+        current stage: the images, slot by slot, each entry mod n.
 
         A unit pair keeps each point's depth and moves [s:1] to
         [s d1/d2:1], so each disc (mu, c) pulls from (mu, c d1/d2 mod p^kk)
@@ -374,28 +374,28 @@ class _StageEngine:
         if d1 % p and d2 % p:
             md = p ** big_l
             shift = d1 * pow(d2, -1, md) % md
-            return [{0: 1}, {1: 1}] + [
-                {self.slot_of[c * shift % p ** self._kk(mu)]: 1}
-                for c, mu in self.discs]
+            src = [0, 1] + [self.slot_of[c * shift % p ** self.kk[mu]]
+                            for c, mu in self.discs]
+            return [[v[k] for k in src] for v in vecs]
         c1 = self.c1
 
         def pull(mu, a, e):
+            # (weight, source slots) of the depth-mu points s = a mod p^e
             w = w_in[mu] * c1
             if mu + 1 == big_l:
-                return [(1, w * self._count(mu, e))]
+                return w * self._count(mu, e), [1]
             e2 = min(e + 1, big_l)
-            w = w * w_out[mu + 1] * p ** (e2 - e)
-            return [(k, w * c)
-                    for k, c in self._spread(mu + 1, p * a % p ** e2, e2)]
+            count, slots = self._spread(mu + 1, p * a % p ** e2, e2)
+            return w * w_out[mu + 1] * p ** (e2 - e) * count, slots
 
-        # slot 0: the big cell's [1:t], p | t, then every depth mu <= j
-        head = [(0, p ** (big_l - 1) * w_in[0] * self.c2)]
-        rows = [self._row(head + [t for mu in range(self.j + 1)
-                                  for t in pull(mu, 0, mu)]),
-                {1: c1 % n}]
-        for c, mu in self.discs:
-            rows.append(self._row(pull(mu, c, self._kk(mu))))
-        return rows
+        # each slot's (weight, source slots) terms: slot 0 pulls the big
+        # cell's [1:t], p | t, then every depth mu <= j; slot 1 infinity
+        terms = [[(p ** (big_l - 1) * w_in[0] * self.c2, [0])]
+                 + [pull(mu, 0, mu) for mu in range(self.j + 1)],
+                 [(c1, [1])]]
+        terms += [[pull(mu, c, self.kk[mu])] for c, mu in self.discs]
+        return [[sum(w * sum([v[k] for k in slots]) for w, slots in row) % n
+                 for row in terms] for v in vecs]
 
     def solve(self, v, cb, ci):
         # frame coordinates: ci owns the infinity coefficient, cb the base one
@@ -432,10 +432,8 @@ class _StageEngine:
             rank -= 1
         mats = []
         for d1, d2 in self.ops:
-            rows = self._transfer(d1, d2)
-            sa, sb = (self.solve([sum(c * v[k] for k, c in row.items()) % n
-                                  for row in rows], cb, ci)
-                      for v in (cb, ci))
+            sa, sb = (self.solve(v, cb, ci)
+                      for v in self._probe(d1, d2, (cb, ci)))
             if sa is None or sb is None:
                 mats = None
                 break

@@ -21,16 +21,21 @@ Howell relations: rows with a unit pivot drop out with their pivot column,
 and only the rest is eliminated, per prime power of n, with the local orders
 joined by CRT.  All values are immutable after construction (a cokernel
 reduces its relations once, on first read, and keeps them), and every
-operation is a pure function, so instances can be shared freely.
+operation is a pure function, so instances can be shared freely.  No
+operation writes to a row it was given: rows are shared, not copied.
 
 Matrices are held as sparse rows, {column: value} maps of the nonzero
 entries, and every path reads supports, never the full width: the Howell
-engine keeps rows in buckets keyed by their leading column and carries the
-kernel transform sparse, transposes and images walk the nonzero entries,
-and sizes and iso classes read the pivots, each the least column of its
-row.  So a tree-ball boundary, two nonzeros per column, costs its nonzeros
-plus fill, not its square, and with its vertices numbered leaves first it
-has no fill.  The dense view of a matrix is built on demand.
+engine keeps rows in buckets keyed by their leading column, transposes and
+images walk the nonzero entries, and sizes and iso classes read the
+pivots, each the least column of its row.  The engine builds no row that
+it would read once: it works on the caller's rows as they are, copying a
+row only to write to it, and carries the kernel transform sparse and
+apart from the rows, built only for a row that is scaled or combined.  So
+a tree-ball boundary, its image rows two nonzeros each, costs one pass
+over its nonzeros: with its vertices numbered leaves first it has no fill,
+and its elimination writes nothing.  The dense view of a matrix, and a
+map's matrix beside its image rows, are built on demand.
 """
 
 from bisect import insort
@@ -278,7 +283,10 @@ class LambdaMatrix:
     rows is a tuple of {column: value} maps, one per row, holding only the
     nonzero entries, each in [1, n), with columns ascending: a row of a
     Howell form leads with its pivot.  entries is the dense row-major view,
-    built on first use.  Rows are shared, never mutated.
+    built on first use.  Rows are shared, never mutated: the Howell engine
+    works on them as they are and copies a row only to write to it, so a
+    row may be one matrix's and another's, or a map's image and its
+    cokernel's relation, at once.
     """
 
     __slots__ = ("ring", "rows", "cols", "_entries")
@@ -375,8 +383,8 @@ def identity_matrix(ring, k):
 def _howell_engine(rows, n, width):
     """Howell form of the row span of rows over Z/n: the rows as maps,
     columns ascending.  rows are {column: value} maps with values in
-    [1, n) and columns below width; they are copied, not reduced again or
-    mutated."""
+    [1, n) and columns below width; they are neither reduced again nor
+    written, and a row that needs no change may come back as it is."""
     out, pivots, _ = _eliminate(rows, n, width)
     if len(out) > 1:
         return _reduce_above(out, pivots, n)
@@ -388,15 +396,17 @@ def _eliminate(rows, n, width, transform=False):
     """Echelon form of the row span of rows over Z/n, before the
     above-pivot reduction: (pivot rows, their pivot columns, kernel rows).
 
-    rows are as for _howell_engine.  The pivot rows are maps, columns in no
-    order, each with its pivot, a divisor of n, as its least column, and
-    they have the Howell property.  The kernel rows are empty unless
-    transform is set: only then is the row transform carried, sparse, row i
-    starting as {width + i: 1}, and the rows that it leaves zero below
-    width, shifted down by width, span {x : x * rows = 0}; they are not in
-    Howell form.  The pivot rows lose their transform columns, so they are
-    the same with transform set or not.  One elimination so gives both the
-    row span and the left kernel (Storjohann & Mulders).
+    rows are as for _howell_engine, and are never written: a pivot row
+    that no step changed is the caller's own map.  The pivot rows are
+    maps, columns in no order, each with its pivot, a divisor of n, as its
+    least column, and they have the Howell property.  The kernel rows are
+    empty unless transform is set: only then is the row transform carried,
+    sparse and apart from the rows, and the transforms of the rows that
+    become zero, as {input row: coefficient} maps, span
+    {x : x * rows = 0}; they are not in Howell form.  An input zero row i
+    gives the kernel row {i: 1}.  The pivot rows are the same with
+    transform set or not.  One elimination so gives both the row span and
+    the left kernel (Storjohann & Mulders).
 
     When _eliminate_local gives up, Z/n is the product of two or more Z/q,
     q = l^e, and it runs once per q on the rows mod q.  Kernel rows lift
@@ -449,26 +459,46 @@ def _eliminate_local(rows, n, width, transform, prime_power):
     column (Howell, 1986; Storjohann & Mulders, ESA 1998), so each other
     row b clears by b / g times the pivot row, and n / g times the pivot
     row is filed again, which gives the Howell property.
+
+    Rows are held by number, the refiled ones numbered after the input.
+    Row i's entries are the caller's own map until the first write to it,
+    which copies it, and its transform is built only when the row is
+    scaled or cleared: until then it stands for {i: 1}.  A column whose
+    one row leads with 1, as every column of a tree-ball boundary does,
+    so writes nothing.
     """
     buckets, zeros = {}, []
+    mats = list(rows)
+    owned = [False] * len(mats)
+    trans = [None] * len(mats)
 
-    def file(row):
-        if row:
+    def times(c, row):
+        return {k: y for k, x in row.items() if (y := c * x % n)}
+
+    def subtract(row, c, support):
+        # row -= c * support, in place, zeros dropped
+        for k, x in support:
+            if y := (row.get(k, 0) - c * x) % n:
+                row[k] = y
+            else:
+                row.pop(k, None)
+
+    def transform_of(i):
+        t = trans[i]
+        return {i: 1} if t is None else t
+
+    def file(i):
+        if row := mats[i]:
             c = min(row)
-            if c < width:
-                if c in buckets:
-                    buckets[c].append(row)
-                else:
-                    buckets[c] = [row]
-                return
-            if transform:
-                zeros.append(row)
+            if c in buckets:
+                buckets[c].append(i)
+            else:
+                buckets[c] = [i]
+        elif transform and (t := transform_of(i)):
+            zeros.append(t)
 
-    for i, r in enumerate(rows):
-        row = dict(r)
-        if transform:
-            row[width + i] = 1
-        file(row)
+    for i in range(len(mats)):
+        file(i)
 
     out, pivots = [], []
     for col in range(width):
@@ -478,48 +508,57 @@ def _eliminate_local(rows, n, width, transform, prime_power):
         if hits is None:
             continue
         g = 1
-        piv = next((w for w in hits if gcd(w[col], n) == 1), None)
-        if piv is None:
+        for pi in hits:
+            if gcd(mats[pi][col], n) == 1:
+                break
+        else:
             if not prime_power:
                 if len(factors := _factor(n)) > 1:
                     raise _Composite(factors)
                 prime_power = True
-            piv = min(hits, key=lambda w: gcd(w[col], n))
-            g = gcd(piv[col], n)
+            pi = min(hits, key=lambda i: gcd(mats[i][col], n))
+            g = gcd(mats[pi][col], n)
+        piv = mats[pi]
         a = piv[col]
         if a != g:
             inv = pow(a // g, -1, n)
-            for k, x in piv.items():
-                piv[k] = inv * x % n
-        # a lone row, as in every column of a tree-ball boundary, has
-        # nothing to clear
+            piv = mats[pi] = times(inv, piv)
+            owned[pi] = True
+            if transform:
+                trans[pi] = times(inv, transform_of(pi))
         if len(hits) > 1:
             support = [(k, x) for k, x in piv.items() if k != col]
+            if transform:
+                tsupport = list(transform_of(pi).items())
             for b in hits:
-                if b is piv:
+                if b == pi:
                     continue
-                c = b.pop(col) // g
-                for k, x in support:
-                    if y := (b.get(k, 0) - c * x) % n:
-                        b[k] = y
-                    else:
-                        b.pop(k, None)
+                row = mats[b]
+                if not owned[b]:
+                    row = mats[b] = dict(row)
+                    owned[b] = True
+                c = row.pop(col) // g
+                subtract(row, c, support)
+                if transform:
+                    trans[b] = transform_of(b)
+                    subtract(trans[b], c, tsupport)
                 file(b)
         if g > 1:
-            file({k: y for k, x in piv.items() if (y := n // g * x % n)})
+            mats.append(times(n // g, piv))
+            owned.append(True)
+            trans.append(times(n // g, transform_of(pi)) if transform
+                         else None)
+            file(len(mats) - 1)
         out.append(piv)
         pivots.append(col)
-
-    if transform:
-        out = [{k: x for k, x in w.items() if k < width} for w in out]
-        zeros = [{k - width: x for k, x in w.items()} for w in zeros]
     return out, pivots, zeros
 
 
 def _reduce_above(out, pivots, n):
-    """Howell rows from the echelon rows of _eliminate, which it reduces in
-    place: every entry above a pivot is brought into [0, pivot), columns
-    ascending.
+    """Howell rows from the echelon rows of _eliminate: every entry above a
+    pivot is brought into [0, pivot), columns ascending.  Each row of out
+    is replaced by its reduced copy; a row is copied before its first
+    write, so the rows themselves, which may be a caller's, are not.
 
     The reduction runs from the last row up, so each row is reduced by rows
     already reduced, and it visits only the pivot columns a row holds.  A
@@ -531,7 +570,7 @@ def _reduce_above(out, pivots, n):
     for i in range(len(out) - 1, -1, -1):
         row = out[i]
         todo = sorted(c for c in row if c in where and c != pivots[i])
-        t = 0
+        t, copied = 0, False
         while t < len(todo):
             c = todo[t]
             t += 1
@@ -540,6 +579,8 @@ def _reduce_above(out, pivots, n):
             d = r[c]
             if x < d:
                 continue
+            if not copied:
+                row, copied = dict(row), True
             q = x // d
             if x - q * d:
                 row[c] = x - q * d
@@ -624,7 +665,9 @@ class FgModule:
         """Wrap {column: value} rows below ambient without reducing them:
         Howell rows, or, with their pivot columns, the echelon rows of
         _eliminate, which relations reduces above their pivots on first
-        read, in place."""
+        read.  The rows are held, not copied, and may be a caller's own (a
+        map's image rows that no pivot step changed): the reduction
+        replaces the rows it changes by copies and never writes to one."""
         m = object.__new__(cls)
         m._fill(ring, ambient, rows, pivots, witness_rows)
         return m
@@ -643,7 +686,8 @@ class FgModule:
 
     @property
     def relations(self):
-        """Howell form of the relation span, reduced on first read."""
+        """Howell form of the relation span, reduced on first read into
+        new maps where a row changes; no echelon row is written."""
         if self._relations is None:
             self._relations = LambdaMatrix._sparse(
                 self.ring, _reduce_above(self._rows, self._pivots,
@@ -685,10 +729,13 @@ class ModuleMap:
 
     matrix rows are indexed by target generators, columns by source
     generators: source generator j goes to column j.  A free source has no
-    relations to carry, so every matrix of the right shape is a map.
+    relations to carry, so every matrix of the right shape is a map.  The
+    map is held by its image rows, one per source generator, which is what
+    its kernel and cokernel read; the matrix is their transpose, built on
+    first read.
     """
 
-    __slots__ = ("source", "target", "matrix", "_images")
+    __slots__ = ("source", "target", "_matrix", "_images")
 
     def __init__(self, source, target, matrix):
         if source._pivots:
@@ -697,8 +744,28 @@ class ModuleMap:
             raise ValueError("matrix shape does not match source/target")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self._matrix = matrix
         self._images = matrix.transpose().rows
+
+    @classmethod
+    def _of_images(cls, source, target, images):
+        """The map from the free source sending generator j to images[j], a
+        {column: value} map below target.ambient with values in [1, n) and
+        columns ascending, without checking them."""
+        f = object.__new__(cls)
+        f.source = source
+        f.target = target
+        f._matrix = None
+        f._images = tuple(images)
+        return f
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = LambdaMatrix._sparse(
+                self.target.ring, self._images, self.target.ambient
+            ).transpose()
+        return self._matrix
 
     def image_rows(self):
         """Images of the source generators, as target-ambient rows: one

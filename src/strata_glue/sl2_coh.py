@@ -10,16 +10,16 @@ written here in the Howell coordinates of the Iwahori-fixed block.  Kernel
 and cokernel of that map are the only degrees that survive banality, and
 inverting its 2x2 specialization is the desk-size form of the unramified
 principal-series vanishing statement.  Both degrees, of that map and of a
-ball's boundary alike, are read off one elimination of the map's rows
-(lambda_core.kernel_cokernel); the boundary numbers the ball's vertices
-leaves first, so its elimination has no fill and subtracts nothing.
+ball's boundary alike, are read off one elimination of the map's image
+rows (lambda_core.kernel_cokernel), and both maps are written as those
+rows.  The boundary numbers the ball's vertices leaves first, so its
+elimination has no fill and writes nothing.
 """
 
 from fractions import Fraction
 
 from .lambda_core import (
     _check_prime,
-    LambdaMatrix,
     ModuleMap,
     free_module,
     iso_class,
@@ -56,8 +56,8 @@ class TreeBall:
     facet up to conjugacy.
     """
 
-    __slots__ = ("p", "radius", "vertices", "edges", "colors",
-                 "stabilizers", "_children")
+    __slots__ = ("p", "radius", "vertices", "edges", "_colors",
+                 "_stabilizers", "_kids")
 
     def __init__(self, p, radius):
         self.p = p
@@ -72,15 +72,35 @@ class TreeBall:
                 edges.append(((d, i), parent))
         self.vertices = tuple(verts)
         self.edges = tuple(edges)
-        self.colors = {v: "U" if v[0] % 2 == 0 else "Uprime" for v in verts}
-        spec = {k: SubgroupSpec(k) for k in ("U", "Uprime", "Gamma0")}
-        stabs = {v: spec[self.colors[v]] for v in verts}
-        for e in edges:
-            stabs[e] = spec["Gamma0"]
-        self.stabilizers = stabs
-        self._children = {v: [] for v in verts}
-        for child, parent in edges:
-            self._children[parent].append(child)
+        self._colors = self._stabilizers = self._kids = None
+
+    # colors, stabilizers and children are built on first read: the
+    # homology reads none of them
+
+    @property
+    def colors(self):
+        if self._colors is None:
+            self._colors = {v: "U" if v[0] % 2 == 0 else "Uprime"
+                            for v in self.vertices}
+        return self._colors
+
+    @property
+    def stabilizers(self):
+        if self._stabilizers is None:
+            spec = {k: SubgroupSpec(k) for k in ("U", "Uprime", "Gamma0")}
+            stabs = {v: spec[c] for v, c in self.colors.items()}
+            for e in self.edges:
+                stabs[e] = spec["Gamma0"]
+            self._stabilizers = stabs
+        return self._stabilizers
+
+    @property
+    def _children(self):
+        if self._kids is None:
+            self._kids = {v: [] for v in self.vertices}
+            for child, parent in self.edges:
+                self._kids[parent].append(child)
+        return self._kids
 
     @property
     def base_edge(self):
@@ -124,25 +144,23 @@ class TreeBall:
 
     def boundary(self, ring):
         """Cellular boundary, edges -> vertices: +1 at each edge's child,
-        -1 at its parent.
+        -1 at its parent, written as each edge's image row.
 
         The vertex coordinates run leaves first, the reverse of the vertex
         order, so a child's coordinate comes before its parent's.  Each
         edge's image then leads with its own child's coordinate, at 1, and
         no two images lead in the same coordinate: eliminating the image
-        rows files each once and subtracts nothing, which is Parter's
+        rows files each once and writes nothing, which is Parter's
         leaves-first order, with no fill, for a tree (SIAM Review 1961).
+        The matrix, vertex rows, is built only if it is read.
         """
-        nv, ne = len(self.vertices), len(self.edges)
-        index = {v: nv - 1 - i for i, v in enumerate(self.vertices)}
-        rows = [{} for _ in range(nv)]
-        # edges run shell by shell, so a vertex meets its parent edge
-        # before its child edges and each row's edge columns come ascending
-        for j, (child, parent) in enumerate(self.edges):
-            rows[index[child]][j] = 1
-            rows[index[parent]][j] = ring.n - 1
-        return ModuleMap(free_module(ring, ne), free_module(ring, nv),
-                         LambdaMatrix._sparse(ring, rows, ne))
+        nv = len(self.vertices)
+        index = dict(zip(self.vertices, range(nv - 1, -1, -1)))
+        neg = ring.n - 1
+        return ModuleMap._of_images(
+            free_module(ring, len(self.edges)), free_module(ring, nv),
+            [{index[child]: 1, index[parent]: neg}
+             for child, parent in self.edges])
 
     def homology(self, ring):
         """H0 and H1 of the unaugmented cellular complex: the cokernel and
@@ -205,13 +223,13 @@ def ss_complex(sigma):
     gamma0_fixed = fixed_points(sigma, SubgroupSpec("Gamma0"))
     pivots = [next(j for j, x in enumerate(w) if x)
               for w in gamma0_fixed.witness_rows]
-    cols = ([[w[j] for j in pivots] for w in u_fixed.witness_rows]
-            + [[-w[j] % ring.n for j in pivots]
+    n = ring.n
+    cols = ([{i: x for i, j in enumerate(pivots) if (x := w[j] % n)}
+             for w in u_fixed.witness_rows]
+            + [{i: x for i, j in enumerate(pivots) if (x := -w[j] % n)}
                for w in uprime_fixed.witness_rows])
-    k = len(pivots)
-    entries = [[c[i] for c in cols] for i in range(k)]
-    delta = ModuleMap(free_module(ring, len(cols)), free_module(ring, k),
-                      LambdaMatrix(ring, entries, cols=len(cols)))
+    delta = ModuleMap._of_images(free_module(ring, len(cols)),
+                                 free_module(ring, len(pivots)), cols)
     return SSComplex(u_fixed, uprime_fixed, gamma0_fixed, delta)
 
 

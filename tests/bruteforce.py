@@ -10,14 +10,15 @@ union-find call per point and generator, an extended-gcd combine for every
 row of a Howell column, the dense Howell engine that rescans every live
 row per column, a pullback that solves for each point's source
 point afresh, a Jacquet stage engine that smooths vectors on every point
-of the line and one that visits every point to build each stage's disc
-coordinates, fixed points as the kernel of dense action matrices against a
-model rebuilt one level up and as the span of orbit indicators, the
-closed forms' cell rows written out over every point of the line, iso
-classes from the integer Smith form of the relations stacked on n * I,
-moduli factored by trial division, and tree-ball vertices moved by act().
-Points of P^1(O/pi^m) are ProjPoint objects here, the reference that
-padic_core's index codec is pinned against.
+of the line, one that visits every point to build each stage's disc
+coordinates and one that builds each probe's full transfer rows, fixed
+points as the kernel of dense action matrices against a model rebuilt one
+level up and as the span of orbit indicators, the closed forms' cell rows
+written out over every point of the line, iso classes from the integer
+Smith form of the relations stacked on n * I, moduli factored by trial
+division, tree-ball vertices moved by act(), and the tree-ball boundary
+written as vertex rows.  Points of P^1(O/pi^m) are ProjPoint objects
+here, the reference that padic_core's index codec is pinned against.
 
 act() is the truncated p-adic layer the package ran before its sweeps
 became residue arithmetic: point coordinates are Laurent numbers known
@@ -32,7 +33,8 @@ The linear algebra oracles are feasible for ambient rank <= 4 and modulus
 must agree with these oracles.  Beyond the public API they import only
 helpers that they do not restate: the unit generators, the eta-inverse
 images, the point codec, the 2x2 scaled inverse, the unchecked matrix
-wrapper and the integral table's degeneration certificate.
+wrapper, the integral table's degeneration certificate and the slot stage
+engine, whose probes the transfer-row reference replaces.
 
 The gluing path through provenance tags, with its split input and rule
 tables and its string-built contragredient, is kept at the end; glue and
@@ -48,9 +50,9 @@ from strata_glue.char_engine import (DegreeNotInTable, GradedCharModule,
                                      JacquetSymbol, TorusChar, UnramChar,
                                      UnsupportedSpec, _integral_degenerations,
                                      ts_homology)
-from strata_glue.finite_rep import (_scaled_inverse, induced_exponents,
-                                    induced_rep, parse_rep_spec, steinberg,
-                                    trivial_rep)
+from strata_glue.finite_rep import (_StageEngine, _scaled_inverse,
+                                    induced_exponents, induced_rep,
+                                    parse_rep_spec, steinberg, trivial_rep)
 from strata_glue.lambda_core import (FgModule, LambdaMatrix, ModuleMap,
                                      free_module, howell_form,
                                      identity_matrix, kernel, left_kernel,
@@ -1514,6 +1516,63 @@ class DiscStageEngine:
         return (rank, tuple(mats), mpi2)
 
 
+def _stage_row(eng, terms):
+    # a {slot: coefficient} row from (slot, term) pairs: summed mod n,
+    # zeros dropped, slots ascending
+    n, acc = eng.n, {}
+    for k, c in terms:
+        acc[k] = acc.get(k, 0) + c
+    return {k: c % n for k, c in sorted(acc.items()) if c % n}
+
+
+def transfer_rows(eng, d1, d2):
+    """finite_rep._StageEngine's probe diag(d1, d2) at its current stage
+    as the matrix it was once built as: the row of each slot maps source
+    slots to coefficients, summed mod n (_StageEngine._transfer and _row
+    as they ran).  The engine's _spread now gives (count, slots) where
+    these rows took (slot, count) pairs."""
+    p, big_l, n = eng.p, eng.big_l, eng.n
+    w_in, w_out = eng.w_in, eng.w_out
+
+    def spread(mu, a, e):
+        count, slots = eng._spread(mu, a, e)
+        return [(k, count) for k in slots]
+
+    if d1 % p and d2 % p:
+        md = p ** big_l
+        shift = d1 * pow(d2, -1, md) % md
+        return [{0: 1}, {1: 1}] + [
+            {eng.slot_of[c * shift % p ** eng.kk[mu]]: 1}
+            for c, mu in eng.discs]
+    c1 = eng.c1
+
+    def pull(mu, a, e):
+        w = w_in[mu] * c1
+        if mu + 1 == big_l:
+            return [(1, w * eng._count(mu, e))]
+        e2 = min(e + 1, big_l)
+        w = w * w_out[mu + 1] * p ** (e2 - e)
+        return [(k, w * c) for k, c in spread(mu + 1, p * a % p ** e2, e2)]
+
+    head = [(0, p ** (big_l - 1) * w_in[0] * eng.c2)]
+    rows = [_stage_row(eng, head + [t for mu in range(eng.j + 1)
+                                    for t in pull(mu, 0, mu)]),
+            {1: c1 % n}]
+    for c, mu in eng.discs:
+        rows.append(_stage_row(eng, pull(mu, c, eng.kk[mu])))
+    return rows
+
+
+class RowStageEngine(_StageEngine):
+    """finite_rep._StageEngine with each probe applied as it once was: its
+    transfer rows built in full (transfer_rows), then rows times vector."""
+
+    def _probe(self, d1, d2, vecs):
+        rows = transfer_rows(self, d1, d2)
+        return [[sum(c * v[k] for k, c in row.items()) % self.n
+                 for row in rows] for v in vecs]
+
+
 # fixed_points, _eta_inv_rows and _uprime_fixed as they ran before the orbit
 # path: every fixed module is the kernel of stacked dense g - 1 action
 # matrices, and Uprime goes through the dense eta-inverse matrix against the
@@ -1819,6 +1878,20 @@ def point_eta_image(p, radius, label):
     # the scaled lattice leads with a unit, so it flips branch
     t = pow(s1, -1, p ** (d - 1))
     return (d - 1, ProjPoint.big_cell(p, d - 1, t))
+
+
+def vertex_row_boundary(ball, ring):
+    """TreeBall.boundary as it was built: vertex rows, vertices numbered
+    leaves first, +1 at each edge's child and -1 at its parent, which
+    ModuleMap transposes into the edge images."""
+    nv, ne = len(ball.vertices), len(ball.edges)
+    index = {v: nv - 1 - i for i, v in enumerate(ball.vertices)}
+    rows = [{} for _ in range(nv)]
+    for j, (child, parent) in enumerate(ball.edges):
+        rows[index[child]][j] = 1
+        rows[index[parent]][j] = ring.n - 1
+    return ModuleMap(free_module(ring, ne), free_module(ring, nv),
+                     LambdaMatrix._sparse(ring, rows, ne))
 
 
 def vertex_image(p, label, g):

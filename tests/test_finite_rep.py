@@ -19,10 +19,10 @@ from strata_glue.padic_core import (
 )
 from strata_glue import finite_rep, padic_core, sl2_coh
 from bruteforce import (DiscStageEngine, NonInvertibleOrder, PointStageEngine,
-                        _chi_val, _eta_inv_images, action_matrix,
-                        averaging_projector, elem_lower, elem_upper,
-                        expand_cells, laurent_matrix, loop_pull_table,
-                        mat_mul, orbits, per_point_pull)
+                        RowStageEngine, _chi_val, _eta_inv_images,
+                        action_matrix, averaging_projector, elem_lower,
+                        elem_upper, expand_cells, laurent_matrix,
+                        loop_pull_table, mat_mul, orbits, per_point_pull)
 from bruteforce import fixed_points as dense_fixed_points
 from bruteforce import orbit_fixed_points
 from strata_glue.finite_rep import (
@@ -535,6 +535,32 @@ def test_slot_engine_matches_disc_engine(ring, m):
             for fold in (False, True):
                 assert eng.stage(j, fold) == ref.stage(j, fold), (big_l, j,
                                                                  fold)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ring", [R11, R7, R143, R121, R13],
+                         ids=lambda r: f"n{r.n}-p{r.p}")
+def test_probes_match_transfer_rows(ring, m):
+    # each probe applied straight from its pull terms against the transfer
+    # rows it was once built as, times the vector: at every stage of the
+    # oracle's window on the level-(2m + 2) line, on the frame's two
+    # vectors and a random one, and every stage summary with fold on and off
+    p, n = ring.p, ring.n
+    rng = random.Random(f"probes:{n}:{p}:{m}")
+    units = [c for c in range(1, n) if ring.is_unit(c)]
+    chi = (rng.choice(units), rng.choice(units))
+    eng = finite_rep._StageEngine(ring, p, m, 2 * m + 2, chi)
+    ref = RowStageEngine(ring, p, m, 2 * m + 2, chi)
+    for j in range(m + 3):
+        for fold in (False, True):
+            assert eng.stage(j, fold) == ref.stage(j, fold), (j, fold)
+        width = len(eng.discs) + 2
+        vecs = [[row.get(k, 0) for k in range(width)]
+                for row in eng._fibres()[:2]]
+        vecs.append([rng.randrange(n) for _ in range(width)])
+        for d1, d2 in eng.ops:
+            assert eng._probe(d1, d2, vecs) == ref._probe(d1, d2, vecs), (
+                j, d1, d2)
 
 
 @pytest.mark.parametrize("ring", [R11, R7, R143, R121, R13],

@@ -5,6 +5,7 @@ in bruteforce.py before the implementation existed, and must not be edited to
 match the implementation.
 """
 
+import copy
 import random
 import time
 from math import gcd, prod
@@ -892,6 +893,66 @@ def test_lazy_cokernel_relations_are_the_stacked_howell_form(n):
         f = ModuleMap(free_module(r, rows), target, m.transpose())
         _reads_agree(kernel_cokernel(f)[1],
                      list(f.image_rows()) + list(target.relations.rows))
+
+
+def _snapshot(*row_lists):
+    # every row with its column order, copied, to compare after the calls
+    return copy.deepcopy([[list(r.items()) for r in rows]
+                          for rows in row_lists])
+
+
+def _engine_cases(n, rng):
+    """Matrices that take every step of the engine over Z/n, each with a
+    zero row: a unit column whose pivot is scaled and whose other row is
+    cleared; a column of multiples of a prime factor g of n, which over a
+    prime power pivots on g and files n / g times the pivot row again, and
+    over two or more primes splits n and joins the parts by CRT; entries
+    above later pivots; then random matrices of dense, sparse and non-unit
+    entries, each with a zero row slipped in."""
+    g = next(d for d in range(2, n + 1) if n % d == 0)
+    u = next(x for x in range(2, n) if gcd(x, n) == 1)
+    cases = [[[u, g, 5, 1], [1, 2 * g, 0, 3], [0, 0, 0, 0], [0, g, 1, 0],
+              [0, 0, 7, 2]]]
+    for _ in range(24):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 7)
+        entries = _random_entries(rng, n, rows, cols)
+        entries.insert(rng.randrange(rows + 1), [0] * cols)
+        cases.append(entries)
+    return [LambdaMatrix(carrier(n), e, cols=len(e[0])) for e in cases]
+
+
+@pytest.mark.parametrize("n", [11, 9, 8, 12, 143, 1001])
+def test_engine_never_writes_its_callers_rows(n):
+    # the engine works on the rows it is given as they are, so no call, nor
+    # a later read of a cokernel's relations or iso class, may write to
+    # them; and a zero row i still gives e_i in the left kernel
+    rng = random.Random(f"no-writes:{n}")
+    r = carrier(n)
+    for m in _engine_cases(n, rng):
+        k = m.nrows
+        target = free_module(r, m.cols)
+        if rng.randrange(2):
+            target = quotient_module(target, _random_entries(
+                rng, n, rng.randrange(1, 3), m.cols))
+        f = ModuleMap(free_module(r, k), target, m.transpose())
+        extra = [dict(row) for row in m.rows[:2]]
+        before = _snapshot(m.rows, f.image_rows(), target.relations.rows,
+                           extra)
+        howell_form(m)
+        kern = left_kernel(m)
+        for i, row in enumerate(m.rows):
+            if not row:
+                with_ei = LambdaMatrix._sparse(r, kern.rows + ({i: 1},), k)
+                assert _rows(howell_form(with_ei)) == _rows(kern), i
+        kern2, coker = left_kernel_cokernel(m)
+        for module in (coker, *kernel_cokernel(f),
+                       quotient_module(target, f.image_rows()),
+                       quotient_module(target, extra)):
+            module.relations
+            iso_class(module)
+        assert _rows(kern2) == _rows(kern)
+        assert _snapshot(m.rows, f.image_rows(), target.relations.rows,
+                         extra) == before
 
 
 def test_unit_pivot_sizes_and_iso_classes_never_reduce(monkeypatch):

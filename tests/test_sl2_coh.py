@@ -24,7 +24,7 @@ from strata_glue import finite_rep, lambda_core, sl2_coh
 from bruteforce import (ProjPoint, closure_size, enumerate_p1,
                         expand_cells, fixed_points as dense_fixed_points,
                         integer_iso_class, point_eta_image, point_index,
-                        vertex_image)
+                        vertex_image, vertex_row_boundary)
 from strata_glue.sl2_coh import (
     AcyclicityFailed,
     bt_ball,
@@ -132,6 +132,30 @@ def test_ball_boundary_columns_sum_to_zero():
             cols = d.image_rows()
             assert len(cols) == ne
             assert all(sum(c.values()) % n == 0 for c in cols)
+
+
+def _items(rows):
+    # rows with their column order
+    return [list(r.items()) for r in rows]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_edge_row_boundary_matches_vertex_rows(p):
+    # the boundary written as each edge's image row against the vertex rows
+    # it was once built as: the same image rows, and the matrix, built only
+    # when read, is those vertex rows; the homology reads neither the matrix
+    # nor the ball's colors, stabilizers or children
+    ring = make_ring(11, p)
+    for r in range(1, 7):
+        ball = bt_ball(p, r)
+        f, want = ball.boundary(ring), vertex_row_boundary(ball, ring)
+        assert _items(f.image_rows()) == _items(want.image_rows())
+        ball.homology(ring)
+        assert f._matrix is None
+        assert ball._colors is ball._stabilizers is ball._kids is None
+        m, w = f.matrix, want.matrix
+        assert (m.nrows, m.cols) == (w.nrows, w.cols)
+        assert _items(m.rows) == _items(w.rows)
 
 
 def test_base_edge_stabilizer_is_iwahori():

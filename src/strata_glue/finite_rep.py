@@ -9,12 +9,18 @@ unipotent-smoothing oracle that reads off the torus action on the stable
 quotient together with its two-step filtration.
 
 The oracle's smoothed vectors live on P^1(O/pi^L), L = m + j_max, which has
-p^L + p^(L-1) points, but are held in disc coordinates: one sum per
-smoothing disc plus the value at the point at infinity.  Each stage's
-fibre columns and torus probes are point counts per slot in closed form,
-so a stage costs its slot count times p per probe, with no pass over the
-points: the level-5 oracle at p = 3 works on at most 972 slots and three
-probes, and never on the 708,588 points of its line.
+p^L + p^(L-1) points, but are held in class coordinates.  Smoothing makes
+a vector a sum over discs, and every vector of the tower takes one value
+on all discs of a class: one depth and one residue mod p^m, or mod the
+disc's own precision where that is coarser.  So a vector is one value per
+class, plus the big cell's and the one at infinity.  Each stage's fibre
+columns and torus probes are closed forms per class: a fibre is a power
+of q times a character value on each class it meets, a unit probe
+permutes the classes and diag(pi, 1) takes each class to the mean of at
+most p classes.  So a stage costs its class count times p per probe, and
+lists no disc and visits no point: the level-8 oracle at p = 3 works on
+at most 118 classes and three probes, never on the 26,244 discs of its
+first stage or the 516,560,652 points of its line.
 
 Fixed points are asked for only under the stabilizers of the tree's
 facets, U, Uprime and Gamma0.  On trivial, induced and Steinberg models
@@ -263,18 +269,24 @@ class _StageEngine:
     # the depth-j unipotent discs and probes the torus in a two-vector frame.
     # Points are grouped by depth: [s:1] with s != 0 has depth v_p(s), the
     # big cell [1:t] has depth 0 (its units t being the [1/t:1]), and
-    # infinity stands alone.  Smoothing leaves the disc sum times
-    # w_out = r^-depth, so a vector is held in disc coordinates, one per
-    # slot: slot 0 holds the big cell and the depths mu <= j, slot 1
-    # infinity, and slot 2 + i the i-th disc in order of its key c.  The
-    # disc (mu, c), j < mu < L, is the [s:1] with s = c mod p^kk,
-    # kk = min(2 mu - j, L), v_p(c) = mu, c < p^kk: p^(L - kk) points,
-    # each of inbound weight q^(kk - L) r^mu, so r^mu in all.  Fibre columns
-    # and probe pullbacks are point counts per slot in closed form: no
-    # stage visits a point.  A probe is applied to the frame's two vectors
-    # straight from those counts, one sum over at most p source slots per
-    # slot, and builds no matrix, so a stage costs its slots times p per
-    # probe.
+    # infinity stands alone.  The disc (mu, c), j < mu < L, is the [s:1]
+    # with s = c mod p^kk, kk = min(2 mu - j, L), v_p(c) = mu: p^(L - kk)
+    # points, each of inbound weight q^(kk - L) r^mu.  So a disc's value is
+    # r^mu times its points' mean, and smoothing leaves r^-mu times it on
+    # each point.  Every vector the tower builds takes one value on all
+    # discs of a class: the discs of one depth mu with one c mod p^ce,
+    # ce = min(kk, m), which for mu >= m is every disc of depth mu.  The
+    # level-m fibres fill classes, a unit probe multiplies c by a unit, and
+    # diag(p, 1) sends c to p c one depth up, so it pulls a class from one
+    # class, or from p where the depth above resolves one digit more.  So a
+    # vector is held in class coordinates, one value per class: class 0
+    # holds the big cell and the depths mu <= j, class 1 infinity, and
+    # class 2 + i the i-th class in order of its first disc, its least
+    # residue c, which is p^mu when mu >= m.  Fibre rows and probe images
+    # are closed forms per class, so no stage lists a disc or visits a
+    # point: a stage costs its class count, about 2 p^((m - j)/2) + L - m
+    # against about 2 p^((L - j)/2) discs, times p per probe, and builds no
+    # matrix.
 
     def __init__(self, ring, p, m, big_l, chi):
         self.ring = ring
@@ -286,116 +298,116 @@ class _StageEngine:
         self.r = self.c1 * ring.inv(self.c2) % n
         # point count, read by the stage sizer in perfbench/spans.py
         self.size = p1_size(p, big_l)
-        # w_out at each depth below L; 1 on the big cell and at infinity
-        self.w_out = [pow(self.r, -mu, n) for mu in range(big_l)]
+        # r^mu at each depth below L
+        self.r_pow = [pow(self.r, mu, n) for mu in range(big_l)]
         # torus probes: diag(pi, 1), then diag(u, 1) and diag(1, u) per unit
         self.ops = [(p, 1)]
         for u in _unit_gens(p, m):
             self.ops += [(u, 1), (1, u)]
 
     def _begin(self, j):
-        """Stage j's residue precision kk at each depth, its discs as
-        (c, mu) in slot order, each disc's slot, and the inbound weight of
-        one point at each depth."""
-        p, big_l, n = self.p, self.big_l, self.n
+        """Stage j's class modulus ce at each depth, min(2 mu - j, L, m),
+        its classes as (first disc, mu) in order, and each class's index by
+        its first disc."""
+        p, m, big_l = self.p, self.m, self.big_l
         self.j = j
-        self.kk = kk = [min(2 * mu - j, big_l) for mu in range(big_l)]
-        self.discs = sorted((c, mu) for mu in range(j + 1, big_l)
-                            for c in _depth_residues(p, mu, kk[mu]))
-        self.slot_of = {c: k for k, (c, _) in enumerate(self.discs, 2)}
-        self.w_in = [self.ring.q_pow(kk[mu] - big_l)
-                     * pow(self.r, mu, n) % n for mu in range(big_l)]
+        self.ce = ce = [min(2 * mu - j, big_l, m) for mu in range(big_l)]
+        self.classes = sorted(
+            [(c, mu) for mu in range(j + 1, min(m, big_l))
+             for c in _depth_residues(p, mu, ce[mu])]
+            + [(p ** mu, mu) for mu in range(max(j + 1, m), big_l)])
+        self.index = {c: k for k, (c, _) in enumerate(self.classes, 2)}
 
-    def _count(self, mu, e):
-        # points of depth mu with s = a mod p^e, e > mu, or of depth mu
-        # when e = mu; at depth 0 these are the big cell's units
-        p, big_l = self.p, self.big_l
-        if e > mu:
-            return p ** (big_l - e)
-        return (p - 1) * p ** (big_l - mu - 1)
-
-    def _spread(self, mu, a, e):
-        """(count, slots): the depth-mu points with s = a mod p^e, a < p^e,
-        lie count to a slot on the slots, distinct and ascending; e = mu
-        (a = 0) takes every depth-mu point."""
-        p, big_l, j = self.p, self.big_l, self.j
-        if mu <= j:
-            return self._count(mu, e), [0]
-        kk = self.kk[mu]
-        if e >= kk:
-            return p ** (big_l - e), [self.slot_of[a % p ** kk]]
-        slot_of = self.slot_of
-        if e == mu:
-            return p ** (big_l - kk), [slot_of[c]
-                                       for c in _depth_residues(p, mu, kk)]
-        return p ** (big_l - kk), [slot_of[c]
-                                   for c in range(a, p ** kk, p ** e)]
+    def _class(self, mu, x):
+        # the class of the depth-mu residue x, j < mu <= L; depth L is
+        # infinity
+        if mu == self.big_l:
+            return 1
+        if mu >= self.m:
+            return self.index[self.p ** mu]
+        return self.index[x % self.p ** self.ce[mu]]
 
     def _fibres(self):
         """The smoothed indicators of the level-m fibres, deduplicated, as
-        {slot: value} rows, slots ascending, those of [1:0] and of infinity
-        first.
+        {class: value} rows, classes ascending, those of [1:0] and of
+        infinity first.
 
-        A big-cell fibre is p^(L-m) points of depth 0; that of [s0:1] is
-        the depth-mu0 points s = s0 mod p^m; that of infinity is infinity
-        and every point of depth m or more.
+        A depth-mu disc that a fibre fills takes r^mu, and one that holds
+        the fibre's p^(L - m) points, as where kk < m, q^(kk - m) r^mu: in
+        both cases q^(ce - m) r^mu, also on class 0 at depths mu <= j,
+        where kk = 2 mu - j.  So the big-cell fibre of [1:0] is q^(-j - m)
+        on class 0, and that of [s0:1] at depth mu0 < m is q^(ce - m)
+        r^mu0 on the class of s0, the fibres of one depth giving one row
+        per class.  That of infinity is infinity and every point of depth
+        mu >= m: r^mu on its class, or (p - 1) q^(mu - j - 1) r^mu, for
+        its (p - 1) p^(L - mu - 1) points, on class 0 when mu <= j.
         """
-        p, m, big_l, n, w_in = self.p, self.m, self.big_l, self.n, self.w_in
+        p, m, big_l, n, j = self.p, self.m, self.big_l, self.n, self.j
+        q_pow, r_pow, ce = self.ring.q_pow, self.r_pow, self.ce
         inf = {1: 1}
         for mu in range(m, big_l):
-            count, slots = self._spread(mu, 0, mu)
-            for k in slots:
-                inf[k] = inf.get(k, 0) + count * w_in[mu]
-        rows = [{0: p ** (big_l - m) * w_in[0] % n},
+            if mu <= j:
+                inf[0] = (inf.get(0, 0)
+                          + (p - 1) * q_pow(mu - j - 1) * r_pow[mu])
+            else:
+                inf[self.index[p ** mu]] = r_pow[mu]
+        rows = [{0: q_pow(-j - m)},
                 {k: y for k, x in sorted(inf.items()) if (y := x % n)}]
         for mu in range(1, m):
-            for s0 in _depth_residues(p, mu, m):
-                count, slots = self._spread(mu, s0, m)
-                x = count * w_in[mu] % n
-                rows.append(dict.fromkeys(slots, x) if x else {})
+            x = q_pow(ce[mu] - m) * r_pow[mu] % n
+            ks = ([0] if mu <= j else
+                  [self.index[c] for c in _depth_residues(p, mu, ce[mu])])
+            rows += [{k: x} if x else {} for k in ks]
         return list({tuple(r.items()): r for r in rows}.values())
 
     def _probe(self, d1, d2, vecs):
         """Pull each vector of vecs along diag(d1, d2), then smooth at the
-        current stage: the images, slot by slot, each entry mod n.
+        current stage: the images, class by class, each entry mod n.
 
         A unit pair keeps each point's depth and moves [s:1] to
-        [s d1/d2:1], so each disc (mu, c) pulls from (mu, c d1/d2 mod p^kk)
-        with weight r^mu r^-mu = 1, and slot 0 from itself with weight
-        q^-j + (p - 1) (q^(-j) + ... + q^-1) = 1, as every stage has j < L.
-        diag(p, 1) is the central pi times diag(1, pi^-1):
-        [1:t] pulls from [1:t/p] with scale c2 when p | t, and every other
-        point from [p s:1] with scale c1, one depth up, or from infinity at
-        depth L - 1.  So the depth-mu points with s = a mod p^e pull
-        evenly from the depth-(mu + 1) ones with s = p a mod p^(e + 1).
+        [s d1/d2:1], so each class (mu, c) pulls from that of
+        (mu, c d1/d2), and classes 0 and 1 from themselves, with weight 1.
+        diag(p, 1) is the central pi times diag(1, pi^-1): [1:t] pulls from
+        [1:t/p] with scale c2 when p | t, and every other point from
+        [p s:1] with scale c1, one depth up, or from infinity at depth
+        L - 1.  A disc's value, r^mu times its points' mean, so becomes
+        c1 r^mu times the mean of their sources, each r^-(mu + 1) times its
+        disc's value: c2 times the mean of the source discs, or
+        c1 r^(L - 1) times the value at infinity.  The class (c, mu) pulls
+        evenly from the depth-(mu + 1) discs s = p c mod p^(ce + 1): one
+        class there, or p.  Class 0 pulls a 1/q share from itself, its
+        [1:t] with p | t, and the rest evenly from the depth-(j + 1)
+        residues p^(j + 1) u mod p^(j + 2): the mean of p sources.
+        Infinity pulls itself, with c1.
         """
         p, big_l, n = self.p, self.big_l, self.n
-        w_in, w_out = self.w_in, self.w_out
         if d1 % p and d2 % p:
-            md = p ** big_l
+            md = p ** self.m
             shift = d1 * pow(d2, -1, md) % md
-            src = [0, 1] + [self.slot_of[c * shift % p ** self.kk[mu]]
-                            for c, mu in self.discs]
+            src = [0, 1] + [self._class(mu, c * shift)
+                            for c, mu in self.classes]
             return [[v[k] for k in src] for v in vecs]
-        c1 = self.c1
+        c1, c2, ce, j = self.c1, self.c2, self.ce, self.j
+        top = c1 * self.r_pow[-1]
+        q_inv = self.ring.q_pow(-1)
 
-        def pull(mu, a, e):
-            # (weight, source slots) of the depth-mu points s = a mod p^e
-            w = w_in[mu] * c1
+        def row(ks):
+            # the (class, weight) terms of a class that pulls from ks: one
+            # class, or the mean of p
+            w = q_inv if len(ks) > 1 else 1
+            return [(k, (top if k == 1 else c2) * w) for k in ks]
+
+        terms = [row([0] + [self._class(j + 1, p ** (j + 1) * u)
+                            for u in range(1, p)]), [(1, c1)]]
+        for c, mu in self.classes:
             if mu + 1 == big_l:
-                return w * self._count(mu, e), [1]
-            e2 = min(e + 1, big_l)
-            count, slots = self._spread(mu + 1, p * a % p ** e2, e2)
-            return w * w_out[mu + 1] * p ** (e2 - e) * count, slots
-
-        # each slot's (weight, source slots) terms: slot 0 pulls the big
-        # cell's [1:t], p | t, then every depth mu <= j; slot 1 infinity
-        terms = [[(p ** (big_l - 1) * w_in[0] * self.c2, [0])]
-                 + [pull(mu, 0, mu) for mu in range(self.j + 1)],
-                 [(c1, [1])]]
-        terms += [[pull(mu, c, self.kk[mu])] for c, mu in self.discs]
-        return [[sum(w * sum([v[k] for k in slots]) for w, slots in row) % n
-                 for row in terms] for v in vecs]
+                terms.append(row([1]))
+                continue
+            e = min(ce[mu] + 1, ce[mu + 1])
+            terms.append(row([self._class(mu + 1, x) for x in
+                              range(p * c % p ** e, p ** ce[mu + 1], p ** e)]))
+        return [[sum(w * v[k] for k, w in row) % n for row in terms]
+                for v in vecs]
 
     def solve(self, v, cb, ci):
         # frame coordinates: ci owns the infinity coefficient, cb the base one
@@ -413,20 +425,21 @@ class _StageEngine:
     def stage(self, j, fold):
         n = self.n
         self._begin(j)
-        width = len(self.discs) + 2
-        # every column's disc sums: the indicator of a level-m fibre, smoothed
+        width = len(self.classes) + 2
+        # every column's class values: the indicator of a level-m fibre,
+        # smoothed
         stack = self._fibres()
         cb, ci = ([r.get(k, 0) for k in range(width)] for r in stack[:2])
-        # fold adds the constants, all ones in disc coordinates since w_out
-        # is 1 under the trivial character that folding runs with
+        # fold adds the constants, all ones in class coordinates since r is
+        # 1 under the trivial character that folding runs with
         if fold:
             stack.append(dict.fromkeys(range(width), 1))
         # the Howell row count depends only on the span, so not on the
         # duplicate fibres, and equals that over point coordinates, also
-        # for composite n: with slots in first-point order, a pivot can only
-        # sit on the first point of its slot.  It is the echelon's pivot
-        # count, since reducing above the pivots keeps every row, so no
-        # reduction runs
+        # for composite n: with classes in first-point order, every row
+        # stays constant on each class, so a pivot can only sit on the
+        # first point of its class.  It is the echelon's pivot count, since
+        # reducing above the pivots keeps every row, so no reduction runs
         rank = len(_eliminate(stack, n, width)[0])
         if fold:
             rank -= 1
@@ -469,9 +482,12 @@ def _scaled_inverse(ring, mtx, scale):
 def jacquet_oracle(sig, j_max=None):
     """Run the smoothing tower until two consecutive stages agree.
 
-    The stages run on the level-(m + j_max) line.  Raises NotStabilized,
-    carrying the stage summaries, when the window closes first or the
-    agreeing stages' pi-matrix is singular.
+    The stages run on the level-(m + j_max) line, in class coordinates
+    (_StageEngine): stage j works on about 2 p^((m - j)/2) + j_max classes
+    of smoothing discs, so the cost grows with the class count, not with
+    the line or its discs.  Raises NotStabilized, carrying the stage
+    summaries, when the window closes first or the agreeing stages'
+    pi-matrix is singular.
     """
     if sig.kind not in ("induced", "steinberg"):
         raise ValueError(f"no smoothing stages for kind {sig.kind!r}")
@@ -495,10 +511,12 @@ def jacquet_oracle(sig, j_max=None):
                     f"stages {j - 1} and {j} agreed, but their pi-matrix "
                     f"{mats[0]} is not invertible mod {ring.n}", seen)
             mpi = mats[0]
+            # every entry is reduced mod n already
             torus = {
-                "pi": LambdaMatrix(ring, mpi),
-                "pi2": LambdaMatrix(ring, mpi2),
-                "units": tuple(LambdaMatrix(ring, u) for u in mats[1:]),
+                "pi": LambdaMatrix._reduced(ring, mpi, len(mpi)),
+                "pi2": LambdaMatrix._reduced(ring, mpi2, len(mpi2)),
+                "units": tuple(LambdaMatrix._reduced(ring, u, len(u))
+                               for u in mats[1:]),
             }
             if fold:
                 filtration = ((mpi[0][0], mpi2[0][0]),)

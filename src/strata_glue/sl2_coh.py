@@ -53,29 +53,39 @@ class TreeBall:
     [1:t], rows (p^d, 0), (s, 1) for [s:1], and the standard lattice at
     the root.  Edges join a shell point to its level-(d-1) projection.
     Colors alternate with distance and name the stabilizer kind of each
-    facet up to conjugacy.
+    facet up to conjugacy.  A ball holds only p and r: the boundary, and
+    so the homology, is written from shell offsets and projections.
     """
 
-    __slots__ = ("p", "radius", "vertices", "edges", "_colors",
+    __slots__ = ("p", "radius", "_vertices", "_edges", "_colors",
                  "_stabilizers", "_kids")
 
     def __init__(self, p, radius):
         self.p = p
         self.radius = radius
-        verts = [_ROOT]
-        edges = []
-        for d in range(1, radius + 1):
-            up = project(p, d, d - 1)
-            for i in range(p1_size(p, d)):
-                verts.append((d, i))
-                parent = _ROOT if d == 1 else (d - 1, up[i])
-                edges.append(((d, i), parent))
-        self.vertices = tuple(verts)
-        self.edges = tuple(edges)
+        self._vertices = self._edges = None
         self._colors = self._stabilizers = self._kids = None
 
-    # colors, stabilizers and children are built on first read: the
-    # homology reads none of them
+    # vertices, edges, colors, stabilizers and children are built on first
+    # read: the homology reads none of them
+
+    @property
+    def vertices(self):
+        if self._vertices is None:
+            self._vertices = (_ROOT,) + tuple(
+                (d, i) for d in range(1, self.radius + 1)
+                for i in range(p1_size(self.p, d)))
+        return self._vertices
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            edges = [((1, i), _ROOT) for i in range(self.p + 1)]
+            for d in range(2, self.radius + 1):
+                edges += [((d, i), (d - 1, u)) for i, u in
+                          enumerate(project(self.p, d, d - 1))]
+            self._edges = tuple(edges)
+        return self._edges
 
     @property
     def colors(self):
@@ -152,15 +162,25 @@ class TreeBall:
         no two images lead in the same coordinate: eliminating the image
         rows files each once and writes nothing, which is Parter's
         leaves-first order, with no fill, for a tree (SIAM Review 1961).
-        The matrix, vertex rows, is built only if it is read.
+        A coordinate is arithmetic: the point of index i on the distance-d
+        shell, which follows the root and the shells before it, has
+        coordinate nv - 1 - (shell offset + i), and its parent's index is
+        its projection one level down.  So the images are written from
+        numbers, with no vertex or edge built.  The matrix, vertex rows,
+        is built only if it is read.
         """
-        nv = len(self.vertices)
-        index = dict(zip(self.vertices, range(nv - 1, -1, -1)))
-        neg = ring.n - 1
-        return ModuleMap._of_images(
-            free_module(ring, len(self.edges)), free_module(ring, nv),
-            [{index[child]: 1, index[parent]: neg}
-             for child, parent in self.edges])
+        p, r, neg = self.p, self.radius, ring.n - 1
+        nv = 1 + sum(p1_size(p, d) for d in range(1, r + 1))
+        # the root's coordinate, then base, that of a shell's point 0
+        root = nv - 1
+        base = root - 1
+        images = [{base - i: 1, root: neg} for i in range(p + 1)]
+        for d in range(2, r + 1):
+            up, base = base, base - p1_size(p, d - 1)
+            images += [{base - i: 1, up - u: neg} for i, u in
+                       enumerate(project(p, d, d - 1))]
+        return ModuleMap._of_images(free_module(ring, nv - 1),
+                                    free_module(ring, nv), images)
 
     def homology(self, ring):
         """H0 and H1 of the unaugmented cellular complex: the cokernel and

@@ -11,14 +11,15 @@ row of a Howell column, the dense Howell engine that rescans every live
 row per column, a pullback that solves for each point's source
 point afresh, a Jacquet stage engine that smooths vectors on every point
 of the line, one that visits every point to build each stage's disc
-coordinates and one that builds each probe's full transfer rows, fixed
-points as the kernel of dense action matrices against a model rebuilt one
-level up and as the span of orbit indicators, the closed forms' cell rows
-written out over every point of the line, iso classes from the integer
-Smith form of the relations stacked on n * I, moduli factored by trial
-division, tree-ball vertices moved by act(), and the tree-ball boundary
-written as vertex rows.  Points of P^1(O/pi^m) are ProjPoint objects
-here, the reference that padic_core's index codec is pinned against.
+coordinates, one that holds a value per disc and one that builds each
+probe's full transfer rows, fixed points as the kernel of dense action
+matrices against a model rebuilt one level up and as the span of orbit
+indicators, the closed forms' cell rows written out over every point of
+the line, iso classes from the integer Smith form of the relations
+stacked on n * I, moduli factored by trial division, tree-ball vertices
+moved by act(), and the tree-ball boundary written as vertex rows.
+Points of P^1(O/pi^m) are ProjPoint objects here, the reference that
+padic_core's index codec is pinned against.
 
 act() is the truncated p-adic layer the package ran before its sweeps
 became residue arithmetic: point coordinates are Laurent numbers known
@@ -32,9 +33,9 @@ The linear algebra oracles are feasible for ambient rank <= 4 and modulus
 <= 9, which is the regime the property tests run in.  The package code
 must agree with these oracles.  Beyond the public API they import only
 helpers that they do not restate: the unit generators, the eta-inverse
-images, the point codec, the 2x2 scaled inverse, the unchecked matrix
-wrapper, the integral table's degeneration certificate and the slot stage
-engine, whose probes the transfer-row reference replaces.
+images, the point codec, the 2x2 scaled inverse, the residues of one
+depth, the echelon engine, the unchecked matrix wrapper and the integral
+table's degeneration certificate.
 
 The gluing path through provenance tags, with its split input and rule
 tables and its string-built contragredient, is kept at the end; glue and
@@ -50,11 +51,11 @@ from strata_glue.char_engine import (DegreeNotInTable, GradedCharModule,
                                      JacquetSymbol, TorusChar, UnramChar,
                                      UnsupportedSpec, _integral_degenerations,
                                      ts_homology)
-from strata_glue.finite_rep import (_StageEngine, _scaled_inverse,
+from strata_glue.finite_rep import (_depth_residues, _scaled_inverse,
                                     induced_exponents, induced_rep,
                                     parse_rep_spec, steinberg, trivial_rep)
 from strata_glue.lambda_core import (FgModule, LambdaMatrix, ModuleMap,
-                                     free_module, howell_form,
+                                     _eliminate, free_module, howell_form,
                                      identity_matrix, kernel, left_kernel,
                                      quotient_module)
 from strata_glue import padic_core
@@ -1516,6 +1517,206 @@ class DiscStageEngine:
         return (rank, tuple(mats), mpi2)
 
 
+# finite_rep._StageEngine as it ran before it held vectors in class
+# coordinates: one value per smoothing disc (slot), every stage listing its
+# discs, its fibre rows and its probe sources slot by slot.  Copied
+# verbatim; the class engine is pinned against it.
+
+class SlotStageEngine:
+    # working model: functions on the level-L line; stage j smooths along
+    # the depth-j unipotent discs and probes the torus in a two-vector frame.
+    # Points are grouped by depth: [s:1] with s != 0 has depth v_p(s), the
+    # big cell [1:t] has depth 0 (its units t being the [1/t:1]), and
+    # infinity stands alone.  Smoothing leaves the disc sum times
+    # w_out = r^-depth, so a vector is held in disc coordinates, one per
+    # slot: slot 0 holds the big cell and the depths mu <= j, slot 1
+    # infinity, and slot 2 + i the i-th disc in order of its key c.  The
+    # disc (mu, c), j < mu < L, is the [s:1] with s = c mod p^kk,
+    # kk = min(2 mu - j, L), v_p(c) = mu, c < p^kk: p^(L - kk) points,
+    # each of inbound weight q^(kk - L) r^mu, so r^mu in all.  Fibre columns
+    # and probe pullbacks are point counts per slot in closed form: no
+    # stage visits a point.  A probe is applied to the frame's two vectors
+    # straight from those counts, one sum over at most p source slots per
+    # slot, and builds no matrix, so a stage costs its slots times p per
+    # probe.
+
+    def __init__(self, ring, p, m, big_l, chi):
+        self.ring = ring
+        self.p = p
+        self.m = m
+        self.big_l = big_l
+        self.n = n = ring.n
+        self.c1, self.c2 = chi
+        self.r = self.c1 * ring.inv(self.c2) % n
+        # point count, read by the stage sizer in perfbench/spans.py
+        self.size = p1_size(p, big_l)
+        # w_out at each depth below L; 1 on the big cell and at infinity
+        self.w_out = [pow(self.r, -mu, n) for mu in range(big_l)]
+        # torus probes: diag(pi, 1), then diag(u, 1) and diag(1, u) per unit
+        self.ops = [(p, 1)]
+        for u in _unit_gens(p, m):
+            self.ops += [(u, 1), (1, u)]
+
+    def _begin(self, j):
+        """Stage j's residue precision kk at each depth, its discs as
+        (c, mu) in slot order, each disc's slot, and the inbound weight of
+        one point at each depth."""
+        p, big_l, n = self.p, self.big_l, self.n
+        self.j = j
+        self.kk = kk = [min(2 * mu - j, big_l) for mu in range(big_l)]
+        self.discs = sorted((c, mu) for mu in range(j + 1, big_l)
+                            for c in _depth_residues(p, mu, kk[mu]))
+        self.slot_of = {c: k for k, (c, _) in enumerate(self.discs, 2)}
+        self.w_in = [self.ring.q_pow(kk[mu] - big_l)
+                     * pow(self.r, mu, n) % n for mu in range(big_l)]
+
+    def _count(self, mu, e):
+        # points of depth mu with s = a mod p^e, e > mu, or of depth mu
+        # when e = mu; at depth 0 these are the big cell's units
+        p, big_l = self.p, self.big_l
+        if e > mu:
+            return p ** (big_l - e)
+        return (p - 1) * p ** (big_l - mu - 1)
+
+    def _spread(self, mu, a, e):
+        """(count, slots): the depth-mu points with s = a mod p^e, a < p^e,
+        lie count to a slot on the slots, distinct and ascending; e = mu
+        (a = 0) takes every depth-mu point."""
+        p, big_l, j = self.p, self.big_l, self.j
+        if mu <= j:
+            return self._count(mu, e), [0]
+        kk = self.kk[mu]
+        if e >= kk:
+            return p ** (big_l - e), [self.slot_of[a % p ** kk]]
+        slot_of = self.slot_of
+        if e == mu:
+            return p ** (big_l - kk), [slot_of[c]
+                                       for c in _depth_residues(p, mu, kk)]
+        return p ** (big_l - kk), [slot_of[c]
+                                   for c in range(a, p ** kk, p ** e)]
+
+    def _fibres(self):
+        """The smoothed indicators of the level-m fibres, deduplicated, as
+        {slot: value} rows, slots ascending, those of [1:0] and of infinity
+        first.
+
+        A big-cell fibre is p^(L-m) points of depth 0; that of [s0:1] is
+        the depth-mu0 points s = s0 mod p^m; that of infinity is infinity
+        and every point of depth m or more.
+        """
+        p, m, big_l, n, w_in = self.p, self.m, self.big_l, self.n, self.w_in
+        inf = {1: 1}
+        for mu in range(m, big_l):
+            count, slots = self._spread(mu, 0, mu)
+            for k in slots:
+                inf[k] = inf.get(k, 0) + count * w_in[mu]
+        rows = [{0: p ** (big_l - m) * w_in[0] % n},
+                {k: y for k, x in sorted(inf.items()) if (y := x % n)}]
+        for mu in range(1, m):
+            for s0 in _depth_residues(p, mu, m):
+                count, slots = self._spread(mu, s0, m)
+                x = count * w_in[mu] % n
+                rows.append(dict.fromkeys(slots, x) if x else {})
+        return list({tuple(r.items()): r for r in rows}.values())
+
+    def _probe(self, d1, d2, vecs):
+        """Pull each vector of vecs along diag(d1, d2), then smooth at the
+        current stage: the images, slot by slot, each entry mod n.
+
+        A unit pair keeps each point's depth and moves [s:1] to
+        [s d1/d2:1], so each disc (mu, c) pulls from (mu, c d1/d2 mod p^kk)
+        with weight r^mu r^-mu = 1, and slot 0 from itself with weight
+        q^-j + (p - 1) (q^(-j) + ... + q^-1) = 1, as every stage has j < L.
+        diag(p, 1) is the central pi times diag(1, pi^-1):
+        [1:t] pulls from [1:t/p] with scale c2 when p | t, and every other
+        point from [p s:1] with scale c1, one depth up, or from infinity at
+        depth L - 1.  So the depth-mu points with s = a mod p^e pull
+        evenly from the depth-(mu + 1) ones with s = p a mod p^(e + 1).
+        """
+        p, big_l, n = self.p, self.big_l, self.n
+        w_in, w_out = self.w_in, self.w_out
+        if d1 % p and d2 % p:
+            md = p ** big_l
+            shift = d1 * pow(d2, -1, md) % md
+            src = [0, 1] + [self.slot_of[c * shift % p ** self.kk[mu]]
+                            for c, mu in self.discs]
+            return [[v[k] for k in src] for v in vecs]
+        c1 = self.c1
+
+        def pull(mu, a, e):
+            # (weight, source slots) of the depth-mu points s = a mod p^e
+            w = w_in[mu] * c1
+            if mu + 1 == big_l:
+                return w * self._count(mu, e), [1]
+            e2 = min(e + 1, big_l)
+            count, slots = self._spread(mu + 1, p * a % p ** e2, e2)
+            return w * w_out[mu + 1] * p ** (e2 - e) * count, slots
+
+        # each slot's (weight, source slots) terms: slot 0 pulls the big
+        # cell's [1:t], p | t, then every depth mu <= j; slot 1 infinity
+        terms = [[(p ** (big_l - 1) * w_in[0] * self.c2, [0])]
+                 + [pull(mu, 0, mu) for mu in range(self.j + 1)],
+                 [(c1, [1])]]
+        terms += [[pull(mu, c, self.kk[mu])] for c, mu in self.discs]
+        return [[sum(w * sum([v[k] for k in slots]) for w, slots in row) % n
+                 for row in terms] for v in vecs]
+
+    def solve(self, v, cb, ci):
+        # frame coordinates: ci owns the infinity coefficient, cb the base one
+        n = self.n
+        den = cb[0]
+        if gcd(den, n) != 1:
+            return None
+        b = v[1]
+        a = (v[0] - b * ci[0]) * self.ring.inv(den) % n
+        for x, y, z in zip(v, cb, ci):
+            if (a * y + b * z) % n != x:
+                return None
+        return a, b % n
+
+    def stage(self, j, fold):
+        n = self.n
+        self._begin(j)
+        width = len(self.discs) + 2
+        # every column's disc sums: the indicator of a level-m fibre, smoothed
+        stack = self._fibres()
+        cb, ci = ([r.get(k, 0) for k in range(width)] for r in stack[:2])
+        # fold adds the constants, all ones in disc coordinates since w_out
+        # is 1 under the trivial character that folding runs with
+        if fold:
+            stack.append(dict.fromkeys(range(width), 1))
+        # the Howell row count depends only on the span, so not on the
+        # duplicate fibres, and equals that over point coordinates, also
+        # for composite n: with slots in first-point order, a pivot can only
+        # sit on the first point of its slot.  It is the echelon's pivot
+        # count, since reducing above the pivots keeps every row, so no
+        # reduction runs
+        rank = len(_eliminate(stack, n, width)[0])
+        if fold:
+            rank -= 1
+        mats = []
+        for d1, d2 in self.ops:
+            sa, sb = (self.solve(v, cb, ci)
+                      for v in self._probe(d1, d2, (cb, ci)))
+            if sa is None or sb is None:
+                mats = None
+                break
+            mats.append(((sa[0], sb[0]), (sa[1], sb[1])))
+        if mats is not None and fold:
+            base = self.solve((1,) * width, cb, ci)
+            if base is None:
+                mats = None
+            else:
+                a0 = base[0]
+                mats = [(((mtx[0][0] - a0 * mtx[1][0]) % n,),)
+                        for mtx in mats]
+        if mats is None:
+            return (rank, None, None)
+        central = self.c1 * self.c2 % n
+        mpi2 = _scaled_inverse(self.ring, mats[0], central)
+        return (rank, tuple(mats), mpi2)
+
+
 def _stage_row(eng, terms):
     # a {slot: coefficient} row from (slot, term) pairs: summed mod n,
     # zeros dropped, slots ascending
@@ -1526,11 +1727,11 @@ def _stage_row(eng, terms):
 
 
 def transfer_rows(eng, d1, d2):
-    """finite_rep._StageEngine's probe diag(d1, d2) at its current stage
-    as the matrix it was once built as: the row of each slot maps source
-    slots to coefficients, summed mod n (_StageEngine._transfer and _row
-    as they ran).  The engine's _spread now gives (count, slots) where
-    these rows took (slot, count) pairs."""
+    """SlotStageEngine's probe diag(d1, d2) at its current stage as the
+    matrix it was once built as: the row of each slot maps source slots to
+    coefficients, summed mod n (_StageEngine._transfer and _row as they
+    ran).  The slot engine's _spread gives (count, slots) where these rows
+    took (slot, count) pairs."""
     p, big_l, n = eng.p, eng.big_l, eng.n
     w_in, w_out = eng.w_in, eng.w_out
 
@@ -1563,8 +1764,8 @@ def transfer_rows(eng, d1, d2):
     return rows
 
 
-class RowStageEngine(_StageEngine):
-    """finite_rep._StageEngine with each probe applied as it once was: its
+class RowStageEngine(SlotStageEngine):
+    """SlotStageEngine with each probe applied as it once was: its
     transfer rows built in full (transfer_rows), then rows times vector."""
 
     def _probe(self, d1, d2, vecs):

@@ -19,7 +19,8 @@ from strata_glue.padic_core import (
 )
 from strata_glue import finite_rep, padic_core, sl2_coh
 from bruteforce import (DiscStageEngine, NonInvertibleOrder, PointStageEngine,
-                        RowStageEngine, _chi_val, _eta_inv_images,
+                        RowStageEngine, SlotStageEngine, _chi_val,
+                        _eta_inv_images,
                         action_matrix, averaging_projector, elem_lower,
                         elem_upper, expand_cells, laurent_matrix,
                         loop_pull_table, mat_mul, orbits, per_point_pull)
@@ -492,12 +493,13 @@ def test_disc_engine_matches_point_engine(ring, m, spec, monkeypatch):
 def test_stage_rank_is_the_howell_row_count(ring, m):
     # each stage's rank, its echelon's pivot count, against the Howell row
     # count of that stage's fibre stack, with the row of ones that folding
-    # adds, over the oracle's whole window
+    # adds, over the oracle's whole window, on the slot engine that the
+    # class engine is pinned against
     for spec in ("ind(0,1)", "ps(0,0)", "st"):
         sig = rep_model(ring, spec, m)
         fold = spec == "st"
         chi = (1, 1) if fold else sig.chi
-        eng = finite_rep._StageEngine(ring, ring.p, m, 2 * m + 2, chi)
+        eng = SlotStageEngine(ring, ring.p, m, 2 * m + 2, chi)
         for j in range(m + 3):
             rank = eng.stage(j, fold)[0]
             stack, width = eng._fibres(), len(eng.discs) + 2
@@ -541,15 +543,16 @@ def test_slot_engine_matches_disc_engine(ring, m):
 @pytest.mark.parametrize("ring", [R11, R7, R143, R121, R13],
                          ids=lambda r: f"n{r.n}-p{r.p}")
 def test_probes_match_transfer_rows(ring, m):
-    # each probe applied straight from its pull terms against the transfer
-    # rows it was once built as, times the vector: at every stage of the
-    # oracle's window on the level-(2m + 2) line, on the frame's two
-    # vectors and a random one, and every stage summary with fold on and off
+    # the slot engine's probes, applied straight from its pull terms,
+    # against the transfer rows they were once built as, times the vector:
+    # at every stage of the oracle's window on the level-(2m + 2) line, on
+    # the frame's two vectors and a random one, and every stage summary
+    # with fold on and off
     p, n = ring.p, ring.n
     rng = random.Random(f"probes:{n}:{p}:{m}")
     units = [c for c in range(1, n) if ring.is_unit(c)]
     chi = (rng.choice(units), rng.choice(units))
-    eng = finite_rep._StageEngine(ring, p, m, 2 * m + 2, chi)
+    eng = SlotStageEngine(ring, p, m, 2 * m + 2, chi)
     ref = RowStageEngine(ring, p, m, 2 * m + 2, chi)
     for j in range(m + 3):
         for fold in (False, True):
@@ -561,6 +564,91 @@ def test_probes_match_transfer_rows(ring, m):
         for d1, d2 in eng.ops:
             assert eng._probe(d1, d2, vecs) == ref._probe(d1, d2, vecs), (
                 j, d1, d2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ring", [R11, R7, R121, R143, R13],
+                         ids=lambda r: f"n{r.n}-p{r.p}")
+def test_class_engine_matches_slot_engine(ring, m, monkeypatch):
+    # every stage summary of the class engine against the slot engine, one
+    # value per disc, over the oracle's window with fold on and off, and
+    # the oracle's outcomes at the default window and at j_max = 1; Z/13
+    # has no square root of q = 5, so its ps twist is integral
+    ps = "ps(0,0)" if ring.sqrt_q is not None else "ps(1/2,1/2)"
+    for spec in ("ind(0,1)", ps, "st"):
+        sig = rep_model(ring, spec, m)
+        fold = spec == "st"
+        chi = (1, 1) if fold else sig.chi
+        eng = finite_rep._StageEngine(ring, ring.p, m, 2 * m + 2, chi)
+        ref = SlotStageEngine(ring, ring.p, m, 2 * m + 2, chi)
+        for j in range(m + 3):
+            for f in (False, True):
+                assert eng.stage(j, f) == ref.stage(j, f), (spec, j, f)
+        got = [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(finite_rep, "_StageEngine", SlotStageEngine)
+            assert got == [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("ring", [R11, R7, R121, R143, R13],
+                         ids=lambda r: f"n{r.n}-p{r.p}")
+def test_class_vectors_expand_to_slot_vectors(ring, m):
+    # a class vector is the slot vector constant on each class: every fibre
+    # row and every probe image of a random class vector expands to the
+    # slot engine's, at every stage of the window.  The stage summaries
+    # alone do not see the classes below depth m, where the frame vanishes
+    p, n = ring.p, ring.n
+    rng = random.Random(f"classes:{n}:{p}:{m}")
+    units = [c for c in range(1, n) if ring.is_unit(c)]
+    chi = (rng.choice(units), rng.choice(units))
+    eng = finite_rep._StageEngine(ring, p, m, 2 * m + 2, chi)
+    ref = SlotStageEngine(ring, p, m, 2 * m + 2, chi)
+    for j in range(m + 3):
+        eng._begin(j)
+        ref._begin(j)
+        cls = [0, 1] + [eng._class(mu, c) for c, mu in ref.discs]
+
+        def expand(row):
+            return {k: row[c] for k, c in enumerate(cls) if c in row}
+
+        assert [expand(r) for r in eng._fibres()] == ref._fibres(), j
+        vecs = [[rng.randrange(n) for _ in range(len(eng.classes) + 2)]
+                for _ in range(2)]
+        for d1, d2 in eng.ops:
+            got = eng._probe(d1, d2, vecs)
+            want = ref._probe(d1, d2, [[v[c] for c in cls] for v in vecs])
+            assert [[v[c] for c in cls] for v in got] == want, (j, d1, d2)
+
+
+def _class_count(p, m, big_l, j):
+    # slot 0, infinity, the residues mod p^min(kk, m) of each depth below m
+    # and one class per depth from m on
+    return (2 + sum((p - 1) * p ** (min(2 * mu - j, big_l, m) - mu - 1)
+                    for mu in range(j + 1, min(m, big_l)))
+            + max(0, big_l - max(j + 1, m)))
+
+
+@pytest.mark.parametrize("ring, levels", [
+    (R11, range(1, 9)), (R7, range(1, 7)), (R13, range(1, 6))],
+    ids=lambda x: f"n{x.n}-p{x.p}" if hasattr(x, "n") else None)
+def test_stage_width_is_the_class_count(ring, levels):
+    # a stage works on its classes, about 2 p^((m - j)/2) + m + 2, not on
+    # its discs, about 2 p^((2m + 2 - j)/2): at level 8 over Z/11 stage 0
+    # has 118 classes and 26,244 slots
+    p = ring.p
+    for m in levels:
+        big_l = 2 * m + 2
+        eng = finite_rep._StageEngine(ring, p, m, big_l, (1, 1))
+        for j in range(m + 3):
+            eng.stage(j, False)
+            assert len(eng.classes) + 2 == _class_count(p, m, big_l, j), (
+                m, j)
+    eng = finite_rep._StageEngine(R11, 3, 8, 18, (1, 1))
+    eng._begin(0)
+    ref = SlotStageEngine(R11, 3, 8, 18, (1, 1))
+    ref._begin(0)
+    assert (len(eng.classes) + 2, len(ref.discs) + 2) == (118, 26_244)
 
 
 @pytest.mark.parametrize("ring", [R11, R7, R143, R121, R13],

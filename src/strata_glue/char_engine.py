@@ -72,7 +72,9 @@ class UnramChar:
     def __init__(self, ring, value, exponent=None):
         self.ring = ring
         self.value = value % ring.n
-        self.exponent = None if exponent is None else Fraction(exponent)
+        if exponent is not None and not isinstance(exponent, Fraction):
+            exponent = Fraction(exponent)
+        self.exponent = exponent
 
     @classmethod
     def abs_power(cls, ring, s):
@@ -336,6 +338,12 @@ def _accept(ring, table, tag, spec):
         raise UnsupportedSpec(f"{table.name} slope cannot take {spec!r}")
 
 
+@lru_cache(maxsize=None)
+def _row_symbol(ring, row_spec):
+    # a table row's coinvariants: the rows are constant specs
+    return jacquet_symbolic(ring, row_spec)
+
+
 def _characters(ring, table, tag):
     """Degree -> characters of a slope's table against an accepted tag."""
     chars = {}
@@ -345,7 +353,7 @@ def _characters(ring, table, tag):
                  * TorusChar.delta_power(ring, 1))
         one = UnramChar.abs_power(ring, 0)
         for j, (row_spec, det, _z) in table.rows.items():
-            ranks = ts_homology(jacquet_symbolic(ring, row_spec), twist)
+            ranks = ts_homology(_row_symbol(ring, row_spec), twist)
             if ranks[0]:
                 c = assemble_characters(
                     j, one, UnramChar.abs_power(ring, (a + b) / 2 + det),

@@ -298,29 +298,30 @@ def _check_tree_balls():
     return {"balls": 6}
 
 
-def _images(rows, n, width, orders=None, tables=None):
-    """x·rows for every x with 0 <= x_i < orders[i] (n for every row by
-    default), in itertools.product order.  n is at most 256 and width at
-    most 8: each image is the int whose bytes, in native order, are its
-    entries, so that sets and counts of images run on ints.
+def _images(rows, n, width, tables=None):
+    """x·rows for every x in (Z/n)^len(rows), in itertools.product order:
+    the one enumeration the linear-algebra oracle makes of a case M.  Its
+    zero count is |ker M|, which sizes the boxes of fact (b), and fact
+    (c) looks H's rows up in it and indexes it by K's (see _check_linalg).
+    n is at most 256 and width at most 8: each image is the int whose
+    bytes, in native order, are its entries, as _packed packs a row.
 
     Each column is a bytes string of values, built from the last row to
     the first, so that the first coefficient varies slowest.  An entry b
-    of a row with order k maps a column to the concatenation of its k
-    translates by c·b mod n, c < k: one bytes.translate table per shift,
-    kept per (n, b, k) in the dict tables, which callers may share."""
+    maps a column to the concatenation of its n translates by c·b mod n,
+    c < n: one bytes.translate table per shift, kept per (n, b) in the
+    dict tables, which callers may share."""
     if tables is None:
         tables = {}
     cols = [b"\0"] * width
-    for i in reversed(range(len(rows))):
-        k = n if orders is None else orders[i]
+    for row in reversed(rows):
         grown = []
-        for col, b in zip(cols, rows[i]):
-            table = tables.get((n, b, k))
+        for col, b in zip(cols, row):
+            table = tables.get((n, b))
             if table is None:
-                table = tables[n, b, k] = [
+                table = tables[n, b] = [
                     bytes(range(s, n)) + bytes(range(s)) + bytes(256 - n)
-                    for s in [c * b % n for c in range(k)]]
+                    for s in [c * b % n for c in range(n)]]
             grown.append(b"".join(map(col.translate, table)))
         cols = grown
     packed = bytearray(8 * len(cols[0]))
@@ -329,14 +330,45 @@ def _images(rows, n, width, orders=None, tables=None):
     return memoryview(packed).cast("Q").tolist()
 
 
-def _box(m, tables):
-    """x·m over the coefficient box 0 <= x_i < n / gcd(pivot_i, n).
+def _packed(row):
+    # a checked {column: value} row as _images packs its images
+    out = bytearray(8)
+    for j, x in row.items():
+        out[j] = x
+    return int.from_bytes(out, sys.byteorder)
 
-    On a Howell form this lists each element of the row span exactly
-    once.  A zero row, which only a faulty engine returns, has order 1."""
-    n = m.ring.n
-    orders = [n // math.gcd(next(iter(r.values()), 0), n) for r in m.rows]
-    return _images(m.entries, n, m.cols, orders, tables)
+
+def _box_size(rows, n, width):
+    """Points of the box 0 <= x_i < n / gcd(a_i, n), a_i the entry at
+    row i's leading column min(row); a zero row has order 1.  0 unless
+    every column is in 0..width-1, every value in [1, n) and the leading
+    columns of the nonzero rows strictly increase (fact (a))."""
+    size, last = 1, -1
+    for r in rows:
+        if not r:
+            continue
+        lead = min(r)
+        if (lead <= last or max(r) >= width
+                or not all(0 < x < n for x in r.values())):
+            return 0
+        size *= n // math.gcd(r[lead], n)
+        last = lead
+    return size
+
+
+def _lists_span(h, images, nker, n, width):
+    # facts (a)-(c) of _check_linalg for H: its box lists span(M) once
+    return (_box_size(h, n, width) * nker == len(images)
+            and all(_packed(r) in images for r in h))
+
+
+def _lists_kernel(k, images, nker, n, width):
+    # facts (a)-(c) for K, of width rows(M): its box lists ker M once; x
+    # sits at index sum x_i n^(width-1-i) of the enumeration
+    return (_box_size(k, n, width) == nker
+            and not any(images[sum(c * n ** (width - 1 - i)
+                                   for i, c in r.items())]
+                        for r in k))
 
 
 def _check_linalg(seed):
@@ -344,40 +376,49 @@ def _check_linalg(seed):
 
     One elimination of M gives its left kernel K and the quotient
     Lambda^cols / span(M), whose relations are the Howell form H of M.
-    x·M is enumerated once, for every x: its set is span(M) and its zeros
-    are ker M.  H must list span(M) on its box, once per element; each row
-    of H lies in its own box, so this proves span(H) = span(M) and the
-    Howell property.  Every row of K must be a zero of the enumeration,
-    and K's box must list |ker M| distinct points, so span(K) is ker M.
-    The iso class of the quotient must multiply out to n^cols / |span(M)|."""
+    x·M is enumerated once, for every x: its zeros are ker M, so
+    |span M| = n^rows / |ker M|.  H must list span(M) on its box
+    0 <= x_i < n / gcd(a_i, n), a_i the entry at row i's leading column,
+    once per element, and K must list ker M on its own box.  Neither box
+    is enumerated; three facts prove it:
+
+    (a) echelon shape: the leading columns of the nonzero rows strictly
+        increase, so x -> x·H is one to one on the box: at the first i
+        with x_i != y_i, column lead_i of the difference is
+        (x_i - y_i)·a_i != 0 mod n, as every later row is zero there;
+    (b) box size: the box has |span M| points (for K, |ker M|);
+    (c) rows in place: each row of H is an image, each row of K indexes
+        a zero of the enumeration.
+
+    span M and ker M are submodules, so (c) puts the whole box inside
+    them, and (a) with (b) makes the box all of them.  On H this is also
+    the Howell property: by (a), an element that is zero before column
+    lead_i has box coefficients zero before i.  Every row must have its
+    columns in range and its values in [1, n) before it is packed or
+    indexed.  The iso class of the quotient must multiply out to
+    n^cols / |span(M)|."""
     rng = random.Random(seed)
+    randint, randrange = rng.randint, rng.randrange
     tables = {}
     for _ in range(200):
-        n = rng.randint(2, 9)
+        n = randint(2, 9)
         ring = CoeffRing(n, 997)  # matrix layer never consults p
-        rows = rng.randint(1, 3)
-        cols = rng.randint(1, 3)
+        rows = randint(1, 3)
+        cols = randint(1, 3)
         m = LambdaMatrix._reduced(ring, [
-            tuple(rng.randrange(n) for _ in range(cols))
+            tuple(randrange(n) for _ in range(cols))
             for _ in range(rows)], cols)
-        images = _images(m.entries, n, cols, None, tables)
-        span = set(images)
-        kern, quot = left_kernel_cokernel(m)
-        hbox = _box(quot.relations, tables)
-        if len(hbox) != len(span) or set(hbox) != span:
-            raise RuntimeError("howell form changed the row span")
-        kbox = _box(kern, tables)
+        images = _images(m.entries, n, cols, tables)
         nker = images.count(0)
-        # x sits at index sum x_i n^(rows-1-i) of the enumeration
-        if (len(kbox) != nker or len(set(kbox)) != nker
-                or any(images[sum(c * n ** (rows - 1 - i)
-                                  for i, c in r.items())]
-                       for r in kern.rows)):
+        kern, quot = left_kernel_cokernel(m)
+        if not _lists_span(quot.relations.rows, images, nker, n, cols):
+            raise RuntimeError("howell form changed the row span")
+        if not _lists_kernel(kern.rows, images, nker, n, rows):
             raise RuntimeError("left kernel disagrees with enumeration")
         size = 1
         for f in iso_class(quot):
             size *= f
-        if size * len(span) != n ** cols:
+        if size * len(images) != n ** cols * nker:
             raise RuntimeError("quotient size disagrees with enumeration")
     return {"cases": 200}
 

@@ -226,7 +226,8 @@ class CoeffRing:
         e may be an int, a Fraction or a string like "1/2"; it must be
         half-integral, and an odd number of halves needs sqrt_q.
         """
-        e = Fraction(e)
+        if not isinstance(e, Fraction):
+            e = Fraction(e)
         if e.denominator == 1:
             return pow(self.q, -e.numerator, self.n)
         if e.denominator != 2:

@@ -114,6 +114,18 @@ def brute_left_kernel(rows, n):
     return out
 
 
+def howell_box(m):
+    """x·m, as dense tuples, for every x in the coefficient box
+    0 <= x_i < n / gcd(pivot_i, n), pivot_i the entry of row i at its least
+    column, in itertools.product order.  On a Howell form this lists each
+    element of the row span exactly once.  A zero row has order 1."""
+    n = m.ring.n
+    orders = [n // gcd(r[min(r)] if r else 0, n) for r in m.rows]
+    return [tuple(sum(c * r[j] for c, r in zip(x, m.entries)) % n
+                  for j in range(m.cols))
+            for x in itertools.product(*map(range, orders))]
+
+
 def coset_space(ambient, relation_rows, n):
     """List of cosets of span(relation_rows) in (Z/n)^ambient, as frozensets."""
     sp = span_of(relation_rows, n) if relation_rows else {tuple([0] * ambient)}

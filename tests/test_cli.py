@@ -28,8 +28,9 @@ from strata_glue.lambda_core import (
     LambdaMatrix,
     howell_form,
     left_kernel,
+    left_kernel_cokernel,
 )
-from bruteforce import brute_left_kernel, enumerate_p1, span_of
+from bruteforce import brute_left_kernel, enumerate_p1, howell_box, span_of
 
 
 def run(capsys, *argv):
@@ -741,20 +742,19 @@ def test_images_match_brute_force(data):
         st.tuples(*[st.integers(0, n - 1)] * width))
     pool = data.draw(st.lists(row, min_size=1, max_size=4))
     rows = data.draw(st.lists(st.sampled_from(pool), max_size=4))
-    orders = data.draw(st.one_of(
-        st.none(), st.lists(st.integers(1, n), min_size=len(rows),
-                            max_size=len(rows))))
 
-    xs = list(itertools.product(*map(range, orders or [n] * len(rows))))
-    images = _unpack(cli._images(rows, n, width, orders), width)
+    xs = list(itertools.product(range(n), repeat=len(rows)))
+    packed = cli._images(rows, n, width)
+    images = _unpack(packed, width)
     assert images == [
         tuple(sum(c * r[j] for c, r in zip(x, rows)) % n
               for j in range(width))
         for x in xs]
-    if orders is None:
-        assert set(images) == span_of(rows, n, width)
-        assert {x for x, img in zip(xs, images) if not any(img)} == \
-            brute_left_kernel(rows, n)
+    assert set(images) == span_of(rows, n, width)
+    assert {x for x, img in zip(xs, images) if not any(img)} == \
+        brute_left_kernel(rows, n)
+    # _packed packs a row as _images packs an image
+    assert [cli._packed(dict(enumerate(img))) for img in images] == packed
 
 
 @st.composite
@@ -777,7 +777,7 @@ def test_a_howell_box_lists_its_span_once(m):
     # what the oracle relies on: the box 0 <= x_i < n / gcd(pivot_i, n)
     # of a Howell form maps one to one onto its row span
     for h in (howell_form(m), left_kernel(m)):
-        box = _unpack(cli._box(h, {}), h.cols)
+        box = howell_box(h)
         assert len(box) == len(set(box))
         assert set(box) == span_of(h.entries, m.ring.n, h.cols)
 
@@ -799,6 +799,19 @@ def test_linear_algebra_oracle_eliminates_twice_per_case(monkeypatch):
     monkeypatch.setattr(lambda_core, "_eliminate", counted)
     assert cli._check_linalg(1) == {"cases": 200}
     assert len(calls) == 2 * 200
+
+
+def test_linear_algebra_oracle_enumerates_once_per_case(monkeypatch):
+    # the boxes of H and K are proved, not enumerated: x·M is the only
+    # enumeration a case makes
+    calls, images = [], cli._images
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return images(*args, **kwargs)
+    monkeypatch.setattr(cli, "_images", counted)
+    assert cli._check_linalg(1) == {"cases": 200}
+    assert len(calls) == 200
 
 
 def _patch_engine(monkeypatch, part, fault):
@@ -867,11 +880,62 @@ def _double_rows_over_even_n(k):
                                  for r in k.rows], cols=k.cols)
 
 
+def _reverse_rows(m):
+    # the same rows, so the same span and box, out of echelon order: no
+    # Howell form, and the leading columns decrease
+    return LambdaMatrix._sparse(m.ring, m.rows[::-1], m.cols)
+
+
+def _bump_the_last_column(m):
+    # an echelon form with the right pivots, so the right box size, whose
+    # first row led by an earlier column gets 1 added in the last column:
+    # in most cases no longer in the span
+    rows, last = list(m.rows), m.cols - 1
+    for i, r in enumerate(rows):
+        if r and min(r) < last:
+            bumped = {**r, last: (r.get(last, 0) + 1) % m.ring.n}
+            rows[i] = {j: x for j, x in bumped.items() if x}
+            break
+    return LambdaMatrix._sparse(m.ring, rows, m.cols)
+
+
+def _column_past_the_width(m):
+    # a malformed first row: an entry one column past the last; checked
+    # before it is packed or used as an index, so the criterion fails with
+    # its own message, not an IndexError
+    rows = list(m.rows)
+    if rows:
+        rows[0] = {**rows[0], m.cols: 1}
+    return LambdaMatrix._sparse(m.ring, rows, m.cols)
+
+
+def _unreduced_values(m):
+    # a malformed first row: each entry plus n, the same residues out of
+    # [1, n)
+    rows = list(m.rows)
+    if rows:
+        rows[0] = {j: x + m.ring.n for j, x in rows[0].items()}
+    return LambdaMatrix._sparse(m.ring, rows, m.cols)
+
+
 @pytest.mark.parametrize("seed", ["1", "20104"])
 @pytest.mark.parametrize("part, fault, message", [
     ("howell_form", _drop_rows_in_the_span_of_the_others,
      "howell form changed the row span"),
     ("left_kernel", _double_rows_over_even_n,
+     "left kernel disagrees with enumeration"),
+    ("howell_form", _reverse_rows, "howell form changed the row span"),
+    ("left_kernel", _reverse_rows, "left kernel disagrees with enumeration"),
+    ("howell_form", _bump_the_last_column,
+     "howell form changed the row span"),
+    ("left_kernel", _bump_the_last_column,
+     "left kernel disagrees with enumeration"),
+    ("howell_form", _column_past_the_width,
+     "howell form changed the row span"),
+    ("left_kernel", _column_past_the_width,
+     "left kernel disagrees with enumeration"),
+    ("howell_form", _unreduced_values, "howell form changed the row span"),
+    ("left_kernel", _unreduced_values,
      "left kernel disagrees with enumeration"),
 ])
 def test_linear_algebra_oracle_checks_the_howell_box(
@@ -883,3 +947,34 @@ def test_linear_algebra_oracle_checks_the_howell_box(
     blob = json.loads(out)
     assert blob["failed"] == ["linear-algebra"]
     assert blob["criteria"][-1]["error"] == f"RuntimeError: {message}"
+
+
+_MATRIX_FAULTS = (_drop_last_row, _drop_rows_in_the_span_of_the_others,
+                  _double_rows_over_even_n, _reverse_rows,
+                  _bump_the_last_column, _column_past_the_width,
+                  _unreduced_values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_box_matrices())
+def test_the_box_facts_accept_only_boxes_that_list_the_span_once(m):
+    # the oracle's proof pinned against the box it stands in for: wherever
+    # facts (a)-(c) accept H or K, the enumerated box lists span(M), resp.
+    # ker M, once per element; on the engine's own output they accept
+    n, rows, cols = m.ring.n, m.nrows, m.cols
+    images = cli._images(m.entries, n, cols)
+    nker = images.count(0)
+    span = span_of(m.entries, n, cols)
+    kernel = brute_left_kernel(m.entries, n)
+    kern, quot = left_kernel_cokernel(m)
+    h = quot.relations
+    assert cli._lists_span(h.rows, images, nker, n, cols)
+    assert cli._lists_kernel(kern.rows, images, nker, n, rows)
+    for fault in (lambda x: x,) + _MATRIX_FAULTS:
+        fh, fk = fault(h), fault(kern)
+        if cli._lists_span(fh.rows, images, nker, n, cols):
+            box = howell_box(fh)
+            assert len(box) == len(span) and set(box) == span
+        if cli._lists_kernel(fk.rows, images, nker, n, rows):
+            box = howell_box(fk)
+            assert len(box) == len(kernel) and set(box) == kernel

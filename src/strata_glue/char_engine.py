@@ -48,10 +48,6 @@ class DegreeNotInTable(ValueError):
     """Requested output degree has no rule row."""
 
 
-class NonUnitWitness(ValueError):
-    """Coinvariant symbol carries a non-invertible certificate."""
-
-
 class CuspidalWitnessFailed(RuntimeError):
     """Claimed cuspidal datum has Iwahori-fixed vectors or N-coinvariants."""
 
@@ -186,17 +182,15 @@ class GradedCharModule:
 class JacquetSymbol:
     """Ordered coinvariant constituents plus the extension split flag.
 
-    unit_witness is the product of constituent values; the counting
-    rules below are only valid while it is a unit, so it travels with
-    the symbol and is checked at use time.
+    Every constituent value is a power of q or sqrt_q, both units by
+    banality, so the counting rules below need no further check.
     """
 
-    __slots__ = ("constituents", "split", "unit_witness")
+    __slots__ = ("constituents", "split")
 
-    def __init__(self, constituents, split, unit_witness):
+    def __init__(self, constituents, split):
         self.constituents = tuple(constituents)
         self.split = split
-        self.unit_witness = unit_witness
 
 
 # ----------------------------------------------------------- slope tables
@@ -244,13 +238,6 @@ def _table(slope):
 # ------------------------------------------------- coinvariant arithmetic
 
 
-def _witness(constituents, ring):
-    w = 1
-    for c in constituents:
-        w = w * c.chi1.value * c.chi2.value % ring.n
-    return w
-
-
 def jacquet_symbolic(ring, spec):
     """Unipotent coinvariants of a spec, as an ordered two-line symbol.
 
@@ -272,7 +259,7 @@ def jacquet_symbolic(ring, spec):
     else:
         raise UnsupportedSpec(f"no symbolic coinvariants for {spec!r}")
     split = len(cs) == 2 and cs[0].values() != cs[1].values()
-    return JacquetSymbol(cs, split=split, unit_witness=_witness(cs, ring))
+    return JacquetSymbol(cs, split=split)
 
 
 def ts_homology(symbol, twist):
@@ -282,10 +269,6 @@ def ts_homology(symbol, twist):
     rank in each degree apiece.  A non-split symbol is a single thread:
     it contributes one line, and only when every layer lands there.
     """
-    ring = twist.ring
-    if not ring.is_unit(symbol.unit_witness % ring.n):
-        raise NonUnitWitness(
-            f"witness {symbol.unit_witness} is not a unit mod {ring.n}")
     flags = [(c * twist).is_ts_trivial() for c in symbol.constituents]
     if symbol.split:
         r = sum(flags)

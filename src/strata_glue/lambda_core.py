@@ -2,9 +2,11 @@
 
 Z/n is not a domain, so row reduction alone does not give canonical forms or
 complete kernels.  The canonical representative used throughout is the Howell
-form, unique per row span.  Over each Z/l^e of n an entry of least valuation
-divides its column, so one pivot rule eliminates there; n is split into its
-Z/l^e, with the parts joined by CRT, only at a column with no unit entry.
+form, unique per row span.  One pivot rule eliminates over any Z/m: an
+entry of least gcd g with m pivots when it is g times a unit and g divides
+its column, as always over a prime power.  Where that fails, a gcd splits m
+into two coprime parts, each eliminated again and joined by CRT: n is split
+only by gcds, at a column with no unit entry, and never factored.
 Modules are finitely generated quotients of free modules.  A map runs from a
 free module into any module, as the maps whose kernels and cokernels give
 cohomology do (the SS difference map and the tree-ball boundary), and is a
@@ -18,11 +20,12 @@ elimination of its rows (left_kernel_cokernel).  A module's size reads only
 its pivots, and so does its iso class when every pivot is 1, as over a prime
 n.  Other iso classes come from a Smith form mod n that starts from the
 Howell relations: rows with a unit pivot drop out with their pivot column,
-and only the rest is eliminated, per prime power of n, with the local orders
-joined by CRT.  All values are immutable after construction (a cokernel
-reduces its relations once, on first read, and keeps them), and every
-operation is a pure function, so instances can be shared freely.  No
-operation writes to a row it was given: rows are shared, not copied.
+and only the rest is eliminated, by the same pivot rule and the same split,
+with the orders of the parts joined by CRT.  All values are immutable after
+construction (a cokernel reduces its relations once, on first read, and
+keeps them), and every operation is a pure function, so instances can be
+shared freely.  No operation writes to a row it was given: rows are shared,
+not copied.
 
 Matrices are held as sparse rows, {column: value} maps of the nonzero
 entries, and every path reads supports, never the full width: the Howell
@@ -41,7 +44,6 @@ map's matrix beside its image rows, are built on demand.
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import gcd, isqrt, prod
 
 
@@ -176,7 +178,9 @@ def _factor(n):
     rest is split by Pollard rho into factors that _is_prime accepts:
     proved prime by Miller-Rabin below _MR_BOUND, about 3.3 * 10^24, and
     Baillie-PSW probable primes from there on.  Cached, so each modulus is
-    factored once."""
+    factored once.  Its one caller is padic_core._unit_gens, which factors
+    p - 1 for a residue characteristic p; the linear algebra over Z/n
+    splits n by gcds and never factors it."""
     primes = []
     for d in _MR_BASES:
         while n > 1 and n % d == 0:
@@ -409,24 +413,30 @@ def _eliminate(rows, n, width, transform=False):
     transform set or not.  One elimination so gives both the row span and
     the left kernel (Storjohann & Mulders).
 
-    When _eliminate_local gives up, Z/n is the product of two or more Z/q,
-    q = l^e, and it runs once per q on the rows mod q.  Kernel rows lift
-    through e_q, 1 mod q and 0 mod n/q.  In a pivot column c, with d the
-    product over q of the local pivot at c, or of q where there is none,
-    the joined row is the sum of e_q * (d / pivot) times the local rows:
-    its pivot is d, and mod q it is a unit times the local row, so each
-    part's span and Howell property are kept.
+    Where the pivot rule fails over Z/m, m splits into coprime m1 and
+    m / m1 (_Split), and each part runs again, from the rows mod it, until
+    the rule holds over every part q.  Kernel rows lift through e_q, 1 mod
+    q and 0 mod n/q.  In a pivot column c, with d the product over q of
+    the local pivot at c, or of q where there is none, the joined row is
+    the sum of e_q * (d / pivot) times the local rows: its pivot is d, and
+    mod q it is a unit times the local row, so each part's span and Howell
+    property are kept.
     """
     try:
-        return _eliminate_local(rows, n, width, transform, False)
-    except _Composite as split:
-        factors = split.args[0]
+        return _eliminate_local(rows, n, width, transform)
+    except _Split as split:
+        todo = [split.args[0], n // split.args[0]]
     parts, zeros = [], []
-    for _, q in factors:
+    while todo:
+        q = todo.pop()
+        try:
+            out, pivots, kern = _eliminate_local(
+                [{k: y for k, x in r.items() if (y := x % q)} for r in rows],
+                q, width, transform)
+        except _Split as split:
+            todo += [split.args[0], q // split.args[0]]
+            continue
         e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod n/q
-        out, pivots, kern = _eliminate_local(
-            [{k: y for k, x in r.items() if (y := x % q)} for r in rows],
-            q, width, transform, True)
         parts.append((q, e, dict(zip(pivots, out))))
         zeros += [{k: e * x % n for k, x in r.items()} for r in kern]
     out, pivots = [], sorted(set().union(*(at for _, _, at in parts)))
@@ -440,33 +450,61 @@ def _eliminate(rows, n, width, transform=False):
     return out, pivots, zeros
 
 
-class _Composite(Exception):
-    """Raised by _eliminate_local at a column with no unit entry when n
-    has two or more prime factors; args[0] is _factor(n)."""
+class _Split(Exception):
+    """Raised by _eliminate_local where the pivot rule fails over Z/m;
+    args[0] is _split's m1."""
 
 
-def _eliminate_local(rows, n, width, transform, prime_power):
-    """_eliminate over Z/n, a prime power when prime_power is set, by one
-    pivot rule; it raises _Composite where the rule does not hold.
+def _split(a, g, others, m):
+    """1 when the pivot rule holds over Z/m: a / g is a unit mod m, g =
+    gcd(a, m), and g divides every value of others.  Otherwise m1, a
+    proper divisor of m prime to m / m1, found by gcds alone.  g must be
+    the least gcd with m over others, so the split is proper.
+
+    If h = gcd(a / g, m) > 1, each prime of h divides g to its full power
+    in m, since a / g is prime to m / g, and m / g > 1 has a prime that h
+    lacks: m1 is the part of m on the primes of h.  Otherwise, at the
+    first b that g does not divide, some prime divides g more often than
+    G = gcd(b, m), and, as G >= g, another divides G more often than g:
+    m1 is the part of m on the primes of g / gcd(g, b), which hold the
+    first prime and not the second.  The gcd of all of others would not
+    do: over Z/72 the gcds 6, 9 and 8 have gcd 1, and 6 / 1 holds both
+    primes of 72.  Over a prime power an entry of least gcd divides the
+    others, and the rule always holds (dynamic evaluation: Della Dora,
+    Dicrescenzo & Duval, EUROCAL 1985).
+    """
+    h = gcd(a // g, m)
+    if h == 1:
+        h = next((g // gcd(g, b) for b in others if b % g), 1)
+    m1 = 1
+    while (h := gcd(m // m1, h)) > 1:
+        m1 *= h
+    return m1
+
+
+def _eliminate_local(rows, n, width, transform):
+    """_eliminate over Z/n by one pivot rule; it raises _Split where the
+    rule does not hold.
 
     Structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990):
     rows wait in buckets keyed by their leading column, and each row a
     column eliminates is filed again under its new leading column, so no
     row is looked at where it is known to be zero.  A column's pivot is
     its first row with a unit entry, scaled to 1; over a prime n every
-    nonzero entry is a unit.  With no unit entry, n is factored, once, and
-    over Z/l^e the pivot is the first row whose entry a has the least gcd
-    g with n, scaled to g by the inverse of a / g.  g then divides the
-    column (Howell, 1986; Storjohann & Mulders, ESA 1998), so each other
-    row b clears by b / g times the pivot row, and n / g times the pivot
-    row is filed again, which gives the Howell property.
+    nonzero entry is a unit.  With no unit entry, the pivot is the first
+    row whose entry a has the least gcd g with n, scaled to g by the
+    inverse of a / g, where _split finds that a / g is a unit and that g
+    divides the column (Howell, 1986; Storjohann & Mulders, ESA
+    1998).  So each other row b clears by b / g times the pivot row, and
+    n / g times the pivot row is filed again, which gives the Howell
+    property.
 
     Rows are held by number, the refiled ones numbered after the input.
     Row i's entries are the caller's own map until the first write to it,
     which copies it, and its transform is built only when the row is
     scaled or cleared: until then it stands for {i: 1}.  A column whose
     one row leads with 1, as every column of a tree-ball boundary does,
-    so writes nothing.
+    so writes nothing; a _Split leaves the caller's rows as they were.
     """
     buckets, zeros = {}, []
     mats = list(rows)
@@ -513,12 +551,11 @@ def _eliminate_local(rows, n, width, transform, prime_power):
             if gcd(mats[pi][col], n) == 1:
                 break
         else:
-            if not prime_power:
-                if len(factors := _factor(n)) > 1:
-                    raise _Composite(factors)
-                prime_power = True
             pi = min(hits, key=lambda i: gcd(mats[i][col], n))
             g = gcd(mats[pi][col], n)
+            if (m1 := _split(mats[pi][col], g,
+                             (mats[i][col] for i in hits), n)) > 1:
+                raise _Split(m1)
         piv = mats[pi]
         a = piv[col]
         if a != g:
@@ -825,34 +862,40 @@ def kernel_cokernel(f):
 
 # --------------------------------------------------- Smith form, iso classes
 
-def _local_smith(rows, width, q):
-    """Smith form over Z/q, for q a prime power, of {column: value} rows
-    over Z/n spread over width columns: the orders of the cyclic summands,
-    one per column, q where no pivot lands, in no particular order.
+def _smith(rows, width, m):
+    """Smith form over Z/m of {column: value} rows over Z/n, m | n, spread
+    over width columns: the orders of the cyclic summands, one per column,
+    m where no pivot lands, ascending, each dividing the next.
 
-    An entry of least valuation, that is of least gcd g with q, divides
-    every entry of its block over Z/q, so it clears its column by row steps
-    and its row by column steps, with no divisibility sweep.  The column
-    steps change only the pivot row, which is then dropped, so they need
-    not be carried out.  The pivot is left as g times a unit, which spans
-    the same ideal as g.
+    The pivot is an entry of least gcd g with m.  When _split finds that
+    it is g times a unit and that g divides every entry of its block, it
+    clears its column by row steps and its row by column steps, with no
+    divisibility sweep, and every later pivot is a multiple of g.  The
+    column steps change only the pivot row, which is then dropped, so they
+    need not be carried out.  The pivot is left as g times a unit, which
+    spans the same ideal as g.  Where the rule fails, m = m1 * (m / m1),
+    coprime, and the two parts' orders multiply column by column (CRT).
     """
-    a = [{j: y for j, x in r.items() if (y := x % q)} for r in rows]
+    a = [{j: y for j, x in r.items() if (y := x % m)} for r in rows]
     orders = []
     while True:
-        best = min(((gcd(x, q), i, j) for i, r in enumerate(a)
+        best = min(((gcd(x, m), i, j) for i, r in enumerate(a)
                     for j, x in r.items()), default=None)
         if best is None:
-            return orders + [q] * (width - len(orders))
+            return orders + [m] * (width - len(orders))
         g, i, j = best
+        if g > 1 and (m1 := _split(
+                a[i][j], g, (x for r in a for x in r.values()), m)) > 1:
+            return [x * y for x, y in zip(_smith(rows, width, m1),
+                                          _smith(rows, width, m // m1))]
         piv = a.pop(i)
-        inv = pow(piv[j] // g, -1, q)
-        # x = s * piv[j] mod q for each other entry x of the pivot row
-        steps = [(c, x // g * inv % q) for c, x in piv.items() if c != j]
+        inv = pow(piv[j] // g, -1, m)
+        # x = s * piv[j] mod m for each other entry x of the pivot row
+        steps = [(c, x // g * inv % m) for c, x in piv.items() if c != j]
         for r in a:
             if rj := r.pop(j, 0):
                 for c, s in steps:
-                    if y := (r.get(c, 0) - rj * s) % q:
+                    if y := (r.get(c, 0) - rj * s) % m:
                         r[c] = y
                     else:
                         r.pop(c, None)
@@ -867,11 +910,11 @@ def iso_class(module):
     row, so the row and that column drop out together: the row rewrites
     its pivot generator in terms of the others.  When every pivot is 1, as
     over a prime n, the answer is [n] * (ambient - pivots), read off the
-    pivots alone, with no reduction above them, no elimination and no
-    factoring.  Otherwise the relations are read, and their rows with
-    other pivots are eliminated per prime power q of n, on their supports.
-    The local orders, sorted largest first, multiply column by column into
-    the invariant factors.
+    pivots alone, with no reduction above them and no elimination.
+    Otherwise the relations are read, and their rows with other pivots
+    are put in Smith form over Z/n, on their supports, split by gcds into
+    coprime parts where the pivot rule fails; the orders, largest first,
+    are the invariant factors.
     """
     n = module.ring.n
     pivots = module._pivot_values()
@@ -880,8 +923,4 @@ def iso_class(module):
     rest = [r for r in module.relations.rows   # each leads with its pivot
             if next(iter(r.values())) != 1]
     width = module.ambient - len(pivots) + len(rest)
-    local = []
-    for _, q in _factor(n):
-        orders = _local_smith(rest, width, q)
-        local.append(sorted((o for o in orders if o > 1), reverse=True))
-    return [prod(f) for f in zip_longest(*local, fillvalue=1)]
+    return [f for f in reversed(_smith(rest, width, n)) if f > 1]

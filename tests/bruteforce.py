@@ -2175,31 +2175,23 @@ def _slope(slope):
     raise ValueError(f"unknown slope {slope!r}")
 
 
-def _witness(constituents, ring):
-    w = 1
-    for c in constituents:
-        w = w * c.chi1.value * c.chi2.value % ring.n
-    return w
-
-
 def provenance_jacquet_symbolic(ring, spec):
     """Two-line coinvariant symbol, one return per spec kind."""
     tag = parse_rep_spec(spec)
     if tag[0] == "st":
         cs = (TorusChar.delta_power(ring, -1),)
-        return JacquetSymbol(cs, split=False, unit_witness=_witness(cs, ring))
+        return JacquetSymbol(cs, split=False)
     if tag[0] == "triv":
         cs = (TorusChar.from_exponents(ring, 0, 0),)
-        return JacquetSymbol(cs, split=False, unit_witness=_witness(cs, ring))
+        return JacquetSymbol(cs, split=False)
     if tag[0] == "absdet":
         cs = (TorusChar.from_exponents(ring, tag[1], tag[1]),)
-        return JacquetSymbol(cs, split=False, unit_witness=_witness(cs, ring))
+        return JacquetSymbol(cs, split=False)
     if tag[0] in ("ind", "ps"):
         chi = TorusChar.from_exponents(ring, *induced_exponents(tag))
         sub = chi.weyl() * TorusChar.delta_power(ring, -1)
         cs = (sub, chi)
-        return JacquetSymbol(cs, split=sub.values() != chi.values(),
-                             unit_witness=_witness(cs, ring))
+        return JacquetSymbol(cs, split=sub.values() != chi.values())
     raise UnsupportedSpec(f"no symbolic coinvariants for {spec!r}")
 
 

@@ -29,7 +29,6 @@ from strata_glue.char_engine import (
     HALF,
     INTEGRAL,
     JacquetSymbol,
-    NonUnitWitness,
     TorusChar,
     UnramChar,
     UnsupportedSpec,
@@ -248,22 +247,15 @@ def test_ts_homology_nonsplit_needs_every_constituent_trivial():
         {0: 0, -1: 0}
 
 
-def test_ts_homology_rejects_non_unit_witness():
-    bad = JacquetSymbol(
-        (TorusChar.from_exponents(R11, 0, 0),), split=False, unit_witness=0)
-    with pytest.raises(NonUnitWitness):
-        ts_homology(bad, TorusChar.from_exponents(R11, 0, 0))
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3))
 def test_ts_homology_additive_over_split_symbols(a, b, t):
     sub = TorusChar.from_exponents(R11, a, b)
     quot = TorusChar.from_exponents(R11, b, a + 1)
     tw = TorusChar.from_exponents(R11, t, 0)
-    joint = JacquetSymbol((sub, quot), split=True, unit_witness=1)
+    joint = JacquetSymbol((sub, quot), split=True)
     total = ts_homology(joint, tw)
-    parts = [ts_homology(JacquetSymbol((c,), split=False, unit_witness=1), tw)
+    parts = [ts_homology(JacquetSymbol((c,), split=False), tw)
              for c in (sub, quot)]
     assert total[0] == sum(p[0] for p in parts)
     assert total[-1] == sum(p[-1] for p in parts)

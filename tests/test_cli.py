@@ -169,6 +169,23 @@ def test_glue_malformed_cusp_table_is_usage_error(capsys, tmp_path, blob,
     assert err.startswith(f"error: ValueError: {field}"), err
 
 
+def test_a_large_residue_characteristic_is_factored_by_rho(capsys, tmp_path):
+    # the Gamma0 generators need a generator of (Z/p)^*, and _unit_gens
+    # factors p - 1 = 2^4 * 202541467 * 123431514397 for it: Pollard rho
+    # does so at once, where trial division would take about 2 * 10^8
+    # steps; the one-entry table then has no matrix for diag(2, 1)
+    p = 100000000000000001597
+    table = tmp_path / "one.json"
+    table.write_text(json.dumps({"group": f"GL2(F{p})", "generators": [_T],
+                                 "matrices": [[[1]]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "glue", "--slope", "int",
+                         "--rep", f"cusp:{table}", "--p", str(p), "--n", "11")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "no table entry for residue ((2, 0), (0, 1))" in err
+
+
 def test_glue_unrepresentable_input_table_is_usage_error(capsys):
     # ind(1,1/2), the contragredient, has an empty table; the input's own
     # table meets exponent 1/4 through a value collision mod 11

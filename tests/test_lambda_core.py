@@ -547,7 +547,8 @@ def _presentations(n, rnd):
     yield 4, [[0] * i + [1] + [rnd.randrange(n) for _ in range(3 - i)]
               for i in range(3)]
 
-@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 36, 64, 121, 143, 210, 1000])
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 36, 64, 121, 143, 210, 1000,
+                               30, 60, 72, 360, 900, 1001, 2310, 2695])
 def test_iso_class_matches_integer_smith_form(n):
     rnd = random.Random(n)
     r = carrier(n)
@@ -685,12 +686,12 @@ def _assert_engine_matches_reference(n, entries, cols):
 
 
 @pytest.mark.parametrize("n", [7, 11, 6, 143, 27, 64, 121, 1000003, 30, 900,
-                               1001, 3575])
+                               1001, 3575, 72, 360, 2310, 2695])
 def test_engine_matches_xgcd_reference(n):
     # bit for bit, not just equal spans: both outputs are canonical; on
-    # composite n a column of non-units splits n into its prime powers,
-    # three or four of them at 30, 900 and 1001, and joins the parts where
-    # some have no pivot
+    # composite n a column of non-units splits n by gcds into coprime
+    # parts, up to three or four of them at 30, 360, 900, 1001, 2310 and
+    # 2695 = 5 * 7^2 * 11, and joins the parts where some have no pivot
     rng = random.Random(f"engine:{n}")
     shapes = [(rng.randint(0, 12), rng.randint(1, 12)) for _ in range(60)]
     shapes += [(30, 3), (24, 6), (3, 30), (5, 24), (16, 16)]
@@ -705,7 +706,7 @@ def test_engine_matches_xgcd_reference(n):
 ])
 def test_engine_late_unit_pivot(n, column):
     # the first hit is a non-unit and a later one a unit, or (the last two
-    # cases) no hit is a unit but the prime-power parts join to a unit
+    # cases) no hit is a unit but the coprime parts join to a unit
     rng = random.Random(f"late-unit:{n}:{column}")
     for cols in (1, 2, 5, 9):
         entries = [[c] + [rng.randrange(n) for _ in range(cols - 1)]
@@ -716,17 +717,53 @@ def test_engine_late_unit_pivot(n, column):
         _assert_engine_matches_reference(n, shifted, cols + 1)
 
 
-def test_only_a_column_without_a_unit_factors_n(monkeypatch):
-    # a column with a unit entry pivots on it over any n, so a prime n is
-    # never factored, nor Z/143 on the radius-6 ball, whose every column
-    # has a unit entry
-    from strata_glue.sl2_coh import bt_ball
-    calls, factor = [], lambda_core._factor
+P1, P2 = 10 ** 20 + 39, 3 * 10 ** 20 + 53
 
-    def counted(n):
-        calls.append(n)
-        return factor(n)
-    monkeypatch.setattr(lambda_core, "_factor", counted)
+
+def _refuse(n):
+    raise AssertionError(f"{n} was factored")
+
+
+@pytest.mark.parametrize("n", [6, 30, 72, 143, 1001, P1 * P2])
+def test_linear_algebra_never_factors_n(monkeypatch, n):
+    # a column with no unit entry, or a pivot that is not 1, splits n by
+    # gcds: neither _factor nor Pollard rho is reached
+    monkeypatch.setattr(lambda_core, "_factor", _refuse)
+    monkeypatch.setattr(lambda_core, "_rho", _refuse)
+    r = carrier(n)
+    rng = random.Random(f"never-factored:{n}")
+    divisors = [d for d in (2, 3, 7, 11, 13, P1, P2) if n % d == 0]
+    for rows, cols in ((4, 3), (3, 5), (6, 6)):
+        entries = [[rng.choice(divisors) * rng.randrange(n) % n
+                    for _ in range(cols)] for _ in range(rows)]
+        m = LambdaMatrix(r, entries)
+        h = howell_form(m)
+        kern, quot = left_kernel_cokernel(m)
+        assert _rows(quot.relations) == _rows(h)
+        assert quot.size() == prod(iso_class(quot))
+        f = ModuleMap(free_module(r, rows), quotient_module(
+            free_module(r, cols), entries[:1]), m.transpose())
+        k, c = kernel_cokernel(f)
+        assert c.size() == prod(iso_class(c))
+        assert k.size() == prod(iso_class(k))
+        if n < 10 ** 4:
+            assert list(h.entries) == xgcd_howell(entries, n, cols)
+            assert list(kern.entries) == xgcd_left_kernel(entries, n, cols)
+            assert iso_class(quot) == smith_iso_class(entries, n, cols)
+
+
+def test_only_a_column_without_a_unit_splits_n(monkeypatch):
+    # a column with a unit entry pivots on it over any n, so a prime n is
+    # never split, nor Z/143 on the radius-6 ball, whose every column has
+    # a unit entry
+    from strata_glue.sl2_coh import bt_ball
+    calls, split = [], lambda_core._split
+
+    def counted(a, g, others, m):
+        if (m1 := split(a, g, others, m)) > 1:
+            calls.append(m)
+        return m1
+    monkeypatch.setattr(lambda_core, "_split", counted)
     rng = random.Random("factor-calls")
     for n in (11, 1000003):
         for rows, cols in ((6, 4), (3, 8), (12, 12)):
@@ -737,12 +774,71 @@ def test_only_a_column_without_a_unit_factors_n(monkeypatch):
     h = bt_ball(3, 6).homology(make_ring(143, 3))
     assert (h[0].size(), h[1].size()) == (143, 1)
     assert calls == []
-    # over Z/6 the column (2, 3) has no unit: n splits into 2 and 3 once,
-    # and the parts are eliminated with no further lookup
+    # over Z/6 the column (2, 3) has no unit: 6 splits into 2 and 3 once,
+    # and each part's pivot rule holds
     entries = [[2, 1, 0], [3, 0, 5]]
     m = LambdaMatrix(carrier(6), entries)
     assert list(howell_form(m).entries) == xgcd_howell(entries, 6, 3)
     assert calls == [6]
+
+
+@pytest.mark.parametrize("a, g, others, m, part", [
+    # a / g = 2 shares the prime 2 with 6: the primes of gcd(2, 6) split
+    (4, 2, [4, 3], 6, 2),
+    (20, 10, [20, 30], 30, 2),
+    # gcds 6, 9 and 8 over Z/72: 6 does not divide 9, and the primes of
+    # 6 / gcd(6, 9) = 2 split 72 into 8 and 9; the block's gcd, 1, would
+    # leave its quotient 6 with both primes of 72
+    (6, 6, [6, 9, 8], 72, 8),
+    (6, 6, [12, 6, 8, 9], 72, 9),
+    # gcds 10 and 4 over Z/200: 10 / gcd(10, 4) = 5, so 200 splits into
+    # 25 and 8
+    (10, 10, [10, 4], 200, 25),
+])
+def test_a_failed_pivot_rule_splits_m_properly(a, g, others, m, part):
+    m1 = lambda_core._split(a, g, others, m)
+    assert m1 == part
+    assert 1 < m1 < m and m % m1 == 0 and gcd(m1, m // m1) == 1
+
+
+@pytest.mark.parametrize("m", [8, 9, 49, 121, 1024])
+def test_the_pivot_rule_always_holds_over_a_prime_power(m):
+    # the entry of least gcd divides every other entry and is its gcd
+    # times a unit
+    for a in range(1, m):
+        g = gcd(a, m)
+        assert lambda_core._split(a, g, [b for b in range(1, m)
+                                         if gcd(b, m) % g == 0], m) == 1
+
+
+def test_the_z72_column_and_block_split_by_their_first_divisor():
+    # gcds 6, 9 and 8: their gcd is 1, so only the first entry that 6 does
+    # not divide gives a proper split, in the Howell column and in the
+    # Smith block alike
+    r = carrier(72)
+    for entries in ([[6, 1], [9, 0], [8, 5]], [[6, 0, 0], [0, 9, 0],
+                                               [0, 0, 8]],
+                    [[6, 9, 8]], [[8, 9], [9, 6]]):
+        cols = len(entries[0])
+        _assert_engine_matches_reference(72, entries, cols)
+        quot = quotient_module(free_module(r, cols), entries)
+        assert iso_class(quot) == smith_iso_class(entries, 72, cols)
+    diag = quotient_module(free_module(r, 3), [[6, 0, 0], [0, 9, 0],
+                                               [0, 0, 8]])
+    assert iso_class(diag) == [72, 6]
+
+
+def test_semiprime_moduli_split_at_once(monkeypatch):
+    # n = P1 * P2 with both primes past 10^20, which Pollard rho does not
+    # split in practice; gcds split it at the first non-unit column
+    monkeypatch.setattr(lambda_core, "_rho", _refuse)
+    r = carrier(P1 * P2)
+    start = time.perf_counter()
+    h = howell_form(LambdaMatrix(r, [[P1, 1], [0, P2]]))
+    iso = iso_class(quotient_module(free_module(r, 1), [[P1]]))
+    assert time.perf_counter() - start < 0.1
+    assert h.rows == ({0: P1, 1: 1}, {1: P2})
+    assert iso == [P1]
 
 
 # ------------------------------------ sparse engine against the dense engine
@@ -751,9 +847,9 @@ def test_only_a_column_without_a_unit_factors_n(monkeypatch):
 def sparse_case(draw):
     # a matrix at a drawn density over a ring with and without zero
     # divisors; on composite n some columns hold only multiples of a prime
-    # divisor, so that no hit is a unit: the least-valuation pivot and the
-    # annihilator rows run over a prime power, and n splits into its prime
-    # powers otherwise
+    # divisor, so that no hit is a unit: the least-gcd pivot and the
+    # annihilator rows run over a prime power, and n splits by gcds into
+    # coprime parts otherwise
     n = draw(st.sampled_from([7, 11, 8, 12, 30, 121, 143]))
     density = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5, 0.75, 1.0]))
     rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 9))
@@ -906,9 +1002,9 @@ def _engine_cases(n, rng):
     zero row: a unit column whose pivot is scaled and whose other row is
     cleared; a column of multiples of a prime factor g of n, which over a
     prime power pivots on g and files n / g times the pivot row again, and
-    over two or more primes splits n and joins the parts by CRT; entries
-    above later pivots; then random matrices of dense, sparse and non-unit
-    entries, each with a zero row slipped in."""
+    over two or more primes splits n by gcds and joins the parts by CRT;
+    entries above later pivots; then random matrices of dense, sparse and
+    non-unit entries, each with a zero row slipped in."""
     g = next(d for d in range(2, n + 1) if n % d == 0)
     u = next(x for x in range(2, n) if gcd(x, n) == 1)
     cases = [[[u, g, 5, 1], [1, 2 * g, 0, 3], [0, 0, 0, 0], [0, g, 1, 0],

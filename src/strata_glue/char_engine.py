@@ -3,25 +3,26 @@
 Everything the gluing functor does to an unramified input factors through
 a short list of value-level facts: unramified characters of E^x are pinned
 by their value at a uniformizer, the coinvariant constituents of the small
-induced models form two-line symbols with a split flag, and each slope
-carries one frozen table saying which building block, determinant twist
-and modulus exponents sit in which degree.  hc_tilde reads an input spec
-against its slope's table; glue reads the contragredient against it and
-flips the result through Verdier duality, which only reindexes and
-inverts.  The numeric engines certify the two degeneration facts the
-integral table leans on (the Steinberg line concentrates in one
-homological degree, the weight-one induced model is acyclic against the
-averaging operator); this module does the remaining arithmetic in Lambda
-and never touches a tree again.
+induced models form two-line symbols whose extension may split, and each
+slope carries one frozen table saying which building block, determinant
+twist and modulus exponents sit in which degree.  hc_tilde reads an input
+spec against its slope's table; glue reads the contragredient against it
+and flips the result through Verdier duality, which only reindexes and
+inverts.  A one-dimensional input meets every row's block, and the row
+lands in the degrees where that block has cohomology: sl2_coh computes it
+for the integral blocks at level 1, and the half blocks have a closed
+form.  The rest is arithmetic in Lambda.
 """
 
 import json
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from types import MappingProxyType
 
 from .lambda_core import (
+    _check_banal,
     free_module,
     iso_class,
     make_ring,
@@ -34,8 +35,7 @@ from .finite_rep import (
     induced_exponents,
     inflate,
     parse_rep_spec,
-    steinberg,
-    trivial_rep,
+    rep_model,
 )
 from .sl2_coh import sl2_cohomology
 
@@ -292,31 +292,10 @@ def assemble_characters(j, sheaf_char, module_det_char, table):
                      base * UnramChar.abs_power(ring, e2))
 
 
-@lru_cache(maxsize=None)
-def _integral_degenerations(ring):
-    """Certify the two numeric facts the integral table leans on."""
-    # middle-row acyclicity: 1 - q^(+-1) must invert, which banality grants
-    for e in (1, -1):
-        if not ring.is_unit((1 - ring.q_pow(e)) % ring.n):
-            raise RuntimeError(
-                f"difference map 1 - q^{e} fails to invert mod {ring.n}")
-    # both models are self-dual, so their cohomology in degrees 0 and 1 is
-    # their homology in degrees 0 and -1: Steinberg concentrates below, the
-    # trivial line on top
-    h = sl2_cohomology(steinberg(ring, 1))
-    if iso_class(h[0]) != [] or iso_class(h[1]) != [ring.n]:
-        raise RuntimeError("Steinberg homology moved; table is invalid")
-    h = sl2_cohomology(trivial_rep(ring, 1))
-    if iso_class(h[0]) != [ring.n] or iso_class(h[1]) != []:
-        raise RuntimeError("trivial-line homology moved; table is invalid")
-    return True
-
-
 def _accept(ring, table, tag, spec):
-    """Reject an input kind the slope does not take, once the integral
-    table's degenerations are certified."""
-    if table is INTEGRAL:
-        _integral_degenerations(ring)
+    """Refuse a ring that is not banal, as make_ring does, or an input kind
+    the slope does not take."""
+    _check_banal(ring.n, ring.p)
     if tag[0] not in table.inputs:
         raise UnsupportedSpec(f"{table.name} slope cannot take {spec!r}")
 
@@ -327,39 +306,69 @@ def _row_symbol(ring, row_spec):
     return jacquet_symbolic(ring, row_spec)
 
 
+def _block_cohomology(ring, table, row_spec):
+    """Invariant factors {k: orders} of H^k of a table row's block.
+
+    An integral row's block is SL2 on the row's level-1 model, on which
+    absdet^1 restricts to the trivial line.  A half row restricts trivially
+    to SL1(D), the norm-one units of the quaternion division algebra; past
+    its pro-p part that leaves its tame quotient C_{q+1} acting trivially,
+    so H^0 = Lambda and H^1 = Lambda[q+1], cyclic of order gcd(n, q+1).
+    """
+    if table is HALF:
+        g = gcd(ring.n, ring.q + 1)
+        return {0: [ring.n], 1: [g] if g > 1 else []}
+    spec = "triv" if row_spec.startswith("absdet") else row_spec
+    return {k: iso_class(h)
+            for k, h in sl2_cohomology(rep_model(ring, spec, 1)).items()}
+
+
+@lru_cache(maxsize=None)
+def _row_offsets(ring, table, row_spec):
+    """Offsets -k of the degrees k where a row's block has cohomology."""
+    return tuple(-k for k, orders
+                 in _block_cohomology(ring, table, row_spec).items() if orders)
+
+
 def _characters(ring, table, tag):
-    """Degree -> characters of a slope's table against an accepted tag."""
-    chars = {}
+    """Degree -> characters of a slope's table against an accepted tag.
+
+    Row j places its character in degree j + o, once per rank, for each
+    offset o it carries: a one-dimensional input's block offsets, or an
+    induced input's s-coroot homology ranks in offsets 0 and -1.  The
+    input's central exponent, s for a twist by |det|^s and (a+b)/2 for an
+    induced input, shifts every row's determinant exponent.
+    """
     if tag[0] in ("ind", "ps"):
         a, b = induced_exponents(tag)
         twist = (TorusChar.from_exponents(ring, a, b)
                  * TorusChar.delta_power(ring, 1))
-        one = UnramChar.abs_power(ring, 0)
-        for j, (row_spec, det, _z) in table.rows.items():
+        center = (a + b) / 2
+    else:
+        twist, center = None, tag[1] if len(tag) > 1 else 0
+    one = UnramChar.abs_power(ring, 0)
+    chars = {}
+    for j, (row_spec, det, _z) in table.rows.items():
+        if twist is None:
+            ranks = dict.fromkeys(_row_offsets(ring, table, row_spec), 1)
+        else:
             ranks = ts_homology(_row_symbol(ring, row_spec), twist)
-            if ranks[0]:
-                c = assemble_characters(
-                    j, one, UnramChar.abs_power(ring, (a + b) / 2 + det),
-                    table)
-                chars[j] = (c,) * ranks[0]
-                chars[j - 1] = (c,) * ranks[-1]
-        return chars
-    sheaf = UnramChar.abs_power(ring, tag[1] if len(tag) > 1 else Fraction(0))
-    for j in (min(table.rows), max(table.rows)):
-        row_spec, det, _z = table.rows[j]
-        c = assemble_characters(j, sheaf, UnramChar.abs_power(ring, det),
-                                table)
-        chars[j - (row_spec == "st")] = (c,)
+        if any(ranks.values()):
+            c = assemble_characters(
+                j, one, UnramChar.abs_power(ring, center + det), table)
+            for o, r in ranks.items():
+                chars[j + o] = (c,) * r
     return chars
 
 
 def hc_tilde(ring, slope, spec):
     """Compactly supported output of one stratum against one input spec.
 
-    One-dimensional inputs keep the outer rows of the slope's table, a
-    Steinberg row landing one degree down: the integral middle row dies,
-    and the half slope has no room to degenerate.  Induced inputs pair
-    with at most one row through the coinvariant count and occupy two
+    A one-dimensional input meets every row of the slope's table, and row
+    j lands in degree j - k for each k where its block has H^k != 0: the
+    integral Steinberg row one degree down, the acyclic integral middle
+    row nowhere, and the other rows in their own degrees.  Induced inputs
+    pair with at most one row through the coinvariant count and occupy two
     adjacent degrees.
     """
     table, spec = _table(slope), spec.strip()

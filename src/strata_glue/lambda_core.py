@@ -265,16 +265,21 @@ def _check_prime(p):
         raise BanalityViolation(f"residue characteristic {p} is not prime")
 
 
-def make_ring(n, p, sqrt_q=None):
-    """Validate and build the coefficient ring Z/n for residue prime p."""
-    if n < 2:
-        raise BanalityViolation(f"modulus {n} too small")
-    _check_prime(p)
+def _check_banal(n, p):
+    """Raise BanalityViolation unless p and (q-1)^2(q+1) are units mod n."""
     if gcd(n, p) != 1:
         raise BanalityViolation(f"gcd(n={n}, p={p}) != 1")
     bad = (p - 1) * (p - 1) * (p + 1)
     if gcd(n, bad) != 1:
         raise BanalityViolation(f"gcd(n={n}, (q-1)^2(q+1)={bad}) != 1")
+
+
+def make_ring(n, p, sqrt_q=None):
+    """Validate and build the coefficient ring Z/n for residue prime p."""
+    if n < 2:
+        raise BanalityViolation(f"modulus {n} too small")
+    _check_prime(p)
+    _check_banal(n, p)
     if sqrt_q is not None:
         if (sqrt_q * sqrt_q - p) % n != 0:
             raise BadSqrt(f"{sqrt_q}^2 != {p} mod {n}")
@@ -645,9 +650,7 @@ def howell_form(m):
 
 def left_kernel(m):
     """Howell basis of {x : x * m = 0}."""
-    krows = _eliminate(m.rows, m.ring.n, m.cols, transform=True)[2]
-    kh = _howell_engine(krows, m.ring.n, m.nrows)
-    return LambdaMatrix._sparse(m.ring, kh, m.nrows)
+    return left_kernel_cokernel(m)[0]
 
 
 def left_kernel_cokernel(m):

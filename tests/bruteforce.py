@@ -45,22 +45,23 @@ hc_tilde are pinned against it.
 import itertools
 from itertools import chain, compress, count, islice
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from strata_glue.char_engine import (DegreeNotInTable, GradedCharModule,
                                      JacquetSymbol, TorusChar, UnramChar,
-                                     UnsupportedSpec, _integral_degenerations,
-                                     ts_homology)
+                                     UnsupportedSpec, ts_homology)
 from strata_glue.finite_rep import (_depth_residues, _scaled_inverse,
                                     induced_exponents, induced_rep,
                                     parse_rep_spec, steinberg, trivial_rep)
 from strata_glue.lambda_core import (FgModule, LambdaMatrix, ModuleMap,
                                      _eliminate, free_module, howell_form,
-                                     identity_matrix, kernel, left_kernel,
-                                     quotient_module)
+                                     identity_matrix, iso_class, kernel,
+                                     left_kernel, quotient_module)
 from strata_glue import padic_core
 from strata_glue.padic_core import (SubgroupSpec, UnsupportedSubgroup,
                                    _unit_gens, p1_size, project)
+from strata_glue.sl2_coh import sl2_cohomology
 
 
 def mat_mul(ring, a_rows, b_rows, b_cols):
@@ -2203,6 +2204,26 @@ def _assemble(j, sheaf_char, module_det_char, rules):
     base = sheaf_char * module_det_char
     return TorusChar(base * UnramChar.abs_power(ring, e1),
                      base * UnramChar.abs_power(ring, e2))
+
+
+@lru_cache(maxsize=None)
+def _integral_degenerations(ring):
+    """Certify the two numeric facts the integral table leans on."""
+    # middle-row acyclicity: 1 - q^(+-1) must invert, which banality grants
+    for e in (1, -1):
+        if not ring.is_unit((1 - ring.q_pow(e)) % ring.n):
+            raise RuntimeError(
+                f"difference map 1 - q^{e} fails to invert mod {ring.n}")
+    # both models are self-dual, so their cohomology in degrees 0 and 1 is
+    # their homology in degrees 0 and -1: Steinberg concentrates below, the
+    # trivial line on top
+    h = sl2_cohomology(steinberg(ring, 1))
+    if iso_class(h[0]) != [] or iso_class(h[1]) != [ring.n]:
+        raise RuntimeError("Steinberg homology moved; table is invalid")
+    h = sl2_cohomology(trivial_rep(ring, 1))
+    if iso_class(h[0]) != [ring.n] or iso_class(h[1]) != []:
+        raise RuntimeError("trivial-line homology moved; table is invalid")
+    return True
 
 
 def provenance_hc_tilde(ring, slope, spec):

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import provenance_glue, provenance_hc_tilde
-from strata_glue.lambda_core import MissingSqrtQ, make_ring
+from strata_glue.lambda_core import (BanalityViolation, CoeffRing,
+                                     MissingSqrtQ, make_ring)
 from strata_glue.finite_rep import (induced_rep, jacquet_oracle, rep_model,
                                     steinberg)
 from strata_glue.char_engine import (
@@ -32,6 +33,8 @@ from strata_glue.char_engine import (
     TorusChar,
     UnramChar,
     UnsupportedSpec,
+    _block_cohomology,
+    _row_offsets,
     assemble_characters,
     compact_generator_ranks,
     glue,
@@ -353,6 +356,33 @@ def test_hc_tilde_half_slope():
     assert vals(hc_tilde(R11, "half", "nrd^0")) == {1: [(1, 1)], 2: [(3, 4)]}
     assert vals(hc_tilde(R11, "half", "nrd^1")) == {1: [(4, 4)], 2: [(1, 5)]}
     assert vals(hc_tilde(R7, "half", "triv")) == {1: [(1, 1)], 2: [(2, 4)]}
+
+
+@pytest.mark.parametrize("ring", [
+    R11, R7, make_ring(13, 5), make_ring(143, 3, sqrt_q=82),
+    make_ring(121, 3, sqrt_q=27), make_ring(49, 3), make_ring(169, 3),
+    make_ring(1001, 5)], ids=lambda r: f"n{r.n}-p{r.p}")
+def test_each_row_lands_where_its_block_has_cohomology(ring):
+    # Steinberg has only H^1, ind(1,0) is acyclic, and absdet^1 and both
+    # half rows have only H^0
+    for table, want in ((INTEGRAL, {"st": (-1,), "ind(1,0)": (),
+                                    "absdet^1": (0,)}),
+                        (HALF, {"triv": (0,), "nrd^1": (0,)})):
+        assert {spec: _row_offsets(ring, table, spec)
+                for spec, _det, _z in table.rows.values()} == want
+
+
+def test_blocks_past_the_banality_gate_have_torsion():
+    # CoeffRing skips make_ring's gate: 1 - q = 0 mod 2 at q = 3, and
+    # q + 1 = 20 = 0 mod 5 at q = 19, so the blocks gain torsion there,
+    # and hc_tilde and glue refuse both rings as make_ring would
+    bad2, bad5 = CoeffRing(2, 3), CoeffRing(5, 19)
+    assert _block_cohomology(bad2, INTEGRAL, "ind(1,0)") == {0: [2], 1: [2]}
+    assert _block_cohomology(bad5, HALF, "triv") == {0: [5], 1: [5]}
+    for f in (hc_tilde, glue):
+        for ring, slope in ((bad2, "int"), (bad2, "half"), (bad5, "half")):
+            with pytest.raises(BanalityViolation):
+                f(ring, slope, "triv")
 
 
 def test_hc_tilde_rejects_unsupported_sheaves():

@@ -13,14 +13,15 @@ p^L + p^(L-1) points, but are held in class coordinates.  Smoothing makes
 a vector a sum over discs, and every vector of the tower takes one value
 on all discs of a class: one depth and one residue mod p^m, or mod the
 disc's own precision where that is coarser.  So a vector is one value per
-class, plus the big cell's and the one at infinity.  Each stage's fibre
-columns and torus probes are closed forms per class: a fibre is a power
-of q times a character value on each class it meets, a unit probe
-permutes the classes and diag(pi, 1) takes each class to the mean of at
-most p classes.  So a stage costs its class count times p per probe, and
-lists no disc and visits no point: the level-8 oracle at p = 3 works on
-at most 118 classes and three probes, never on the 26,244 discs of its
-first stage or the 516,560,652 points of its line.
+class, plus the big cell's and the one at infinity.  A stage builds only
+its two-vector frame, the smoothed fibres of [1:0] and of infinity, each
+a power of q times a character value on each class it meets.  It counts
+its rank from its classes and probes the torus once: diag(pi, 1) takes
+each class to the mean of at most p classes, and the torus units act on
+the frame as the identity.  So a stage costs its class count times p,
+and lists no disc and visits no point: the level-8 oracle at p = 3 works
+on at most 118 classes, never on the 26,244 discs of its first stage or
+the 516,560,652 points of its line.
 
 Fixed points are asked for only under the stabilizers of the tree's
 facets, U, Uprime and Gamma0.  On trivial, induced and Steinberg models
@@ -38,14 +39,12 @@ from .lambda_core import (
     FgModule,
     LambdaMatrix,
     ModuleMap,
-    _eliminate,
     free_module,
     identity_matrix,
     kernel,
 )
 from .padic_core import (
     UnsupportedSubgroup,
-    _unit_gens,
     p1_size,
     subgroup_generators,
 )
@@ -54,8 +53,8 @@ from .padic_core import (
 class NotStabilized(RuntimeError):
     """The smoothing stages kept moving through the whole window.
 
-    stages holds the (j, rank, mats) summary of every stage that ran, in
-    order; mats is None for a stage whose torus probes left the frame.
+    stages holds the (j, rank, pi-matrix) summary of every stage that ran,
+    in order; the pi-matrix is None for a stage whose probe left the frame.
     """
 
     def __init__(self, message, stages=()):
@@ -243,16 +242,21 @@ def _cell_rows(sig, kind):
 class JacquetResult:
     """Stable data of the smoothing tower: rank, torus matrices, filtration."""
 
-    __slots__ = ("stabilized_rank", "torus_action", "filtration", "split",
+    __slots__ = ("stabilized_rank", "torus_action", "filtration",
                  "stabilization_level")
 
-    def __init__(self, stabilized_rank, torus_action, filtration, split,
+    def __init__(self, stabilized_rank, torus_action, filtration,
                  stabilization_level):
         self.stabilized_rank = stabilized_rank
         self.torus_action = torus_action
         self.filtration = filtration
-        self.split = split
         self.stabilization_level = stabilization_level
+
+    @property
+    def split(self):
+        # two constituents whose torus values differ
+        f = self.filtration
+        return len(f) == 2 and f[0] != f[1]
 
     def __repr__(self):
         return (f"JacquetResult(rank={self.stabilized_rank}, "
@@ -276,34 +280,53 @@ class _StageEngine:
     # each point.  Every vector the tower builds takes one value on all
     # discs of a class: the discs of one depth mu with one c mod p^ce,
     # ce = min(kk, m), which for mu >= m is every disc of depth mu.  The
-    # level-m fibres fill classes, a unit probe multiplies c by a unit, and
-    # diag(p, 1) sends c to p c one depth up, so it pulls a class from one
-    # class, or from p where the depth above resolves one digit more.  So a
-    # vector is held in class coordinates, one value per class: class 0
-    # holds the big cell and the depths mu <= j, class 1 infinity, and
-    # class 2 + i the i-th class in order of its first disc, its least
-    # residue c, which is p^mu when mu >= m.  Fibre rows and probe images
-    # are closed forms per class, so no stage lists a disc or visits a
-    # point: a stage costs its class count, about 2 p^((m - j)/2) + L - m
-    # against about 2 p^((L - j)/2) discs, times p per probe, and builds no
-    # matrix.
+    # level-m fibres fill classes, and diag(p, 1) sends c to p c one depth
+    # up, so it pulls a class from one class, or from p where the depth
+    # above resolves one digit more.  So a vector is held in class
+    # coordinates, one value per class: class 0 holds the big cell and the
+    # depths mu <= j, class 1 infinity, and class 2 + i the i-th class in
+    # order of its first disc, its least residue c, which is p^mu when
+    # mu >= m.  The frame and its probe image are closed forms per class,
+    # so no stage lists a disc or visits a point: a stage costs its class
+    # count, about 2 p^((m - j)/2) + L - m against about 2 p^((L - j)/2)
+    # discs, times p, and builds no matrix.
+    #
+    # A stage builds only the frame, the fibres of [1:0] and of infinity,
+    # and probes only diag(pi, 1), by two facts about the smoothed level-m
+    # fibres (_frame gives their values).
+    # The rank is 2 + (the classes of depth below m) - fold.  Every fibre
+    # but infinity's is one class times a unit, q^(ce - m) r^mu: those of
+    # [1:0] and of the depths mu <= j sit on class 0, and those of one
+    # depth j < mu < m fill that depth's classes, as ce <= m there.
+    # Infinity's alone meets class 1, with value 1, and otherwise only
+    # class 0 and the classes of depth >= m.  So the fibres span a free
+    # module on class 0, infinity's row and each class of depth below m,
+    # also for composite n.  Folding runs with the trivial character, so
+    # r = 1 and infinity's row is 1 on each class of depth >= m: the row of
+    # ones is that row plus multiples of class 0 and of the classes below
+    # m, so it adds nothing to the span, and the constants take one off.
+    # The torus units fix the frame, so their matrices are the identity.
+    # diag(u, 1) and diag(1, u) keep each point's depth and move [s:1] to
+    # [s u^(+-1):1], with weight 1: each class pulls from one of its own
+    # depth, and classes 0 and 1 from themselves.  The [1:0] fibre sits on
+    # class 0 alone, and infinity's on classes 0 and 1 and the one class of
+    # each depth >= m, so each is its own image.
 
-    def __init__(self, ring, p, m, big_l, chi):
+    def __init__(self, ring, p, m, big_l, chi, fold=False):
         self.ring = ring
         self.p = p
         self.m = m
         self.big_l = big_l
         self.n = n = ring.n
-        self.c1, self.c2 = chi
+        # fold works modulo the constants, under the trivial character that
+        # the rank's closed form needs
+        self.fold = fold
+        self.c1, self.c2 = (1, 1) if fold else chi
         self.r = self.c1 * ring.inv(self.c2) % n
         # point count, read by the stage sizer in perfbench/spans.py
         self.size = p1_size(p, big_l)
         # r^mu at each depth below L
         self.r_pow = [pow(self.r, mu, n) for mu in range(big_l)]
-        # torus probes: diag(pi, 1), then diag(u, 1) and diag(1, u) per unit
-        self.ops = [(p, 1)]
-        for u in _unit_gens(p, m):
-            self.ops += [(u, 1), (1, u)]
 
     def _begin(self, j):
         """Stage j's class modulus ce at each depth, min(2 mu - j, L, m),
@@ -327,46 +350,37 @@ class _StageEngine:
             return self.index[self.p ** mu]
         return self.index[x % self.p ** self.ce[mu]]
 
-    def _fibres(self):
-        """The smoothed indicators of the level-m fibres, deduplicated, as
-        {class: value} rows, classes ascending, those of [1:0] and of
-        infinity first.
+    def _frame(self):
+        """The smoothed indicators of the level-m fibres of [1:0] and of
+        infinity, class by class, each entry mod n.
 
         A depth-mu disc that a fibre fills takes r^mu, and one that holds
         the fibre's p^(L - m) points, as where kk < m, q^(kk - m) r^mu: in
         both cases q^(ce - m) r^mu, also on class 0 at depths mu <= j,
-        where kk = 2 mu - j.  So the big-cell fibre of [1:0] is q^(-j - m)
-        on class 0, and that of [s0:1] at depth mu0 < m is q^(ce - m)
-        r^mu0 on the class of s0, the fibres of one depth giving one row
-        per class.  That of infinity is infinity and every point of depth
+        where kk = 2 mu - j.  So the fibre of [1:0] is q^(-j - m) on class
+        0, and that of [s0:1] at depth mu0 < m is q^(ce - m) r^mu0 on the
+        class of s0.  That of infinity is infinity and every point of depth
         mu >= m: r^mu on its class, or (p - 1) q^(mu - j - 1) r^mu, for
         its (p - 1) p^(L - mu - 1) points, on class 0 when mu <= j.
         """
-        p, m, big_l, n, j = self.p, self.m, self.big_l, self.n, self.j
-        q_pow, r_pow, ce = self.ring.q_pow, self.r_pow, self.ce
-        inf = {1: 1}
-        for mu in range(m, big_l):
+        p, m, n, j = self.p, self.m, self.n, self.j
+        q_pow, r_pow = self.ring.q_pow, self.r_pow
+        cb = [0] * (len(self.classes) + 2)
+        ci = cb[:]
+        cb[0] = q_pow(-j - m)
+        ci[1] = 1
+        for mu in range(m, self.big_l):
             if mu <= j:
-                inf[0] = (inf.get(0, 0)
-                          + (p - 1) * q_pow(mu - j - 1) * r_pow[mu])
+                ci[0] += (p - 1) * q_pow(mu - j - 1) * r_pow[mu]
             else:
-                inf[self.index[p ** mu]] = r_pow[mu]
-        rows = [{0: q_pow(-j - m)},
-                {k: y for k, x in sorted(inf.items()) if (y := x % n)}]
-        for mu in range(1, m):
-            x = q_pow(ce[mu] - m) * r_pow[mu] % n
-            ks = ([0] if mu <= j else
-                  [self.index[c] for c in _depth_residues(p, mu, ce[mu])])
-            rows += [{k: x} if x else {} for k in ks]
-        return list({tuple(r.items()): r for r in rows}.values())
+                ci[self.index[p ** mu]] = r_pow[mu]
+        ci[0] %= n
+        return cb, ci
 
-    def _probe(self, d1, d2, vecs):
-        """Pull each vector of vecs along diag(d1, d2), then smooth at the
+    def _probe(self, vecs):
+        """Pull each vector of vecs along diag(p, 1), then smooth at the
         current stage: the images, class by class, each entry mod n.
 
-        A unit pair keeps each point's depth and moves [s:1] to
-        [s d1/d2:1], so each class (mu, c) pulls from that of
-        (mu, c d1/d2), and classes 0 and 1 from themselves, with weight 1.
         diag(p, 1) is the central pi times diag(1, pi^-1): [1:t] pulls from
         [1:t/p] with scale c2 when p | t, and every other point from
         [p s:1] with scale c1, one depth up, or from infinity at depth
@@ -381,12 +395,6 @@ class _StageEngine:
         Infinity pulls itself, with c1.
         """
         p, big_l, n = self.p, self.big_l, self.n
-        if d1 % p and d2 % p:
-            md = p ** self.m
-            shift = d1 * pow(d2, -1, md) % md
-            src = [0, 1] + [self._class(mu, c * shift)
-                            for c, mu in self.classes]
-            return [[v[k] for k in src] for v in vecs]
         c1, c2, ce, j = self.c1, self.c2, self.ce, self.j
         top = c1 * self.r_pow[-1]
         q_inv = self.ring.q_pow(-1)
@@ -422,48 +430,22 @@ class _StageEngine:
                 return None
         return a, b % n
 
-    def stage(self, j, fold):
-        n = self.n
+    def stage(self, j):
+        """Stage j's (rank, pi-matrix): the matrix of diag(pi, 1) in the
+        frame, or with fold on the frame modulo the constants, and None
+        where the probe leaves the frame."""
         self._begin(j)
-        width = len(self.classes) + 2
-        # every column's class values: the indicator of a level-m fibre,
-        # smoothed
-        stack = self._fibres()
-        cb, ci = ([r.get(k, 0) for k in range(width)] for r in stack[:2])
-        # fold adds the constants, all ones in class coordinates since r is
-        # 1 under the trivial character that folding runs with
-        if fold:
-            stack.append(dict.fromkeys(range(width), 1))
-        # the Howell row count depends only on the span, so not on the
-        # duplicate fibres, and equals that over point coordinates, also
-        # for composite n: with classes in first-point order, every row
-        # stays constant on each class, so a pivot can only sit on the
-        # first point of its class.  It is the echelon's pivot count, since
-        # reducing above the pivots keeps every row, so no reduction runs
-        rank = len(_eliminate(stack, n, width)[0])
-        if fold:
-            rank -= 1
-        mats = []
-        for d1, d2 in self.ops:
-            sa, sb = (self.solve(v, cb, ci)
-                      for v in self._probe(d1, d2, (cb, ci)))
-            if sa is None or sb is None:
-                mats = None
-                break
-            mats.append(((sa[0], sb[0]), (sa[1], sb[1])))
-        if mats is not None and fold:
-            base = self.solve((1,) * width, cb, ci)
-            if base is None:
-                mats = None
-            else:
-                a0 = base[0]
-                mats = [(((mtx[0][0] - a0 * mtx[1][0]) % n,),)
-                        for mtx in mats]
-        if mats is None:
-            return (rank, None, None)
-        central = self.c1 * self.c2 % n
-        mpi2 = _scaled_inverse(self.ring, mats[0], central)
-        return (rank, tuple(mats), mpi2)
+        rank = 2 + sum(mu < self.m for _, mu in self.classes) - self.fold
+        cb, ci = self._frame()
+        sa, sb = (self.solve(v, cb, ci) for v in self._probe((cb, ci)))
+        if sa is None or sb is None:
+            return (rank, None)
+        if not self.fold:
+            return (rank, ((sa[0], sb[0]), (sa[1], sb[1])))
+        base = self.solve((1,) * len(cb), cb, ci)
+        if base is None:
+            return (rank, None)
+        return (rank, (((sa[0] - base[0] * sa[1]) % self.n,),))
 
 
 def _scaled_inverse(ring, mtx, scale):
@@ -484,47 +466,41 @@ def jacquet_oracle(sig, j_max=None):
 
     The stages run on the level-(m + j_max) line, in class coordinates
     (_StageEngine): stage j works on about 2 p^((m - j)/2) + j_max classes
-    of smoothing discs, so the cost grows with the class count, not with
-    the line or its discs.  Raises NotStabilized, carrying the stage
-    summaries, when the window closes first or the agreeing stages'
-    pi-matrix is singular.
+    of smoothing discs, builds its two-vector frame, counts its rank from
+    its classes and probes diag(pi, 1) alone, so the cost grows with the
+    class count, not with the line or its discs.  diag(1, pi) is read off
+    the agreeing stages' pi-matrix once, as the central pi times its
+    inverse; the torus units act on the frame as the identity and are not
+    listed.  Raises NotStabilized, carrying the stage summaries, when the
+    window closes first or the agreeing stages' pi-matrix is singular.
     """
     if sig.kind not in ("induced", "steinberg"):
         raise ValueError(f"no smoothing stages for kind {sig.kind!r}")
-    fold = sig.kind == "steinberg"
     ring, m = sig.ring, sig.level
-    chi = (1, 1) if fold else sig.chi
     if j_max is None:
         j_max = m + 2
     if j_max < 0:
         raise ValueError(f"j_max must be at least 0, got {j_max}")
-    eng = _StageEngine(ring, sig.p, m, m + j_max, chi)
+    eng = _StageEngine(ring, sig.p, m, m + j_max, sig.chi,
+                       fold=sig.kind == "steinberg")
     prev = None
     seen = []
     for j in range(j_max + 1):
-        summary = eng.stage(j, fold)
-        seen.append((j,) + summary[:2])
+        summary = eng.stage(j)
+        seen.append((j,) + summary)
         if j >= 1 and summary == prev and summary[1] is not None:
-            rank, mats, mpi2 = summary
+            rank, mpi = summary
+            mpi2 = _scaled_inverse(ring, mpi, eng.c1 * eng.c2)
             if mpi2 is None:
                 raise NotStabilized(
                     f"stages {j - 1} and {j} agreed, but their pi-matrix "
-                    f"{mats[0]} is not invertible mod {ring.n}", seen)
-            mpi = mats[0]
+                    f"{mpi} is not invertible mod {ring.n}", seen)
             # every entry is reduced mod n already
-            torus = {
-                "pi": LambdaMatrix._reduced(ring, mpi, len(mpi)),
-                "pi2": LambdaMatrix._reduced(ring, mpi2, len(mpi2)),
-                "units": tuple(LambdaMatrix._reduced(ring, u, len(u))
-                               for u in mats[1:]),
-            }
-            if fold:
-                filtration = ((mpi[0][0], mpi2[0][0]),)
-            else:
-                filtration = ((mpi[0][0], mpi2[0][0]),
-                              (mpi[1][1], mpi2[1][1]))
-            split = len(filtration) == 2 and filtration[0] != filtration[1]
-            return JacquetResult(rank, torus, filtration, split, j)
+            torus = {"pi": LambdaMatrix._reduced(ring, mpi, len(mpi)),
+                     "pi2": LambdaMatrix._reduced(ring, mpi2, len(mpi2))}
+            filtration = tuple((mpi[i][i], mpi2[i][i])
+                               for i in range(len(mpi)))
+            return JacquetResult(rank, torus, filtration, j)
         prev = summary
     raise NotStabilized(
         f"no two consecutive stages agreed up to j_max={j_max}", seen)

@@ -17,7 +17,9 @@ from strata_glue.padic_core import (
     UnsupportedSubgroup,
     p1_size,
 )
-from strata_glue import finite_rep, padic_core, sl2_coh
+from strata_glue import finite_rep, lambda_core, padic_core, sl2_coh
+from strata_glue.char_engine import jacquet_symbolic
+from strata_glue.cli import _check_jacquet
 from bruteforce import (DiscStageEngine, NonInvertibleOrder, PointStageEngine,
                         RowStageEngine, SlotStageEngine, _chi_val,
                         _eta_inv_images,
@@ -28,6 +30,7 @@ from bruteforce import fixed_points as dense_fixed_points
 from bruteforce import orbit_fixed_points
 from strata_glue.finite_rep import (
     NotStabilized,
+    _scaled_inverse,
     fixed_points,
     gl2_f2_sign,
     induced_rep,
@@ -392,8 +395,7 @@ def test_not_stabilized_carries_stage_summaries():
                              "j_max=1") as info:
         jacquet_oracle(induced_rep(R11, (1, 1), 2), j_max=1)
     eng = finite_rep._StageEngine(R11, 3, 2, 3, (1, 1))
-    assert info.value.stages == tuple(
-        (j, *eng.stage(j, False)[:2]) for j in (0, 1))
+    assert info.value.stages == tuple((j, *eng.stage(j)) for j in (0, 1))
     assert info.value.stages[0][1:] != info.value.stages[1][1:]
 
 def test_jacquet_singular_pi_is_named(monkeypatch):
@@ -460,13 +462,47 @@ _PINNED = (
     + [(R7, 2, f"ind({a},{b})") for a in range(6) for b in range(6)])
 
 
+def _project(ref, summary):
+    """A reference engine's stage summary (rank, mats, mpi2) as the class
+    engine states it, (rank, pi-matrix or None), once every unit matrix in
+    mats is checked to be the identity and mpi2 the central pi times the
+    inverse of the pi-matrix, mats[0]."""
+    rank, mats, mpi2 = summary
+    if mats is None:
+        assert mpi2 is None
+        return (rank, None)
+    mpi, *units = mats
+    k = len(mpi)
+    one = tuple(tuple(int(a == b) for b in range(k)) for a in range(k))
+    assert all(u == one for u in units), units
+    assert mpi2 == _scaled_inverse(ref.ring, mpi, ref.c1 * ref.c2)
+    return (rank, mpi)
+
+
+def _projected(ref_cls):
+    """The reference engine class ref_cls behind the class engine's
+    interface, for jacquet_oracle to run on: fold passed to the
+    constructor, where it sets the trivial character, and each stage
+    summary projected (_project)."""
+
+    class Projected:
+        def __init__(self, ring, p, m, big_l, chi, fold=False):
+            self.fold = fold
+            self.c1, self.c2 = chi = (1, 1) if fold else chi
+            self.ref = ref_cls(ring, p, m, big_l, chi)
+
+        def stage(self, j):
+            return _project(self.ref, self.ref.stage(j, self.fold))
+
+    return Projected
+
+
 def _oracle_outcome(sig, j_max=None):
     try:
         res = jacquet_oracle(sig, j_max)
     except NotStabilized as exc:
         return ("not stabilized", str(exc), exc.stages)
-    torus = {k: (tuple(x.entries for x in v) if k == "units" else v.entries)
-             for k, v in res.torus_action.items()}
+    torus = {k: v.entries for k, v in res.torus_action.items()}
     return (res.stabilized_rank, torus, res.filtration, res.split,
             res.stabilization_level)
 
@@ -475,15 +511,17 @@ def _oracle_outcome(sig, j_max=None):
                          ids=[f"n{r.n}-m{m}-{s.replace('/', '_')}"
                               for r, m, s in _PINNED])
 def test_disc_engine_matches_point_engine(ring, m, spec, monkeypatch):
+    # every stage summary against the reference's, projected, and the
+    # oracle's outcomes at the default window and at j_max = 1
     sig = rep_model(ring, spec, m)
     fold = spec == "st"
-    chi = (1, 1) if fold else sig.chi
-    eng = finite_rep._StageEngine(ring, ring.p, m, 2 * m + 2, chi)
-    ref = PointStageEngine(ring, ring.p, m, 2 * m + 2, chi)
+    eng = finite_rep._StageEngine(ring, ring.p, m, 2 * m + 2, sig.chi, fold)
+    ref = PointStageEngine(ring, ring.p, m, 2 * m + 2, sig.chi)
     for j in range(m + 3):
-        assert eng.stage(j, fold) == ref.stage(j, fold)
+        assert eng.stage(j) == _project(ref, ref.stage(j, fold))
     got = [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
-    monkeypatch.setattr(finite_rep, "_StageEngine", PointStageEngine)
+    monkeypatch.setattr(finite_rep, "_StageEngine",
+                        _projected(PointStageEngine))
     assert got == [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
 
 
@@ -521,9 +559,9 @@ _REFERENCE_POINTS = 500_000
                          ids=lambda r: f"n{r.n}-p{r.p}")
 def test_slot_engine_matches_disc_engine(ring, m):
     # every stage summary of the closed-form engine against the engine that
-    # visits each point: on the lines at the model's level, one level up
-    # and at the oracle's 2m + 2, at every stage of the window, with fold
-    # on and off
+    # visits each point, projected: on the lines at the model's level, one
+    # level up and at the oracle's 2m + 2, at every stage of the window,
+    # with fold off under a random character and on under the trivial one
     p = ring.p
     rng = random.Random(f"slots:{ring.n}:{p}:{m}")
     units = [c for c in range(1, ring.n) if ring.is_unit(c)]
@@ -531,12 +569,13 @@ def test_slot_engine_matches_disc_engine(ring, m):
         if p ** big_l + p ** (big_l - 1) > _REFERENCE_POINTS:
             continue
         chi = (rng.choice(units), rng.choice(units))
-        eng = finite_rep._StageEngine(ring, p, m, big_l, chi)
-        ref = DiscStageEngine(ring, p, m, big_l, chi)
-        for j in range(big_l - m + 1):
-            for fold in (False, True):
-                assert eng.stage(j, fold) == ref.stage(j, fold), (big_l, j,
-                                                                 fold)
+        for fold in (False, True):
+            eng = finite_rep._StageEngine(ring, p, m, big_l, chi, fold)
+            ref = DiscStageEngine(ring, p, m, big_l,
+                                  (1, 1) if fold else chi)
+            for j in range(big_l - m + 1):
+                assert eng.stage(j) == _project(ref, ref.stage(j, fold)), (
+                    big_l, j, fold)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -571,22 +610,24 @@ def test_probes_match_transfer_rows(ring, m):
                          ids=lambda r: f"n{r.n}-p{r.p}")
 def test_class_engine_matches_slot_engine(ring, m, monkeypatch):
     # every stage summary of the class engine against the slot engine, one
-    # value per disc, over the oracle's window with fold on and off, and
-    # the oracle's outcomes at the default window and at j_max = 1; Z/13
-    # has no square root of q = 5, so its ps twist is integral
+    # value per disc, projected, over the oracle's window with fold off and,
+    # under the trivial character of st, on; and the oracle's outcomes at
+    # the default window and at j_max = 1.  Z/13 has no square root of
+    # q = 5, so its ps twist is integral
     ps = "ps(0,0)" if ring.sqrt_q is not None else "ps(1/2,1/2)"
     for spec in ("ind(0,1)", ps, "st"):
         sig = rep_model(ring, spec, m)
-        fold = spec == "st"
-        chi = (1, 1) if fold else sig.chi
-        eng = finite_rep._StageEngine(ring, ring.p, m, 2 * m + 2, chi)
-        ref = SlotStageEngine(ring, ring.p, m, 2 * m + 2, chi)
-        for j in range(m + 3):
-            for f in (False, True):
-                assert eng.stage(j, f) == ref.stage(j, f), (spec, j, f)
+        ref = SlotStageEngine(ring, ring.p, m, 2 * m + 2, sig.chi)
+        for fold in (False, True) if spec == "st" else (False,):
+            eng = finite_rep._StageEngine(ring, ring.p, m, 2 * m + 2,
+                                          sig.chi, fold)
+            for j in range(m + 3):
+                assert eng.stage(j) == _project(ref, ref.stage(j, fold)), (
+                    spec, j, fold)
         got = [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
         with monkeypatch.context() as patch:
-            patch.setattr(finite_rep, "_StageEngine", SlotStageEngine)
+            patch.setattr(finite_rep, "_StageEngine",
+                          _projected(SlotStageEngine))
             assert got == [_oracle_outcome(sig), _oracle_outcome(sig, 1)]
 
 
@@ -594,9 +635,9 @@ def test_class_engine_matches_slot_engine(ring, m, monkeypatch):
 @pytest.mark.parametrize("ring", [R11, R7, R121, R143, R13],
                          ids=lambda r: f"n{r.n}-p{r.p}")
 def test_class_vectors_expand_to_slot_vectors(ring, m):
-    # a class vector is the slot vector constant on each class: every fibre
-    # row and every probe image of a random class vector expands to the
-    # slot engine's, at every stage of the window.  The stage summaries
+    # a class vector is the slot vector constant on each class: both frame
+    # vectors and the diag(pi, 1) image of a random class vector expand to
+    # the slot engine's, at every stage of the window.  The stage summaries
     # alone do not see the classes below depth m, where the frame vanishes
     p, n = ring.p, ring.n
     rng = random.Random(f"classes:{n}:{p}:{m}")
@@ -608,17 +649,71 @@ def test_class_vectors_expand_to_slot_vectors(ring, m):
         eng._begin(j)
         ref._begin(j)
         cls = [0, 1] + [eng._class(mu, c) for c, mu in ref.discs]
-
-        def expand(row):
-            return {k: row[c] for k, c in enumerate(cls) if c in row}
-
-        assert [expand(r) for r in eng._fibres()] == ref._fibres(), j
+        width = len(cls)
+        assert [[v[c] for c in cls] for v in eng._frame()] == [
+            [row.get(k, 0) for k in range(width)]
+            for row in ref._fibres()[:2]], j
         vecs = [[rng.randrange(n) for _ in range(len(eng.classes) + 2)]
                 for _ in range(2)]
-        for d1, d2 in eng.ops:
-            got = eng._probe(d1, d2, vecs)
-            want = ref._probe(d1, d2, [[v[c] for c in cls] for v in vecs])
-            assert [[v[c] for c in cls] for v in got] == want, (j, d1, d2)
+        got = eng._probe(vecs)
+        want = ref._probe(p, 1, [[v[c] for c in cls] for v in vecs])
+        assert [[v[c] for c in cls] for v in got] == want, j
+
+
+R49 = make_ring(49, 3)
+R169 = make_ring(169, 5)
+R1001 = make_ring(1001, 5)
+
+
+@pytest.mark.parametrize("ring", [R11, R7, R143, R121, R49, R13, R169, R1001],
+                         ids=lambda r: f"n{r.n}-p{r.p}")
+def test_unit_probes_fix_the_frame_and_the_rank_is_counted(ring):
+    # the two facts the class engine rests on, checked on the slot engine,
+    # which still probes the units and eliminates its fibre rows: every
+    # unit probe maps both frame vectors to themselves, and every stage's
+    # eliminated rank is 2 + (classes of depth below m) - fold, at levels
+    # 1-4 over the oracle's window, fold on under the trivial character
+    p = ring.p
+    for m in range(1, 5):
+        big_l = 2 * m + 2
+        if p1_size(p, big_l) > _REFERENCE_POINTS:
+            continue
+        for spec in ("ind(0,1)", "ind(1,0)", "st"):
+            fold = spec == "st"
+            ref = SlotStageEngine(ring, p, m, big_l,
+                                  rep_model(ring, spec, m).chi)
+            for j in range(m + 3):
+                rank = ref.stage(j, fold)[0]
+                width = len(ref.discs) + 2
+                frame = [[row.get(k, 0) for k in range(width)]
+                         for row in ref._fibres()[:2]]
+                for d1, d2 in ref.ops[1:]:
+                    assert ref._probe(d1, d2, frame) == frame, (
+                        m, spec, j, d1, d2)
+                below = {(mu, c % p ** min(ref.kk[mu], m))
+                         for c, mu in ref.discs if mu < m}
+                assert rank == 2 + len(below) - fold, (m, spec, j)
+
+
+def test_oracle_runs_no_elimination(monkeypatch):
+    # a stage counts its rank, so no oracle eliminates: verify-all's five
+    # level-2 oracles over Z/11 and the level-4 oracles over Z/7 that the
+    # deep benchmark tier draws from, with every elimination refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination ran")
+
+    monkeypatch.setattr(lambda_core, "_eliminate", refuse)
+    monkeypatch.setattr(finite_rep, "_eliminate", refuse, raising=False)
+    assert _check_jacquet() == {"specs": 5}
+    for a in range(6):
+        for b in range(6):
+            spec = f"ind({a},{b})"
+            res = jacquet_oracle(rep_model(R7, spec, 4))
+            sym = jacquet_symbolic(R7, spec)
+            assert res.filtration == tuple(c.values()
+                                           for c in sym.constituents), spec
+            assert (res.split, set(res.torus_action)) == (
+                sym.split, {"pi", "pi2"}), spec
 
 
 def _class_count(p, m, big_l, j):
@@ -641,7 +736,7 @@ def test_stage_width_is_the_class_count(ring, levels):
         big_l = 2 * m + 2
         eng = finite_rep._StageEngine(ring, p, m, big_l, (1, 1))
         for j in range(m + 3):
-            eng.stage(j, False)
+            eng.stage(j)
             assert len(eng.classes) + 2 == _class_count(p, m, big_l, j), (
                 m, j)
     eng = finite_rep._StageEngine(R11, 3, 8, 18, (1, 1))
@@ -699,9 +794,7 @@ def test_eta_inv_images_equal_loop_pull_table(ring, levels):
 def _jacquet_outcome(res):
     return (res.stabilized_rank, res.filtration, res.split,
             res.stabilization_level,
-            {k: v.entries for k, v in res.torus_action.items()
-             if k != "units"},
-            [u.entries for u in res.torus_action["units"]])
+            {k: v.entries for k, v in res.torus_action.items()})
 
 
 def test_jacquet_window_sets_its_own_level():
